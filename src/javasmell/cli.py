@@ -25,10 +25,9 @@ from .evaluation import (
     evaluate,
     load_ground_truth,
 )
-from .metrics import write_metrics_csv
+from .metrics import IoError, write_metrics_csv
 from .pipeline import analyze_paths, find_java_files
 from .report import (
-    IoError,
     build_report,
     comparison,
     evaluation_lines,
@@ -158,20 +157,16 @@ def cmd_analyze(args) -> int:
         maturity=maturity,
         config=config,
     )
-    try:
-        write_provenance(
-            result.findings,
-            out / "provenance.log",
-            project=project,
-            version=__version__,
-            config_digest=config.digest(),
-            timestamp=timestamp,
-        )
-        write_report_json(report, out / "report.json")
-        write_metrics_csv(result.type_metrics, out / "metrics.csv")
-    except IoError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FATAL
+    write_provenance(
+        result.findings,
+        out / "provenance.log",
+        project=project,
+        version=__version__,
+        config_digest=config.digest(),
+        timestamp=timestamp,
+    )
+    write_report_json(report, out / "report.json")
+    write_metrics_csv(result.type_metrics, out / "metrics.csv")
 
     print(f"project: {project}")
     print(f"files analyzed: {len(result.model.file_stats)} (failed: {len(result.failures)})")
@@ -258,7 +253,11 @@ def main(argv=None) -> int:
         "evaluate": cmd_evaluate,
         "compare": cmd_compare,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except IoError as err:  # an output file of any command could not be written
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_FATAL
 
 
 if __name__ == "__main__":

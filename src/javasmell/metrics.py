@@ -13,6 +13,7 @@ threshold boundaries like 0.8 compare cleanly.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .model import PseudoModel, TypeInfo
@@ -50,6 +51,7 @@ class TypeMetrics:
     max_cc: int
     lcom: float | None
     types_in_file: int
+    ccs: tuple  # cc of each method with a parsed body, for the project histogram
 
 
 @dataclass
@@ -65,8 +67,8 @@ class ProjectMetrics:
     dit_histogram: tuple  # counts for DIT_BUCKETS
 
 
-class InheritanceCycle(Exception):
-    pass
+class IoError(Exception):
+    """An output file could not be written."""
 
 
 def cyclomatic_complexity(method_node: Node) -> int | None:
@@ -93,49 +95,28 @@ def cyclomatic_complexity(method_node: Node) -> int | None:
 def dit(model: PseudoModel, qname: str) -> int:
     """Length of the resolved internal extends chain; cycles yield the
     acyclic prefix (plus a diagnostic left to the model builder)."""
-    depth = 0
-    seen = {qname}
-    cur = model.types[qname].supertype
-    while cur is not None:
-        if cur in seen:
-            break
-        seen.add(cur)
-        depth += 1
-        cur = model.types[cur].supertype
-    return depth
-
-
-def _shadowed_names(method_node: Node) -> set[str]:
-    names: set[str] = set()
-    for _, pname in method_node.attrs.get("params", ()):
-        names.add(pname)
-    for n in method_node.walk():
-        if n.kind == "LocalVar":
-            names.update(n.attrs.get("names", ()))
-        elif n.kind == "ForEach":
-            names.add(n.attrs["var_name"])
-        elif n.kind == "Catch":
-            names.add(n.attrs["name"])
-    return names
+    return sum(1 for _ in model.ancestors(qname))
 
 
 def _accessed_fields(method_node: Node, field_names: set[str]) -> set[str]:
-    """Own fields read or written in the body; bare names lose to shadowing
-    locals/params, ``this.f`` always counts."""
-    shadowed = _shadowed_names(method_node)
-    hit: set[str] = set()
-    body = next((c for c in method_node.children if c.kind == "Block"), None)
-    if body is None:
-        return hit
-    for n in body.walk():
-        if n.kind == "Name":
-            ident = n.attrs["id"]
-            if ident in field_names and ident not in shadowed:
-                hit.add(ident)
-        elif n.kind == "FieldAccess" and n.children and n.children[0].kind == "This":
-            if n.attrs["name"] in field_names:
-                hit.add(n.attrs["name"])
-    return hit
+    """Own fields read or written in the body, found in one walk; bare names
+    lose to shadowing locals/params, ``this.f`` always counts."""
+    shadowed = {pname for _, pname in method_node.attrs.get("params", ())}
+    bare: set[str] = set()
+    this_hits: set[str] = set()
+    for n in method_node.walk():
+        k, a = n.kind, n.attrs
+        if k == "Name":
+            bare.add(a["id"])
+        elif k == "FieldAccess" and n.children and n.children[0].kind == "This":
+            this_hits.add(a["name"])
+        elif k == "LocalVar":
+            shadowed.update(a.get("names", ()))
+        elif k == "ForEach":
+            shadowed.add(a["var_name"])
+        elif k == "Catch":
+            shadowed.add(a["name"])
+    return ((bare - shadowed) | this_hits) & field_names
 
 
 def lcom(model: PseudoModel, info: TypeInfo) -> float | None:
@@ -157,8 +138,8 @@ def is_override(model: PseudoModel, qname: str, method) -> bool:
 
 
 def _span_loc(model: PseudoModel, file: str, start_line: int, end_line: int) -> int:
-    code = model.file_code_lines.get(file, set())
-    return sum(1 for ln in code if start_line <= ln <= end_line)
+    code = model.file_code_lines.get(file, ())
+    return bisect_right(code, end_line) - bisect_left(code, start_line)
 
 
 def compute_method_metrics(model: PseudoModel) -> list[MethodMetrics]:
@@ -186,7 +167,7 @@ def compute_type_metrics(model: PseudoModel) -> dict:
         info = model.types[qname]
         methods = [m for m in info.methods if not m.is_ctor]
         ccs = [cyclomatic_complexity(m.node) for m in methods]
-        ccs = [c for c in ccs if c is not None]
+        ccs = tuple(c for c in ccs if c is not None)
         nof = len(info.fields)
         nopf = sum(1 for f in info.fields if f.visibility == "public")
         nopf_nonconst = sum(
@@ -206,6 +187,7 @@ def compute_type_metrics(model: PseudoModel) -> dict:
             max_cc=max(ccs, default=0),
             lcom=lcom(model, info),
             types_in_file=model.file_top_level.get(info.file, 0),
+            ccs=ccs,
         )
     return out
 
@@ -232,13 +214,8 @@ def project_metrics(model: PseudoModel, type_metrics: dict | None = None) -> Pro
         return 100.0 * num / den if den else None
 
     cc_hist = [0] * len(CC_BUCKETS)
-    for qname in model.types:
-        for m in model.types[qname].methods:
-            if m.is_ctor:
-                continue
-            cc = cyclomatic_complexity(m.node)
-            if cc is None:
-                continue
+    for t in tm.values():
+        for cc in t.ccs:
             idx = _bucket_index(cc, CC_BUCKETS)
             if idx is not None:
                 cc_hist[idx] += 1
@@ -280,18 +257,21 @@ CSV_COLUMNS = (
 
 
 def write_metrics_csv(type_metrics: dict, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for qname in sorted(type_metrics):
-            t = type_metrics[qname]
-            row = []
-            for col in CSV_COLUMNS:
-                value = getattr(t, col)
-                if value is None:
-                    row.append("")
-                elif isinstance(value, float):
-                    row.append(f"{value:.6g}")
-                else:
-                    row.append(str(value))
-            writer.writerow(row)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(CSV_COLUMNS)
+            for qname in sorted(type_metrics):
+                t = type_metrics[qname]
+                row = []
+                for col in CSV_COLUMNS:
+                    value = getattr(t, col)
+                    if value is None:
+                        row.append("")
+                    elif isinstance(value, float):
+                        row.append(f"{value:.6g}")
+                    else:
+                        row.append(str(value))
+                writer.writerow(row)
+    except OSError as err:
+        raise IoError(f"cannot write {path}: {err}") from None

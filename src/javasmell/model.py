@@ -118,7 +118,7 @@ class PseudoModel:
     subtypes: dict = field(default_factory=dict)  # qname -> [qname]
     incoming: dict = field(default_factory=dict)  # qname -> set of sources
     file_top_level: dict = field(default_factory=dict)  # file -> count
-    file_code_lines: dict = field(default_factory=dict)  # file -> set[int]
+    file_code_lines: dict = field(default_factory=dict)  # file -> sorted [int]
     file_stats: dict = field(default_factory=dict)  # file -> LineStats
     diagnostics: list = field(default_factory=list)
     _scopes: dict = field(default_factory=dict)  # file -> _FileScope
@@ -238,8 +238,12 @@ def _collect_types(unit: Node, package: str, file: str, out: list):
     """Every type declaration in the unit, local classes included; a local
     class is treated as nested in its enclosing type."""
 
-    def visit(node: Node, outer_qname: str | None):
-        for child in node.children:
+    # Preorder without recursion: a stack of child iterators, each with the
+    # qname of the type it lies in.
+    stack = [(iter(unit.children), None)]
+    while stack:
+        it, outer_qname = stack[-1]
+        for child in it:
             if child.kind == "TypeDecl":
                 simple = child.attrs["name"]
                 if outer_qname:
@@ -249,11 +253,13 @@ def _collect_types(unit: Node, package: str, file: str, out: list):
                 else:
                     qname = simple
                 out.append((qname, simple, outer_qname, child))
-                visit(child, qname)
-            else:
-                visit(child, outer_qname)
-
-    visit(unit, None)
+                stack.append((iter(child.children), qname))
+                break
+            if child.children:
+                stack.append((iter(child.children), outer_qname))
+                break
+        else:
+            stack.pop()
 
 
 def _member_nodes(type_node: Node):
@@ -271,7 +277,7 @@ def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
     for pf in files:
         path = pf.source.path
         package = pf.unit.attrs.get("package") or ""
-        model.file_code_lines[path] = pf.code_lines
+        model.file_code_lines[path] = sorted(pf.code_lines)
         model.file_stats[path] = pf.stats
         declared: list = []
         _collect_types(pf.unit, package, path, declared)
@@ -434,6 +440,13 @@ def _flag_extends_cycles(model: PseudoModel):
             cur = model.types[cur].supertype
 
 
+# Node kind -> the attribute naming the type it references.
+_TYPE_ATTR = {
+    "Parameter": "type", "MethodDecl": "return_type", "LocalVar": "type", "ForEach": "var_type",
+    "New": "type", "ArrayNew": "type", "Cast": "type", "InstanceOf": "type",
+}
+
+
 def _collect_dependencies(model: PseudoModel, info: TypeInfo):
     edges = model.deps.setdefault(info.qname, set())
 
@@ -461,26 +474,20 @@ def _collect_dependencies(model: PseudoModel, info: TypeInfo):
     for f in info.fields:
         add(f.type_text, f.line)
 
-    def walk(node: Node):
-        for child in node.children:
-            if child.kind in ("TypeDecl", "Lambda"):
-                continue  # nested types own their deps; lambda bodies opaque
+    if info.node is None:
+        return
+    # Preorder over the type body without recursion. A member MethodDecl is
+    # reached like any other node, which adds its return type.
+    stack = [iter(info.node.children)]
+    while stack:
+        for child in stack[-1]:
             k = child.kind
+            if k in ("TypeDecl", "Lambda"):
+                continue  # nested types own their deps; lambda bodies opaque
             a = child.attrs
-            if k == "Parameter":
-                add(a["type"], child.line)
-            elif k == "MethodDecl":
-                add(a.get("return_type"), child.line)
-            elif k == "LocalVar":
-                add(a["type"], child.line)
-            elif k == "ForEach":
-                add(a["var_type"], child.line)
-            elif k in ("New", "ArrayNew"):
-                add(a["type"], child.line)
-            elif k == "Cast":
-                add(a["type"], child.line)
-            elif k == "InstanceOf":
-                add(a["type"], child.line)
+            type_attr = _TYPE_ATTR.get(k)
+            if type_attr is not None:
+                add(a.get(type_attr), child.line)
             elif k == "Catch":
                 for raw in a.get("types", ()):
                     add(raw, child.line)
@@ -493,15 +500,11 @@ def _collect_dependencies(model: PseudoModel, info: TypeInfo):
                     base = None
                 if base is not None and base.kind == "Name":
                     add_internal_only(base.attrs["id"], base.line)
-            walk(child)
-
-    if info.node is not None:
-        for member in info.node.children:
-            if member.kind == "TypeDecl":
-                continue
-            if member.kind == "MethodDecl" or member.kind == "ConstructorDecl":
-                add(member.attrs.get("return_type"), member.line)
-            walk(member)
+            if child.children:
+                stack.append(iter(child.children))
+                break
+        else:
+            stack.pop()
 
 
 # ----------------------------------------------------------------------

@@ -71,9 +71,13 @@ class Node:
     attrs: dict = field(default_factory=dict)
 
     def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """Preorder over the subtree; iterative, so depth costs no stack."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.children:
+                stack += node.children[::-1]
 
     def __repr__(self):  # keep test failures readable
         bits = ", ".join(f"{k}={v!r}" for k, v in self.attrs.items() if k != "diagnostics")

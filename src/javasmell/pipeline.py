@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .lexer import LexError, SourceFile, code_line_numbers, line_stats, tokenize
-from .metrics import compute_method_metrics, compute_type_metrics, project_metrics
+from .metrics import compute_type_metrics, project_metrics
 from .model import ParsedFile, PseudoModel, build_model
 from .parser import ParseError, parse
 from .smells import RuleConfig, detect_all
@@ -30,7 +30,6 @@ class FileFailure:
 class AnalysisResult:
     model: PseudoModel
     type_metrics: dict
-    method_metrics: list
     project_metrics: object
     findings: list
     failures: list = field(default_factory=list)
@@ -87,13 +86,11 @@ def analyze_paths(root, paths, config: RuleConfig | None = None, workers: int = 
 
     model = build_model(parsed)
     tm = compute_type_metrics(model)
-    mm = compute_method_metrics(model)
     pm = project_metrics(model, tm)
     findings = detect_all(model, tm, config)
     return AnalysisResult(
         model=model,
         type_metrics=tm,
-        method_metrics=mm,
         project_metrics=pm,
         findings=findings,
         failures=failures,

@@ -6,9 +6,10 @@ provenance.log
     '#'-prefixed header lines (tool version, config digest, project,
     timestamp), then one finding per line: smell name, qualified subject,
     file path, line number, then key=value evidence pairs, all
-    tab-separated. Cycle membership travels in a reserved ``cycle`` field
-    with ';'-separated members. Parsing the file back yields the original
-    findings field-for-field.
+    tab-separated. A backslash, tab, CR or LF inside a field is written as
+    ``\\\\``, ``\\t``, ``\\r`` or ``\\n``. Cycle membership travels in a
+    reserved ``cycle`` field with ';'-separated members. Parsing the file back
+    yields the original findings field-for-field.
 
 report.json
     The full project report with a fixed key order: project_name, maturity,
@@ -29,17 +30,14 @@ Percentages are printed with two decimals, rounded half-up.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 
 from .evaluation import EvaluationResult
-from .metrics import ProjectMetrics
+from .metrics import IoError, ProjectMetrics
 from .repometa import Maturity, MaturityClass
 from .smells import SmellFinding, SmellKind, kind_from_name
-
-
-class IoError(Exception):
-    pass
 
 
 def format_pct(value: float) -> str:
@@ -85,6 +83,11 @@ def build_report(project_name, findings, project_metrics=None, maturity=None, co
 # provenance log
 
 
+_UNESCAPES = {"\\\\": "\\", "\\t": "\t", "\\n": "\n", "\\r": "\r"}
+_ESCAPES = str.maketrans({v: k for k, v in _UNESCAPES.items()})
+_ESCAPED = re.compile(r"\\[\\tnr]")
+
+
 def _finding_line(f: SmellFinding) -> str:
     if "cycle" in f.evidence:
         raise ValueError("'cycle' is reserved for cycle membership")
@@ -93,7 +96,7 @@ def _finding_line(f: SmellFinding) -> str:
         parts.append("cycle=" + ";".join(f.cycle_members))
     for key in sorted(f.evidence):
         parts.append(f"{key}={f.evidence[key]}")
-    return "\t".join(parts)
+    return "\t".join(p.translate(_ESCAPES) for p in parts)
 
 
 def write_provenance(findings, path, *, project, version, config_digest, timestamp):
@@ -120,7 +123,7 @@ def parse_provenance(path) -> list:
             line = raw.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            parts = line.split("\t")
+            parts = [_ESCAPED.sub(lambda m: _UNESCAPES[m.group()], p) for p in line.split("\t")]
             kind, subject, file_path, line_no = parts[0], parts[1], parts[2], int(parts[3])
             cycle: tuple = ()
             evidence = {}

@@ -289,3 +289,57 @@ def test_determinism_across_workers(tmp_path, capsys):
     )
     assert (out1 / "provenance.log").read_bytes() == (out2 / "provenance.log").read_bytes()
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+def test_analyze_survives_deep_expression_nesting(tmp_path, capsys):
+    # A 1,500-term '+' chain parses into a left-deep tree far deeper than
+    # the interpreter's recursion limit; every walk after parsing must cope.
+    chain = " + ".join(f'"s{i}"' for i in range(1500))
+    alone, both = tmp_path / "alone", tmp_path / "both"
+    for src in (alone, both):
+        src.mkdir()
+        shutil.copy(CORPUS / "OneShotTask.java", src / "OneShotTask.java")
+    (both / "Deep.java").write_text(
+        f"public class Deep {{\n    public String chain() {{\n        return {chain};\n    }}\n}}\n",
+        encoding="utf-8",
+    )
+    findings = {}
+    for src in (alone, both):
+        out = tmp_path / f"out-{src.name}"
+        code, _, _ = run(
+            ["analyze", "--src", str(src), "--out", str(out), "--timestamp", "2024-01-01T00:00:00"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert all((out / name).exists() for name in ("provenance.log", "report.json", "metrics.csv"))
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        findings[src.name] = [f for f in report["findings"] if f["file"] == "OneShotTask.java"]
+    assert findings["alone"] and findings["both"] == findings["alone"]
+
+
+def test_analyze_metrics_write_error_is_fatal(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "metrics.csv").mkdir(parents=True)
+    code, _, stderr = run(
+        ["analyze", "--src", str(CORPUS), "--out", str(out), "--timestamp", "2024-01-01T00:00:00"],
+        capsys,
+    )
+    assert code == EXIT_FATAL
+    assert stderr.startswith("error: cannot write") and "metrics.csv" in stderr
+
+
+def test_analyze_evaluation_write_error_is_fatal(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "evaluation.csv").mkdir(parents=True)
+    code, _, stderr = run(
+        [
+            "analyze",
+            "--src", str(CORPUS),
+            "--out", str(out),
+            "--truth", str(CORPUS_TRUTH),
+            "--timestamp", "2024-01-01T00:00:00",
+        ],
+        capsys,
+    )
+    assert code == EXIT_FATAL
+    assert stderr.startswith("error: cannot write") and "evaluation.csv" in stderr

@@ -12,6 +12,7 @@ from javasmell.metrics import (
     project_metrics,
     write_metrics_csv,
     CSV_COLUMNS,
+    _span_loc,
 )
 from javasmell.model import build_from_sources
 
@@ -279,3 +280,37 @@ def test_cc_random_bodies_match_brute_force():
         node = method_node(source, "generated")
         assert cyclomatic_complexity(node) == expected
         assert 1 + brute_force_cc(node) == expected
+
+
+def test_lcom_one_walk_shadowing_rules():
+    m = model_of(
+        A="""package p; class A {
+            int a; int b; int c; int d;
+            void f(int a) { b = a; int b = 0; this.a = b; }
+            void g() { for (int c : new int[0]) { d = c; } try { } catch (Exception d) { } }
+        }"""
+    )
+    # f: 'a' is a parameter and 'b' a later local, so only this.a counts;
+    # g: 'c' is the loop variable and 'd' the catch name, so nothing counts.
+    assert lcom(m, m.types["p.A"]) == (8 - 1) / 8
+
+
+def _span_loc_by_scan(code_lines, start, end):
+    return sum(1 for ln in code_lines if start <= ln <= end)
+
+
+def test_span_loc_matches_full_scan(corpus_sources):
+    methods = "".join(
+        f"    int m{i}(int x) {{\n        // note\n\n        return x + {i};\n    }}\n"
+        for i in range(1200)
+    )
+    sources = dict(corpus_sources, **{"Big.java": f"package big;\nclass Big {{\n{methods}}}\n"})
+    model = build_from_sources(sources)
+    spans = 0
+    for info in model.types.values():
+        code = set(model.file_code_lines[info.file])
+        members = [(info.line, info.end_line)] + [(m.line, m.node.end_line) for m in info.methods]
+        for start, end in members:
+            assert _span_loc(model, info.file, start, end) == _span_loc_by_scan(code, start, end)
+            spans += 1
+    assert spans > 1200

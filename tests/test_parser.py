@@ -367,3 +367,22 @@ def test_single_token_deletions_always_terminate():
                 parse(copy.deepcopy(mutated), src)
             except ParseError:
                 pass
+
+
+def recursive_preorder(node):
+    yield node
+    for child in node.children:
+        yield from recursive_preorder(child)
+
+
+def test_walk_is_recursive_preorder():
+    import random
+
+    from random_java import random_method
+
+    rng = random.Random(5150)
+    texts = [random_method(rng)[0] for _ in range(40)]
+    texts += [p.read_text(encoding="utf-8") for p in sorted((FIXTURES / "corpus").glob("*.java"))]
+    for text in texts:
+        unit, _ = parse_text(text)
+        assert [id(n) for n in unit.walk()] == [id(n) for n in recursive_preorder(unit)]

@@ -240,3 +240,22 @@ def test_comparison_csv_layout(tmp_path):
     ua_row = dict(zip(header, lines[1].split(",")))
     assert ua_row["smell"] == "UnutilizedAbstraction"
     assert ua_row["developing_total"] == "825"
+
+
+def test_provenance_roundtrip_escapes_separators(tmp_path):
+    findings = [
+        make_finding(subject="p.A", file="A\tB.java", line=7, selector="a\\tb"),
+        make_finding(
+            kind=K.CYCLIC_DEPENDENT_MODULARIZATION,
+            subject="p\\q.C",
+            file="dir\\C.java",
+            line=2,
+            note="two\nlines\r\\",
+        ),
+    ]
+    findings[1].cycle_members = ("p\\q.C", "p\tq.D")
+    path = tmp_path / "provenance.log"
+    write_provenance(findings, path, **HEADER_ARGS)
+    records = path.read_bytes().split(b"\n")[4:-1]
+    assert [r.count(b"\t") for r in records] == [4, 5]  # one tab per field separator
+    assert parse_provenance(path) == findings
