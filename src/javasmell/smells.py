@@ -1,10 +1,18 @@
 """Rule engine for the ten design smells.
 
 Every threshold is configurable through a plain ``key = value`` file; unknown
-keys are rejected so typos cannot silently disable a rule. Evidence on each
-finding records the metric values that fired the rule. Detectors are pure
+keys are rejected so typos cannot silently disable a rule. Each key is one
+row of ``_KEYS``, which parses, checks and echoes it. Evidence on each
+finding records the metric values that fired the rule. Rules are pure
 readers of the model/metrics, and ``detect_all`` sorts canonically so output
 is byte-stable across runs and file orderings.
+
+The eight per-type rules are rows of one table, ``_TYPE_RULES``: each is a
+predicate over a type, its metrics and the config that returns the evidence
+when it fires. ``detect_all`` runs the table in one pass over the types,
+together with the two rules that do not fit it: cycle membership, from one
+strongly-connected-component search over the whole graph, and
+MissingHierarchy, which can fire several times per type at its own lines.
 
 Rule summary (defaults in parentheses):
 
@@ -35,8 +43,9 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable, NamedTuple
 
 from .model import PseudoModel
 from .parser import Node
@@ -83,6 +92,56 @@ class ConfigError(Exception):
     pass
 
 
+# ----------------------------------------------------------------------
+# configuration
+
+
+class _ValueType(NamedTuple):
+    """How one kind of config value is read from text, checked and echoed."""
+
+    parse: Callable[[str], object]
+    check: Callable[[object], bool]
+    requirement: str
+    echo: Callable[[object], str] = str
+
+
+def _name_list(text: str) -> tuple:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _compiles(pattern) -> bool:
+    try:
+        re.compile(pattern, re.IGNORECASE)
+    except re.error:
+        return False
+    return True
+
+
+_POSITIVE_INT = _ValueType(int, lambda v: v > 0, "an integer > 0")
+_FRACTION = _ValueType(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+_NAMES = _ValueType(
+    _name_list, lambda v: True, "a comma-separated list of qualified type names", ",".join
+)
+_REGEX = _ValueType(str, _compiles, "a regular expression (matched case-insensitively)")
+
+# Config key -> (RuleConfig attribute, value type). Echo order is key order.
+_KEYS = {
+    "unutilized_abstraction.entry_points": ("entry_points", _NAMES),
+    "insufficient_modularization.min_loc": ("im_min_loc", _POSITIVE_INT),
+    "insufficient_modularization.min_methods": ("im_min_methods", _POSITIVE_INT),
+    "insufficient_modularization.min_wmc": ("im_min_wmc", _POSITIVE_INT),
+    "insufficient_modularization.min_max_cc": ("im_min_max_cc", _POSITIVE_INT),
+    "insufficient_modularization.min_types_in_file": ("im_min_types_in_file", _POSITIVE_INT),
+    "wide_hierarchy.min_children": ("wh_min_children", _POSITIVE_INT),
+    "multifaceted_abstraction.min_lcom": ("ma_min_lcom", _FRACTION),
+    "multifaceted_abstraction.min_methods": ("ma_min_methods", _POSITIVE_INT),
+    "multifaceted_abstraction.min_fields": ("ma_min_fields", _POSITIVE_INT),
+    "imperative_abstraction.max_fields": ("ia_max_fields", _POSITIVE_INT),
+    "missing_hierarchy.min_branches": ("mh_min_branches", _POSITIVE_INT),
+    "missing_hierarchy.tag_pattern": ("mh_tag_pattern", _REGEX),
+}
+
+
 @dataclass
 class RuleConfig:
     entry_points: tuple = ()
@@ -98,45 +157,14 @@ class RuleConfig:
     ia_max_fields: int = 2
     mh_min_branches: int = 3
     mh_tag_pattern: str = "type|kind"
-
-    _KEYS = {
-        "unutilized_abstraction.entry_points": "entry_points",
-        "insufficient_modularization.min_loc": "im_min_loc",
-        "insufficient_modularization.min_methods": "im_min_methods",
-        "insufficient_modularization.min_wmc": "im_min_wmc",
-        "insufficient_modularization.min_max_cc": "im_min_max_cc",
-        "insufficient_modularization.min_types_in_file": "im_min_types_in_file",
-        "wide_hierarchy.min_children": "wh_min_children",
-        "multifaceted_abstraction.min_lcom": "ma_min_lcom",
-        "multifaceted_abstraction.min_methods": "ma_min_methods",
-        "multifaceted_abstraction.min_fields": "ma_min_fields",
-        "imperative_abstraction.max_fields": "ia_max_fields",
-        "missing_hierarchy.min_branches": "mh_min_branches",
-        "missing_hierarchy.tag_pattern": "mh_tag_pattern",
-    }
+    tag_re: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        for f in dc_fields(self):
-            if f.name.startswith("_"):
-                continue
-            value = getattr(self, f.name)
-            if f.name == "entry_points":
-                continue
-            if f.name == "mh_tag_pattern":
-                try:
-                    re.compile(value, re.IGNORECASE)
-                except re.error as err:
-                    raise ConfigError(f"bad tag pattern {value!r}: {err}") from None
-                continue
-            if f.name == "ma_min_lcom":
-                if not (0.0 < value <= 1.0):
-                    raise ConfigError("multifaceted_abstraction.min_lcom must be in (0, 1]")
-                continue
-            if value <= 0:
-                raise ConfigError(f"threshold {f.name} must be strictly positive")
+        for key, (attr, vtype) in _KEYS.items():
+            value = getattr(self, attr)
+            if not vtype.check(value):
+                raise ConfigError(f"{key} expects {vtype.requirement}, got {value!r}")
+        self.tag_re = re.compile(self.mh_tag_pattern, re.IGNORECASE)
 
     @classmethod
     def from_file(cls, path) -> "RuleConfig":
@@ -148,38 +176,27 @@ class RuleConfig:
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, _, value = line.partition("=")
+                key, _, text = line.partition("=")
                 key = key.strip()
-                value = value.strip()
-                attr = cls._KEYS.get(key)
-                if attr is None:
+                if key not in _KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                if attr == "entry_points":
-                    values[attr] = tuple(
-                        part.strip() for part in value.split(",") if part.strip()
-                    )
-                elif attr == "mh_tag_pattern":
-                    values[attr] = value
-                elif attr == "ma_min_lcom":
-                    values[attr] = float(value)
-                else:
-                    try:
-                        values[attr] = int(value)
-                    except ValueError:
-                        raise ConfigError(
-                            f"{path}:{lineno}: {key} expects an integer"
-                        ) from None
+                attr, vtype = _KEYS[key]
+                try:
+                    value = vtype.parse(text.strip())
+                    ok = vtype.check(value)
+                except ValueError:
+                    ok = False
+                if not ok:
+                    raise ConfigError(f"{path}:{lineno}: {key} expects {vtype.requirement}")
+                values[attr] = value
         return cls(**values)
 
     def echo_lines(self) -> list[str]:
         """Effective configuration in canonical key order."""
-        lines = []
-        for key in sorted(self._KEYS):
-            value = getattr(self, self._KEYS[key])
-            if key == "unutilized_abstraction.entry_points":
-                value = ",".join(value)
-            lines.append(f"{key} = {value}")
-        return lines
+        return [
+            f"{key} = {vtype.echo(getattr(self, attr))}"
+            for key, (attr, vtype) in sorted(_KEYS.items())
+        ]
 
     def digest(self) -> str:
         return hashlib.sha256("\n".join(self.echo_lines()).encode("utf-8")).hexdigest()[:12]
@@ -196,17 +213,6 @@ def _is_main_style(method) -> bool:
         and method.arity == 1
         and "static" in method.modifiers
         and "public" in method.modifiers
-    )
-
-
-def _finding(kind, info, evidence, line=None, cycle=()):
-    return SmellFinding(
-        kind=kind,
-        subject=info.qname,
-        file=info.file,
-        line=line if line is not None else info.line,
-        evidence=evidence,
-        cycle_members=tuple(cycle),
     )
 
 
@@ -261,220 +267,131 @@ def strongly_connected_components(adjacency: dict) -> list[list]:
     return sccs
 
 
-_EMPTYISH = frozenset({"Empty"})
-
-
-def _body_statements(method_node: Node):
-    body = next((c for c in method_node.children if c.kind == "Block"), None)
-    if body is None:
-        return None
-    return [c for c in body.children if c.kind not in _EMPTYISH]
+def _cycle_members(model: PseudoModel) -> dict:
+    """qname -> sorted members of its dependency cycle, for SCCs of size >= 2."""
+    graph = model.internal_dep_graph()
+    for qname in model.types:
+        graph.setdefault(qname, set())
+    members: dict = {}
+    for component in strongly_connected_components(graph):
+        if len(component) >= 2:
+            cycle = tuple(sorted(component))
+            members.update((qname, cycle) for qname in cycle)
+    return members
 
 
 def _is_rejected_body(method_node: Node) -> bool:
     """Empty body, or a body whose only statement is a throw."""
-    stmts = _body_statements(method_node)
-    if stmts is None:
+    body = next((c for c in method_node.children if c.kind == "Block"), None)
+    if body is None:
         return False
-    if len(stmts) == 0:
-        return True
-    return len(stmts) == 1 and stmts[0].kind == "Throw"
+    stmts = [c for c in body.children if c.kind != "Empty"]
+    return not stmts or (len(stmts) == 1 and stmts[0].kind == "Throw")
 
 
 # ----------------------------------------------------------------------
-# detectors
+# per-type rules: (model, type info, type metrics, config) -> evidence | None
 
 
-def detect_unutilized_abstraction(model: PseudoModel, config: RuleConfig):
-    allow = set(config.entry_points)
-    findings = []
-    for qname in sorted(model.types):
-        info = model.types[qname]
-        if qname in allow:
+def _unutilized_abstraction(model, info, t, config):
+    if info.qname in config.entry_points or any(_is_main_style(m) for m in info.methods):
+        return None
+    if model.incoming_count(info.qname) == 0:
+        return {"incoming_edges": "0"}
+    return None
+
+
+# InsufficientModularization clauses: (TypeMetrics attribute, config threshold).
+_IM_CLAUSES = (
+    ("loc", "im_min_loc"),
+    ("nom", "im_min_methods"),
+    ("wmc", "im_min_wmc"),
+    ("max_cc", "im_min_max_cc"),
+    ("types_in_file", "im_min_types_in_file"),
+)
+
+
+def _insufficient_modularization(model, info, t, config):
+    fired = [m for m, attr in _IM_CLAUSES if getattr(t, m) >= getattr(config, attr)]
+    if not fired:
+        return None
+    evidence = {"fired": ",".join(fired)}
+    for metric in fired:
+        evidence[metric] = str(getattr(t, metric))
+    return evidence
+
+
+def _broken_hierarchy(model, info, t, config):
+    if info.supertype is None:
+        return None
+    rejected = []
+    for m in info.methods:
+        if m.is_ctor or not m.has_body or not _is_rejected_body(m.node):
             continue
-        if any(_is_main_style(m) for m in info.methods):
-            continue
-        if model.incoming_count(qname) == 0:
-            findings.append(
-                _finding(
-                    SmellKind.UNUTILIZED_ABSTRACTION,
-                    info,
-                    {"incoming_edges": "0"},
-                )
-            )
-    return findings
+        hit = model.find_ancestor_method(info.qname, m.name, m.arity)
+        if hit is not None and hit[1].has_body:
+            rejected.append(m.name)
+    if not rejected:
+        return None
+    return {"rejected_methods": ";".join(sorted(rejected)), "supertype": info.supertype}
 
 
-def detect_insufficient_modularization(model, type_metrics, config: RuleConfig):
-    findings = []
-    for qname in sorted(type_metrics):
-        t = type_metrics[qname]
-        fired = []
-        if t.loc >= config.im_min_loc:
-            fired.append("loc")
-        if t.nom >= config.im_min_methods:
-            fired.append("nom")
-        if t.wmc >= config.im_min_wmc:
-            fired.append("wmc")
-        if t.max_cc >= config.im_min_max_cc:
-            fired.append("max_cc")
-        if t.types_in_file >= config.im_min_types_in_file:
-            fired.append("types_in_file")
-        if fired:
-            evidence = {"fired": ",".join(fired)}
-            for name in fired:
-                evidence[name] = str(getattr(t, name))
-            findings.append(
-                _finding(SmellKind.INSUFFICIENT_MODULARIZATION, model.types[qname], evidence)
-            )
-    return findings
+def _deficient_encapsulation(model, info, t, config):
+    if t.nopf_nonconst < 1:
+        return None
+    offenders = sorted(
+        f.name for f in info.fields if f.visibility == "public" and not f.is_constant
+    )
+    return {"fields": ";".join(offenders), "nopf_nonconst": str(len(offenders))}
 
 
-def detect_broken_hierarchy(model: PseudoModel, config: RuleConfig):
-    findings = []
-    for qname in sorted(model.types):
-        info = model.types[qname]
-        if info.supertype is None:
-            continue
-        rejected = []
-        for m in info.methods:
-            if m.is_ctor or not m.has_body or not _is_rejected_body(m.node):
-                continue
-            hit = model.find_ancestor_method(qname, m.name, m.arity)
-            if hit is not None and hit[1].has_body:
-                rejected.append(m.name)
-        if rejected:
-            findings.append(
-                _finding(
-                    SmellKind.BROKEN_HIERARCHY,
-                    info,
-                    {
-                        "rejected_methods": ";".join(sorted(rejected)),
-                        "supertype": info.supertype,
-                    },
-                )
-            )
-    return findings
+def _unnecessary_abstraction(model, info, t, config):
+    if info.kind == "interface":
+        if t.nom + t.nof + len(info.nested) == 0:
+            return {"members": "0"}
+    elif t.nom == 0 and t.nof >= 1:
+        return {"nom": "0", "nof": str(t.nof)}
+    return None
 
 
-def detect_deficient_encapsulation(model, type_metrics, config: RuleConfig):
-    findings = []
-    for qname in sorted(type_metrics):
-        if type_metrics[qname].nopf_nonconst < 1:
-            continue
-        info = model.types[qname]
-        offenders = sorted(
-            f.name
-            for f in info.fields
-            if f.visibility == "public" and not f.is_constant
-        )
-        findings.append(
-            _finding(
-                SmellKind.DEFICIENT_ENCAPSULATION,
-                info,
-                {"fields": ";".join(offenders), "nopf_nonconst": str(len(offenders))},
-            )
-        )
-    return findings
+def _wide_hierarchy(model, info, t, config):
+    return {"nc": str(t.nc)} if t.nc >= config.wh_min_children else None
 
 
-def detect_cyclic_modularization(model: PseudoModel, config: RuleConfig):
-    graph = model.internal_dep_graph()
-    for qname in model.types:
-        graph.setdefault(qname, set())
-    findings = []
-    for component in strongly_connected_components(graph):
-        if len(component) < 2:
-            continue
-        members = tuple(sorted(component))
-        for qname in members:
-            findings.append(
-                _finding(
-                    SmellKind.CYCLIC_DEPENDENT_MODULARIZATION,
-                    model.types[qname],
-                    {"scc_size": str(len(members))},
-                    cycle=members,
-                )
-            )
-    return findings
+def _imperative_abstraction(model, info, t, config):
+    if info.kind != "class" or t.nom != 1 or t.nof > config.ia_max_fields:
+        return None
+    the_method = next(m for m in info.methods if not m.is_ctor)
+    if the_method.visibility != "public":
+        return None
+    return {"method": the_method.name, "nom": "1", "nof": str(t.nof)}
 
 
-def detect_unnecessary_abstraction(model, type_metrics, config: RuleConfig):
-    findings = []
-    for qname in sorted(type_metrics):
-        t = type_metrics[qname]
-        info = model.types[qname]
-        if info.kind == "interface":
-            members = t.nom + t.nof + len(info.nested)
-            if members == 0:
-                findings.append(
-                    _finding(
-                        SmellKind.UNNECESSARY_ABSTRACTION, info, {"members": "0"}
-                    )
-                )
-        elif t.nom == 0 and t.nof >= 1:
-            findings.append(
-                _finding(
-                    SmellKind.UNNECESSARY_ABSTRACTION,
-                    info,
-                    {"nom": "0", "nof": str(t.nof)},
-                )
-            )
-    return findings
+def _multifaceted_abstraction(model, info, t, config):
+    if (
+        t.lcom is not None
+        and t.lcom >= config.ma_min_lcom
+        and t.nom >= config.ma_min_methods
+        and t.nof >= config.ma_min_fields
+    ):
+        return {"lcom": f"{t.lcom:.6g}", "nom": str(t.nom), "nof": str(t.nof)}
+    return None
 
 
-def detect_wide_hierarchy(model, type_metrics, config: RuleConfig):
-    findings = []
-    for qname in sorted(type_metrics):
-        nc = type_metrics[qname].nc
-        if nc >= config.wh_min_children:
-            findings.append(
-                _finding(SmellKind.WIDE_HIERARCHY, model.types[qname], {"nc": str(nc)})
-            )
-    return findings
+_TYPE_RULES = (
+    (SmellKind.UNUTILIZED_ABSTRACTION, _unutilized_abstraction),
+    (SmellKind.INSUFFICIENT_MODULARIZATION, _insufficient_modularization),
+    (SmellKind.BROKEN_HIERARCHY, _broken_hierarchy),
+    (SmellKind.DEFICIENT_ENCAPSULATION, _deficient_encapsulation),
+    (SmellKind.UNNECESSARY_ABSTRACTION, _unnecessary_abstraction),
+    (SmellKind.WIDE_HIERARCHY, _wide_hierarchy),
+    (SmellKind.IMPERATIVE_ABSTRACTION, _imperative_abstraction),
+    (SmellKind.MULTIFACETED_ABSTRACTION, _multifaceted_abstraction),
+)
 
 
-def detect_imperative_abstraction(model, type_metrics, config: RuleConfig):
-    findings = []
-    for qname in sorted(type_metrics):
-        info = model.types[qname]
-        if info.kind != "class":
-            continue
-        t = type_metrics[qname]
-        if t.nom != 1 or t.nof > config.ia_max_fields:
-            continue
-        the_method = next(m for m in info.methods if not m.is_ctor)
-        if the_method.visibility != "public":
-            continue
-        findings.append(
-            _finding(
-                SmellKind.IMPERATIVE_ABSTRACTION,
-                info,
-                {"method": the_method.name, "nom": "1", "nof": str(t.nof)},
-            )
-        )
-    return findings
-
-
-def detect_multifaceted_abstraction(model, type_metrics, config: RuleConfig):
-    findings = []
-    for qname in sorted(type_metrics):
-        t = type_metrics[qname]
-        if t.lcom is None:
-            continue
-        if (
-            t.lcom >= config.ma_min_lcom
-            and t.nom >= config.ma_min_methods
-            and t.nof >= config.ma_min_fields
-        ):
-            findings.append(
-                _finding(
-                    SmellKind.MULTIFACETED_ABSTRACTION,
-                    model.types[qname],
-                    {"lcom": f"{t.lcom:.6g}", "nom": str(t.nom), "nof": str(t.nof)},
-                )
-            )
-    return findings
+# ----------------------------------------------------------------------
+# MissingHierarchy
 
 
 def _unwrap_paren(node: Node) -> Node:
@@ -483,96 +400,83 @@ def _unwrap_paren(node: Node) -> Node:
     return node
 
 
-def _ladder_conditions(if_node: Node):
-    """Conditions of a maximal if/else-if chain starting at *if_node*."""
-    conds = []
+def _ladder(if_node: Node) -> list:
+    """The If nodes of a maximal if/else-if chain starting at *if_node*."""
+    chain = [if_node]
     cur = if_node
-    while True:
-        conds.append(cur.children[0])
-        if cur.attrs.get("has_else") and len(cur.children) == 3:
-            tail = cur.children[2]
-            if tail.kind == "If":
-                cur = tail
-                continue
-        return conds
+    while cur.attrs.get("has_else") and len(cur.children) == 3 and cur.children[2].kind == "If":
+        cur = cur.children[2]
+        chain.append(cur)
+    return chain
 
 
-def detect_missing_hierarchy(model: PseudoModel, config: RuleConfig):
-    tag_re = re.compile(config.mh_tag_pattern, re.IGNORECASE)
-    findings = []
-    for qname in sorted(model.types):
-        info = model.types[qname]
-        for m in info.methods:
-            if not m.has_body:
+def _missing_hierarchy(info, config: RuleConfig):
+    """(evidence, line) for each switch or instanceof ladder that fires."""
+    for m in info.methods:
+        if not m.has_body:
+            continue
+        chained: set = set()
+        for node in m.node.walk():
+            if node.kind == "Switch":
+                cases = node.attrs.get("case_count", 0)
+                terminal = node.attrs.get("terminal_name", "")
+                if cases >= config.mh_min_branches and terminal and config.tag_re.search(terminal):
+                    evidence = {
+                        "method": m.name,
+                        "cases": str(cases),
+                        "selector": node.attrs.get("selector_text", ""),
+                        "pattern": "switch",
+                    }
+                    yield evidence, node.line
                 continue
-            chained: set = set()
-            for node in m.node.walk():
-                if node.kind == "Switch":
-                    cases = node.attrs.get("case_count", 0)
-                    terminal = node.attrs.get("terminal_name", "")
-                    if cases >= config.mh_min_branches and terminal and tag_re.search(terminal):
-                        findings.append(
-                            _finding(
-                                SmellKind.MISSING_HIERARCHY,
-                                info,
-                                {
-                                    "method": m.name,
-                                    "cases": str(cases),
-                                    "selector": node.attrs.get("selector_text", ""),
-                                    "pattern": "switch",
-                                },
-                                line=node.line,
-                            )
-                        )
-                    continue
-                if node.kind != "If" or id(node) in chained:
-                    continue
-                conds = [_unwrap_paren(c) for c in _ladder_conditions(node)]
-                # Mark the whole chain visited so inner links are not
-                # re-counted as fresh ladders.
-                cur = node
-                while True:
-                    chained.add(id(cur))
-                    if cur.attrs.get("has_else") and len(cur.children) == 3 and cur.children[2].kind == "If":
-                        cur = cur.children[2]
-                        continue
-                    break
-                if len(conds) < config.mh_min_branches:
-                    continue
-                if not all(c.kind == "InstanceOf" for c in conds):
-                    continue
-                operands = {c.attrs.get("operand_text", "?") for c in conds}
-                if len(operands) != 1:
-                    continue
-                findings.append(
-                    _finding(
-                        SmellKind.MISSING_HIERARCHY,
-                        info,
-                        {
-                            "method": m.name,
-                            "branches": str(len(conds)),
-                            "operand": operands.pop(),
-                            "pattern": "instanceof",
-                        },
-                        line=node.line,
-                    )
-                )
-    return findings
+            if node.kind != "If" or id(node) in chained:
+                continue
+            # Mark the whole chain visited so inner links are not re-counted
+            # as fresh ladders.
+            chain = _ladder(node)
+            chained.update(id(link) for link in chain)
+            conds = [_unwrap_paren(link.children[0]) for link in chain]
+            if len(conds) < config.mh_min_branches:
+                continue
+            if not all(c.kind == "InstanceOf" for c in conds):
+                continue
+            operands = {c.attrs.get("operand_text", "?") for c in conds}
+            if len(operands) != 1:
+                continue
+            evidence = {
+                "method": m.name,
+                "branches": str(len(conds)),
+                "operand": operands.pop(),
+                "pattern": "instanceof",
+            }
+            yield evidence, node.line
+
+
+# ----------------------------------------------------------------------
 
 
 def detect_all(model: PseudoModel, type_metrics: dict, config: RuleConfig | None = None):
     """Run every rule and return findings in canonical order."""
     config = config or RuleConfig()
+    cycles = _cycle_members(model)
     findings = []
-    findings += detect_unutilized_abstraction(model, config)
-    findings += detect_insufficient_modularization(model, type_metrics, config)
-    findings += detect_broken_hierarchy(model, config)
-    findings += detect_deficient_encapsulation(model, type_metrics, config)
-    findings += detect_cyclic_modularization(model, config)
-    findings += detect_unnecessary_abstraction(model, type_metrics, config)
-    findings += detect_wide_hierarchy(model, type_metrics, config)
-    findings += detect_imperative_abstraction(model, type_metrics, config)
-    findings += detect_multifaceted_abstraction(model, type_metrics, config)
-    findings += detect_missing_hierarchy(model, config)
+
+    def emit(kind, info, evidence, line=None, cycle=()):
+        line = info.line if line is None else line
+        findings.append(SmellFinding(kind, info.qname, info.file, line, evidence, cycle))
+
+    for qname in sorted(model.types):
+        info = model.types[qname]
+        t = type_metrics[qname]
+        for kind, rule in _TYPE_RULES:
+            evidence = rule(model, info, t, config)
+            if evidence is not None:
+                emit(kind, info, evidence)
+        cycle = cycles.get(qname)
+        if cycle is not None:
+            evidence = {"scc_size": str(len(cycle))}
+            emit(SmellKind.CYCLIC_DEPENDENT_MODULARIZATION, info, evidence, cycle=cycle)
+        for evidence, line in _missing_hierarchy(info, config):
+            emit(SmellKind.MISSING_HIERARCHY, info, evidence, line)
     findings.sort(key=SmellFinding.sort_key)
     return findings

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -9,16 +10,6 @@ from javasmell.smells import (
     RuleConfig,
     SmellKind,
     detect_all,
-    detect_broken_hierarchy,
-    detect_cyclic_modularization,
-    detect_deficient_encapsulation,
-    detect_imperative_abstraction,
-    detect_insufficient_modularization,
-    detect_missing_hierarchy,
-    detect_multifaceted_abstraction,
-    detect_unnecessary_abstraction,
-    detect_unutilized_abstraction,
-    detect_wide_hierarchy,
     strongly_connected_components,
 )
 
@@ -30,6 +21,11 @@ CFG = RuleConfig()
 
 def run_all(model, config=CFG):
     return detect_all(model, compute_type_metrics(model), config)
+
+
+def detect(kind, model, config=CFG):
+    """The findings of one rule, from the full rule set."""
+    return [f for f in run_all(model, config) if f.kind is kind]
 
 
 def kinds_by_subject(findings):
@@ -49,7 +45,7 @@ def test_unutilized_flags_only_unreferenced():
         B="package p; class B { }",
         C="package p; class C { }",
     )
-    found = detect_unutilized_abstraction(m, CFG)
+    found = detect(K.UNUTILIZED_ABSTRACTION, m)
     # A and C are unreferenced; B is used by A.
     assert {f.subject for f in found} == {"p.A", "p.C"}
 
@@ -60,7 +56,7 @@ def test_unutilized_exempts_main_and_allowlist():
         Listed="package p; class Listed { void f() { } }",
     )
     cfg = RuleConfig(entry_points=("p.Listed",))
-    assert detect_unutilized_abstraction(m, cfg) == []
+    assert detect(K.UNUTILIZED_ABSTRACTION, m, cfg) == []
 
 
 # ----------------------------------------------------------------------
@@ -75,12 +71,12 @@ def test_insufficient_not_flagged_for_small_class():
             void c() { }
         }"""
     )
-    assert detect_insufficient_modularization(m, compute_type_metrics(m), CFG) == []
+    assert detect(K.INSUFFICIENT_MODULARIZATION, m) == []
 
 
 def test_two_top_level_classes_both_flagged():
     m = model_of(Pair="package p; class First { }\nclass Second { }")
-    found = detect_insufficient_modularization(m, compute_type_metrics(m), CFG)
+    found = detect(K.INSUFFICIENT_MODULARIZATION, m)
     assert {f.subject for f in found} == {"p.First", "p.Second"}
     assert all(f.evidence["types_in_file"] == "2" for f in found)
 
@@ -94,7 +90,7 @@ def test_wmc_clause_fires():
     tm = compute_type_metrics(m)
     assert tm["p.Busy"].wmc == 105
     cfg = RuleConfig(im_min_methods=100)
-    found = detect_insufficient_modularization(m, tm, cfg)
+    found = detect(K.INSUFFICIENT_MODULARIZATION, m, cfg)
     assert len(found) == 1
     assert found[0].evidence["fired"] == "wmc"
     assert found[0].evidence["wmc"] == "105"
@@ -109,7 +105,7 @@ def test_throw_only_override_flagged():
         Base="package p; class Base { void m() { int x = 1; } }",
         Sub="package p; class Sub extends Base { void m() { throw new X(); } }",
     )
-    found = detect_broken_hierarchy(m, CFG)
+    found = detect(K.BROKEN_HIERARCHY, m)
     assert [f.subject for f in found] == ["p.Sub"]
     assert found[0].evidence["rejected_methods"] == "m"
 
@@ -119,7 +115,7 @@ def test_substantive_overrides_not_flagged():
         Base="package p; class Base { int m() { return 0; } }",
         Sub="package p; class Sub extends Base { int m() { return 1; } }",
     )
-    assert detect_broken_hierarchy(m, CFG) == []
+    assert detect(K.BROKEN_HIERARCHY, m) == []
 
 
 def test_empty_override_of_abstract_parent_not_flagged():
@@ -128,7 +124,7 @@ def test_empty_override_of_abstract_parent_not_flagged():
         Base="package p; abstract class Base { abstract void m(); }",
         Sub="package p; class Sub extends Base { void m() { } }",
     )
-    assert detect_broken_hierarchy(m, CFG) == []
+    assert detect(K.BROKEN_HIERARCHY, m) == []
 
 
 # ----------------------------------------------------------------------
@@ -137,7 +133,7 @@ def test_empty_override_of_abstract_parent_not_flagged():
 
 def test_public_mutable_field_flagged():
     m = model_of(A="package p; class A { public int x; void f() { } }")
-    found = detect_deficient_encapsulation(m, compute_type_metrics(m), CFG)
+    found = detect(K.DEFICIENT_ENCAPSULATION, m)
     assert found and found[0].evidence["fields"] == "x"
 
 
@@ -145,7 +141,7 @@ def test_public_constants_exempt():
     m = model_of(
         A="package p; class A { public static final int MAX = 3; void f() { } }"
     )
-    assert detect_deficient_encapsulation(m, compute_type_metrics(m), CFG) == []
+    assert detect(K.DEFICIENT_ENCAPSULATION, m) == []
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +153,7 @@ def test_two_cycle_yields_two_findings():
         A="package p; class A { B b; }",
         B="package p; class B { A a; }",
     )
-    found = detect_cyclic_modularization(m, CFG)
+    found = detect(K.CYCLIC_DEPENDENT_MODULARIZATION, m)
     assert len(found) == 2
     assert all(f.cycle_members == ("p.A", "p.B") for f in found)
 
@@ -170,7 +166,7 @@ def test_dag_yields_no_findings():
         D="package p; class D { E e; }",
         E="package p; class E { }",
     )
-    assert detect_cyclic_modularization(m, CFG) == []
+    assert detect(K.CYCLIC_DEPENDENT_MODULARIZATION, m) == []
 
 
 def brute_force_sccs(nodes, edges):
@@ -212,19 +208,19 @@ def test_fields_without_methods_flagged():
         Holder="package p; class Holder { int a; int b; }",
         User="package p; class User { void f() { Holder h = new Holder(); } }",
     )
-    found = detect_unnecessary_abstraction(m, compute_type_metrics(m), CFG)
+    found = detect(K.UNNECESSARY_ABSTRACTION, m)
     assert [f.subject for f in found] == ["p.Holder"]
 
 
 def test_marker_interface_flagged():
     m = model_of(M="package p; interface M { }")
-    found = detect_unnecessary_abstraction(m, compute_type_metrics(m), CFG)
+    found = detect(K.UNNECESSARY_ABSTRACTION, m)
     assert [f.subject for f in found] == ["p.M"]
 
 
 def test_plain_enum_not_flagged():
     m = model_of(E="package p; enum E { ON, OFF }")
-    assert detect_unnecessary_abstraction(m, compute_type_metrics(m), CFG) == []
+    assert detect(K.UNNECESSARY_ABSTRACTION, m) == []
 
 
 # ----------------------------------------------------------------------
@@ -240,11 +236,11 @@ def make_hierarchy(n_children):
 
 def test_ten_children_flagged_nine_not():
     wide = make_hierarchy(10)
-    found = detect_wide_hierarchy(wide, compute_type_metrics(wide), CFG)
+    found = detect(K.WIDE_HIERARCHY, wide)
     assert [f.subject for f in found] == ["p.Base"]
     assert found[0].evidence["nc"] == "10"
     narrow = make_hierarchy(9)
-    assert detect_wide_hierarchy(narrow, compute_type_metrics(narrow), CFG) == []
+    assert detect(K.WIDE_HIERARCHY, narrow) == []
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +249,7 @@ def test_ten_children_flagged_nine_not():
 
 def test_single_operation_class_flagged():
     m = model_of(Sorter="package p; class Sorter { public void sort(int[] xs) { } }")
-    found = detect_imperative_abstraction(m, compute_type_metrics(m), CFG)
+    found = detect(K.IMPERATIVE_ABSTRACTION, m)
     assert [f.subject for f in found] == ["p.Sorter"]
     assert found[0].evidence["method"] == "sort"
 
@@ -262,12 +258,12 @@ def test_two_methods_not_flagged():
     m = model_of(
         A="package p; class A { public void f() { } public void g() { } }"
     )
-    assert detect_imperative_abstraction(m, compute_type_metrics(m), CFG) == []
+    assert detect(K.IMPERATIVE_ABSTRACTION, m) == []
 
 
 def test_non_public_single_method_not_flagged():
     m = model_of(A="package p; class A { void f() { } }")
-    assert detect_imperative_abstraction(m, compute_type_metrics(m), CFG) == []
+    assert detect(K.IMPERATIVE_ABSTRACTION, m) == []
 
 
 # ----------------------------------------------------------------------
@@ -275,8 +271,7 @@ def test_non_public_single_method_not_flagged():
 
 
 def test_cohesive_class_not_flagged(corpus_model):
-    tm = compute_type_metrics(corpus_model)
-    found = detect_multifaceted_abstraction(corpus_model, tm, CFG)
+    found = detect(K.MULTIFACETED_ABSTRACTION, corpus_model)
     assert [f.subject for f in found] == ["sample.SessionState"]
     assert found[0].evidence["lcom"] == "0.8"
 
@@ -299,7 +294,7 @@ LADDER = """package p; class Inspect {
 def test_three_branch_instanceof_ladder_flagged():
     src = LADDER.replace("@THIRD@", 'else if (s instanceof C) { return "c"; }')
     m = model_of(Inspect=src)
-    found = detect_missing_hierarchy(m, CFG)
+    found = detect(K.MISSING_HIERARCHY, m)
     assert len(found) == 1
     assert found[0].evidence["branches"] == "3"
     assert found[0].evidence["operand"] == "s"
@@ -307,7 +302,7 @@ def test_three_branch_instanceof_ladder_flagged():
 
 def test_two_branch_ladder_not_flagged():
     m = model_of(Inspect=LADDER.replace("@THIRD@", ""))
-    assert detect_missing_hierarchy(m, CFG) == []
+    assert detect(K.MISSING_HIERARCHY, m) == []
 
 
 def test_mixed_operand_ladder_not_flagged():
@@ -320,7 +315,7 @@ def test_mixed_operand_ladder_not_flagged():
         }
     }"""
     m = model_of(Inspect=src)
-    assert detect_missing_hierarchy(m, CFG) == []
+    assert detect(K.MISSING_HIERARCHY, m) == []
 
 
 def test_switch_on_tag_name_flagged():
@@ -335,7 +330,7 @@ def test_switch_on_tag_name_flagged():
         void idle() { }
     }"""
     m = model_of(Router=src)
-    found = detect_missing_hierarchy(m, CFG)
+    found = detect(K.MISSING_HIERARCHY, m)
     assert len(found) == 1
     assert found[0].evidence["pattern"] == "switch"
     assert found[0].evidence["cases"] == "3"
@@ -348,7 +343,7 @@ def test_switch_on_plain_selector_not_flagged():
         }
     }"""
     m = model_of(Router=src)
-    assert detect_missing_hierarchy(m, CFG) == []
+    assert detect(K.MISSING_HIERARCHY, m) == []
 
 
 # ----------------------------------------------------------------------
@@ -440,12 +435,35 @@ def test_config_file_roundtrip(tmp_path):
     assert cfg.ma_min_lcom == 0.5
     assert cfg.entry_points == ("p.Main", "p.Tool")
     assert "wide_hierarchy.min_children = 4" in cfg.echo_lines()
+    # The echo is itself a config file that reads back to the same config.
+    for original in (RuleConfig(), cfg):
+        echo_file = tmp_path / "echo.conf"
+        echo_file.write_text("\n".join(original.echo_lines()) + "\n", encoding="utf-8")
+        assert RuleConfig.from_file(echo_file) == original
 
 
 def test_config_unknown_key_rejected(tmp_path):
     cfg_file = tmp_path / "rules.conf"
     cfg_file.write_text("wide_hierarchy.min_kids = 4\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="unknown key"):
+        RuleConfig.from_file(cfg_file)
+
+
+@pytest.mark.parametrize(
+    "line, expects",
+    [
+        ("multifaceted_abstraction.min_lcom = abc", "a number in"),
+        ("multifaceted_abstraction.min_lcom = 1.5", "a number in"),
+        ("wide_hierarchy.min_children = many", "an integer > 0"),
+        ("wide_hierarchy.min_children = 0", "an integer > 0"),
+        ("missing_hierarchy.tag_pattern = (type", "a regular expression"),
+    ],
+)
+def test_config_bad_value_names_its_line(tmp_path, line, expects):
+    cfg_file = tmp_path / "rules.conf"
+    cfg_file.write_text(f"# header\n{line}\n", encoding="utf-8")
+    key = line.partition(" ")[0]
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{cfg_file}:2: {key} expects {expects}")):
         RuleConfig.from_file(cfg_file)
 
 
