@@ -233,7 +233,3 @@ def line_stats(source: SourceFile, tokens: list[Token]) -> LineStats:
     comment_only = len(commentish - code)
     physical = source.line_count
     return LineStats(physical, len(code), comment_only, physical - len(code) - comment_only)
-
-
-def count_loc(source: SourceFile, tokens: list[Token]) -> int:
-    return len(code_line_numbers(tokens))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .lexer import LineStats, SourceFile, Token, code_line_numbers, line_stats
+from .lexer import LineStats, SourceFile, code_line_numbers, line_stats
 from .parser import NON_REF_TYPES, Node
 
 
@@ -52,7 +52,6 @@ class MethodInfo:
     name: str
     arity: int
     param_types: tuple
-    return_type: str | None
     modifiers: frozenset
     visibility: str
     is_ctor: bool
@@ -76,7 +75,6 @@ class TypeInfo:
     interface_raws: list[str]
     fields: list[FieldInfo] = field(default_factory=list)
     methods: list[MethodInfo] = field(default_factory=list)
-    enum_constants: list[str] = field(default_factory=list)
     nested: list[str] = field(default_factory=list)
     node: Node | None = None
     supertype: str | None = None  # resolved, project-internal only
@@ -94,7 +92,6 @@ class ElementDescriptor:
 @dataclass
 class ParsedFile:
     source: SourceFile
-    tokens: list[Token]
     unit: Node
     stats: LineStats
     code_lines: set[int]
@@ -264,7 +261,7 @@ def _collect_types(unit: Node, package: str, file: str, out: list):
 
 def _member_nodes(type_node: Node):
     for child in type_node.children:
-        if child.kind in ("FieldDecl", "MethodDecl", "ConstructorDecl", "EnumConstant"):
+        if child.kind in ("FieldDecl", "MethodDecl", "ConstructorDecl"):
             yield child
 
 
@@ -335,8 +332,6 @@ def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
                             is_constant=constant,
                         )
                     )
-                elif member.kind == "EnumConstant":
-                    info.enum_constants.append(member.attrs["name"])
                 else:
                     mods = member.attrs["modifiers"]
                     is_ctor = member.kind == "ConstructorDecl"
@@ -345,7 +340,6 @@ def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
                             name=member.attrs["name"],
                             arity=member.attrs["arity"],
                             param_types=tuple(t for t, _ in member.attrs["params"]),
-                            return_type=member.attrs.get("return_type"),
                             modifiers=mods,
                             visibility=_visibility(mods, kind, is_ctor),
                             is_ctor=is_ctor,
@@ -450,22 +444,14 @@ _TYPE_ATTR = {
 def _collect_dependencies(model: PseudoModel, info: TypeInfo):
     edges = model.deps.setdefault(info.qname, set())
 
-    def add(raw: str | None, line: int):
+    def add(raw: str | None, line: int, internal_only: bool = False):
         if not raw or raw in NON_REF_TYPES:
             return
         resolved = model.resolve(raw, info.file)
-        if resolved == info.qname:
-            return  # self reference
+        if resolved == info.qname or (internal_only and not isinstance(resolved, str)):
+            return  # self reference, or an unresolved name that may be a variable
         edges.add(resolved)
         model.dep_witness.setdefault((info.qname, resolved), (info.file, line))
-
-    def add_internal_only(raw: str, line: int):
-        if not raw or raw in NON_REF_TYPES:
-            return
-        resolved = model.resolve(raw, info.file)
-        if isinstance(resolved, str) and resolved != info.qname:
-            edges.add(resolved)
-            model.dep_witness.setdefault((info.qname, resolved), (info.file, line))
 
     if info.supertype_raw:
         add(info.supertype_raw, info.line)
@@ -499,7 +485,7 @@ def _collect_dependencies(model: PseudoModel, info: TypeInfo):
                 if k == "Call" and not a.get("has_target"):
                     base = None
                 if base is not None and base.kind == "Name":
-                    add_internal_only(base.attrs["id"], base.line)
+                    add(base.attrs["id"], base.line, internal_only=True)
             if child.children:
                 stack.append(iter(child.children))
                 break
@@ -518,7 +504,7 @@ def parse_source(text: str, path: str = "<memory>.java") -> ParsedFile:
     src = SourceFile(path, text)
     toks = tokenize(src)
     unit = parse(toks, src)
-    return ParsedFile(src, toks, unit, line_stats(src, toks), code_line_numbers(toks))
+    return ParsedFile(src, unit, line_stats(src, toks), code_line_numbers(toks))
 
 
 def build_from_sources(sources: dict) -> PseudoModel:

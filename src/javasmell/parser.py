@@ -1340,8 +1340,3 @@ def parse(tokens: list[Token], source: SourceFile) -> Node:
         first = p.diags[0]
         raise ParseError(first.message, source.path, first.line, first.col)
     return unit
-
-
-def type_decls(unit: Node) -> list[Node]:
-    """Top-level type declarations of a compilation unit."""
-    return [c for c in unit.children if c.kind == "TypeDecl"]

@@ -56,7 +56,7 @@ def parse_one(path: Path, root: Path) -> ParsedFile:
     src = SourceFile.from_path(path, root)
     toks = tokenize(src)
     unit = parse(toks, src)
-    return ParsedFile(src, toks, unit, line_stats(src, toks), code_line_numbers(toks))
+    return ParsedFile(src, unit, line_stats(src, toks), code_line_numbers(toks))
 
 
 def analyze_paths(root, paths, config: RuleConfig | None = None, workers: int = 1) -> AnalysisResult:

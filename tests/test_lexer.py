@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from javasmell.lexer import LexError, SourceFile, count_loc, line_stats, tokenize
+from javasmell.lexer import LexError, SourceFile, code_line_numbers, line_stats, tokenize
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -26,7 +26,7 @@ def test_empty_input():
     src, tokens = toks("")
     assert tokens == []
     assert src.line_count == 0
-    assert count_loc(src, tokens) == 0
+    assert len(code_line_numbers(tokens)) == 0
 
 
 def test_token_spans_and_kinds():
@@ -187,7 +187,7 @@ def test_loc_fixture_57_lines():
     assert stats.code == 51
     assert stats.comment_only == 6
     assert stats.blank == 0
-    assert count_loc(src, tokens) == 51
+    assert len(code_line_numbers(tokens)) == 51
 
 
 def test_line_index_strictly_increasing_from_zero():

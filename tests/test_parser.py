@@ -4,9 +4,13 @@ from pathlib import Path
 import pytest
 
 from javasmell.lexer import SourceFile, tokenize
-from javasmell.parser import ParseError, parse, type_decls
+from javasmell.parser import ParseError, parse
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def top_types(unit):
+    return [c for c in unit.children if c.kind == "TypeDecl"]
 
 
 def parse_text(text, path="T.java"):
@@ -24,7 +28,7 @@ def fields_of(type_node):
 
 def test_minimal_class_with_method():
     unit, _ = parse_text("class A { void m(){} }")
-    types = type_decls(unit)
+    types = top_types(unit)
     assert len(types) == 1
     assert types[0].attrs["name"] == "A"
     ms = methods_of(types[0])
@@ -34,21 +38,21 @@ def test_minimal_class_with_method():
 
 def test_extends_implements():
     unit, _ = parse_text("class A extends B implements C, D {}")
-    t = type_decls(unit)[0]
+    t = top_types(unit)[0]
     assert t.attrs["supertype"] == "B"
     assert t.attrs["interfaces"] == ["C", "D"]
 
 
 def test_interface_extends_go_to_interfaces():
     unit, _ = parse_text("interface I extends A, B {}")
-    t = type_decls(unit)[0]
+    t = top_types(unit)[0]
     assert t.attrs["supertype"] is None
     assert t.attrs["interfaces"] == ["A", "B"]
 
 
 def test_two_top_level_classes():
     unit, _ = parse_text("class A {}\nclass B {}")
-    assert [t.attrs["name"] for t in type_decls(unit)] == ["A", "B"]
+    assert [t.attrs["name"] for t in top_types(unit)] == ["A", "B"]
 
 
 def test_package_imports_and_nesting():
@@ -68,7 +72,7 @@ def test_package_imports_and_nesting():
     imports = unit.attrs["imports"]
     assert {i["name"] for i in imports} == {"java.util.List", "java.io", "java.lang.Math.max"}
     assert [i["on_demand"] for i in imports] == [False, True, False]
-    outer = type_decls(unit)[0]
+    outer = top_types(unit)[0]
     nested = [c.attrs["name"] for c in outer.children if c.kind == "TypeDecl"]
     assert nested == ["Inner", "Helper"]
 
@@ -84,7 +88,7 @@ def test_generics_erased_annotations_dropped():
         }
         """
     )
-    t = type_decls(unit)[0]
+    t = top_types(unit)[0]
     f = fields_of(t)[0]
     assert f.attrs["type"] == "Map"
     m = methods_of(t)[0]
@@ -94,7 +98,7 @@ def test_generics_erased_annotations_dropped():
 
 def test_field_declarator_groups_split():
     unit, _ = parse_text("class A { public int a, b = 2, c[]; }")
-    t = type_decls(unit)[0]
+    t = top_types(unit)[0]
     assert [f.attrs["name"] for f in fields_of(t)] == ["a", "b", "c"]
     assert all(f.attrs["type"] == "int" for f in fields_of(t))
 
@@ -103,7 +107,7 @@ def test_constructor_and_varargs():
     unit, _ = parse_text(
         "class A { A(int x) { } void log(String fmt, Object... args) { } }"
     )
-    t = type_decls(unit)[0]
+    t = top_types(unit)[0]
     ctors = [c for c in t.children if c.kind == "ConstructorDecl"]
     assert len(ctors) == 1 and ctors[0].attrs["arity"] == 1
     m = methods_of(t)[0]
@@ -121,7 +125,7 @@ def test_enum_constants_and_members():
         }
         """
     )
-    t = type_decls(unit)[0]
+    t = top_types(unit)[0]
     consts = [c.attrs["name"] for c in t.children if c.kind == "EnumConstant"]
     assert consts == ["ON", "OFF"]
     assert len(methods_of(t)) == 1
@@ -235,7 +239,7 @@ def test_kitchen_sink_compilation_unit():
         """
     )
     assert unit.attrs["diagnostics"] == []
-    registry = type_decls(unit)[0]
+    registry = top_types(unit)[0]
     assert registry.attrs["interfaces"] == ["Registry", "AutoCloseable"]
     member_kinds = [c.kind for c in registry.children]
     assert member_kinds.count("ConstructorDecl") == 2
@@ -260,7 +264,7 @@ def test_unsupported_constructs_become_opaque_with_diagnostic():
         }
         """
     )
-    assert type_decls(unit)[0].attrs["name"] == "A"
+    assert top_types(unit)[0].attrs["name"] == "A"
     assert any("anonymous" in d.message for d in unit.attrs["diagnostics"])
 
 
@@ -275,10 +279,10 @@ def test_recoverable_error_keeps_partial_tree():
         class B { }
         """
     )
-    names = [t.attrs["name"] for t in type_decls(unit)]
+    names = [t.attrs["name"] for t in top_types(unit)]
     assert names == ["A", "B"]
     assert unit.attrs["diagnostics"]
-    a_methods = [c.attrs["name"] for c in type_decls(unit)[0].children if c.kind == "MethodDecl"]
+    a_methods = [c.attrs["name"] for c in top_types(unit)[0].children if c.kind == "MethodDecl"]
     assert "ok" in a_methods
 
 
@@ -297,7 +301,7 @@ def test_pathological_nesting_is_parse_error_not_crash():
 def test_empty_file_is_fine():
     unit, _ = parse_text("")
     assert unit.attrs["diagnostics"] == []
-    assert type_decls(unit) == []
+    assert top_types(unit) == []
 
 
 # ----------------------------------------------------------------------
