@@ -60,6 +60,17 @@ def _canonical_timestamp(text: str) -> str:
     return stamp.isoformat()
 
 
+def _output_dir(path) -> Path:
+    """The --out directory, created if missing. An --out that cannot be a
+    directory (an existing file, say) is an IoError like a failed write."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise IoError(f"cannot create output directory {out}: {err}") from None
+    return out
+
+
 def _universe(truth, findings, kinds_arg):
     """Evaluated kind universe: explicit --kinds, else what the review and
     the detector actually touched."""
@@ -115,8 +126,7 @@ def cmd_analyze(args) -> int:
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return EXIT_FATAL
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
 
     try:
         config = RuleConfig.from_file(args.config) if args.config else RuleConfig()
@@ -217,8 +227,7 @@ def cmd_evaluate(args) -> int:
     except (DuplicateAnnotation, MalformedAnnotation, OSError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FATAL
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     write_evaluation_csv(result, out / "evaluation.csv")
     print(f"project: {report.project_name}")
     for line in evaluation_lines(result):
@@ -236,8 +245,7 @@ def cmd_compare(args) -> int:
     except (OSError, KeyError) as err:
         print(f"error: cannot read report: {err}", file=sys.stderr)
         return EXIT_FATAL
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     write_comparison_csv(comp, out / "comparison.csv")
     for label, projects in comp.stacks.items():
         print(f"{label}: {', '.join(projects)}")

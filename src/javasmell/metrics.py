@@ -13,6 +13,7 @@ threshold boundaries like 0.8 compare cleanly.
 from __future__ import annotations
 
 import csv
+import io
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -69,6 +70,15 @@ class ProjectMetrics:
 
 class IoError(Exception):
     """An output file could not be written."""
+
+
+def write_text(path, text: str):
+    """Write *text* to *path* as UTF-8, newlines untranslated; IoError on failure."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise IoError(f"cannot write {path}: {err}") from None
 
 
 def cyclomatic_complexity(method_node: Node) -> int | None:
@@ -257,21 +267,19 @@ CSV_COLUMNS = (
 
 
 def write_metrics_csv(type_metrics: dict, path):
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            for qname in sorted(type_metrics):
-                t = type_metrics[qname]
-                row = []
-                for col in CSV_COLUMNS:
-                    value = getattr(t, col)
-                    if value is None:
-                        row.append("")
-                    elif isinstance(value, float):
-                        row.append(f"{value:.6g}")
-                    else:
-                        row.append(str(value))
-                writer.writerow(row)
-    except OSError as err:
-        raise IoError(f"cannot write {path}: {err}") from None
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for qname in sorted(type_metrics):
+        t = type_metrics[qname]
+        row = []
+        for col in CSV_COLUMNS:
+            value = getattr(t, col)
+            if value is None:
+                row.append("")
+            elif isinstance(value, float):
+                row.append(f"{value:.6g}")
+            else:
+                row.append(str(value))
+        writer.writerow(row)
+    write_text(path, buf.getvalue())

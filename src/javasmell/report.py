@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 
 from .evaluation import EvaluationResult
-from .metrics import IoError, ProjectMetrics
+from .metrics import ProjectMetrics, write_text
 from .repometa import Maturity, MaturityClass
 from .smells import SmellFinding, SmellKind, kind_from_name
 
@@ -106,14 +106,8 @@ def write_provenance(findings, path, *, project, version, config_digest, timesta
         f"# config {config_digest}",
         f"# generated {timestamp}",
     ]
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for line in header:
-                fh.write(line + "\n")
-            for f in findings:
-                fh.write(_finding_line(f) + "\n")
-    except OSError as err:
-        raise IoError(f"cannot write {path}: {err}") from None
+    lines = header + [_finding_line(f) for f in findings]
+    write_text(path, "".join(line + "\n" for line in lines))
 
 
 def parse_provenance(path) -> list:
@@ -205,11 +199,7 @@ def report_to_json(report: ProjectReport) -> str:
 
 
 def write_report_json(report: ProjectReport, path):
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(report_to_json(report))
-    except OSError as err:
-        raise IoError(f"cannot write {path}: {err}") from None
+    write_text(path, report_to_json(report))
 
 
 def report_from_json(path) -> ProjectReport:
@@ -309,11 +299,7 @@ def write_comparison_csv(comp: ComparisonReport, path):
             mean = comp.mean_pct[label][kind]
             row.append("" if mean is None else format_pct(mean))
         lines.append(",".join(row))
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as err:
-        raise IoError(f"cannot write {path}: {err}") from None
+    write_text(path, "\n".join(lines) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -352,8 +338,4 @@ def write_evaluation_csv(result: EvaluationResult, path):
         f"{format_pct(100.0 * result.overall_recall)},"
     )
     lines.append(f"catalog_mean,,,{format_pct(100.0 * result.catalog_precision)},,")
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as err:
-        raise IoError(f"cannot write {path}: {err}") from None
+    write_text(path, "\n".join(lines) + "\n")

@@ -343,3 +343,25 @@ def test_analyze_evaluation_write_error_is_fatal(tmp_path, capsys):
     )
     assert code == EXIT_FATAL
     assert stderr.startswith("error: cannot write") and "evaluation.csv" in stderr
+
+
+@pytest.mark.parametrize("command", ["analyze", "evaluate", "compare"])
+def test_out_naming_an_existing_file_is_fatal(tmp_path, capsys, command):
+    report_dir = tmp_path / "report"
+    code, _, _ = run(
+        ["analyze", "--src", str(CORPUS), "--out", str(report_dir)],
+        capsys,
+    )
+    assert code == EXIT_OK
+    report = str(report_dir / "report.json")
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    argv = {
+        "analyze": ["analyze", "--src", str(CORPUS)],
+        "evaluate": ["evaluate", report, "--truth", str(CORPUS_TRUTH)],
+        "compare": ["compare", report],
+    }[command]
+    code, _, stderr = run(argv + ["--out", str(taken)], capsys)
+    assert code == EXIT_FATAL
+    assert stderr.startswith("error: cannot create output directory") and str(taken) in stderr
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"

@@ -4,6 +4,8 @@ import string
 
 import pytest
 
+from javasmell.evaluation import GroundTruth, evaluate
+from javasmell.metrics import IoError, write_metrics_csv
 from javasmell.report import (
     build_report,
     comparison,
@@ -12,6 +14,7 @@ from javasmell.report import (
     percentages,
     report_from_json,
     write_comparison_csv,
+    write_evaluation_csv,
     write_provenance,
     write_report_json,
 )
@@ -259,3 +262,21 @@ def test_provenance_roundtrip_escapes_separators(tmp_path):
     records = path.read_bytes().split(b"\n")[4:-1]
     assert [r.count(b"\t") for r in records] == [4, 5]  # one tab per field separator
     assert parse_provenance(path) == findings
+
+
+_EMPTY_REPORT = build_report("p", [])
+_WRITERS = {
+    "provenance": lambda path: write_provenance([], path, **HEADER_ARGS),
+    "report.json": lambda path: write_report_json(_EMPTY_REPORT, path),
+    "comparison": lambda path: write_comparison_csv(comparison([_EMPTY_REPORT]), path),
+    "evaluation": lambda path: write_evaluation_csv(evaluate([], GroundTruth({}, set())), path),
+    "metrics.csv": lambda path: write_metrics_csv({}, path),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_write_error_raises_io_error_naming_the_path(tmp_path, writer):
+    path = tmp_path / "taken"
+    path.mkdir()  # a directory where the output file should go
+    with pytest.raises(IoError, match="cannot write .*taken"):
+        _WRITERS[writer](path)
