@@ -124,7 +124,7 @@ _NAMES = _ValueType(
 )
 _REGEX = _ValueType(str, _compiles, "a regular expression (matched case-insensitively)")
 
-# Config key -> (RuleConfig attribute, value type). Echo order is key order.
+# Config key -> (RuleConfig attribute, value type); the echo sorts by key.
 _KEYS = {
     "unutilized_abstraction.entry_points": ("entry_points", _NAMES),
     "insufficient_modularization.min_loc": ("im_min_loc", _POSITIVE_INT),
