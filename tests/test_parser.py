@@ -359,8 +359,9 @@ def test_parse_determinism():
 
 
 def test_single_token_deletions_always_terminate():
-    # Error resilience: parsing any stream with one token removed must
-    # finish (partial tree or ParseError), never hang.
+    # Error resilience: parsing any stream with one token removed, or cut
+    # off after any token, must finish (partial tree or ParseError), never
+    # hang or fail with another exception.
     for path in sorted((FIXTURES / "corpus").glob("*.java")):
         text = path.read_text(encoding="utf-8")
         src = SourceFile(path.name, text)
@@ -369,6 +370,11 @@ def test_single_token_deletions_always_terminate():
             mutated = tokens[:drop] + tokens[drop + 1 :]
             try:
                 parse(copy.deepcopy(mutated), src)
+            except ParseError:
+                pass
+        for end in range(len(tokens) + 1):
+            try:
+                parse(tokens[:end], src)
             except ParseError:
                 pass
 
