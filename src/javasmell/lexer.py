@@ -224,8 +224,8 @@ def code_line_numbers(tokens: list[Token]) -> set[int]:
     return {t.line for t in tokens if t.kind != "comment"}
 
 
-def line_stats(source: SourceFile, tokens: list[Token]) -> LineStats:
-    code = code_line_numbers(tokens)
+def line_stats(source: SourceFile, tokens: list[Token], code: set[int]) -> LineStats:
+    """Classify *source*'s lines; *code* is ``code_line_numbers(tokens)``."""
     commentish: set[int] = set()
     for t in tokens:
         if t.kind == "comment":

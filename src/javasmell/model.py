@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .lexer import LineStats, SourceFile, code_line_numbers, line_stats
+from .lexer import LineStats, SourceFile
 from .parser import NON_REF_TYPES, Node
 
 
@@ -498,13 +498,9 @@ def _collect_dependencies(model: PseudoModel, info: TypeInfo):
 
 
 def parse_source(text: str, path: str = "<memory>.java") -> ParsedFile:
-    from .lexer import tokenize
-    from .parser import parse
+    from .pipeline import parse_file  # the pipeline imports this module
 
-    src = SourceFile(path, text)
-    toks = tokenize(src)
-    unit = parse(toks, src)
-    return ParsedFile(src, unit, line_stats(src, toks), code_line_numbers(toks))
+    return parse_file(SourceFile(path, text))
 
 
 def build_from_sources(sources: dict) -> PseudoModel:

@@ -53,10 +53,14 @@ def find_java_files(root) -> list:
 
 
 def parse_one(path: Path, root: Path) -> ParsedFile:
-    src = SourceFile.from_path(path, root)
+    return parse_file(SourceFile.from_path(path, root))
+
+
+def parse_file(src: SourceFile) -> ParsedFile:
+    """Lex and parse one source file and count its lines."""
     toks = tokenize(src)
-    unit = parse(toks, src)
-    return ParsedFile(src, unit, line_stats(src, toks), code_line_numbers(toks))
+    code = code_line_numbers(toks)
+    return ParsedFile(src, parse(toks, src), line_stats(src, toks, code), code)
 
 
 def analyze_paths(root, paths, config: RuleConfig | None = None, workers: int = 1) -> AnalysisResult:

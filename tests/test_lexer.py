@@ -182,7 +182,7 @@ def test_loc_fixture_57_lines():
 
     src = SourceFile("loc_sample.java", text)
     tokens = tokenize(src)
-    stats = line_stats(src, tokens)
+    stats = line_stats(src, tokens, code_line_numbers(tokens))
     assert stats.physical == 57
     assert stats.code == 51
     assert stats.comment_only == 6
@@ -204,6 +204,7 @@ def test_line_stats_agree_with_classifier_across_fixtures():
         text = path.read_text(encoding="utf-8")
         code, comment = classify_lines(text)
         src = SourceFile(path.name, text)
-        stats = line_stats(src, tokenize(src))
+        tokens = tokenize(src)
+        stats = line_stats(src, tokens, code_line_numbers(tokens))
         assert stats.code == len(code)
         assert stats.comment_only == len(comment - code)
