@@ -12,13 +12,15 @@ statement and reported as a diagnostic instead of aborting the file.
 
 Recovery is panic-mode at the member and statement level: the parser always
 consumes at least one token per recovery step, so a parse is bounded by the
-token count. ``ParseError`` is raised only when a file with syntax errors
-yields no declarations at all.
+token count. The token list ends in an ``eof`` sentinel that is never
+consumed, so looking ahead needs no end-of-input test. ``ParseError`` is
+raised only when a file with syntax errors yields no declarations at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .lexer import SourceFile, Token
 
@@ -40,21 +42,26 @@ ASSIGN_OPS = frozenset(
     {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="}
 )
 
-# Binary precedence levels, loosest first. instanceof sits at the
-# relational level and is handled specially.
-_BINARY_LEVELS = (
-    ("||",),
-    ("&&",),
-    ("|",),
-    ("^",),
-    ("&",),
-    ("==", "!="),
-    ("<", ">", "<=", ">="),
-    ("<<", ">>", ">>>"),
-    ("+", "-"),
-    ("*", "/", "%"),
-)
-_RELATIONAL_LEVEL = 6
+# Binary operator -> precedence level, loosest first. instanceof sits at the
+# relational level; its right side is a type, not an operand.
+_BINARY_LEVEL = {
+    op: level
+    for level, ops in enumerate(
+        (
+            ("||",),
+            ("&&",),
+            ("|",),
+            ("^",),
+            ("&",),
+            ("==", "!="),
+            ("<", ">", "<=", ">=", "instanceof"),
+            ("<<", ">>", ">>>"),
+            ("+", "-"),
+            ("*", "/", "%"),
+        )
+    )
+    for op in ops
+}
 
 
 @dataclass
@@ -96,23 +103,20 @@ class Diagnostic:
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, file: str, line: int, col: int, expected=None, found=None):
+    def __init__(self, message: str, file: str, line: int, col: int):
         super().__init__(f"{file}:{line}:{col}: {message}")
         self.file = file
         self.line = line
         self.col = col
-        self.expected = expected
-        self.found = found
 
 
 class _Recover(Exception):
-    """Internal: recoverable syntax error at the current token."""
+    """Internal: recoverable syntax error, reported at *token*."""
 
-    def __init__(self, message, token, expected=None):
+    def __init__(self, message: str, token: Token):
         super().__init__(message)
         self.message = message
         self.token = token
-        self.expected = expected
 
 
 def render(node: Node) -> str:
@@ -160,25 +164,26 @@ def terminal_name(node: Node) -> str:
 
 class _Parser:
     def __init__(self, tokens: list[Token], source: SourceFile):
-        self.toks = [t for t in tokens if t.kind != "comment"]
+        toks = [t for t in tokens if t.kind != "comment"]
+        line, col, offset = (toks[-1].line, toks[-1].col, toks[-1].offset) if toks else (1, 1, 0)
+        self.eof = Token("eof", "end of file", line, col, offset)
+        toks.append(self.eof)
+        self.toks = toks
         self.src = source
         self.i = 0
         self.diags: list[Diagnostic] = []
 
     # ------------------------------------------------------------------
-    # token plumbing
+    # token plumbing; self.i never moves past the eof sentinel
 
-    def peek(self, ahead: int = 0) -> Token | None:
-        j = self.i + ahead
-        return self.toks[j] if j < len(self.toks) else None
+    def peek(self, ahead: int = 0) -> Token:
+        return self.toks[self.i + ahead]
 
-    def at(self, lexeme: str) -> bool:
-        t = self.peek()
-        return t is not None and t.lexeme == lexeme
+    def at(self, lexeme: str, ahead: int = 0) -> bool:
+        return self.toks[self.i + ahead].lexeme == lexeme
 
-    def at_kind(self, kind: str) -> bool:
-        t = self.peek()
-        return t is not None and t.kind == kind
+    def at_kind(self, kind: str, ahead: int = 0) -> bool:
+        return self.toks[self.i + ahead].kind == kind
 
     def advance(self) -> Token:
         t = self.toks[self.i]
@@ -186,40 +191,37 @@ class _Parser:
         return t
 
     def accept(self, lexeme: str) -> Token | None:
-        if self.at(lexeme):
-            return self.advance()
+        t = self.toks[self.i]
+        if t.lexeme == lexeme:
+            self.i += 1
+            return t
         return None
 
     def expect(self, lexeme: str) -> Token:
-        t = self.peek()
-        if t is None or t.lexeme != lexeme:
-            found = t.lexeme if t else "end of file"
-            raise _Recover(f"expected '{lexeme}', found '{found}'", t, expected=lexeme)
-        return self.advance()
+        t = self.toks[self.i]
+        if t.lexeme != lexeme:
+            raise _Recover(f"expected '{lexeme}', found '{t.lexeme}'", t)
+        self.i += 1
+        return t
 
     def expect_identifier(self) -> Token:
-        t = self.peek()
-        if t is None or t.kind != "identifier":
-            found = t.lexeme if t else "end of file"
-            raise _Recover(f"expected identifier, found '{found}'", t, expected="identifier")
-        return self.advance()
+        t = self.toks[self.i]
+        if t.kind != "identifier":
+            raise _Recover(f"expected identifier, found '{t.lexeme}'", t)
+        self.i += 1
+        return t
 
-    def last(self) -> Token | None:
-        return self.toks[self.i - 1] if self.i > 0 else None
+    def last(self) -> Token:
+        return self.toks[self.i - 1]
 
     def node(self, kind: str, tok: Token | None = None, **attrs) -> Node:
-        tok = tok or self.peek() or self.last()
-        n = Node(kind, attrs=attrs)
-        if tok is not None:
-            n.start = tok.offset
-            n.end = tok.offset + tok.length
-            n.line, n.col = tok.line, tok.col
-            n.end_line = tok.line
-        return n
+        tok = tok or self.toks[self.i]
+        end = tok.offset + tok.length
+        return Node(kind, tok.offset, end, tok.line, tok.col, tok.line, attrs=attrs)
 
     def close(self, n: Node) -> Node:
-        t = self.last()
-        if t is not None and t.offset + t.length >= n.end:
+        t = self.toks[self.i - 1]
+        if t.offset + t.length >= n.end:
             n.end = t.offset + t.length
             n.end_line = t.line + t.lexeme.count("\n")
         return n
@@ -230,20 +232,19 @@ class _Parser:
         return self.close(n)
 
     def diag(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek() or self.last()
-        line, col = (tok.line, tok.col) if tok else (1, 1)
-        self.diags.append(Diagnostic(message, self.src.path, line, col))
+        tok = tok or self.toks[self.i]
+        self.diags.append(Diagnostic(message, self.src.path, tok.line, tok.col))
 
     def diag_recover(self, err: _Recover):
-        self.diag(err.message, err.token or self.last())
+        self.diag(err.message, err.token)
 
     # ------------------------------------------------------------------
-    # recovery helpers
+    # skipping and recovery
 
     def skip_statement_like(self):
         """Consume until ';' at depth 0 or a balanced '}' run ends."""
         depth = 0
-        while self.peek() is not None:
+        while self.peek() is not self.eof:
             lex = self.advance().lexeme
             if lex == "{":
                 depth += 1
@@ -257,53 +258,88 @@ class _Parser:
             elif lex == ";" and depth == 0:
                 return
 
-    def consume_balanced_braces(self) -> Node:
-        open_tok = self.expect("{")
-        n = self.node("Opaque", open_tok)
+    def skip_balanced(self, open_: str, close: str, message: str, anchor: Token | None):
+        """Consume a balanced *open_* ... *close* run starting at *open_*.
+
+        Depth counts every occurrence in a non-literal token, so '>>' closes
+        two '<'. Running into the end of input raises *message*, reported at
+        *anchor* or, without one, at the end.
+        """
+        open_tok = self.expect(open_)
         depth = 1
         while depth > 0:
-            t = self.peek()
-            if t is None:
-                raise _Recover("unbalanced '{'", open_tok)
-            lex = self.advance().lexeme
-            if lex == "{":
-                depth += 1
-            elif lex == "}":
-                depth -= 1
-        return self.close(n)
+            t = self.toks[self.i]
+            if t is self.eof:
+                raise _Recover(message, anchor or t)
+            self.i += 1
+            if t.kind != "literal":
+                depth += t.lexeme.count(open_) - t.lexeme.count(close)
+        if depth < 0:
+            raise _Recover(f"mismatched '{close}'", open_tok)
 
     def skip_generics(self):
-        """Consume a balanced <...> run starting at '<'. '>>' closes two."""
-        open_tok = self.expect("<")
-        depth = 1
-        while depth > 0:
-            t = self.peek()
-            if t is None:
-                raise _Recover("unbalanced '<'", open_tok)
-            lex = self.advance().lexeme
-            depth += lex.count("<") - lex.count(">")
-            if depth < 0:
-                raise _Recover("mismatched '>'", open_tok)
+        self.skip_balanced("<", ">", "unbalanced '<'", self.peek())
+
+    def opaque_braces(self) -> Node:
+        n = self.node("Opaque")
+        self.skip_balanced("{", "}", "unbalanced '{'", self.peek())
+        return self.close(n)
+
+    def skip_dims(self):
+        while self.at("[") and self.at("]", 1):
+            self.i += 2
+
+    def recover_until_brace(
+        self, parse_one, into: list, eof_message: str | None, anchor: Token | None = None
+    ) -> bool:
+        """Call *parse_one* until '}' (left unconsumed) or end of input.
+
+        A node that *parse_one* returns is appended to *into*. A syntax error
+        is reported and skipped up to the next statement boundary, and every
+        step consumes at least one token. Returns False at end of input,
+        after reporting *eof_message* at *anchor*.
+        """
+        while not self.at("}"):
+            if self.peek() is self.eof:
+                if eof_message:
+                    self.diag(eof_message, anchor)
+                return False
+            guard = self.i
+            try:
+                node = parse_one()
+                if node is not None:
+                    into.append(node)
+            except _Recover as err:
+                self.diag_recover(err)
+                self.skip_statement_like()
+            if self.i == guard:
+                self.advance()
+        return True
 
     def skip_annotation(self):
         self.expect("@")
-        self.expect_identifier()
-        while self.at(".") and self.peek(1) is not None and self.peek(1).kind == "identifier":
-            self.advance()
-            self.advance()
+        self.parse_qualified_name()
         if self.at("("):
-            depth = 0
-            while True:
-                t = self.peek()
-                if t is None:
-                    raise _Recover("unbalanced annotation arguments", t)
-                lex = self.advance().lexeme
-                if lex == "(":
-                    depth += 1
-                elif lex == ")":
-                    depth -= 1
-                    if depth == 0:
-                        return
+            self.skip_balanced("(", ")", "unbalanced annotation arguments", None)
+
+    def at_record(self) -> bool:
+        """At 'record Name (' or 'record Name <' ('record' is contextual)."""
+        if not (self.at("record") and self.at_kind("identifier", 1)):
+            return False
+        return self.peek(2).lexeme in ("(", "<")
+
+    def skip_record(self) -> Node:
+        tok = self.advance()
+        self.diag("record declaration skipped", tok)
+        n = self.node("Opaque", tok)
+        self.advance()  # name
+        if self.at("<"):
+            self.skip_generics()
+        self.skip_balanced("(", ")", "unterminated record header", tok)
+        if self.accept("implements"):
+            self.parse_type_list()
+        self.skip_balanced("{", "}", "unbalanced '{'", self.peek())
+        return self.close(n)
 
     # ------------------------------------------------------------------
     # shared pieces
@@ -312,21 +348,16 @@ class _Parser:
         mods: set[str] = set()
         while True:
             t = self.peek()
-            if t is None:
-                return mods
-            if t.lexeme == "@" and not (
-                self.peek(1) is not None and self.peek(1).lexeme == "interface"
-            ):
+            if t.lexeme == "@" and not self.at("interface", 1):
                 self.skip_annotation()
-                continue
-            if t.kind == "keyword" and t.lexeme in MODIFIER_WORDS:
+            elif t.kind == "keyword" and t.lexeme in MODIFIER_WORDS:
                 mods.add(self.advance().lexeme)
-                continue
-            return mods
+            else:
+                return mods
 
     def parse_qualified_name(self) -> str:
         parts = [self.expect_identifier().lexeme]
-        while self.at(".") and self.peek(1) is not None and self.peek(1).kind == "identifier":
+        while self.at(".") and self.at_kind("identifier", 1):
             self.advance()
             parts.append(self.advance().lexeme)
         return ".".join(parts)
@@ -334,19 +365,17 @@ class _Parser:
     def parse_type_text(self) -> str:
         """Type reference as written, generics erased, array dims dropped."""
         t = self.peek()
-        if t is None:
-            raise _Recover("expected type, found end of file", t)
         if t.kind == "keyword" and t.lexeme in NON_REF_TYPES:
             name = self.advance().lexeme
         elif t.kind == "identifier":
             name = self.parse_qualified_name()
+        elif t is self.eof:
+            raise _Recover("expected type, found end of file", t)
         else:
             raise _Recover(f"expected type, found '{t.lexeme}'", t)
         if self.at("<"):
             self.skip_generics()
-        while self.at("[") and self.peek(1) is not None and self.peek(1).lexeme == "]":
-            self.advance()
-            self.advance()
+        self.skip_dims()
         return name
 
     def parse_type_list(self) -> list[str]:
@@ -359,15 +388,12 @@ class _Parser:
     # compilation unit
 
     def parse_unit(self) -> Node:
-        first = self.peek()
-        unit = self.node("CompilationUnit", first)
-        unit.attrs.update(package=None, imports=[], file=self.src.path)
-        if first is None:
-            return unit
+        attrs = {"package": None, "imports": [], "file": self.src.path}
+        if self.peek() is self.eof:
+            return Node("CompilationUnit", attrs=attrs)
+        unit = self.node("CompilationUnit", **attrs)
 
-        while self.at("@") and not (
-            self.peek(1) is not None and self.peek(1).lexeme == "interface"
-        ):
+        while self.at("@") and not self.at("interface", 1):
             try:
                 self.skip_annotation()
             except _Recover as err:
@@ -391,7 +417,7 @@ class _Parser:
                 is_static = self.accept("static") is not None
                 name = self.parse_qualified_name()
                 on_demand = False
-                if self.at(".") and self.peek(1) is not None and self.peek(1).lexeme == "*":
+                if self.at(".") and self.at("*", 1):
                     self.advance()
                     self.advance()
                     on_demand = True
@@ -403,34 +429,31 @@ class _Parser:
                 self.diag_recover(err)
                 self.skip_statement_like()
 
-        while self.peek() is not None:
-            guard = self.i
-            if self.accept(";"):
-                continue
-            try:
-                mods = self.parse_modifiers()
-                t = self.peek()
-                if t is not None and t.lexeme in ("class", "interface", "enum"):
-                    unit.children.append(self.parse_type_decl(mods))
-                elif t is not None and t.lexeme == "@":
-                    self.skip_annotation_type_decl()
-                else:
-                    found = t.lexeme if t else "end of file"
-                    raise _Recover(f"expected type declaration, found '{found}'", t)
-            except _Recover as err:
-                self.diag_recover(err)
-                self.skip_statement_like()
-            if self.i == guard:
-                self.advance()
+        while self.recover_until_brace(self.parse_top_level, unit.children, None):
+            self.diag("expected type declaration, found '}'")
+            self.advance()
         return self.close(unit)
 
-    def skip_annotation_type_decl(self):
+    def parse_top_level(self) -> Node | None:
+        if self.accept(";"):
+            return None
+        mods = self.parse_modifiers()
+        t = self.peek()
+        if t.lexeme in ("class", "interface", "enum"):
+            return self.parse_type_decl(mods)
+        if t.lexeme == "@":
+            return self.skip_annotation_type_decl()
+        if self.at_record():
+            return self.skip_record()
+        raise _Recover(f"expected type declaration, found '{t.lexeme}'", t)
+
+    def skip_annotation_type_decl(self) -> None:
         tok = self.expect("@")
         self.expect("interface")
         self.expect_identifier()
         self.diag("annotation type declaration skipped", tok)
         if self.at("{"):
-            self.consume_balanced_braces()
+            self.opaque_braces()
 
     # ------------------------------------------------------------------
     # type declarations and members
@@ -469,24 +492,14 @@ class _Parser:
 
     def parse_class_body(self, decl: Node):
         self.expect("{")
-        while not self.at("}"):
-            if self.peek() is None:
-                self.diag("unexpected end of file in type body")
-                return
-            guard = self.i
-            try:
-                self.parse_member(decl)
-            except _Recover as err:
-                self.diag_recover(err)
-                self.skip_statement_like()
-            if self.i == guard:
-                self.advance()
-        self.expect("}")
+        members = partial(self.parse_member, decl)
+        if self.recover_until_brace(members, decl.children, "unexpected end of file in type body"):
+            self.advance()
 
     def parse_enum_body(self, decl: Node):
         self.expect("{")
         while not self.at("}") and not self.at(";"):
-            if self.peek() is None:
+            if self.peek() is self.eof:
                 self.diag("unexpected end of file in enum body")
                 return
             while self.at("@"):
@@ -497,78 +510,58 @@ class _Parser:
                 const.children.extend(self.parse_args())
             if self.at("{"):
                 self.diag("enum constant body skipped", ctok)
-                const.children.append(self.consume_balanced_braces())
+                const.children.append(self.opaque_braces())
             decl.children.append(self.close(const))
             if not self.accept(","):
                 break
-        if self.accept(";"):
-            while not self.at("}"):
-                if self.peek() is None:
-                    self.diag("unexpected end of file in enum body")
-                    return
-                guard = self.i
-                try:
-                    self.parse_member(decl)
-                except _Recover as err:
-                    self.diag_recover(err)
-                    self.skip_statement_like()
-                if self.i == guard:
-                    self.advance()
+        members = partial(self.parse_member, decl)
+        if self.accept(";") and not self.recover_until_brace(
+            members, decl.children, "unexpected end of file in enum body"
+        ):
+            return
         self.expect("}")
 
-    def parse_member(self, owner: Node):
+    def parse_member(self, owner: Node) -> Node | None:
+        """One member declaration; fields are appended to *owner* directly."""
         if self.accept(";"):
-            return
+            return None
         start_tok = self.peek()
         mods = self.parse_modifiers()
         t = self.peek()
-        if t is None:
+        if t is self.eof:
             raise _Recover("unexpected end of file in type body", t)
-        if t.lexeme == "@" and self.peek(1) is not None and self.peek(1).lexeme == "interface":
-            self.skip_annotation_type_decl()
-            return
+        if t.lexeme == "@" and self.at("interface", 1):
+            return self.skip_annotation_type_decl()
         if t.lexeme in ("class", "interface", "enum"):
-            owner.children.append(self.parse_type_decl(mods))
-            return
+            return self.parse_type_decl(mods)
+        if self.at_record():
+            return self.skip_record()
         if t.lexeme == "{":
             init = self.node("Initializer", t, static="static" in mods)
             init.children.append(self.parse_block())
-            owner.children.append(self.close(init))
-            return
+            return self.close(init)
         if t.lexeme == "<":
             self.skip_generics()
             t = self.peek()
-            if t is None:
+            if t is self.eof:
                 raise _Recover("unexpected end of file after type parameters", t)
 
         # Constructor: bare name of the enclosing type followed by '('.
-        if (
-            t.kind == "identifier"
-            and t.lexeme == owner.attrs.get("name")
-            and self.peek(1) is not None
-            and self.peek(1).lexeme == "("
-        ):
+        if t.kind == "identifier" and t.lexeme == owner.attrs.get("name") and self.at("(", 1):
             name_tok = self.advance()
-            owner.children.append(
-                self.parse_method(start_tok or name_tok, mods, None, name_tok.lexeme, is_ctor=True)
-            )
-            return
+            return self.parse_method(start_tok, mods, None, name_tok.lexeme, is_ctor=True)
 
         type_text = self.parse_type_text()
         name_tok = self.expect_identifier()
         if self.at("("):
-            owner.children.append(
-                self.parse_method(start_tok or name_tok, mods, type_text, name_tok.lexeme)
-            )
-        else:
-            self.parse_field_declarators(owner, start_tok or name_tok, mods, type_text, name_tok)
+            return self.parse_method(start_tok, mods, type_text, name_tok.lexeme)
+        self.parse_field_declarators(owner, start_tok, mods, type_text, name_tok)
+        return None
 
     def parse_method(self, start_tok, mods, return_type, name, is_ctor=False) -> Node:
         decl = self.node("ConstructorDecl" if is_ctor else "MethodDecl", start_tok)
         params = self.parse_params(decl)
-        while self.at("[") and self.peek(1) is not None and self.peek(1).lexeme == "]":
-            self.advance()
-            self.advance()
+        self.skip_dims()
         throws: list[str] = []
         if self.accept("throws"):
             throws = self.parse_type_list()
@@ -594,8 +587,8 @@ class _Parser:
         self.expect("(")
         params: list[tuple[str, str]] = []
         while not self.at(")"):
-            if self.peek() is None:
-                raise _Recover("unexpected end of file in parameter list", None)
+            if self.peek() is self.eof:
+                raise _Recover("unexpected end of file in parameter list", self.eof)
             while self.at("@"):
                 self.skip_annotation()
             self.accept("final")
@@ -604,9 +597,7 @@ class _Parser:
             # Receiver parameters ("this") and lambda-ish noise are not
             # expected here; a plain identifier is.
             pname = self.expect_identifier().lexeme
-            while self.at("[") and self.peek(1) is not None and self.peek(1).lexeme == "]":
-                self.advance()
-                self.advance()
+            self.skip_dims()
             param = self.node("Parameter", self.last(), type=ptype, name=pname)
             decl.children.append(self.close(param))
             params.append((ptype, pname))
@@ -622,9 +613,7 @@ class _Parser:
             fdecl.attrs.update(
                 name=name_tok.lexeme, modifiers=frozenset(mods), type=type_text
             )
-            while self.at("[") and self.peek(1) is not None and self.peek(1).lexeme == "]":
-                self.advance()
-                self.advance()
+            self.skip_dims()
             if self.accept("="):
                 fdecl.children.append(self.parse_variable_init())
             owner.children.append(self.close(fdecl))
@@ -643,7 +632,7 @@ class _Parser:
         open_tok = self.expect("{")
         n = self.node("ArrayInit", open_tok)
         while not self.at("}"):
-            if self.peek() is None:
+            if self.peek() is self.eof:
                 raise _Recover("unterminated array initializer", open_tok)
             n.children.append(self.parse_variable_init())
             if not self.accept(","):
@@ -657,25 +646,14 @@ class _Parser:
     def parse_block(self) -> Node:
         open_tok = self.expect("{")
         block = self.node("Block", open_tok)
-        while not self.at("}"):
-            if self.peek() is None:
-                self.diag("unexpected end of file in block", open_tok)
-                return self.close(block)
-            guard = self.i
-            try:
-                block.children.append(self.parse_statement())
-            except _Recover as err:
-                self.diag_recover(err)
-                self.skip_statement_like()
-            if self.i == guard:
-                self.advance()
-        self.expect("}")
+        if self.recover_until_brace(
+            self.parse_statement, block.children, "unexpected end of file in block", open_tok
+        ):
+            self.advance()
         return self.close(block)
 
     def parse_statement(self) -> Node:
         t = self.peek()
-        if t is None:
-            raise _Recover("expected statement, found end of file", t)
         lex = t.lexeme
         if lex == "{":
             return self.parse_block()
@@ -749,23 +727,23 @@ class _Parser:
         if lex in ("final", "abstract", "static"):
             mods = self.parse_modifiers()
             nxt = self.peek()
-            if nxt is not None and nxt.lexeme in ("class", "interface", "enum"):
+            if nxt.lexeme in ("class", "interface", "enum"):
                 return self.parse_type_decl(mods)
             local = self.try_parse_local_var()
             if local is not None:
                 return local
             raise _Recover("expected declaration after modifiers", nxt)
-        if (
-            t.kind == "identifier"
-            and self.peek(1) is not None
-            and self.peek(1).lexeme == ":"
-            and (self.peek(2) is None or self.peek(2).lexeme != ":")
-        ):
-            label = self.advance().lexeme
-            self.advance()
-            n = self.node("Labeled", t, label=label)
-            n.children.append(self.parse_statement())
-            return self.close(n)
+        if t.kind == "identifier":
+            if self.at(":", 1) and not self.at(":", 2):
+                label = self.advance().lexeme
+                self.advance()
+                n = self.node("Labeled", t, label=label)
+                n.children.append(self.parse_statement())
+                return self.close(n)
+            if self.at_record():
+                return self.skip_record()
+        elif t is self.eof:
+            raise _Recover("expected statement, found end of file", t)
 
         local = self.try_parse_local_var()
         if local is not None:
@@ -790,23 +768,14 @@ class _Parser:
         except _Recover:
             self.i = save
             return None
-        t = self.peek()
-        nxt = self.peek(1)
-        if (
-            t is None
-            or t.kind != "identifier"
-            or nxt is None
-            or nxt.lexeme not in ("=", ";", ",", "[")
-        ):
+        if not (self.at_kind("identifier") and self.peek(1).lexeme in ("=", ";", ",", "[")):
             self.i = save
             return None
         n = self.node("LocalVar", start, type=type_text, names=[])
         while True:
             name_tok = self.expect_identifier()
             n.attrs["names"].append(name_tok.lexeme)
-            while self.at("[") and self.peek(1) is not None and self.peek(1).lexeme == "]":
-                self.advance()
-                self.advance()
+            self.skip_dims()
             if self.accept("="):
                 n.children.append(self.parse_variable_init())
             if self.accept(","):
@@ -834,14 +803,8 @@ class _Parser:
         self.accept("final")
         try:
             vtype = self.parse_type_text()
-            name_tok = self.peek()
-            if (
-                name_tok is not None
-                and name_tok.kind == "identifier"
-                and self.peek(1) is not None
-                and self.peek(1).lexeme == ":"
-            ):
-                self.advance()
+            if self.at_kind("identifier") and self.at(":", 1):
+                name_tok = self.advance()
                 self.advance()
                 n = self.node("ForEach", tok, var_type=vtype, var_name=name_tok.lexeme)
                 n.children.append(self.parse_expression())
@@ -888,36 +851,28 @@ class _Parser:
         n.attrs["selector_text"] = render(selector)
         n.attrs["terminal_name"] = terminal_name(selector)
         self.expect("{")
-        cases = 0
-        while not self.at("}"):
-            t = self.peek()
-            if t is None:
-                self.diag("unexpected end of file in switch", tok)
-                break
-            guard = self.i
-            try:
-                if self.accept("case"):
-                    while True:
-                        label = self.node("Case", self.last())
-                        label.children.append(self.parse_case_label())
-                        n.children.append(self.close(label))
-                        cases += 1
-                        if not self.accept(","):
-                            break
-                    self.parse_case_tail(n)
-                elif self.accept("default"):
-                    n.children.append(self.close(self.node("Default", self.last())))
-                    self.parse_case_tail(n)
-                else:
-                    n.children.append(self.parse_statement())
-            except _Recover as err:
-                self.diag_recover(err)
-                self.skip_statement_like()
-            if self.i == guard:
-                self.advance()
+        element = partial(self.parse_switch_element, n)
+        self.recover_until_brace(element, n.children, "unexpected end of file in switch", tok)
         self.accept("}")
-        n.attrs["case_count"] = cases
+        n.attrs["case_count"] = sum(c.kind == "Case" for c in n.children)
         return self.close(n)
+
+    def parse_switch_element(self, switch_node: Node) -> Node | None:
+        """A statement, or case labels and their arrow body appended to *switch_node*."""
+        if self.accept("case"):
+            while True:
+                label = self.node("Case", self.last())
+                label.children.append(self.parse_case_label())
+                switch_node.children.append(self.close(label))
+                if not self.accept(","):
+                    break
+            self.parse_case_tail(switch_node)
+        elif self.accept("default"):
+            switch_node.children.append(self.close(self.node("Default", self.last())))
+            self.parse_case_tail(switch_node)
+        else:
+            return self.parse_statement()
+        return None
 
     def parse_case_label(self) -> Node:
         # No ternary here (':' closes the label); pattern labels tolerate a
@@ -946,7 +901,7 @@ class _Parser:
         n = self.node("Try", tok)
         if self.accept("("):
             while not self.at(")"):
-                if self.peek() is None:
+                if self.peek() is self.eof:
                     raise _Recover("unterminated resource list", tok)
                 res = self.try_parse_resource()
                 if res is None:
@@ -994,15 +949,12 @@ class _Parser:
     # expressions
 
     def parse_expression(self) -> Node:
-        return self.parse_assignment()
-
-    def parse_assignment(self) -> Node:
         left = self.parse_ternary()
         t = self.peek()
-        if t is not None and t.kind == "operator" and t.lexeme in ASSIGN_OPS:
-            op = self.advance().lexeme
-            n = self.node("Assign", t, op=op)
-            n.children = [left, self.parse_assignment()]
+        if t.lexeme in ASSIGN_OPS:
+            self.advance()
+            n = self.node("Assign", t, op=t.lexeme)
+            n.children = [left, self.parse_expression()]
             return self.close_from(n, left)
         return left
 
@@ -1018,37 +970,28 @@ class _Parser:
             return self.close_from(n, cond)
         return cond
 
-    def parse_binary(self, level: int) -> Node:
-        if level == len(_BINARY_LEVELS):
-            return self.parse_unary()
-        ops = _BINARY_LEVELS[level]
-        left = self.parse_binary(level + 1)
+    def parse_binary(self, min_level: int) -> Node:
+        """Precedence climbing over operators binding at *min_level* or tighter."""
+        left = self.parse_unary()
         while True:
             t = self.peek()
-            if t is None:
+            level = _BINARY_LEVEL.get(t.lexeme, -1)
+            if level < min_level:
                 return left
-            if level == _RELATIONAL_LEVEL and t.lexeme == "instanceof":
-                self.advance()
+            self.advance()
+            if t.lexeme == "instanceof":
                 ty = self.parse_type_text()
                 if self.at_kind("identifier"):  # pattern binding
                     self.advance()
                 n = self.node("InstanceOf", t, type=ty, operand_text=render(left))
                 n.children = [left]
-                left = self.close_from(n, left)
-                continue
-            if t.kind == "operator" and t.lexeme in ops:
-                op = self.advance().lexeme
-                right = self.parse_binary(level + 1)
-                n = self.node("Binary", t, op=op)
-                n.children = [left, right]
-                left = self.close_from(n, left)
-                continue
-            return left
+            else:
+                n = self.node("Binary", t, op=t.lexeme)
+                n.children = [left, self.parse_binary(level + 1)]
+            left = self.close_from(n, left)
 
     def parse_unary(self) -> Node:
         t = self.peek()
-        if t is None:
-            raise _Recover("expected expression, found end of file", t)
         if t.kind == "operator" and t.lexeme in ("+", "-", "!", "~", "++", "--"):
             self.advance()
             n = self.node("Unary", t, op=t.lexeme, prefix=True)
@@ -1073,9 +1016,6 @@ class _Parser:
             return None
         self.advance()
         nxt = self.peek()
-        if nxt is None:
-            self.i = save
-            return None
         is_primitive = ty in PRIMITIVES
         starts_operand = (
             nxt.kind in ("identifier", "literal")
@@ -1093,8 +1033,6 @@ class _Parser:
         node = self.parse_primary()
         while True:
             t = self.peek()
-            if t is None:
-                return node
             if t.lexeme == "(" and node.kind == "Name":
                 # Bare call: foo(...). Dotted callees arrive as FieldAccess
                 # and are rewritten in the '.' branch below.
@@ -1107,7 +1045,7 @@ class _Parser:
                 if self.at("<"):
                     self.skip_generics()
                 nt = self.peek()
-                if nt is None:
+                if nt is self.eof:
                     raise _Recover("expected member name after '.'", t)
                 if nt.lexeme == "class":
                     self.advance()
@@ -1154,12 +1092,10 @@ class _Parser:
                 continue
             if t.lexeme == "::":
                 self.advance()
-                nt = self.peek()
-                if nt is None:
-                    raise _Recover("expected name after '::'", t)
                 if self.at("<"):
                     self.skip_generics()
-                    nt = self.peek()
+                if self.peek() is self.eof:
+                    raise _Recover("expected name after '::'", t)
                 ref = self.advance()
                 n = self.node("MethodRef", ref, name=ref.lexeme)
                 n.children = [node]
@@ -1177,8 +1113,8 @@ class _Parser:
         self.expect("(")
         args: list[Node] = []
         while not self.at(")"):
-            if self.peek() is None:
-                raise _Recover("unterminated argument list", None)
+            if self.peek() is self.eof:
+                raise _Recover("unterminated argument list", self.eof)
             args.append(self.parse_expression())
             if not self.accept(","):
                 break
@@ -1189,43 +1125,27 @@ class _Parser:
         # At '(': matched close paren directly followed by '->'.
         depth = 0
         j = self.i
-        while j < len(self.toks):
-            lex = self.toks[j].lexeme
-            if lex == "(":
+        while True:
+            t = self.toks[j]
+            if t.lexeme == "(":
                 depth += 1
-            elif lex == ")":
+            elif t.lexeme == ")":
                 depth -= 1
                 if depth == 0:
-                    nxt = self.toks[j + 1] if j + 1 < len(self.toks) else None
-                    return nxt is not None and nxt.lexeme == "->"
-            elif lex in ("{", "}", ";"):
+                    return self.toks[j + 1].lexeme == "->"
+            elif t.lexeme in ("{", "}", ";") or t is self.eof:
                 return False
             j += 1
-        return False
-
-    def parse_lambda_params_paren(self):
-        depth = 0
-        while True:
-            t = self.peek()
-            if t is None:
-                raise _Recover("unterminated lambda parameters", t)
-            lex = self.advance().lexeme
-            if lex == "(":
-                depth += 1
-            elif lex == ")":
-                depth -= 1
-                if depth == 0:
-                    return
 
     def parse_lambda(self, start_tok) -> Node:
         n = self.node("Lambda", start_tok)
         if self.at("("):
-            self.parse_lambda_params_paren()
+            self.skip_balanced("(", ")", "unterminated lambda parameters", None)
         else:
             self.expect_identifier()
         self.expect("->")
         if self.at("{"):
-            n.children.append(self.consume_balanced_braces())
+            n.children.append(self.opaque_braces())
         else:
             n.children.append(self.parse_expression())
         return self.close(n)
@@ -1250,13 +1170,11 @@ class _Parser:
         n.children.extend(self.parse_args())
         if self.at("{"):
             self.diag("anonymous class body skipped", new_tok)
-            n.children.append(self.consume_balanced_braces())
+            n.children.append(self.opaque_braces())
         return self.close(n)
 
     def parse_primary(self) -> Node:
         t = self.peek()
-        if t is None:
-            raise _Recover("expected expression, found end of file", t)
         if t.kind == "literal":
             self.advance()
             return self.close(self.node("Literal", t, text=t.lexeme))
@@ -1290,35 +1208,24 @@ class _Parser:
             # Switch expressions are outside the subset; consume opaquely.
             self.diag("switch expression consumed opaquely", t)
             self.advance()
-            self.expect("(")
-            depth = 1
-            while depth > 0:
-                nt = self.peek()
-                if nt is None:
-                    raise _Recover("unterminated switch expression", t)
-                lex = self.advance().lexeme
-                if lex == "(":
-                    depth += 1
-                elif lex == ")":
-                    depth -= 1
+            self.skip_balanced("(", ")", "unterminated switch expression", t)
             n = self.node("Opaque", t)
             if self.at("{"):
-                n.children.append(self.consume_balanced_braces())
+                n.children.append(self.opaque_braces())
             return self.close(n)
         if t.kind == "identifier":
-            nxt = self.peek(1)
-            if nxt is not None and nxt.lexeme == "->":
+            if self.at("->", 1):
                 return self.parse_lambda(t)
             self.advance()
             return self.close(self.node("Name", t, id=t.lexeme))
         if t.kind == "keyword" and t.lexeme in NON_REF_TYPES:
             self.advance()
-            while self.at("[") and self.peek(1) is not None and self.peek(1).lexeme == "]":
-                self.advance()
-                self.advance()
+            self.skip_dims()
             self.expect(".")
             self.expect("class")
             return self.close(self.node("ClassLiteral", t, primitive=t.lexeme))
+        if t is self.eof:
+            raise _Recover("expected expression, found end of file", t)
         raise _Recover(f"unexpected token '{t.lexeme}' in expression", t)
 
 
@@ -1335,8 +1242,9 @@ def parse(tokens: list[Token], source: SourceFile) -> Node:
     except RecursionError:
         raise ParseError("nesting too deep to parse", source.path, 1, 1) from None
     unit.attrs["diagnostics"] = p.diags
-    has_types = any(c.kind == "TypeDecl" for c in unit.children)
-    if p.diags and not has_types and p.toks:
+    # A top-level Opaque child is a skipped record declaration.
+    has_decls = any(c.kind in ("TypeDecl", "Opaque") for c in unit.children)
+    if p.diags and not has_decls:
         first = p.diags[0]
         raise ParseError(first.message, source.path, first.line, first.col)
     return unit

@@ -294,13 +294,16 @@ def test_determinism_across_workers(tmp_path, capsys):
 def test_analyze_survives_deep_expression_nesting(tmp_path, capsys):
     # A 1,500-term '+' chain parses into a left-deep tree far deeper than
     # the interpreter's recursion limit; every walk after parsing must cope.
+    # 100 nested parentheses stay within what the parser itself can nest.
     chain = " + ".join(f'"s{i}"' for i in range(1500))
+    parens = "(" * 100 + "1" + ")" * 100
     alone, both = tmp_path / "alone", tmp_path / "both"
     for src in (alone, both):
         src.mkdir()
         shutil.copy(CORPUS / "OneShotTask.java", src / "OneShotTask.java")
     (both / "Deep.java").write_text(
-        f"public class Deep {{\n    public String chain() {{\n        return {chain};\n    }}\n}}\n",
+        f"public class Deep {{\n    public String chain() {{\n        return {chain};\n    }}\n"
+        f"    public int parens() {{\n        return {parens};\n    }}\n}}\n",
         encoding="utf-8",
     )
     findings = {}

@@ -260,12 +260,45 @@ def test_unsupported_constructs_become_opaque_with_diagnostic():
     unit, _ = parse_text(
         """
         class A {
-            Runnable r = new Runnable() { public void run() { } };
+            Runnable r = new Runnable() { public void run() { log("}"); } };
+            void after() { }
         }
         """
     )
     assert top_types(unit)[0].attrs["name"] == "A"
-    assert any("anonymous" in d.message for d in unit.attrs["diagnostics"])
+    assert [m.attrs["name"] for m in methods_of(top_types(unit)[0])] == ["after"]
+    assert [d.message for d in unit.attrs["diagnostics"]] == ["anonymous class body skipped"]
+
+
+def record_diagnostics(unit):
+    return [(d.line, d.message) for d in unit.attrs["diagnostics"]]
+
+
+def test_top_level_record_is_skipped_not_fatal():
+    unit, _ = parse_text("record P(int x) {\n    int twice() { return 2 * x; }\n}\nclass A { }\n")
+    assert [t.attrs["name"] for t in top_types(unit)] == ["A"]
+    assert record_diagnostics(unit) == [(1, "record declaration skipped")]
+    alone, _ = parse_text("record P<T>(T x) implements Comparable<P<T>> { }")
+    assert top_types(alone) == []
+    assert record_diagnostics(alone) == [(1, "record declaration skipped")]
+
+
+def test_member_record_is_skipped_not_a_method():
+    unit, _ = parse_text(
+        "class A {\n    public record P(int x) { P { } }\n    void record(int h) { }\n    void m() { }\n}\n"
+    )
+    (a,) = top_types(unit)
+    assert [m.attrs["name"] for m in methods_of(a)] == ["record", "m"]
+    assert record_diagnostics(unit) == [(2, "record declaration skipped")]
+
+
+def test_local_record_is_skipped_as_one_statement():
+    unit, _ = parse_text(
+        "class A {\n    void m() {\n        record P(int x) { }\n        record(1);\n        int y = 2;\n    }\n}\n"
+    )
+    body = methods_of(top_types(unit)[0])[0].children[0]
+    assert [s.kind for s in body.children] == ["Opaque", "ExprStmt", "LocalVar"]
+    assert record_diagnostics(unit) == [(3, "record declaration skipped")]
 
 
 def test_recoverable_error_keeps_partial_tree():
@@ -284,6 +317,11 @@ def test_recoverable_error_keeps_partial_tree():
     assert unit.attrs["diagnostics"]
     a_methods = [c.attrs["name"] for c in top_types(unit)[0].children if c.kind == "MethodDecl"]
     assert "ok" in a_methods
+
+
+def test_method_reference_cut_off_after_type_arguments_is_recoverable():
+    unit, _ = parse_text("class A { void m() { Object f = X::<T>")
+    assert "expected name after '::'" in [d.message for d in unit.attrs["diagnostics"]]
 
 
 def test_unrecoverable_raises_parse_error():
