@@ -59,8 +59,9 @@ def parse_one(path: Path, root: Path) -> ParsedFile:
 def parse_file(src: SourceFile) -> ParsedFile:
     """Lex and parse one source file and count its lines."""
     toks = tokenize(src)
+    unit = parse(toks, src)
     code = code_line_numbers(toks)
-    return ParsedFile(src, parse(toks, src), line_stats(src, toks, code), code)
+    return ParsedFile(src, unit, line_stats(src, toks, code), code)
 
 
 def analyze_paths(root, paths, config: RuleConfig | None = None, workers: int = 1) -> AnalysisResult:
