@@ -3,12 +3,31 @@
 Produces a flat token stream. Comments are kept in the stream (kind
 ``comment``) so line accounting can distinguish comment-only lines from code
 lines; everything between tokens is whitespace, which makes the original file
-reconstructible from token offsets. Non-comment Java tokens never span lines.
+reconstructible from token offsets. Only comments, and string or character
+literals holding an escaped line break, span lines.
+
+``tokenize`` is one pass of one compiled master regex, ``_TOKEN_RE``, whose
+alternatives are named groups: the name of the group that matched
+(``m.lastgroup``) is the token's kind, or says what to do. Whitespace runs
+and newlines are matched as well but make no token; newlines, and those
+inside multi-line comments and literals, advance the line number and the
+offset of the line's first character, from which each token's column
+follows. Longest-match rules live in the alternatives' order: comments come
+before the ``/`` operator, numbers (``.5``) before the ``.`` separator,
+``...`` and ``::`` before ``.`` and ``:``, and multi-character operators
+before their prefixes.
+
+A word starts with a letter, ``_`` or ``$``; a number with a digit or with
+``.`` and a digit (``str.isalpha``/``str.isdigit``). The regex's word and
+digit classes cannot tell a letter from a non-decimal digit such as ``²``,
+so a word that starts outside ASCII, and a ``.`` followed by such a
+character, go to ``_rare_token``. So do unterminated literals and comments
+and illegal characters, which raise ``LexError``.
 """
 
 from __future__ import annotations
 
-import bisect
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,16 +44,38 @@ KEYWORDS = frozenset(
 # true/false/null are literals, not keywords.
 WORD_LITERALS = frozenset({"true", "false", "null"})
 
-SEPARATOR_CHARS = frozenset("(){}[];,.@")
+_WORD_KINDS = {**dict.fromkeys(KEYWORDS, "keyword"), **dict.fromkeys(WORD_LITERALS, "literal")}
 
 # Longest match first; '->' and '::' must win over '-' and ':'.
 MULTI_OPERATORS = (
     ">>>=", "<<=", ">>=", ">>>", "->", "==", "!=", "<=", ">=", "&&", "||",
     "++", "--", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<", ">>",
 )
-SINGLE_OPERATORS = frozenset("=<>!~?:+-*/&|^%")
 
-_WS = " \t\r\n\f"
+# What follows a number's first character: word characters and dots, and a
+# sign right after an exponent letter (p/P in hexadecimal numbers).
+_DECIMAL_TAIL = r"(?:[\w.]|(?<=[eE])[+-])*"
+_NUMBER_TAIL = re.compile(_DECIMAL_TAIL)
+
+_TOKEN_RE = re.compile(
+    rf"""
+      (?P<space>[ \t\r\f]+)
+    | (?P<newline>\n[ \t\r\f]*)
+    | (?P<comment>//[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)
+    | (?P<word>[A-Za-z_$][\w$]*)
+    | (?P<literal>
+          0[xX](?:[\w.]|(?<=[pP])[+-])*
+        | (?:\d|\.\d){_DECIMAL_TAIL}
+        | "(?:[^"\\\n]|\\.)*"
+        | '(?:[^'\\\n]|\\.)*'
+      )
+    | (?P<rare>/\*|\.(?=[^\W\d\x00-\x7f])|[^\W\d][\w$]*)
+    | (?P<separator>\.\.\.|::|[(){{}}\[\];,.@])
+    | (?P<operator>{"|".join(map(re.escape, MULTI_OPERATORS))}|[=<>!~?:+\-*/&|^%])
+    | (?P<illegal>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
 class LexError(Exception):
@@ -58,14 +99,16 @@ class SourceFile:
     def __post_init__(self):
         if self.content.startswith("\ufeff"):
             self.content = self.content[1:]
+        text = self.content
         idx = [0]
-        for i, ch in enumerate(self.content):
-            if ch == "\n":
-                idx.append(i + 1)
+        i = text.find("\n")
+        while i >= 0:
+            idx.append(i + 1)
+            i = text.find("\n", i + 1)
         # A trailing newline closes the last line rather than opening a new one.
-        if len(idx) > 1 and idx[-1] == len(self.content):
+        if len(idx) > 1 and idx[-1] == len(text):
             idx.pop()
-        self.line_index = idx if self.content else []
+        self.line_index = idx if text else []
 
     @classmethod
     def from_path(cls, path, root=None) -> "SourceFile":
@@ -77,136 +120,84 @@ class SourceFile:
     def line_count(self) -> int:
         return len(self.line_index)
 
-    def position(self, offset: int) -> tuple[int, int]:
-        """1-based (line, column) for a character offset."""
-        if not self.line_index:
-            return 1, 1
-        row = bisect.bisect_right(self.line_index, offset) - 1
-        return row + 1, offset - self.line_index[row] + 1
 
-
-@dataclass
 class Token:
-    kind: str  # keyword | identifier | literal | operator | separator | comment
-    lexeme: str
-    line: int
-    col: int
-    offset: int
+    """One token; ``end`` is the offset just past its lexeme."""
+
+    __slots__ = ("kind", "lexeme", "line", "col", "offset", "end")
+
+    def __init__(self, kind: str, lexeme: str, line: int, col: int, offset: int, end: int):
+        self.kind = kind  # keyword | identifier | literal | operator | separator | comment
+        self.lexeme = lexeme
+        self.line = line
+        self.col = col
+        self.offset = offset
+        self.end = end
 
     @property
     def length(self) -> int:
-        return len(self.lexeme)
+        return self.end - self.offset
 
-    @property
-    def span(self) -> tuple[int, int, int]:
-        return (self.line, self.col, self.length)
+    def __repr__(self):
+        return f"<{self.kind} {self.lexeme!r} {self.line}:{self.col}>"
 
 
 def tokenize(source: SourceFile) -> list[Token]:
     """Full token stream for *source*, comments included."""
     text = source.content
-    n = len(text)
     toks: list[Token] = []
-    i = 0
-    while i < n:
-        ch = text[i]
-        if ch in _WS:
-            i += 1
-            continue
-        line, col = source.position(i)
-
-        if ch == "/" and i + 1 < n and text[i + 1] in "/*":
-            if text[i + 1] == "/":
-                j = text.find("\n", i)
-                j = n if j < 0 else j
-            else:
-                j = text.find("*/", i + 2)
-                if j < 0:
-                    raise LexError("unterminated block comment", line, col)
-                j += 2
-            toks.append(Token("comment", text[i:j], line, col, i))
-            i = j
-            continue
-
-        if ch.isalpha() or ch in "_$":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "_$"):
-                j += 1
-            word = text[i:j]
-            if word in KEYWORDS:
-                kind = "keyword"
-            elif word in WORD_LITERALS:
-                kind = "literal"
-            else:
-                kind = "identifier"
-            toks.append(Token(kind, word, line, col, i))
-            i = j
-            continue
-
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            is_hex = text.startswith(("0x", "0X"), i)
-            j = i
-            while j < n:
-                c = text[j]
-                if c.isalnum() or c in "_.":
-                    j += 1
-                elif c in "+-" and j > i and (
-                    (text[j - 1] in "pP") if is_hex else (text[j - 1] in "eE")
-                ):
-                    j += 1
-                else:
-                    break
-            toks.append(Token("literal", text[i:j], line, col, i))
-            i = j
-            continue
-
-        if ch in "\"'":
-            quote = ch
-            j = i + 1
-            closed = False
-            while j < n:
-                c = text[j]
-                if c == "\\":
-                    j += 2
+    append = toks.append
+    word_kind = _WORD_KINDS.get
+    line, bol, resume = 1, 0, 0
+    # A rare token may end where the regex's match does not, so the scan
+    # resumes after it.
+    while resume is not None:
+        matches, resume = _TOKEN_RE.finditer(text, resume), None
+        for m in matches:
+            kind = m.lastgroup
+            if kind == "space":
+                continue
+            start = m.start()
+            if kind == "newline":
+                line += 1
+                bol = start + 1
+                continue
+            lexeme = m.group()
+            if kind == "word":
+                kind = word_kind(lexeme, "identifier")
+            elif kind == "comment" or kind == "literal":
+                newlines = lexeme.count("\n")
+                if newlines:
+                    append(Token(kind, lexeme, line, start - bol + 1, start, m.end()))
+                    line += newlines
+                    bol = start + lexeme.rfind("\n") + 1
                     continue
-                if c == quote:
-                    closed = True
-                    break
-                if c == "\n":
-                    break
-                j += 1
-            if not closed:
-                what = "string" if quote == '"' else "character"
-                raise LexError(f"unterminated {what} literal", line, col)
-            toks.append(Token("literal", text[i : j + 1], line, col, i))
-            i = j + 1
-            continue
-
-        if text.startswith("...", i) or text.startswith("::", i):
-            lex = "..." if text.startswith("...", i) else "::"
-            toks.append(Token("separator", lex, line, col, i))
-            i += len(lex)
-            continue
-
-        if ch in SEPARATOR_CHARS:
-            toks.append(Token("separator", ch, line, col, i))
-            i += 1
-            continue
-
-        matched = None
-        for op in MULTI_OPERATORS:
-            if text.startswith(op, i):
-                matched = op
+            elif kind == "rare" or kind == "illegal":
+                kind, lexeme = _rare_token(text, start, lexeme, line, start - bol + 1)
+                resume = start + len(lexeme)
+                append(Token(kind, lexeme, line, start - bol + 1, start, resume))
                 break
-        if matched is None and ch in SINGLE_OPERATORS:
-            matched = ch
-        if matched is not None:
-            toks.append(Token("operator", matched, line, col, i))
-            i += len(matched)
-            continue
-
-        raise LexError(f"illegal character {ch!r}", line, col)
+            append(Token(kind, lexeme, line, start - bol + 1, start, m.end()))
     return toks
+
+
+def _rare_token(text: str, start: int, lexeme: str, line: int, col: int) -> tuple[str, str]:
+    """Kind and lexeme of the token at *start*, which the ``rare`` or
+    ``illegal`` alternative matched as *lexeme*; or the ``LexError``."""
+    ch = lexeme[0]
+    if lexeme == "/*":
+        raise LexError("unterminated block comment", line, col)
+    if ch in "\"'":
+        what = "string" if ch == '"' else "character"
+        raise LexError(f"unterminated {what} literal", line, col)
+    if ch.isalpha():
+        return "identifier", lexeme
+    first_digit = start + (ch == ".")
+    if text[first_digit].isdigit():
+        return "literal", text[start : _NUMBER_TAIL.match(text, first_digit + 1).end()]
+    if ch == ".":
+        return "separator", ch
+    raise LexError(f"illegal character {ch!r}", line, col)
 
 
 @dataclass

@@ -19,7 +19,7 @@ raised only when a file with syntax errors yields no declarations at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from .lexer import SourceFile, Token
@@ -64,18 +64,20 @@ _BINARY_LEVEL = {
 }
 
 
-@dataclass
 class Node:
     """Generic syntax-tree node; ``attrs`` holds kind-specific data."""
 
-    kind: str
-    start: int = 0
-    end: int = 0
-    line: int = 0
-    col: int = 0
-    end_line: int = 0
-    children: list["Node"] = field(default_factory=list)
-    attrs: dict = field(default_factory=dict)
+    __slots__ = ("kind", "start", "end", "line", "col", "end_line", "children", "attrs")
+
+    def __init__(self, kind, start, end, line, col, end_line, attrs):
+        self.kind = kind
+        self.start = start
+        self.end = end
+        self.line = line
+        self.col = col
+        self.end_line = end_line
+        self.children: list[Node] = []
+        self.attrs = attrs
 
     def walk(self):
         """Preorder over the subtree; iterative, so depth costs no stack."""
@@ -155,9 +157,7 @@ def terminal_name(node: Node) -> str:
         return node.attrs["name"]
     if k == "Name":
         return node.attrs["id"].rpartition(".")[2]
-    if k in ("Paren", "Cast"):
-        return terminal_name(node.children[0])
-    if k == "ArrayAccess":
+    if k in ("Paren", "Cast", "ArrayAccess"):
         return terminal_name(node.children[0])
     return ""
 
@@ -166,7 +166,7 @@ class _Parser:
     def __init__(self, tokens: list[Token], source: SourceFile):
         toks = [t for t in tokens if t.kind != "comment"]
         line, col, offset = (toks[-1].line, toks[-1].col, toks[-1].offset) if toks else (1, 1, 0)
-        self.eof = Token("eof", "end of file", line, col, offset)
+        self.eof = Token("eof", "end of file", line, col, offset, offset + len("end of file"))
         toks.append(self.eof)
         self.toks = toks
         self.src = source
@@ -216,13 +216,12 @@ class _Parser:
 
     def node(self, kind: str, tok: Token | None = None, **attrs) -> Node:
         tok = tok or self.toks[self.i]
-        end = tok.offset + tok.length
-        return Node(kind, tok.offset, end, tok.line, tok.col, tok.line, attrs=attrs)
+        return Node(kind, tok.offset, tok.end, tok.line, tok.col, tok.line, attrs)
 
     def close(self, n: Node) -> Node:
         t = self.toks[self.i - 1]
-        if t.offset + t.length >= n.end:
-            n.end = t.offset + t.length
+        if t.end >= n.end:
+            n.end = t.end
             n.end_line = t.line + t.lexeme.count("\n")
         return n
 
@@ -230,6 +229,12 @@ class _Parser:
         """Close *n* but anchor its start at *base* (left operand)."""
         n.start, n.line, n.col = base.start, base.line, base.col
         return self.close(n)
+
+    def grow(self, kind: str, tok: Token, children: list, **attrs) -> Node:
+        """A closed *kind* node at *tok* over *children*, anchored at the first."""
+        n = self.node(kind, tok, **attrs)
+        n.children = children
+        return self.close_from(n, children[0])
 
     def diag(self, message: str, tok: Token | None = None):
         tok = tok or self.toks[self.i]
@@ -352,8 +357,20 @@ class _Parser:
                 self.skip_annotation()
             elif t.kind == "keyword" and t.lexeme in MODIFIER_WORDS:
                 mods.add(self.advance().lexeme)
+            elif t.lexeme == "sealed" and (self.at_kind("keyword", 1) or self.at("@", 1)):
+                mods.add(self.advance().lexeme)
+            elif self.at_non_sealed():
+                self.i += 3
+                mods.add("non-sealed")
             else:
                 return mods
+
+    def at_non_sealed(self) -> bool:
+        """At 'non-sealed', which lexes as 'non', '-', 'sealed' with no gaps."""
+        if not (self.at("non") and self.at("-", 1) and self.at("sealed", 2)):
+            return False
+        non, minus, sealed = self.toks[self.i : self.i + 3]
+        return non.end == minus.offset and minus.end == sealed.offset
 
     def parse_qualified_name(self) -> str:
         parts = [self.expect_identifier().lexeme]
@@ -390,7 +407,7 @@ class _Parser:
     def parse_unit(self) -> Node:
         attrs = {"package": None, "imports": [], "file": self.src.path}
         if self.peek() is self.eof:
-            return Node("CompilationUnit", attrs=attrs)
+            return Node("CompilationUnit", 0, 0, 0, 0, 0, attrs)
         unit = self.node("CompilationUnit", **attrs)
 
         while self.at("@") and not self.at("interface", 1):
@@ -447,13 +464,15 @@ class _Parser:
             return self.skip_record()
         raise _Recover(f"expected type declaration, found '{t.lexeme}'", t)
 
-    def skip_annotation_type_decl(self) -> None:
+    def skip_annotation_type_decl(self) -> Node:
         tok = self.expect("@")
+        n = self.node("Opaque", tok)
         self.expect("interface")
         self.expect_identifier()
         self.diag("annotation type declaration skipped", tok)
         if self.at("{"):
-            self.opaque_braces()
+            self.skip_balanced("{", "}", "unbalanced '{'", self.peek())
+        return self.close(n)
 
     # ------------------------------------------------------------------
     # type declarations and members
@@ -484,6 +503,8 @@ class _Parser:
         else:  # enum
             if self.accept("implements"):
                 decl.attrs["interfaces"] = self.parse_type_list()
+        if kw.lexeme != "enum" and self.accept("permits"):
+            self.parse_type_list()  # a sealed type's permitted subtypes
         if kw.lexeme == "enum":
             self.parse_enum_body(decl)
         else:
@@ -953,21 +974,16 @@ class _Parser:
         t = self.peek()
         if t.lexeme in ASSIGN_OPS:
             self.advance()
-            n = self.node("Assign", t, op=t.lexeme)
-            n.children = [left, self.parse_expression()]
-            return self.close_from(n, left)
+            return self.grow("Assign", t, [left, self.parse_expression()], op=t.lexeme)
         return left
 
     def parse_ternary(self) -> Node:
         cond = self.parse_binary(0)
         if self.at("?"):
             qtok = self.advance()
-            n = self.node("Ternary", qtok)
             then = self.parse_expression()
             self.expect(":")
-            other = self.parse_ternary()
-            n.children = [cond, then, other]
-            return self.close_from(n, cond)
+            return self.grow("Ternary", qtok, [cond, then, self.parse_ternary()])
         return cond
 
     def parse_binary(self, min_level: int) -> Node:
@@ -983,12 +999,9 @@ class _Parser:
                 ty = self.parse_type_text()
                 if self.at_kind("identifier"):  # pattern binding
                     self.advance()
-                n = self.node("InstanceOf", t, type=ty, operand_text=render(left))
-                n.children = [left]
+                left = self.grow("InstanceOf", t, [left], type=ty, operand_text=render(left))
             else:
-                n = self.node("Binary", t, op=t.lexeme)
-                n.children = [left, self.parse_binary(level + 1)]
-            left = self.close_from(n, left)
+                left = self.grow("Binary", t, [left, self.parse_binary(level + 1)], op=t.lexeme)
 
     def parse_unary(self) -> Node:
         t = self.peek()
@@ -1049,15 +1062,11 @@ class _Parser:
                     raise _Recover("expected member name after '.'", t)
                 if nt.lexeme == "class":
                     self.advance()
-                    n = self.node("ClassLiteral", nt)
-                    n.children = [node]
-                    node = self.close_from(n, node)
+                    node = self.grow("ClassLiteral", nt, [node])
                     continue
                 if nt.lexeme == "this":
                     self.advance()
-                    n = self.node("This", nt, qualified=True)
-                    n.children = [node]
-                    node = self.close_from(n, node)
+                    node = self.grow("This", nt, [node], qualified=True)
                     continue
                 if nt.lexeme == "new":
                     self.advance()
@@ -1067,28 +1076,20 @@ class _Parser:
                     continue
                 if nt.lexeme == "super":
                     self.advance()
-                    n = self.node("Super", nt, qualified=True)
-                    n.children = [node]
-                    node = self.close_from(n, node)
+                    node = self.grow("Super", nt, [node], qualified=True)
                     continue
                 name_tok = self.expect_identifier()
                 if self.at("("):
-                    n = self.node("Call", name_tok, name=name_tok.lexeme, has_target=True)
-                    n.children = [node] + self.parse_args()
-                    node = self.close_from(n, node)
+                    args = [node] + self.parse_args()
+                    node = self.grow("Call", name_tok, args, name=name_tok.lexeme, has_target=True)
                 else:
-                    n = self.node("FieldAccess", name_tok, name=name_tok.lexeme)
-                    n.children = [node]
-                    node = self.close_from(n, node)
+                    node = self.grow("FieldAccess", name_tok, [node], name=name_tok.lexeme)
                 continue
             if t.lexeme == "[":
                 self.advance()
-                n = self.node("ArrayAccess", t)
-                n.children = [node]
-                if not self.at("]"):
-                    n.children.append(self.parse_expression())
+                children = [node] if self.at("]") else [node, self.parse_expression()]
                 self.expect("]")
-                node = self.close_from(n, node)
+                node = self.grow("ArrayAccess", t, children)
                 continue
             if t.lexeme == "::":
                 self.advance()
@@ -1097,15 +1098,11 @@ class _Parser:
                 if self.peek() is self.eof:
                     raise _Recover("expected name after '::'", t)
                 ref = self.advance()
-                n = self.node("MethodRef", ref, name=ref.lexeme)
-                n.children = [node]
-                node = self.close_from(n, node)
+                node = self.grow("MethodRef", ref, [node], name=ref.lexeme)
                 continue
             if t.kind == "operator" and t.lexeme in ("++", "--"):
                 self.advance()
-                n = self.node("Unary", t, op=t.lexeme, prefix=False)
-                n.children = [node]
-                node = self.close_from(n, node)
+                node = self.grow("Unary", t, [node], op=t.lexeme, prefix=False)
                 continue
             return node
 
@@ -1242,7 +1239,7 @@ def parse(tokens: list[Token], source: SourceFile) -> Node:
     except RecursionError:
         raise ParseError("nesting too deep to parse", source.path, 1, 1) from None
     unit.attrs["diagnostics"] = p.diags
-    # A top-level Opaque child is a skipped record declaration.
+    # A top-level Opaque child is a skipped record or annotation type.
     has_decls = any(c.kind in ("TypeDecl", "Opaque") for c in unit.children)
     if p.diags and not has_decls:
         first = p.diags[0]

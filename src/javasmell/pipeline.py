@@ -9,6 +9,7 @@ recorded as a failure and the rest of the corpus is still analyzed.
 
 from __future__ import annotations
 
+import gc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -65,9 +66,24 @@ def parse_file(src: SourceFile) -> ParsedFile:
 
 
 def analyze_paths(root, paths, config: RuleConfig | None = None, workers: int = 1) -> AnalysisResult:
-    """Analyze an explicit file list (order-insensitive)."""
-    root = Path(root)
-    config = config or RuleConfig()
+    """Analyze an explicit file list (order-insensitive).
+
+    The cyclic garbage collector is paused for the run and then left as it
+    was found. That is safe because the analysis builds no reference
+    cycles: the collector would only re-scan the growing token lists and
+    syntax trees and free nothing (``tests/test_pipeline.py`` checks that a
+    collection right after a run finds no garbage).
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _analyze(Path(root), paths, config or RuleConfig(), workers)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _analyze(root: Path, paths, config: RuleConfig, workers: int) -> AnalysisResult:
     ordered = sorted(paths, key=lambda p: Path(p).relative_to(root).as_posix())
 
     def safe_parse(path):

@@ -68,6 +68,21 @@ def test_analyze_partial_on_malformed_file(tmp_path, capsys):
     assert "sample.OneShotTask" in subjects  # the good file was still analyzed
 
 
+def test_analyze_keeps_a_file_holding_only_an_annotation_type(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "M.java").write_text("@interface Marker { }\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, stderr = run(
+        ["analyze", "--src", str(src), "--out", str(out), "--timestamp", "2024-01-01T00:00:00"],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert "files analyzed: 1 (failed: 0)" in stdout
+    assert "failed to parse" not in stderr
+    assert "M.java:1:1: annotation type declaration skipped" in stderr
+
+
 def test_analyze_missing_src_is_fatal(tmp_path, capsys):
     code, _, stderr = run(
         ["analyze", "--src", str(tmp_path / "nope"), "--out", str(tmp_path / "o")], capsys

@@ -38,7 +38,7 @@ def test_token_spans_and_kinds():
         "comment",
     ]
     assert tokens[8].lexeme == '"a\\"b"'
-    assert tokens[0].span == (1, 1, 3)
+    assert (tokens[0].line, tokens[0].col, tokens[0].length) == (1, 1, 3)
 
 
 def test_operators_longest_match():

@@ -301,6 +301,47 @@ def test_local_record_is_skipped_as_one_statement():
     assert record_diagnostics(unit) == [(3, "record declaration skipped")]
 
 
+def test_annotation_type_alone_is_skipped_not_fatal():
+    unit, _ = parse_text("@interface Marker {\n    int value() default 1;\n}\n")
+    assert [c.kind for c in unit.children] == ["Opaque"]
+    assert (unit.children[0].line, unit.children[0].end_line) == (1, 3)
+    assert record_diagnostics(unit) == [(1, "annotation type declaration skipped")]
+
+
+def test_sealed_hierarchy_keeps_every_type():
+    unit, _ = parse_text(
+        "sealed interface Shape permits Circle, Square { }\n"
+        "final class Circle implements Shape { }\n"
+        "non-sealed class Square implements Shape { }\n"
+    )
+    assert [(t.attrs["name"], sorted(t.attrs["modifiers"])) for t in top_types(unit)] == [
+        ("Shape", ["sealed"]),
+        ("Circle", ["final"]),
+        ("Square", ["non-sealed"]),
+    ]
+    assert top_types(unit)[2].attrs["interfaces"] == ["Shape"]
+    assert unit.attrs["diagnostics"] == []
+
+
+def test_sealed_class_permits_after_extends():
+    unit, _ = parse_text("public abstract sealed class B extends A implements I permits C, p.D<T> { }")
+    (b,) = top_types(unit)
+    assert sorted(b.attrs["modifiers"]) == ["abstract", "public", "sealed"]
+    assert (b.attrs["supertype"], b.attrs["interfaces"]) == ("A", ["I"])
+    assert unit.attrs["diagnostics"] == []
+
+
+def test_sealed_and_non_stay_names_outside_modifier_position():
+    unit, _ = parse_text(
+        "class A {\n    int sealed;\n    int non;\n"
+        "    int m() { return non - sealed; }\n    void sealed() { }\n}\n"
+    )
+    (a,) = top_types(unit)
+    assert [f.attrs["name"] for f in fields_of(a)] == ["sealed", "non"]
+    assert [m.attrs["name"] for m in methods_of(a)] == ["m", "sealed"]
+    assert unit.attrs["diagnostics"] == []
+
+
 def test_recoverable_error_keeps_partial_tree():
     unit, _ = parse_text(
         """
