@@ -53,9 +53,9 @@ MULTI_OPERATORS = (
 )
 
 # What follows a number's first character: word characters and dots, and a
-# sign right after an exponent letter (p/P in hexadecimal numbers).
+# sign right after an exponent letter (e/E; p/P in hexadecimal numbers).
 _DECIMAL_TAIL = r"(?:[\w.]|(?<=[eE])[+-])*"
-_NUMBER_TAIL = re.compile(_DECIMAL_TAIL)
+_DECIMAL_TAIL_RE = re.compile(_DECIMAL_TAIL)
 
 _TOKEN_RE = re.compile(
     rf"""
@@ -194,7 +194,7 @@ def _rare_token(text: str, start: int, lexeme: str, line: int, col: int) -> tupl
         return "identifier", lexeme
     first_digit = start + (ch == ".")
     if text[first_digit].isdigit():
-        return "literal", text[start : _NUMBER_TAIL.match(text, first_digit + 1).end()]
+        return "literal", text[start : _DECIMAL_TAIL_RE.match(text, first_digit + 1).end()]
     if ch == ".":
         return "separator", ch
     raise LexError(f"illegal character {ch!r}", line, col)

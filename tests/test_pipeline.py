@@ -17,20 +17,24 @@ from javasmell.pipeline import analyze_paths, analyze_tree, find_java_files
 from conftest import CORPUS
 
 
-@pytest.fixture
-def gc_state():
-    """Restore the collector's state after the test, whatever it did."""
-    was_enabled = gc.isenabled()
-    yield
-    if was_enabled:
+def set_collector(enabled: bool):
+    if enabled:
         gc.enable()
     else:
         gc.disable()
 
 
+@pytest.fixture
+def gc_state():
+    """Restore the collector's state after the test, whatever it did."""
+    was_enabled = gc.isenabled()
+    yield
+    set_collector(was_enabled)
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_analyze_paths_leaves_the_collector_as_found(gc_state, enabled):
-    gc.enable() if enabled else gc.disable()
+    set_collector(enabled)
     result = analyze_paths(CORPUS, find_java_files(CORPUS))
     assert result.model.types
     assert gc.isenabled() is enabled
@@ -43,7 +47,7 @@ def test_analyze_paths_restores_the_collector_when_it_raises(gc_state, monkeypat
         raise RuntimeError("model failed")
 
     monkeypatch.setattr(pipeline, "build_model", fail)
-    gc.enable() if enabled else gc.disable()
+    set_collector(enabled)
     with pytest.raises(RuntimeError, match="model failed"):
         analyze_paths(CORPUS, find_java_files(CORPUS))
     assert gc.isenabled() is enabled

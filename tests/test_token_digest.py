@@ -40,7 +40,11 @@ EDGE_CASES = [
     ("non-ascii-decimal-digit", "a = ٣ + ٣.5e-1 + .٣ + x٣;"),
     ("non-ascii-numeric-start", "a = ½;"),
     ("non-ascii-numeric-roman", "a = Ⅻ;"),
-    ("numbers", "a = 0x1p-3 + 0X1P+3 + 1e+5 + 1E-5 + 0xFFe+1 + .5 + 1. + 1..2 + 3_000L + 1.5e-3f + 0b1010 + 07;"),
+    (
+        "numbers",
+        "a = 0x1p-3 + 0X1P+3 + 1e+5 + 1E-5 + 0xFFe+1 + .5 + 1. + 1..2 + 3_000L"
+        " + 1.5e-3f + 0b1010 + 07;",
+    ),
     ("number-then-dot-call", "a = 1.toString() + 2.e + 0x.p+1;"),
     ("char-quote", "char c = '\\'';"),
     ("string-backslash", 'String s = "\\\\";'),
@@ -53,7 +57,10 @@ EDGE_CASES = [
     ("single-ops", "a = b < c > d ! e ~ f ? g : h + i - j * k / l & m | n ^ o % p;"),
     ("ops-run", "a>>>>=b---c+++d->e::::f....g"),
     ("comment-marker-in-string", 'String s = "a */ b // c /* d"; /* e */ // f'),
-    ("comments", "/**/ /***/ /* ** */ /*/ x */ // a /* b\n/* a\n  b\n */ int x; // c\nint y; /* d */"),
+    (
+        "comments",
+        "/**/ /***/ /* ** */ /*/ x */ // a /* b\n/* a\n  b\n */ int x; // c\nint y; /* d */",
+    ),
     ("line-comment-at-eof", "int x; // done"),
     ("bom", "\ufeffclass A {}"),
     ("bom-only", "\ufeff"),
