@@ -221,10 +221,7 @@ def cmd_evaluate(args) -> int:
         truth = load_ground_truth(args.truth)
         kinds = _universe(truth, report.findings, args.kinds)
         result = evaluate(report.findings, truth, kinds=kinds)
-    except UnlabeledFinding as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FATAL
-    except (DuplicateAnnotation, MalformedAnnotation, OSError, ValueError, KeyError) as err:
+    except (UnlabeledFinding, DuplicateAnnotation, MalformedAnnotation, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FATAL
     out = _output_dir(args.out)
@@ -242,7 +239,7 @@ def cmd_compare(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FATAL
-    except (OSError, KeyError) as err:
+    except OSError as err:
         print(f"error: cannot read report: {err}", file=sys.stderr)
         return EXIT_FATAL
     out = _output_dir(args.out)

@@ -1,8 +1,8 @@
 """Per-method, per-type, and project-level design metrics.
 
-Cyclomatic complexity is decision-point counting: 1 + if + for + enhanced-for
-+ while + do + case label + catch clause + conditional operator + '&&' + '||'.
-Lambda bodies are opaque and contribute nothing. DIT follows the resolved
+Everything read from method bodies comes from the facts the model records
+per method (``model.method_facts``): cyclomatic complexity, and the own
+fields each method uses for LCOM. DIT follows the resolved
 project-internal extends chain only; NC is the number of direct internal
 subtypes, so summing NC over all types equals the number of types that have
 an internal supertype. LCOM is 1 minus the mean fraction of methods touching
@@ -17,12 +17,7 @@ import io
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .model import PseudoModel, TypeInfo
-from .parser import Node
-
-_DECISION_KINDS = frozenset(
-    {"If", "While", "DoWhile", "For", "ForEach", "Case", "Catch", "Ternary"}
-)
+from .model import PseudoModel, TypeInfo, method_facts
 
 CC_BUCKETS = ((1, 19), (20, 39), (40, None))  # sustainable / complex / unmaintainable
 DIT_BUCKETS = ((0, 6), (7, None))
@@ -52,7 +47,6 @@ class TypeMetrics:
     max_cc: int
     lcom: float | None
     types_in_file: int
-    ccs: tuple  # cc of each method with a parsed body, for the project histogram
 
 
 @dataclass
@@ -81,25 +75,9 @@ def write_text(path, text: str):
         raise IoError(f"cannot write {path}: {err}") from None
 
 
-def cyclomatic_complexity(method_node: Node) -> int | None:
-    """Decision-point count for a method with a parsed body, else None."""
-    if not method_node.attrs.get("has_body"):
-        return None
-    body = next((c for c in method_node.children if c.kind == "Block"), None)
-    if body is None:
-        return None
-    count = 1
-    stack = [body]
-    while stack:
-        n = stack.pop()
-        if n.kind == "Lambda":
-            continue
-        if n.kind in _DECISION_KINDS:
-            count += 1
-        elif n.kind == "Binary" and n.attrs.get("op") in ("&&", "||"):
-            count += 1
-        stack.extend(n.children)
-    return count
+def cyclomatic_complexity(method_node) -> int | None:
+    """Decision-point count for a method node with a parsed body, else None."""
+    return method_facts(method_node)[0]
 
 
 def dit(model: PseudoModel, qname: str) -> int:
@@ -108,35 +86,13 @@ def dit(model: PseudoModel, qname: str) -> int:
     return sum(1 for _ in model.ancestors(qname))
 
 
-def _accessed_fields(method_node: Node, field_names: set[str]) -> set[str]:
-    """Own fields read or written in the body, found in one walk; bare names
-    lose to shadowing locals/params, ``this.f`` always counts."""
-    shadowed = {pname for _, pname in method_node.attrs.get("params", ())}
-    bare: set[str] = set()
-    this_hits: set[str] = set()
-    for n in method_node.walk():
-        k, a = n.kind, n.attrs
-        if k == "Name":
-            bare.add(a["id"])
-        elif k == "FieldAccess" and n.children and n.children[0].kind == "This":
-            this_hits.add(a["name"])
-        elif k == "LocalVar":
-            shadowed.update(a.get("names", ()))
-        elif k == "ForEach":
-            shadowed.add(a["var_name"])
-        elif k == "Catch":
-            shadowed.add(a["name"])
-    return ((bare - shadowed) | this_hits) & field_names
-
-
 def lcom(model: PseudoModel, info: TypeInfo) -> float | None:
     methods = [m for m in info.methods if not m.is_ctor and m.has_body]
-    field_names = {f.name for f in info.fields}
     nom = len(methods)
-    nof = len(field_names)
+    nof = len({f.name for f in info.fields})
     if nom == 0 or nof == 0:
         return None
-    accesses = sum(len(_accessed_fields(m.node, field_names)) for m in methods)
+    accesses = sum(m.field_uses for m in methods)
     denom = nom * nof
     return (denom - accesses) / denom
 
@@ -153,22 +109,18 @@ def _span_loc(model: PseudoModel, file: str, start_line: int, end_line: int) -> 
 
 
 def compute_method_metrics(model: PseudoModel) -> list[MethodMetrics]:
-    out: list[MethodMetrics] = []
-    for qname in sorted(model.types):
-        info = model.types[qname]
-        for m in info.methods:
-            if m.is_ctor:
-                continue
-            out.append(
-                MethodMetrics(
-                    qualified_name=f"{qname}.{m.name}({','.join(m.param_types)})",
-                    cc=cyclomatic_complexity(m.node),
-                    loc=_span_loc(model, info.file, m.node.line, m.node.end_line),
-                    visibility=m.visibility,
-                    is_override=is_override(model, qname, m),
-                )
-            )
-    return out
+    return [
+        MethodMetrics(
+            qualified_name=f"{qname}.{m.name}({','.join(m.param_types)})",
+            cc=m.cc,
+            loc=_span_loc(model, info.file, m.line, m.end_line),
+            visibility=m.visibility,
+            is_override=is_override(model, qname, m),
+        )
+        for qname, info in sorted(model.types.items())
+        for m in info.methods
+        if not m.is_ctor
+    ]
 
 
 def compute_type_metrics(model: PseudoModel) -> dict:
@@ -176,8 +128,7 @@ def compute_type_metrics(model: PseudoModel) -> dict:
     for qname in sorted(model.types):
         info = model.types[qname]
         methods = [m for m in info.methods if not m.is_ctor]
-        ccs = [cyclomatic_complexity(m.node) for m in methods]
-        ccs = tuple(c for c in ccs if c is not None)
+        ccs = [m.cc for m in methods if m.cc is not None]
         nof = len(info.fields)
         nopf = sum(1 for f in info.fields if f.visibility == "public")
         nopf_nonconst = sum(
@@ -197,16 +148,19 @@ def compute_type_metrics(model: PseudoModel) -> dict:
             max_cc=max(ccs, default=0),
             lcom=lcom(model, info),
             types_in_file=model.file_top_level.get(info.file, 0),
-            ccs=ccs,
         )
     return out
 
 
-def _bucket_index(value: int, buckets) -> int | None:
-    for i, (lo, hi) in enumerate(buckets):
-        if value >= lo and (hi is None or value <= hi):
-            return i
-    return None
+def _histogram(values, buckets) -> tuple:
+    """How many *values* fall in each (lo, hi) bucket; hi None is open."""
+    counts = [0] * len(buckets)
+    for value in values:
+        for i, (lo, hi) in enumerate(buckets):
+            if value >= lo and (hi is None or value <= hi):
+                counts[i] += 1
+                break
+    return tuple(counts)
 
 
 def project_metrics(model: PseudoModel, type_metrics: dict | None = None) -> ProjectMetrics:
@@ -223,18 +177,10 @@ def project_metrics(model: PseudoModel, type_metrics: dict | None = None) -> Pro
     def pct(num, den):
         return 100.0 * num / den if den else None
 
-    cc_hist = [0] * len(CC_BUCKETS)
-    for t in tm.values():
-        for cc in t.ccs:
-            idx = _bucket_index(cc, CC_BUCKETS)
-            if idx is not None:
-                cc_hist[idx] += 1
-    dit_hist = [0] * len(DIT_BUCKETS)
-    for t in tm.values():
-        idx = _bucket_index(t.dit, DIT_BUCKETS)
-        if idx is not None:
-            dit_hist[idx] += 1
-
+    ccs = [
+        m.cc for info in model.types.values() for m in info.methods
+        if not m.is_ctor and m.cc is not None
+    ]
     return ProjectMetrics(
         total_types=total_types,
         total_fields=total_fields,
@@ -243,8 +189,8 @@ def project_metrics(model: PseudoModel, type_metrics: dict | None = None) -> Pro
         pct_child_classes=pct(children, total_types),
         pct_public_fields=pct(total_public_fields, total_fields),
         pct_public_methods=pct(total_public_methods, total_methods),
-        cc_histogram=tuple(cc_hist),
-        dit_histogram=tuple(dit_hist),
+        cc_histogram=_histogram(ccs, CC_BUCKETS),
+        dit_histogram=_histogram((t.dit for t in tm.values()), DIT_BUCKETS),
     )
 
 

@@ -1,10 +1,15 @@
 """Project model built by merging per-file syntax trees.
 
-Three views are kept: the declared elements themselves with their syntax
-nodes (types, fields, methods), flat descriptors for every element, and the
-package/type index used for name resolution. On top of those sit the
-single-parent inheritance forest (class ``extends`` only) and the
-type-dependency graph, every edge of which carries a source witness.
+Three views are kept: the declared elements themselves (types, fields,
+methods), flat descriptors for every element, and the package/type index
+used for name resolution. On top of those sit the single-parent inheritance
+forest (class ``extends`` only) and the type-dependency graph, every edge of
+which carries a source witness.
+
+Each method body is read once, by ``method_facts``; the facts it leaves on
+``MethodInfo`` are all that metrics and smells read of a body. Only the
+dependency walk reads a type's tree again: it skips lambdas and local
+classes, which the facts include.
 
 Name resolution precedence: types declared in the same file, then same
 package, then single-type imports, then on-demand imports (two matching
@@ -47,6 +52,23 @@ class FieldInfo:
     is_constant: bool
 
 
+class SwitchSite(NamedTuple):
+    """A switch statement, a MissingHierarchy candidate."""
+
+    line: int
+    cases: int
+    terminal: str  # last identifier of the selector: x.getKind() -> getKind
+    selector: str
+
+
+class LadderSite(NamedTuple):
+    """An if/else-if chain whose every condition is an instanceof."""
+
+    line: int
+    branches: int
+    operand: str | None  # the tested expression when all share it, else None
+
+
 @dataclass
 class MethodInfo:
     name: str
@@ -57,6 +79,11 @@ class MethodInfo:
     is_ctor: bool
     has_body: bool
     line: int
+    end_line: int
+    cc: int | None  # cyclomatic complexity; None without a parsed body
+    field_uses: int  # own fields read or written
+    rejected_body: bool  # the body is empty or only throws
+    hierarchy_sites: tuple  # SwitchSite and LadderSite, in preorder
     node: Node
 
 
@@ -91,7 +118,7 @@ class ElementDescriptor:
 
 @dataclass
 class ParsedFile:
-    source: SourceFile
+    path: str
     unit: Node
     stats: LineStats
     code_lines: set[int]
@@ -259,20 +286,96 @@ def _collect_types(unit: Node, package: str, file: str, out: list):
             stack.pop()
 
 
-def _member_nodes(type_node: Node):
-    for child in type_node.children:
-        if child.kind in ("FieldDecl", "MethodDecl", "ConstructorDecl"):
-            yield child
+_MEMBER_KINDS = ("FieldDecl", "MethodDecl", "ConstructorDecl")
+_DECISION_KINDS = frozenset(
+    {"If", "While", "DoWhile", "For", "ForEach", "Case", "Catch", "Ternary"}
+)
+
+
+def method_facts(method: Node, field_names=frozenset()) -> tuple:
+    """(cc, field uses, rejected body, hierarchy sites) of a method or
+    constructor node, read in one iterative preorder of its subtree.
+
+    cc is 1 + if + for + enhanced-for + while + do + case label + catch
+    clause + conditional operator + '&&' + '||', None without a parsed body;
+    lambda bodies count nothing. Field uses counts the *field_names* the
+    method reads or writes: a bare name loses to a parameter, local, loop
+    variable or catch name of the same name anywhere in the method, and
+    ``this.f`` always counts. A rejected body is empty or only throws. Field
+    uses and hierarchy sites include lambdas and local classes.
+    """
+    body = next((c for c in method.children if c.kind == "Block"), None)
+    shadowed = {name for _, name in method.attrs.get("params", ())}
+    bare: set = set()
+    this_hits: set = set()
+    sites: list = []
+    links: set = set()  # ids of else-if links, read with the head of their chain
+    cc = 1
+    lambdas = 0  # lambda bodies open around the current node
+    stack = [method]
+    while stack:
+        n = stack.pop()
+        if n is None:  # pushed below a lambda's children: its body ends here
+            lambdas -= 1
+            continue
+        k = n.kind
+        if k == "Name":
+            if n.attrs["id"] in field_names:
+                bare.add(n.attrs["id"])
+        elif k == "FieldAccess":
+            if n.children and n.children[0].kind == "This":
+                this_hits.add(n.attrs["name"])
+        elif k == "Binary":
+            if not lambdas and n.attrs.get("op") in ("&&", "||"):
+                cc += 1
+        elif k in _DECISION_KINDS:
+            if not lambdas:
+                cc += 1
+            if k == "If" and id(n) not in links:
+                chain = [n]
+                while chain[-1].attrs.get("has_else") and chain[-1].children[2].kind == "If":
+                    chain.append(chain[-1].children[2])
+                    links.add(id(chain[-1]))
+                operands = set()
+                for link in chain:
+                    cond = link.children[0]
+                    while cond.kind == "Paren" and cond.children:
+                        cond = cond.children[0]
+                    if cond.kind != "InstanceOf":
+                        break
+                    operands.add(cond.attrs.get("operand_text", "?"))
+                else:
+                    operand = operands.pop() if len(operands) == 1 else None
+                    sites.append(LadderSite(n.line, len(chain), operand))
+            elif k == "ForEach":
+                shadowed.add(n.attrs["var_name"])
+            elif k == "Catch":
+                shadowed.add(n.attrs["name"])
+        elif k == "LocalVar":
+            shadowed.update(n.attrs.get("names", ()))
+        elif k == "Switch":
+            a = n.attrs
+            sites.append(SwitchSite(n.line, a["case_count"], a["terminal_name"], a["selector_text"]))
+        elif k == "Lambda":
+            lambdas += 1
+            stack.append(None)
+        if n.children:
+            stack += n.children[::-1]
+    stmts = None if body is None else [c.kind for c in body.children if c.kind != "Empty"]
+    rejected = stmts in ([], ["Throw"])
+    uses = len(((bare - shadowed) | this_hits) & field_names)
+    return (None if body is None else cc), uses, rejected, tuple(sites)
 
 
 def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
     """Merge parsed files into a pseudo-model; order-independent."""
     model = PseudoModel()
-    files = sorted(parsed, key=lambda pf: pf.source.path)
+    files = sorted(parsed, key=lambda pf: pf.path)
 
-    # Pass 1: declarations, per-file scopes, duplicate handling.
+    # Pass 1: declarations, per-file scopes, duplicate handling, and the
+    # facts of each method body.
     for pf in files:
-        path = pf.source.path
+        path = pf.path
         package = pf.unit.attrs.get("package") or ""
         model.file_code_lines[path] = sorted(pf.code_lines)
         model.file_stats[path] = pf.stats
@@ -318,36 +421,25 @@ def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
                 interface_raws=list(node.attrs.get("interfaces", ())),
                 node=node,
             )
-            for member in _member_nodes(node):
-                if member.kind == "FieldDecl":
-                    mods = member.attrs["modifiers"]
+            # Fields first: the methods' facts count their uses.
+            members = [c for c in node.children if c.kind in _MEMBER_KINDS]
+            for m in members:
+                if m.kind == "FieldDecl":
+                    mods = m.attrs["modifiers"]
                     constant = ("static" in mods and "final" in mods) or kind == "interface"
+                    vis = _visibility(mods, kind)
                     info.fields.append(
-                        FieldInfo(
-                            name=member.attrs["name"],
-                            type_text=member.attrs["type"],
-                            modifiers=mods,
-                            visibility=_visibility(mods, kind),
-                            line=member.line,
-                            is_constant=constant,
-                        )
+                        FieldInfo(m.attrs["name"], m.attrs["type"], mods, vis, m.line, constant)
                     )
-                else:
-                    mods = member.attrs["modifiers"]
-                    is_ctor = member.kind == "ConstructorDecl"
-                    info.methods.append(
-                        MethodInfo(
-                            name=member.attrs["name"],
-                            arity=member.attrs["arity"],
-                            param_types=tuple(t for t, _ in member.attrs["params"]),
-                            modifiers=mods,
-                            visibility=_visibility(mods, kind, is_ctor),
-                            is_ctor=is_ctor,
-                            has_body=member.attrs["has_body"],
-                            line=member.line,
-                            node=member,
-                        )
-                    )
+            field_names = {f.name for f in info.fields}
+            for m in members:
+                if m.kind != "FieldDecl":
+                    a, is_ctor = m.attrs, m.kind == "ConstructorDecl"
+                    info.methods.append(MethodInfo(
+                        a["name"], a["arity"], tuple(t for t, _ in a["params"]), a["modifiers"],
+                        _visibility(a["modifiers"], kind, is_ctor), is_ctor, a["has_body"],
+                        m.line, m.end_line, *method_facts(m, field_names), node=m,
+                    ))
             if outer is not None and outer in model.types:
                 model.types[outer].nested.append(qname)
             model.types[qname] = info

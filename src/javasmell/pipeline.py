@@ -62,7 +62,7 @@ def parse_file(src: SourceFile) -> ParsedFile:
     toks = tokenize(src)
     unit = parse(toks, src)
     code = code_line_numbers(toks)
-    return ParsedFile(src, unit, line_stats(src, toks, code), code)
+    return ParsedFile(src.path, unit, line_stats(src, toks, code), code)
 
 
 def analyze_paths(root, paths, config: RuleConfig | None = None, workers: int = 1) -> AnalysisResult:

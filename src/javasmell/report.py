@@ -203,36 +203,48 @@ def write_report_json(report: ProjectReport, path):
 
 
 def report_from_json(path) -> ProjectReport:
+    """Read a report.json back; a file that is not one is a ValueError naming *path*."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    findings = [
-        SmellFinding(
-            kind=kind_from_name(fo["kind"]),
-            subject=fo["subject"],
-            file=fo["file"],
-            line=fo["line"],
-            evidence=dict(fo["evidence"]),
-            cycle_members=tuple(fo["cycle_members"]),
+        text = fh.read()
+    try:
+        obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise TypeError(f"expected a JSON object, found {type(obj).__name__}")
+        counts = {kind_from_name(k): v for k, v in obj["smell_counts"].items()}
+        pcts = {kind_from_name(k): v for k, v in obj.get("smell_percentages", {}).items()}
+        for what, values, types in (("count", counts, (int,)), ("percentage", pcts, (int, float))):
+            bad = next((k for k, v in values.items() if type(v) not in types), None)
+            if bad is not None:
+                raise TypeError(f"{bad.value} {what} is {values[bad]!r}, not a number")
+        findings = [
+            SmellFinding(
+                kind=kind_from_name(fo["kind"]),
+                subject=fo["subject"],
+                file=fo["file"],
+                line=fo["line"],
+                evidence=dict(fo["evidence"]),
+                cycle_members=tuple(fo["cycle_members"]),
+            )
+            for fo in obj.get("findings", ())
+        ]
+        maturity = None
+        if obj.get("maturity"):
+            maturity = MaturityClass(
+                Maturity(obj["maturity"]["label"]), list(obj["maturity"]["rationale"])
+            )
+        return ProjectReport(
+            project_name=obj["project_name"],
+            maturity=maturity,
+            smell_counts=counts,
+            smell_percentages=pcts,
+            project_metrics=None,
+            findings=findings,
+            config_echo=list(obj.get("config_echo", ())),
         )
-        for fo in obj.get("findings", ())
-    ]
-    counts = {kind_from_name(k): v for k, v in obj["smell_counts"].items()}
-    maturity = None
-    if obj.get("maturity"):
-        maturity = MaturityClass(
-            Maturity(obj["maturity"]["label"]), list(obj["maturity"]["rationale"])
-        )
-    return ProjectReport(
-        project_name=obj["project_name"],
-        maturity=maturity,
-        smell_counts=counts,
-        smell_percentages={
-            kind_from_name(k): v for k, v in obj.get("smell_percentages", {}).items()
-        },
-        project_metrics=None,
-        findings=findings,
-        config_echo=list(obj.get("config_echo", ())),
-    )
+    except KeyError as err:
+        raise ValueError(f"{path}: not a javasmell report: no {err} key") from None
+    except (ValueError, TypeError, AttributeError) as err:
+        raise ValueError(f"{path}: not a javasmell report: {err}") from None
 
 
 # ----------------------------------------------------------------------

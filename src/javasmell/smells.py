@@ -4,8 +4,9 @@ Every threshold is configurable through a plain ``key = value`` file; unknown
 keys are rejected so typos cannot silently disable a rule. Each key is one
 row of ``_KEYS``, which parses, checks and echoes it. Evidence on each
 finding records the metric values that fired the rule. Rules are pure
-readers of the model/metrics, and ``detect_all`` sorts canonically so output
-is byte-stable across runs and file orderings.
+readers of the model's per-method facts and the metrics, never of syntax
+nodes, and ``detect_all`` sorts canonically so output is byte-stable across
+runs and file orderings.
 
 The eight per-type rules are rows of one table, ``_TYPE_RULES``: each is a
 predicate over a type, its metrics and the config that returns the evidence
@@ -47,8 +48,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .model import PseudoModel
-from .parser import Node
+from .model import PseudoModel, SwitchSite
 
 
 class SmellKind(Enum):
@@ -280,15 +280,6 @@ def _cycle_members(model: PseudoModel) -> dict:
     return members
 
 
-def _is_rejected_body(method_node: Node) -> bool:
-    """Empty body, or a body whose only statement is a throw."""
-    body = next((c for c in method_node.children if c.kind == "Block"), None)
-    if body is None:
-        return False
-    stmts = [c for c in body.children if c.kind != "Empty"]
-    return not stmts or (len(stmts) == 1 and stmts[0].kind == "Throw")
-
-
 # ----------------------------------------------------------------------
 # per-type rules: (model, type info, type metrics, config) -> evidence | None
 
@@ -326,7 +317,7 @@ def _broken_hierarchy(model, info, t, config):
         return None
     rejected = []
     for m in info.methods:
-        if m.is_ctor or not m.has_body or not _is_rejected_body(m.node):
+        if m.is_ctor or not m.rejected_body:
             continue
         hit = model.find_ancestor_method(info.qname, m.name, m.arity)
         if hit is not None and hit[1].has_body:
@@ -394,62 +385,22 @@ _TYPE_RULES = (
 # MissingHierarchy
 
 
-def _unwrap_paren(node: Node) -> Node:
-    while node.kind == "Paren" and node.children:
-        node = node.children[0]
-    return node
-
-
-def _ladder(if_node: Node) -> list:
-    """The If nodes of a maximal if/else-if chain starting at *if_node*."""
-    chain = [if_node]
-    cur = if_node
-    while cur.attrs.get("has_else") and len(cur.children) == 3 and cur.children[2].kind == "If":
-        cur = cur.children[2]
-        chain.append(cur)
-    return chain
-
-
 def _missing_hierarchy(info, config: RuleConfig):
     """(evidence, line) for each switch or instanceof ladder that fires."""
     for m in info.methods:
-        if not m.has_body:
-            continue
-        chained: set = set()
-        for node in m.node.walk():
-            if node.kind == "Switch":
-                cases = node.attrs.get("case_count", 0)
-                terminal = node.attrs.get("terminal_name", "")
-                if cases >= config.mh_min_branches and terminal and config.tag_re.search(terminal):
-                    evidence = {
-                        "method": m.name,
-                        "cases": str(cases),
-                        "selector": node.attrs.get("selector_text", ""),
-                        "pattern": "switch",
-                    }
-                    yield evidence, node.line
-                continue
-            if node.kind != "If" or id(node) in chained:
-                continue
-            # Mark the whole chain visited so inner links are not re-counted
-            # as fresh ladders.
-            chain = _ladder(node)
-            chained.update(id(link) for link in chain)
-            conds = [_unwrap_paren(link.children[0]) for link in chain]
-            if len(conds) < config.mh_min_branches:
-                continue
-            if not all(c.kind == "InstanceOf" for c in conds):
-                continue
-            operands = {c.attrs.get("operand_text", "?") for c in conds}
-            if len(operands) != 1:
-                continue
-            evidence = {
-                "method": m.name,
-                "branches": str(len(conds)),
-                "operand": operands.pop(),
-                "pattern": "instanceof",
-            }
-            yield evidence, node.line
+        for site in m.hierarchy_sites:
+            if isinstance(site, SwitchSite):
+                tagged = site.terminal and config.tag_re.search(site.terminal)
+                if tagged and site.cases >= config.mh_min_branches:
+                    yield {
+                        "method": m.name, "cases": str(site.cases),
+                        "selector": site.selector, "pattern": "switch",
+                    }, site.line
+            elif site.operand is not None and site.branches >= config.mh_min_branches:
+                yield {
+                    "method": m.name, "branches": str(site.branches),
+                    "operand": site.operand, "pattern": "instanceof",
+                }, site.line
 
 
 # ----------------------------------------------------------------------

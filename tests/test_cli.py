@@ -258,6 +258,29 @@ def test_compare_duplicate_names_fatal(tmp_path, capsys):
     assert "duplicate" in stderr
 
 
+def malformed_reports(tmp_path, capsys):
+    """A report.json holding a JSON list, and one whose smell count is text."""
+    listed = tmp_path / "listed.json"
+    listed.write_text("[]\n", encoding="utf-8")
+    report = json.loads((analyze_corpus(tmp_path, capsys) / "report.json").read_text("utf-8"))
+    report["smell_counts"]["WideHierarchy"] = "x"
+    text_count = tmp_path / "text_count.json"
+    text_count.write_text(json.dumps(report), encoding="utf-8")
+    return listed, text_count
+
+
+@pytest.mark.parametrize("command", ["compare", "evaluate"])
+def test_malformed_report_is_an_error_naming_the_file(tmp_path, capsys, command):
+    for path in malformed_reports(tmp_path, capsys):
+        argv = [command, str(path), "--out", str(tmp_path / "out")]
+        if command == "evaluate":
+            argv += ["--truth", str(CORPUS_TRUTH)]
+        code, _, stderr = run(argv, capsys)
+        assert code == EXIT_FATAL
+        assert stderr.startswith(f"error: {path}: not a javasmell report")
+        assert "Traceback" not in stderr
+
+
 def test_analyze_with_config_metadata_and_truth(tmp_path, capsys):
     cfg = tmp_path / "rules.conf"
     cfg.write_text("wide_hierarchy.min_children = 12\n", encoding="utf-8")

@@ -1,6 +1,13 @@
 import random
 
-from javasmell.model import External, build_from_sources, build_model, parse_source
+from javasmell.model import (
+    External,
+    LadderSite,
+    SwitchSite,
+    build_from_sources,
+    build_model,
+    parse_source,
+)
 
 from conftest import model_of
 
@@ -186,3 +193,46 @@ def test_local_class_modeled_as_nested():
     assert "p.Host.Widget" in m.deps["p.Host"]
     # Only Host is a top-level type in its file.
     assert m.file_top_level[widget.file] == 1
+
+
+def test_method_facts_recorded_on_method_info():
+    m = model_of(
+        A="""package p; class A {
+            int a; int b; Object kind;
+            A() { }
+            abstract int none();
+            int f(int a) {
+                if (kind instanceof String) { } else if (kind instanceof Long) { }
+                switch (this.kind) { case 1: break; }
+                Runnable r = () -> a > 0 && b > 0;
+                return a + b;
+            }
+            void g() { ; throw new IllegalStateException(); }
+        }"""
+    )
+    ctor, none, f, g = m.types["p.A"].methods
+    assert (ctor.cc, ctor.field_uses, ctor.rejected_body, ctor.hierarchy_sites) == (1, 0, True, ())
+    assert (none.cc, none.rejected_body, none.hierarchy_sites) == (None, False, ())
+    # 1 + the If, its else-if and the case label; the lambda's '&&' does
+    # not count. 'a' is a parameter, so only 'kind' and 'b' are field uses.
+    assert (f.cc, f.field_uses, f.rejected_body) == (4, 2, False)
+    assert f.hierarchy_sites == (LadderSite(6, 2, "kind"), SwitchSite(7, 1, "kind", "this.kind"))
+    assert (f.line, f.end_line) == (5, 10)
+    assert (g.cc, g.field_uses, g.rejected_body) == (1, 0, True)
+
+
+def test_metrics_and_smells_read_no_syntax_nodes(corpus_sources):
+    from javasmell.metrics import compute_method_metrics, compute_type_metrics, project_metrics
+    from javasmell.smells import detect_all
+
+    def analyze(model):
+        tm = compute_type_metrics(model)
+        return tm, project_metrics(model, tm), detect_all(model, tm), compute_method_metrics(model)
+
+    expected = analyze(build_from_sources(corpus_sources))
+    model = build_from_sources(corpus_sources)
+    for info in model.types.values():
+        info.node = None
+        for method in info.methods:
+            method.node = None
+    assert analyze(model) == expected

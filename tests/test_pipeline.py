@@ -95,3 +95,17 @@ def test_analysis_leaves_no_garbage_on_malformed_files(gc_state, tmp_path):
         "Illegal.java", "Latin1.java", "NoDecl.java", "OpenComment.java", "Unterminated.java",
     ]
     assert len(result.parse_diagnostics) == 6
+
+
+def test_parsed_file_keeps_the_path_not_the_source_text():
+    import weakref
+
+    from javasmell.lexer import SourceFile
+
+    src = SourceFile("p/A.java", "package p;\nclass A { int f() { return 1; } }\n")
+    source_ref = weakref.ref(src)
+    parsed = pipeline.parse_file(src)
+    del src
+    assert source_ref() is None  # nothing in the parse result refers to the source
+    assert parsed.path == "p/A.java"
+    assert parsed.stats.code == 2

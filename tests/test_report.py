@@ -159,6 +159,34 @@ def test_report_json_roundtrip(tmp_path):
     assert back.findings == report.findings
 
 
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ("{nope", "Expecting property name"),
+        ("[]", "expected a JSON object, found list"),
+        ('{"smell_counts": {}}', "no 'project_name' key"),
+        ('{"project_name": "p", "smell_counts": {"WideHierarchy": "x"}}',
+         "WideHierarchy count is 'x', not a number"),
+        ('{"project_name": "p", "smell_counts": {"WideHierarchy": true}}',
+         "WideHierarchy count is True, not a number"),
+        ('{"project_name": "p", "smell_counts": {}, "smell_percentages": {"WideHierarchy": "1"}}',
+         "WideHierarchy percentage is '1', not a number"),
+        ('{"project_name": "p", "smell_counts": {"Nope": 1}}', "unknown smell kind 'Nope'"),
+        ('{"project_name": "p", "smell_counts": [], "findings": []}', "'list' object"),
+        ('{"project_name": "p", "smell_counts": {}, "findings": [1]}', "not subscriptable"),
+    ],
+    ids=["not-json", "list", "no-name", "text-count", "bool-count", "text-percentage",
+         "unknown-kind", "counts-list", "finding-not-object"],
+)
+def test_malformed_report_json_is_a_value_error_naming_the_path(tmp_path, text, detail):
+    path = tmp_path / "report.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        report_from_json(path)
+    assert str(err.value).startswith(f"{path}: not a javasmell report: ")
+    assert detail in str(err.value)
+
+
 def test_report_percentages_sum_to_100(tmp_path):
     report = make_report("demo", {K.WIDE_HIERARCHY: 3, K.MISSING_HIERARCHY: 4})
     assert math.isclose(sum(report.smell_percentages.values()), 100.0, abs_tol=0.01)
