@@ -7,8 +7,8 @@ forest (class ``extends`` only) and the type-dependency graph, every edge of
 which carries a source witness.
 
 Each method body is read once, by ``method_facts``; the facts it leaves on
-``MethodInfo`` are all that metrics and smells read of a body. Only the
-dependency walk reads a type's tree again: it skips lambdas and local
+``MethodInfo`` are all that metrics and smells read of a body. Besides it,
+only the dependency walk reads method bodies: it skips lambdas and local
 classes, which the facts include.
 
 Name resolution precedence: types declared in the same file, then same
