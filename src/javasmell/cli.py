@@ -96,7 +96,8 @@ def build_arg_parser() -> _Parser:
     p.add_argument("--metadata", help="repository metadata file for maturity")
     p.add_argument("--truth", help="ground-truth file; also writes evaluation.csv")
     p.add_argument("--timestamp", help="fixed ISO-8601 timestamp for the provenance header")
-    p.add_argument("--workers", type=int, default=1, help="parallel parse workers")
+    p.add_argument("--workers", type=int, default=1,
+                   help="threads that parse files (they share the interpreter lock: no speedup)")
     p.add_argument("--project", help="project name (default: source root name)")
 
     p = sub.add_parser("classify", help="classify repository maturity")

@@ -28,7 +28,7 @@ and illegal characters, which raise ``LexError``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 KEYWORDS = frozenset(
@@ -90,25 +90,14 @@ class LexError(Exception):
 
 @dataclass
 class SourceFile:
-    """One Java compilation unit plus its physical-line index."""
+    """One Java compilation unit."""
 
     path: str
     content: str
-    line_index: list[int] = field(default_factory=list)
 
     def __post_init__(self):
         if self.content.startswith("\ufeff"):
             self.content = self.content[1:]
-        text = self.content
-        idx = [0]
-        i = text.find("\n")
-        while i >= 0:
-            idx.append(i + 1)
-            i = text.find("\n", i + 1)
-        # A trailing newline closes the last line rather than opening a new one.
-        if len(idx) > 1 and idx[-1] == len(text):
-            idx.pop()
-        self.line_index = idx if text else []
 
     @classmethod
     def from_path(cls, path, root=None) -> "SourceFile":
@@ -118,7 +107,10 @@ class SourceFile:
 
     @property
     def line_count(self) -> int:
-        return len(self.line_index)
+        """Physical lines; a trailing newline closes the last line rather
+        than opening a new one."""
+        text = self.content
+        return text.count("\n") + (not text.endswith("\n")) if text else 0
 
 
 class Token:

@@ -1,4 +1,10 @@
-"""Project model built by merging per-file syntax trees.
+"""Project model built by merging the plain facts of each parsed file.
+
+``file_facts`` reads a file's syntax tree once, right after parsing, and
+keeps only values: the package, the imports, and every type with its fields,
+its methods and their facts, and the raw type names its body refers to. The
+tree is then dropped, so a ``ParsedFile`` holds no syntax node and pickles.
+``build_model`` reads those facts only and leaves them unchanged.
 
 Three views are kept: the declared elements themselves (types, fields,
 methods), flat descriptors for every element, and the package/type index
@@ -6,10 +12,11 @@ used for name resolution. On top of those sit the single-parent inheritance
 forest (class ``extends`` only) and the type-dependency graph, every edge of
 which carries a source witness.
 
-Each method body is read once, by ``method_facts``; the facts it leaves on
-``MethodInfo`` are all that metrics and smells read of a body. Besides it,
-only the dependency walk reads method bodies: it skips lambdas and local
-classes, which the facts include.
+One walk of each method body, ``method_facts``, leaves on ``MethodInfo``
+all that metrics and smells read of a body. Besides it, only the preorder
+in ``file_facts`` passes through method bodies, for local classes and type
+references; the references skip lambdas and local classes, which the
+method facts include.
 
 Name resolution precedence: types declared in the same file, then same
 package, then single-type imports, then on-demand imports (two matching
@@ -18,7 +25,7 @@ on-demand imports are ambiguous and resolve external), then external.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple
 
 from .lexer import LineStats, SourceFile
@@ -84,7 +91,6 @@ class MethodInfo:
     field_uses: int  # own fields read or written
     rejected_body: bool  # the body is empty or only throws
     hierarchy_sites: tuple  # SwitchSite and LadderSite, in preorder
-    node: Node
 
 
 @dataclass
@@ -102,8 +108,8 @@ class TypeInfo:
     interface_raws: list[str]
     fields: list[FieldInfo] = field(default_factory=list)
     methods: list[MethodInfo] = field(default_factory=list)
+    refs: tuple = ()  # (raw name, line, internal only) per type reference, in preorder
     nested: list[str] = field(default_factory=list)
-    node: Node | None = None
     supertype: str | None = None  # resolved, project-internal only
 
 
@@ -118,10 +124,15 @@ class ElementDescriptor:
 
 @dataclass
 class ParsedFile:
+    """The facts of one parsed file; plain values, no syntax node."""
+
     path: str
-    unit: Node
+    package: str
+    imports: tuple  # (dotted name, on demand) per non-static import
+    types: list[TypeInfo]  # every type declaration, in preorder
+    diagnostics: list  # the parser's recoverable errors
     stats: LineStats
-    code_lines: set[int]
+    code_lines: tuple  # sorted numbers of the lines that carry code
 
 
 @dataclass
@@ -258,34 +269,6 @@ def _visibility(modifiers: frozenset, owner_kind: str, is_ctor: bool = False) ->
     return "package"
 
 
-def _collect_types(unit: Node, package: str, file: str, out: list):
-    """Every type declaration in the unit, local classes included; a local
-    class is treated as nested in its enclosing type."""
-
-    # Preorder without recursion: a stack of child iterators, each with the
-    # qname of the type it lies in.
-    stack = [(iter(unit.children), None)]
-    while stack:
-        it, outer_qname = stack[-1]
-        for child in it:
-            if child.kind == "TypeDecl":
-                simple = child.attrs["name"]
-                if outer_qname:
-                    qname = f"{outer_qname}.{simple}"
-                elif package:
-                    qname = f"{package}.{simple}"
-                else:
-                    qname = simple
-                out.append((qname, simple, outer_qname, child))
-                stack.append((iter(child.children), qname))
-                break
-            if child.children:
-                stack.append((iter(child.children), outer_qname))
-                break
-        else:
-            stack.pop()
-
-
 _MEMBER_KINDS = ("FieldDecl", "MethodDecl", "ConstructorDecl")
 _DECISION_KINDS = frozenset(
     {"If", "While", "DoWhile", "For", "ForEach", "Case", "Catch", "Ternary"}
@@ -367,34 +350,129 @@ def method_facts(method: Node, field_names=frozenset()) -> tuple:
     return (None if body is None else cc), uses, rejected, tuple(sites)
 
 
+# Node kind -> the attribute naming the type it references.
+_TYPE_ATTR = {
+    "Parameter": "type", "MethodDecl": "return_type", "LocalVar": "type", "ForEach": "var_type",
+    "New": "type", "ArrayNew": "type", "Cast": "type", "InstanceOf": "type",
+}
+
+
+def file_facts(unit: Node, path: str, stats: LineStats, code_lines) -> ParsedFile:
+    """The facts of one parsed file, read in one iterative preorder of its
+    tree; the result refers to no syntax node.
+
+    Every type declaration is collected, local classes included (a local
+    class is nested in its enclosing type), with its fields and then its
+    methods and their ``method_facts``. Each type's ``refs`` are the raw
+    type names it refers to, in order: its supertypes and field types, then
+    in preorder over its body the parameter, return, local, loop variable,
+    creation, cast, instanceof and catch types and the head name of a
+    qualified call or field access (internal only: it may be a variable).
+    Nested types and lambda bodies add nothing to a type's references.
+    """
+    package = unit.attrs.get("package") or ""
+    types: list = []
+    # A stack of child iterators, each with the type it lies in and the list
+    # its references go to (None outside a type and inside a lambda).
+    stack = [(iter(unit.children), None, None)]
+    while stack:
+        it, owner, refs = stack[-1]
+        for n in it:
+            k, a = n.kind, n.attrs
+            if k == "TypeDecl":
+                info = _type_info(n, package, path, owner)
+                types.append(info)
+                stack.append((iter(n.children), info, info.refs))
+                break
+            if refs is not None:
+                attr = _TYPE_ATTR.get(k)
+                if attr is not None:
+                    refs.append((a.get(attr), n.line, False))
+                elif k == "Catch":
+                    refs.extend((raw, n.line, False) for raw in a.get("types", ()))
+                elif (k == "Call" and a.get("has_target") or k == "FieldAccess") and n.children:
+                    base = n.children[0]
+                    if base.kind == "Name":
+                        refs.append((base.attrs["id"], base.line, True))
+            if n.children:
+                stack.append((iter(n.children), owner, None if k == "Lambda" else refs))
+                break
+        else:
+            stack.pop()
+    for info in types:
+        info.refs = tuple(r for r in info.refs if r[0] and r[0] not in NON_REF_TYPES)
+    imports = tuple(
+        (imp["name"], imp["on_demand"]) for imp in unit.attrs.get("imports", ()) if not imp.get("static")
+    )
+    diagnostics = unit.attrs.get("diagnostics", [])
+    return ParsedFile(path, package, imports, types, diagnostics, stats, tuple(sorted(code_lines)))
+
+
+def _type_info(decl: Node, package: str, path: str, outer: TypeInfo | None) -> TypeInfo:
+    """A type declaration's own facts; its ``refs`` start as a list of the
+    supertypes and field types, which the caller's walk extends."""
+    a, kind = decl.attrs, decl.attrs["type_kind"]
+    simple = a["name"]
+    if outer is not None:
+        qname = f"{outer.qname}.{simple}"
+    elif package:
+        qname = f"{package}.{simple}"
+    else:
+        qname = simple
+    # Fields first: the methods' facts count their uses.
+    members = [c for c in decl.children if c.kind in _MEMBER_KINDS]
+    fields = []
+    for m in members:
+        if m.kind == "FieldDecl":
+            mods = m.attrs["modifiers"]
+            constant = ("static" in mods and "final" in mods) or kind == "interface"
+            vis = _visibility(mods, kind)
+            fields.append(FieldInfo(m.attrs["name"], m.attrs["type"], mods, vis, m.line, constant))
+    field_names = {f.name for f in fields}
+    methods = []
+    for m in members:
+        if m.kind != "FieldDecl":
+            ma, is_ctor = m.attrs, m.kind == "ConstructorDecl"
+            methods.append(MethodInfo(
+                ma["name"], ma["arity"], tuple(t for t, _ in ma["params"]), ma["modifiers"],
+                _visibility(ma["modifiers"], kind, is_ctor), is_ctor, ma["has_body"],
+                m.line, m.end_line, *method_facts(m, field_names),
+            ))
+    supertype, interfaces = a.get("supertype"), list(a.get("interfaces", ()))
+    refs = [(raw, decl.line, False) for raw in [supertype, *interfaces]]
+    refs += [(f.type_text, f.line, False) for f in fields]
+    return TypeInfo(
+        qname, simple, package, kind, a["modifiers"], path, decl.line, decl.end_line,
+        None if outer is None else outer.qname, supertype, interfaces, fields, methods, refs,
+    )
+
+
 def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
-    """Merge parsed files into a pseudo-model; order-independent."""
+    """Merge the facts of parsed files into a pseudo-model; order-independent.
+
+    The facts are left unchanged: each type is copied before its nested
+    types and its resolved supertype are filled in.
+    """
     model = PseudoModel()
     files = sorted(parsed, key=lambda pf: pf.path)
 
-    # Pass 1: declarations, per-file scopes, duplicate handling, and the
-    # facts of each method body.
+    # Pass 1: declarations, per-file scopes and duplicate handling.
     for pf in files:
         path = pf.path
-        package = pf.unit.attrs.get("package") or ""
-        model.file_code_lines[path] = sorted(pf.code_lines)
+        model.file_code_lines[path] = pf.code_lines
         model.file_stats[path] = pf.stats
-        declared: list = []
-        _collect_types(pf.unit, package, path, declared)
-        model.file_top_level[path] = sum(1 for _, _, outer, _ in declared if outer is None)
+        model.file_top_level[path] = sum(1 for t in pf.types if t.outer is None)
 
-        scope = _FileScope(package, {}, {}, [])
-        for imp in pf.unit.attrs.get("imports", ()):
-            if imp.get("static"):
-                continue
-            if imp["on_demand"]:
-                scope.on_demand.append(imp["name"])
+        scope = _FileScope(pf.package, {}, {}, [])
+        for name, on_demand in pf.imports:
+            if on_demand:
+                scope.on_demand.append(name)
             else:
-                simple = imp["name"].rpartition(".")[2]
-                scope.single_imports.setdefault(simple, imp["name"])
+                scope.single_imports.setdefault(name.rpartition(".")[2], name)
         model._scopes[path] = scope
 
-        for qname, simple, outer, node in declared:
+        for info in pf.types:
+            qname = info.qname
             if qname in model.types:
                 other = model.types[qname]
                 model.diagnostics.append(
@@ -402,49 +480,16 @@ def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
                         "duplicate-type",
                         f"'{qname}' already declared in {other.file}",
                         path,
-                        node.line,
+                        info.line,
                     )
                 )
                 continue
-            kind = node.attrs["type_kind"]
-            info = TypeInfo(
-                qname=qname,
-                simple_name=simple,
-                package=package,
-                kind=kind,
-                modifiers=node.attrs["modifiers"],
-                file=path,
-                line=node.line,
-                end_line=node.end_line,
-                outer=outer,
-                supertype_raw=node.attrs.get("supertype"),
-                interface_raws=list(node.attrs.get("interfaces", ())),
-                node=node,
-            )
-            # Fields first: the methods' facts count their uses.
-            members = [c for c in node.children if c.kind in _MEMBER_KINDS]
-            for m in members:
-                if m.kind == "FieldDecl":
-                    mods = m.attrs["modifiers"]
-                    constant = ("static" in mods and "final" in mods) or kind == "interface"
-                    vis = _visibility(mods, kind)
-                    info.fields.append(
-                        FieldInfo(m.attrs["name"], m.attrs["type"], mods, vis, m.line, constant)
-                    )
-            field_names = {f.name for f in info.fields}
-            for m in members:
-                if m.kind != "FieldDecl":
-                    a, is_ctor = m.attrs, m.kind == "ConstructorDecl"
-                    info.methods.append(MethodInfo(
-                        a["name"], a["arity"], tuple(t for t, _ in a["params"]), a["modifiers"],
-                        _visibility(a["modifiers"], kind, is_ctor), is_ctor, a["has_body"],
-                        m.line, m.end_line, *method_facts(m, field_names), node=m,
-                    ))
-            if outer is not None and outer in model.types:
-                model.types[outer].nested.append(qname)
+            info = replace(info, nested=[])
+            if info.outer is not None and info.outer in model.types:
+                model.types[info.outer].nested.append(qname)
             model.types[qname] = info
-            scope.simple_names.setdefault(simple, qname)
-            model.packages.setdefault(package, []).append(qname)
+            scope.simple_names.setdefault(info.simple_name, qname)
+            model.packages.setdefault(pf.package, []).append(qname)
 
     for pkg in model.packages.values():
         pkg.sort()
@@ -491,7 +536,14 @@ def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
 
     # Pass 4: dependency edges with witnesses.
     for qname in sorted(model.types):
-        _collect_dependencies(model, model.types[qname])
+        info = model.types[qname]
+        edges = model.deps.setdefault(qname, set())
+        for raw, line, internal_only in info.refs:
+            resolved = model.resolve(raw, info.file)
+            if resolved == qname or (internal_only and not isinstance(resolved, str)):
+                continue  # self reference, or an unresolved name that may be a variable
+            edges.add(resolved)
+            model.dep_witness.setdefault((qname, resolved), (info.file, line))
 
     for src, targets in model.deps.items():
         for tgt in targets:
@@ -524,65 +576,6 @@ def _flag_extends_cycles(model: PseudoModel):
             seen.add(cur)
             chain.append(cur)
             cur = model.types[cur].supertype
-
-
-# Node kind -> the attribute naming the type it references.
-_TYPE_ATTR = {
-    "Parameter": "type", "MethodDecl": "return_type", "LocalVar": "type", "ForEach": "var_type",
-    "New": "type", "ArrayNew": "type", "Cast": "type", "InstanceOf": "type",
-}
-
-
-def _collect_dependencies(model: PseudoModel, info: TypeInfo):
-    edges = model.deps.setdefault(info.qname, set())
-
-    def add(raw: str | None, line: int, internal_only: bool = False):
-        if not raw or raw in NON_REF_TYPES:
-            return
-        resolved = model.resolve(raw, info.file)
-        if resolved == info.qname or (internal_only and not isinstance(resolved, str)):
-            return  # self reference, or an unresolved name that may be a variable
-        edges.add(resolved)
-        model.dep_witness.setdefault((info.qname, resolved), (info.file, line))
-
-    if info.supertype_raw:
-        add(info.supertype_raw, info.line)
-    for raw in info.interface_raws:
-        add(raw, info.line)
-    for f in info.fields:
-        add(f.type_text, f.line)
-
-    if info.node is None:
-        return
-    # Preorder over the type body without recursion. A member MethodDecl is
-    # reached like any other node, which adds its return type.
-    stack = [iter(info.node.children)]
-    while stack:
-        for child in stack[-1]:
-            k = child.kind
-            if k in ("TypeDecl", "Lambda"):
-                continue  # nested types own their deps; lambda bodies opaque
-            a = child.attrs
-            type_attr = _TYPE_ATTR.get(k)
-            if type_attr is not None:
-                add(a.get(type_attr), child.line)
-            elif k == "Catch":
-                for raw in a.get("types", ()):
-                    add(raw, child.line)
-            elif k in ("Call", "FieldAccess"):
-                # Static access: only count when the head name actually
-                # resolves inside the project, since syntactically it could
-                # be a variable.
-                base = child.children[0] if child.children else None
-                if k == "Call" and not a.get("has_target"):
-                    base = None
-                if base is not None and base.kind == "Name":
-                    add(base.attrs["id"], base.line, internal_only=True)
-            if child.children:
-                stack.append(iter(child.children))
-                break
-        else:
-            stack.pop()
 
 
 # ----------------------------------------------------------------------

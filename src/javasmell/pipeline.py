@@ -1,9 +1,10 @@
 """End-to-end analysis: scan, parse, model, metrics, smells.
 
 File discovery matches the ``.java`` suffix case-sensitively and never
-follows symbolic links. Files may be parsed concurrently, but results are
-merged over a canonically sorted path list, so output is identical for any
-worker count or enumeration order. A file that fails to lex/parse/decode is
+follows symbolic links. Files may be parsed on several threads, which share
+the interpreter lock and so gain no speed; results are merged over a
+canonically sorted path list, so output is identical for any worker count
+or enumeration order. A file that fails to lex/parse/decode is
 recorded as a failure and the rest of the corpus is still analyzed.
 """
 
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from .lexer import LexError, SourceFile, code_line_numbers, line_stats, tokenize
 from .metrics import compute_type_metrics, project_metrics
-from .model import ParsedFile, PseudoModel, build_model
+from .model import ParsedFile, PseudoModel, build_model, file_facts
 from .parser import ParseError, parse
 from .smells import RuleConfig, detect_all
 
@@ -58,11 +59,12 @@ def parse_one(path: Path, root: Path) -> ParsedFile:
 
 
 def parse_file(src: SourceFile) -> ParsedFile:
-    """Lex and parse one source file and count its lines."""
+    """Lex and parse one source file, count its lines and read its facts.
+    The tokens and the syntax tree are dropped on return."""
     toks = tokenize(src)
     unit = parse(toks, src)
     code = code_line_numbers(toks)
-    return ParsedFile(src.path, unit, line_stats(src, toks, code), code)
+    return file_facts(unit, src.path, line_stats(src, toks, code), code)
 
 
 def analyze_paths(root, paths, config: RuleConfig | None = None, workers: int = 1) -> AnalysisResult:
@@ -70,9 +72,10 @@ def analyze_paths(root, paths, config: RuleConfig | None = None, workers: int = 
 
     The cyclic garbage collector is paused for the run and then left as it
     was found. That is safe because the analysis builds no reference
-    cycles: the collector would only re-scan the growing token lists and
-    syntax trees and free nothing (``tests/test_pipeline.py`` checks that a
-    collection right after a run finds no garbage).
+    cycles: each file's tokens and syntax tree are freed by reference
+    counting once its facts are read, and the collector would only re-scan
+    the growing facts and free nothing (``tests/test_pipeline.py`` checks
+    that a collection right after a run finds no garbage).
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -101,9 +104,7 @@ def _analyze(root: Path, paths, config: RuleConfig, workers: int) -> AnalysisRes
 
     parsed = [r for r in results if isinstance(r, ParsedFile)]
     failures = [r for r in results if isinstance(r, FileFailure)]
-    diagnostics = []
-    for pf in parsed:
-        diagnostics.extend(pf.unit.attrs.get("diagnostics", ()))
+    diagnostics = [d for pf in parsed for d in pf.diagnostics]
 
     model = build_model(parsed)
     tm = compute_type_metrics(model)

@@ -2,7 +2,9 @@ from pathlib import Path
 
 import pytest
 
-from javasmell.model import build_from_sources, parse_source
+from javasmell.lexer import SourceFile, tokenize
+from javasmell.model import build_from_sources
+from javasmell.parser import parse
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = FIXTURES / "corpus"
@@ -35,7 +37,9 @@ def corpus_model(corpus_sources):
 
 
 def parse_java(text, path="Test.java"):
-    return parse_source(text, path)
+    """The syntax tree of *text*."""
+    src = SourceFile(path, text)
+    return parse(tokenize(src), src)
 
 
 def model_of(**sources):

@@ -189,9 +189,9 @@ def test_05_cyclomatic_complexity_random_oracle():
     mismatches = 0
     for _ in range(220):
         source, expected = random_method(rng, max_statements=30)
-        pf = parse_java(source, "Generated.java")
+        unit = parse_java(source, "Generated.java")
         node = next(
-            n for n in pf.unit.walk() if n.kind == "MethodDecl" and n.attrs["name"] == "generated"
+            n for n in unit.walk() if n.kind == "MethodDecl" and n.attrs["name"] == "generated"
         )
         if cyclomatic_complexity(node) != expected:
             mismatches += 1
@@ -259,7 +259,7 @@ def test_07_metric_duality_on_fixtures():
             1
             for q in model.types
             for m in model.types[q].methods
-            if not m.is_ctor and cyclomatic_complexity(m.node) is not None
+            if not m.is_ctor and m.cc is not None
         )
         if sum(pm.cc_histogram) != measured:
             failures.append(f"{name}: cc histogram sums to {sum(pm.cc_histogram)} != {measured}")

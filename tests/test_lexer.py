@@ -190,11 +190,10 @@ def test_loc_fixture_57_lines():
     assert len(code_line_numbers(tokens)) == 51
 
 
-def test_line_index_strictly_increasing_from_zero():
-    for text in ("class A {}", "a\nb\nc", "\n\n", "x\n"):
+def test_line_count_closes_the_last_line_at_a_trailing_newline():
+    for text, lines in (("class A {}", 1), ("a\nb\nc", 3), ("\n\n", 2), ("x\n", 1)):
         src = SourceFile("T.java", text)
-        assert src.line_index[0] == 0
-        assert all(a < b for a, b in zip(src.line_index, src.line_index[1:]))
+        assert src.line_count == lines
         for t in tokenize(src):
             assert 1 <= t.line <= src.line_count
 

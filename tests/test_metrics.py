@@ -22,8 +22,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def method_node(text, name):
-    pf = parse_java(text)
-    for node in pf.unit.walk():
+    for node in parse_java(text).walk():
         if node.kind == "MethodDecl" and node.attrs["name"] == name:
             return node
     raise AssertionError(f"no method {name}")
@@ -309,7 +308,7 @@ def test_span_loc_matches_full_scan(corpus_sources):
     spans = 0
     for info in model.types.values():
         code = set(model.file_code_lines[info.file])
-        members = [(info.line, info.end_line)] + [(m.line, m.node.end_line) for m in info.methods]
+        members = [(info.line, info.end_line)] + [(m.line, m.end_line) for m in info.methods]
         for start, end in members:
             assert _span_loc(model, info.file, start, end) == _span_loc_by_scan(code, start, end)
             spans += 1

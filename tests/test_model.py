@@ -1,4 +1,7 @@
+import gc
+import pickle
 import random
+from types import FunctionType, ModuleType
 
 from javasmell.model import (
     External,
@@ -8,6 +11,8 @@ from javasmell.model import (
     build_model,
     parse_source,
 )
+from javasmell.parser import Node
+from javasmell.pipeline import analyze_tree
 
 from conftest import model_of
 
@@ -221,18 +226,29 @@ def test_method_facts_recorded_on_method_info():
     assert (g.cc, g.field_uses, g.rejected_body) == (1, 0, True)
 
 
-def test_metrics_and_smells_read_no_syntax_nodes(corpus_sources):
-    from javasmell.metrics import compute_method_metrics, compute_type_metrics, project_metrics
-    from javasmell.smells import detect_all
+def _reaches_a_syntax_node(root) -> bool:
+    """Whether a parser ``Node`` is reachable from *root* by following
+    ``gc.get_referents``; classes, modules and functions are not followed."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, ModuleType, FunctionType)):
+            continue
+        if isinstance(obj, Node):
+            return True
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return False
 
-    def analyze(model):
-        tm = compute_type_metrics(model)
-        return tm, project_metrics(model, tm), detect_all(model, tm), compute_method_metrics(model)
 
-    expected = analyze(build_from_sources(corpus_sources))
-    model = build_from_sources(corpus_sources)
-    for info in model.types.values():
-        info.node = None
-        for method in info.methods:
-            method.node = None
-    assert analyze(model) == expected
+def test_facts_are_plain_values_that_build_equal_models(corpus_dir, corpus_sources):
+    parsed = [parse_source(text, path) for path, text in corpus_sources.items()]
+    assert not any(_reaches_a_syntax_node(pf) for pf in parsed)
+    assert not _reaches_a_syntax_node(analyze_tree(corpus_dir))
+
+    model = build_model(parsed)
+    assert any(info.nested for info in model.types.values())
+    assert build_model(pickle.loads(pickle.dumps(parsed))) == model
+    # Building again from the same facts gives an equal model, nested lists
+    # included: the first build changed none of them.
+    assert build_model(parsed) == model
