@@ -18,7 +18,7 @@ corpus = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "corpus
 
 result = analyze_tree(corpus)
 
-print(f"parsed {len(result.model.file_stats)} files, {len(result.model.types)} types")
+print(f"parsed {len(result.model.file_code_lines)} files, {len(result.model.types)} types")
 print(f"total non-blank non-comment lines: {result.project_metrics.total_loc}")
 print()
 

@@ -180,7 +180,7 @@ def cmd_analyze(args) -> int:
     write_metrics_csv(result.type_metrics, out / "metrics.csv")
 
     print(f"project: {project}")
-    print(f"files analyzed: {len(result.model.file_stats)} (failed: {len(result.failures)})")
+    print(f"files analyzed: {len(result.model.file_code_lines)} (failed: {len(result.failures)})")
     print(f"types: {len(result.model.types)}")
     print(f"findings: {len(result.findings)}")
     for kind in SmellKind:

@@ -1,10 +1,10 @@
 """Tokenizer for Java source files.
 
 Produces a flat token stream. Comments are kept in the stream (kind
-``comment``) so line accounting can distinguish comment-only lines from code
-lines; everything between tokens is whitespace, which makes the original file
-reconstructible from token offsets. Only comments, and string or character
-literals holding an escaped line break, span lines.
+``comment``), so everything between tokens is whitespace and the original
+file is reconstructible from token offsets; the parser skips them, and
+``code_line_numbers`` leaves their lines out. Only comments, and string or
+character literals holding an escaped line break, span lines.
 
 ``tokenize`` is one pass of one compiled master regex, ``_TOKEN_RE``, whose
 alternatives are named groups: the name of the group that matched
@@ -105,13 +105,6 @@ class SourceFile:
         rel = p.relative_to(root).as_posix() if root is not None else str(p)
         return cls(rel, p.read_text(encoding="utf-8"))
 
-    @property
-    def line_count(self) -> int:
-        """Physical lines; a trailing newline closes the last line rather
-        than opening a new one."""
-        text = self.content
-        return text.count("\n") + (not text.endswith("\n")) if text else 0
-
 
 class Token:
     """One token; ``end`` is the offset just past its lexeme."""
@@ -192,27 +185,7 @@ def _rare_token(text: str, start: int, lexeme: str, line: int, col: int) -> tupl
     raise LexError(f"illegal character {ch!r}", line, col)
 
 
-@dataclass
-class LineStats:
-    """Physical-line classification; loc == code (non-blank, non-comment)."""
-
-    physical: int
-    code: int
-    comment_only: int
-    blank: int
-
-
 def code_line_numbers(tokens: list[Token]) -> set[int]:
     """Lines carrying at least one non-comment token."""
     return {t.line for t in tokens if t.kind != "comment"}
 
-
-def line_stats(source: SourceFile, tokens: list[Token], code: set[int]) -> LineStats:
-    """Classify *source*'s lines; *code* is ``code_line_numbers(tokens)``."""
-    commentish: set[int] = set()
-    for t in tokens:
-        if t.kind == "comment":
-            commentish.update(range(t.line, t.line + t.lexeme.count("\n") + 1))
-    comment_only = len(commentish - code)
-    physical = source.line_count
-    return LineStats(physical, len(code), comment_only, physical - len(code) - comment_only)

@@ -168,7 +168,7 @@ def project_metrics(model: PseudoModel, type_metrics: dict | None = None) -> Pro
     total_types = len(model.types)
     total_fields = sum(t.nof for t in tm.values())
     total_methods = sum(t.nom for t in tm.values())
-    total_loc = sum(stats.code for stats in model.file_stats.values())
+    total_loc = sum(len(lines) for lines in model.file_code_lines.values())
 
     children = sum(1 for q in model.types if model.types[q].supertype is not None)
     total_public_fields = sum(t.nopf for t in tm.values())

@@ -6,11 +6,12 @@ its methods and their facts, and the raw type names its body refers to. The
 tree is then dropped, so a ``ParsedFile`` holds no syntax node and pickles.
 ``build_model`` reads those facts only and leaves them unchanged.
 
-Three views are kept: the declared elements themselves (types, fields,
-methods), flat descriptors for every element, and the package/type index
-used for name resolution. On top of those sit the single-parent inheritance
-forest (class ``extends`` only) and the type-dependency graph, every edge of
-which carries a source witness.
+The model keeps the declared types with their fields and methods, the
+package/type index used for name resolution, and each file's code lines and
+top-level type count. On top of those sit the single-parent inheritance
+forest (class ``extends`` only) and the type-dependency graph. A type
+declared twice keeps its first declaration, by path, and the later one is
+dropped together with every type nested in it.
 
 One walk of each method body, ``method_facts``, leaves on ``MethodInfo``
 all that metrics and smells read of a body. Besides it, only the preorder
@@ -20,7 +21,8 @@ method facts include.
 
 Name resolution precedence: types declared in the same file, then same
 package, then single-type imports, then on-demand imports (two matching
-on-demand imports are ambiguous and resolve external), then external.
+on-demand imports are ambiguous and resolve external, with one diagnostic
+per file and name), then external.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple
 
-from .lexer import LineStats, SourceFile
+from .lexer import SourceFile
 from .parser import NON_REF_TYPES, Node
 
 
@@ -52,10 +54,7 @@ class ModelDiagnostic:
 @dataclass
 class FieldInfo:
     name: str
-    type_text: str
-    modifiers: frozenset
     visibility: str
-    line: int
     is_constant: bool
 
 
@@ -97,29 +96,17 @@ class MethodInfo:
 class TypeInfo:
     qname: str
     simple_name: str
-    package: str
     kind: str  # class | interface | enum
-    modifiers: frozenset
     file: str
     line: int
     end_line: int
     outer: str | None
     supertype_raw: str | None
-    interface_raws: list[str]
     fields: list[FieldInfo] = field(default_factory=list)
     methods: list[MethodInfo] = field(default_factory=list)
     refs: tuple = ()  # (raw name, line, internal only) per type reference, in preorder
     nested: list[str] = field(default_factory=list)
     supertype: str | None = None  # resolved, project-internal only
-
-
-@dataclass
-class ElementDescriptor:
-    qname: str
-    kind: str  # type | field | method | constructor
-    modifiers: frozenset
-    signature: str
-    file: str
 
 
 @dataclass
@@ -131,7 +118,6 @@ class ParsedFile:
     imports: tuple  # (dotted name, on demand) per non-static import
     types: list[TypeInfo]  # every type declaration, in preorder
     diagnostics: list  # the parser's recoverable errors
-    stats: LineStats
     code_lines: tuple  # sorted numbers of the lines that carry code
 
 
@@ -147,14 +133,11 @@ class _FileScope:
 class PseudoModel:
     types: dict = field(default_factory=dict)  # qname -> TypeInfo
     packages: dict = field(default_factory=dict)  # package -> [qname]
-    elements: list = field(default_factory=list)  # ElementDescriptor
     deps: dict = field(default_factory=dict)  # qname -> set[str | External]
-    dep_witness: dict = field(default_factory=dict)  # (src, target) -> (file, line)
     subtypes: dict = field(default_factory=dict)  # qname -> [qname]
     incoming: dict = field(default_factory=dict)  # qname -> set of sources
     file_top_level: dict = field(default_factory=dict)  # file -> count
     file_code_lines: dict = field(default_factory=dict)  # file -> sorted [int]
-    file_stats: dict = field(default_factory=dict)  # file -> LineStats
     diagnostics: list = field(default_factory=list)
     _scopes: dict = field(default_factory=dict)  # file -> _FileScope
 
@@ -193,10 +176,15 @@ class PseudoModel:
 
     def resolve(self, raw: str, file: str):
         """Resolve a written type name to a project qname or External."""
+        return self._resolve(raw, file)[0]
+
+    def _resolve(self, raw: str, file: str):
+        """``resolve``'s result, and the sorted on-demand candidates when
+        two or more match the name's head (else None)."""
         if not raw or raw in NON_REF_TYPES:
-            return External(raw)
+            return External(raw), None
         if raw in self.types:
-            return raw
+            return raw, None
         head, _, rest = raw.partition(".")
         scope = self._scopes.get(file)
         q = None
@@ -210,7 +198,7 @@ class PseudoModel:
                     if target in self.types:
                         q = target
                     else:
-                        return External(target + ("." + rest if rest else ""))
+                        return External(target + ("." + rest if rest else "")), None
             if q is None and scope.on_demand:
                 candidates = sorted(
                     {
@@ -222,24 +210,16 @@ class PseudoModel:
                 if len(candidates) == 1:
                     q = candidates[0]
                 elif len(candidates) > 1:
-                    self.diagnostics.append(
-                        ModelDiagnostic(
-                            "ambiguous-import",
-                            f"'{head}' matches {', '.join(candidates)}",
-                            file,
-                            0,
-                        )
-                    )
-                    return External(raw)
+                    return External(raw), candidates
         if q is None:
-            return External(raw)
+            return External(raw), None
         if rest:
             for seg in rest.split("."):
                 nxt = q + "." + seg
                 if nxt not in self.types:
-                    return External(raw)
+                    return External(raw), None
                 q = nxt
-        return q
+        return q, None
 
     def _package_lookup(self, package: str, simple: str):
         for q in self.packages.get(package, ()):
@@ -357,7 +337,7 @@ _TYPE_ATTR = {
 }
 
 
-def file_facts(unit: Node, path: str, stats: LineStats, code_lines) -> ParsedFile:
+def file_facts(unit: Node, path: str, code_lines) -> ParsedFile:
     """The facts of one parsed file, read in one iterative preorder of its
     tree; the result refers to no syntax node.
 
@@ -405,7 +385,7 @@ def file_facts(unit: Node, path: str, stats: LineStats, code_lines) -> ParsedFil
         (imp["name"], imp["on_demand"]) for imp in unit.attrs.get("imports", ()) if not imp.get("static")
     )
     diagnostics = unit.attrs.get("diagnostics", [])
-    return ParsedFile(path, package, imports, types, diagnostics, stats, tuple(sorted(code_lines)))
+    return ParsedFile(path, package, imports, types, diagnostics, tuple(sorted(code_lines)))
 
 
 def _type_info(decl: Node, package: str, path: str, outer: TypeInfo | None) -> TypeInfo:
@@ -421,13 +401,15 @@ def _type_info(decl: Node, package: str, path: str, outer: TypeInfo | None) -> T
         qname = simple
     # Fields first: the methods' facts count their uses.
     members = [c for c in decl.children if c.kind in _MEMBER_KINDS]
+    supertype = a.get("supertype")
+    refs = [(raw, decl.line, False) for raw in [supertype, *a.get("interfaces", ())]]
     fields = []
     for m in members:
         if m.kind == "FieldDecl":
             mods = m.attrs["modifiers"]
             constant = ("static" in mods and "final" in mods) or kind == "interface"
-            vis = _visibility(mods, kind)
-            fields.append(FieldInfo(m.attrs["name"], m.attrs["type"], mods, vis, m.line, constant))
+            fields.append(FieldInfo(m.attrs["name"], _visibility(mods, kind), constant))
+            refs.append((m.attrs["type"], m.line, False))
     field_names = {f.name for f in fields}
     methods = []
     for m in members:
@@ -438,12 +420,9 @@ def _type_info(decl: Node, package: str, path: str, outer: TypeInfo | None) -> T
                 _visibility(ma["modifiers"], kind, is_ctor), is_ctor, ma["has_body"],
                 m.line, m.end_line, *method_facts(m, field_names),
             ))
-    supertype, interfaces = a.get("supertype"), list(a.get("interfaces", ()))
-    refs = [(raw, decl.line, False) for raw in [supertype, *interfaces]]
-    refs += [(f.type_text, f.line, False) for f in fields]
     return TypeInfo(
-        qname, simple, package, kind, a["modifiers"], path, decl.line, decl.end_line,
-        None if outer is None else outer.qname, supertype, interfaces, fields, methods, refs,
+        qname, simple, kind, path, decl.line, decl.end_line,
+        None if outer is None else outer.qname, supertype, fields, methods, refs,
     )
 
 
@@ -460,7 +439,6 @@ def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
     for pf in files:
         path = pf.path
         model.file_code_lines[path] = pf.code_lines
-        model.file_stats[path] = pf.stats
         model.file_top_level[path] = sum(1 for t in pf.types if t.outer is None)
 
         scope = _FileScope(pf.package, {}, {}, [])
@@ -471,9 +449,16 @@ def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
                 scope.single_imports.setdefault(name.rpartition(".")[2], name)
         model._scopes[path] = scope
 
+        # qname -> whether this file's latest declaration of it was kept; a
+        # nested type's outer is the latest one, since types come in preorder.
+        kept: dict = {}
         for info in pf.types:
             qname = info.qname
-            if qname in model.types:
+            if info.outer is not None and not kept[info.outer]:
+                kept[qname] = False  # nested in a dropped duplicate
+                continue
+            kept[qname] = qname not in model.types
+            if not kept[qname]:
                 other = model.types[qname]
                 model.diagnostics.append(
                     ModelDiagnostic(
@@ -485,7 +470,7 @@ def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
                 )
                 continue
             info = replace(info, nested=[])
-            if info.outer is not None and info.outer in model.types:
+            if info.outer is not None:
                 model.types[info.outer].nested.append(qname)
             model.types[qname] = info
             scope.simple_names.setdefault(info.simple_name, qname)
@@ -494,35 +479,7 @@ def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
     for pkg in model.packages.values():
         pkg.sort()
 
-    # Pass 2: descriptors with unique qualified names.
-    for qname in sorted(model.types):
-        info = model.types[qname]
-        model.elements.append(
-            ElementDescriptor(qname, "type", info.modifiers, info.kind, info.file)
-        )
-        for f in info.fields:
-            model.elements.append(
-                ElementDescriptor(
-                    f"{qname}.{f.name}", "field", f.modifiers, f.type_text, info.file
-                )
-            )
-        seen_sigs: dict = {}
-        for m in info.methods:
-            sig = f"{m.name}({','.join(m.param_types)})"
-            n = seen_sigs.get(sig, 0)
-            seen_sigs[sig] = n + 1
-            unique = sig if n == 0 else f"{sig}#{n}"
-            model.elements.append(
-                ElementDescriptor(
-                    f"{qname}.{unique}",
-                    "constructor" if m.is_ctor else "method",
-                    m.modifiers,
-                    sig,
-                    info.file,
-                )
-            )
-
-    # Pass 3: inheritance resolution and extends-cycle detection.
+    # Pass 2: inheritance resolution and extends-cycle detection.
     for qname in sorted(model.types):
         info = model.types[qname]
         if info.supertype_raw:
@@ -534,16 +491,27 @@ def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
         lst.sort()
     _flag_extends_cycles(model)
 
-    # Pass 4: dependency edges with witnesses.
+    # Pass 3: dependency edges, and the first line at which each file
+    # names an ambiguous on-demand import.
+    ambiguous: dict = {}  # (file, head) -> (line, candidates)
     for qname in sorted(model.types):
         info = model.types[qname]
         edges = model.deps.setdefault(qname, set())
         for raw, line, internal_only in info.refs:
-            resolved = model.resolve(raw, info.file)
+            resolved, candidates = model._resolve(raw, info.file)
+            if candidates:
+                key = (info.file, raw.partition(".")[0])
+                if key not in ambiguous or line < ambiguous[key][0]:
+                    ambiguous[key] = (line, candidates)
             if resolved == qname or (internal_only and not isinstance(resolved, str)):
                 continue  # self reference, or an unresolved name that may be a variable
             edges.add(resolved)
-            model.dep_witness.setdefault((qname, resolved), (info.file, line))
+    for file, line, head, candidates in sorted(
+        (file, line, head, c) for (file, head), (line, c) in ambiguous.items()
+    ):
+        model.diagnostics.append(
+            ModelDiagnostic("ambiguous-import", f"'{head}' matches {', '.join(candidates)}", file, line)
+        )
 
     for src, targets in model.deps.items():
         for tgt in targets:

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .lexer import LexError, SourceFile, code_line_numbers, line_stats, tokenize
+from .lexer import LexError, SourceFile, code_line_numbers, tokenize
 from .metrics import compute_type_metrics, project_metrics
 from .model import ParsedFile, PseudoModel, build_model, file_facts
 from .parser import ParseError, parse
@@ -59,12 +59,10 @@ def parse_one(path: Path, root: Path) -> ParsedFile:
 
 
 def parse_file(src: SourceFile) -> ParsedFile:
-    """Lex and parse one source file, count its lines and read its facts.
+    """Lex and parse one source file and read its facts and code lines.
     The tokens and the syntax tree are dropped on return."""
     toks = tokenize(src)
-    unit = parse(toks, src)
-    code = code_line_numbers(toks)
-    return file_facts(unit, src.path, line_stats(src, toks, code), code)
+    return file_facts(parse(toks, src), src.path, code_line_numbers(toks))
 
 
 def analyze_paths(root, paths, config: RuleConfig | None = None, workers: int = 1) -> AnalysisResult:

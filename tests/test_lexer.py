@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from javasmell.lexer import LexError, SourceFile, code_line_numbers, line_stats, tokenize
+from javasmell.lexer import LexError, SourceFile, code_line_numbers, tokenize
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -23,9 +23,8 @@ def test_minimal_class():
 
 
 def test_empty_input():
-    src, tokens = toks("")
+    _, tokens = toks("")
     assert tokens == []
-    assert src.line_count == 0
     assert len(code_line_numbers(tokens)) == 0
 
 
@@ -180,30 +179,19 @@ def test_loc_fixture_57_lines():
     assert len(code) == 51
     assert len(comment - code) == 6
 
-    src = SourceFile("loc_sample.java", text)
-    tokens = tokenize(src)
-    stats = line_stats(src, tokens, code_line_numbers(tokens))
-    assert stats.physical == 57
-    assert stats.code == 51
-    assert stats.comment_only == 6
-    assert stats.blank == 0
+    tokens = tokenize(SourceFile("loc_sample.java", text))
     assert len(code_line_numbers(tokens)) == 51
 
 
 def test_line_count_closes_the_last_line_at_a_trailing_newline():
     for text, lines in (("class A {}", 1), ("a\nb\nc", 3), ("\n\n", 2), ("x\n", 1)):
-        src = SourceFile("T.java", text)
-        assert src.line_count == lines
-        for t in tokenize(src):
-            assert 1 <= t.line <= src.line_count
+        for t in tokenize(SourceFile("T.java", text)):
+            assert 1 <= t.line <= lines
 
 
 def test_line_stats_agree_with_classifier_across_fixtures():
     for path in sorted((FIXTURES / "corpus").glob("*.java")):
         text = path.read_text(encoding="utf-8")
-        code, comment = classify_lines(text)
-        src = SourceFile(path.name, text)
-        tokens = tokenize(src)
-        stats = line_stats(src, tokens, code_line_numbers(tokens))
-        assert stats.code == len(code)
-        assert stats.comment_only == len(comment - code)
+        code, _ = classify_lines(text)
+        tokens = tokenize(SourceFile(path.name, text))
+        assert code_line_numbers(tokens) == code

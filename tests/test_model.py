@@ -103,6 +103,47 @@ def test_duplicate_type_first_path_wins():
     assert [meth.name for meth in m.types["p.Dup"].methods] == ["one"]
 
 
+def test_ambiguous_import_reported_once_per_file_and_name_at_its_first_use():
+    m = build_from_sources(
+        {
+            "a/Shape.java": "package a; public class Shape { }",
+            "b/Shape.java": "package b; public class Shape { }",
+            "c/User.java": """package c;
+import a.*;
+import b.*;
+class User extends Shape {
+    Shape field;
+    Shape make(Shape param) {
+        Shape local = new Shape();
+        return local;
+    }
+}""",
+            # Abc comes first in qname order, Zed first in the file.
+            "c/Two.java": "package c; import a.*; import b.*;\nclass Zed { Shape s; }\nclass Abc { Shape t; }",
+        }
+    )
+    assert [str(d) for d in m.diagnostics] == [
+        "c/Two.java:2: ambiguous-import: 'Shape' matches a.Shape, b.Shape",
+        "c/User.java:4: ambiguous-import: 'Shape' matches a.Shape, b.Shape",
+    ]
+    assert External("Shape") in m.deps["c.User"]
+
+
+def test_types_nested_in_a_dropped_duplicate_are_dropped():
+    m = build_from_sources(
+        {
+            "c/Dup.java": "package c;\nclass Dup { class In { } }\nclass Dup { class In2 { Shape s; } }",
+            "c/Dup2.java": "package c;\nclass Dup { class In3 { } }",
+        }
+    )
+    assert sorted(m.types) == ["c.Dup", "c.Dup.In"]
+    assert m.types["c.Dup"].nested == ["c.Dup.In"]
+    assert [(d.code, d.file, d.line) for d in m.diagnostics] == [
+        ("duplicate-type", "c/Dup.java", 3),
+        ("duplicate-type", "c/Dup2.java", 2),
+    ]
+
+
 def test_extends_cycle_reported_not_silent():
     m = model_of(
         A="package p; class A extends B { }",
@@ -123,26 +164,6 @@ def test_static_access_edge_only_when_internal():
     )
     assert "p.Config" in m.deps["p.A"]
     assert External("local") not in m.deps["p.A"]
-
-
-def test_every_edge_has_a_witness(corpus_model):
-    for src, targets in corpus_model.deps.items():
-        for tgt in targets:
-            witness = corpus_model.dep_witness[(src, tgt)]
-            assert witness[0] == corpus_model.types[src].file
-            assert witness[1] >= 1
-
-
-def test_descriptor_qnames_unique(corpus_model):
-    qnames = [e.qname for e in corpus_model.elements]
-    assert len(qnames) == len(set(qnames))
-
-
-def test_every_element_has_one_descriptor(corpus_model):
-    expected = sum(
-        1 + len(t.fields) + len(t.methods) for t in corpus_model.types.values()
-    )
-    assert len(corpus_model.elements) == expected
 
 
 def test_every_type_ref_resolves_to_internal_or_external(corpus_model):

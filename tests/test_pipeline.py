@@ -108,4 +108,4 @@ def test_parsed_file_keeps_the_path_not_the_source_text():
     del src
     assert source_ref() is None  # nothing in the parse result refers to the source
     assert parsed.path == "p/A.java"
-    assert parsed.stats.code == 2
+    assert len(parsed.code_lines) == 2
