@@ -399,10 +399,10 @@ def _type_info(decl: Node, package: str, path: str, outer: TypeInfo | None) -> T
         qname = f"{package}.{simple}"
     else:
         qname = simple
-    # Fields first: the methods' facts count their uses.
-    members = [c for c in decl.children if c.kind in _MEMBER_KINDS]
     supertype = a.get("supertype")
     refs = [(raw, decl.line, False) for raw in [supertype, *a.get("interfaces", ())]]
+    # Fields first: the methods' facts count their uses.
+    members = [c for c in decl.children if c.kind in _MEMBER_KINDS]
     fields = []
     for m in members:
         if m.kind == "FieldDecl":
