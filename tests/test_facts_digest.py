@@ -154,6 +154,16 @@ HAND_WRITTEN = [
     ),
     ("escaped-line-break-last", 'class A { void m() { x = "a\\\nb"'),
     ("generic-method-call", "class A { void m() { this.<T>f(); A.<T>g(); } }"),
+    (
+        "sites-dropped-with-their-statement",
+        "class A { int f; void m() { if (c) { switch (f) { } if (o instanceof A) { } } else ) ;"
+        " switch (g) { } } }",
+    ),
+    (
+        "error-inside-a-lambda",
+        "class A { int f; void m() { F g = x -> y(; Object o = new Foo(); if (f > 0 ? a : b) { } } }",
+    ),
+    ("cast-of-an-instanceof", "class A { void m() { if ((boolean) (o instanceof A)) { } } }"),
 ]
 
 
