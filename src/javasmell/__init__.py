@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .lexer import LexError, SourceFile, Token, tokenize
-from .parser import Node, ParseError, parse
+from .parser import ParseError, ParsedFile, parse
 from .model import PseudoModel, build_model
 from .metrics import MethodMetrics, ProjectMetrics, TypeMetrics
 from .smells import RuleConfig, SmellFinding, SmellKind, detect_all
@@ -13,8 +13,8 @@ __all__ = [
     "AnalysisResult",
     "LexError",
     "MethodMetrics",
-    "Node",
     "ParseError",
+    "ParsedFile",
     "ProjectMetrics",
     "PseudoModel",
     "RuleConfig",

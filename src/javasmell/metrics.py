@@ -1,7 +1,7 @@
 """Per-method, per-type, and project-level design metrics.
 
-Everything read from method bodies comes from the facts the model records
-per method (``model.method_facts``): cyclomatic complexity, and the own
+Everything read from method bodies comes from the facts the parser records
+per method (``parser.MethodInfo``): cyclomatic complexity, and the own
 fields each method uses for LCOM. DIT follows the resolved
 project-internal extends chain only; NC is the number of direct internal
 subtypes, so summing NC over all types equals the number of types that have
@@ -17,7 +17,8 @@ import io
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .model import PseudoModel, TypeInfo, method_facts
+from .model import PseudoModel
+from .parser import TypeInfo
 
 CC_BUCKETS = ((1, 19), (20, 39), (40, None))  # sustainable / complex / unmaintainable
 DIT_BUCKETS = ((0, 6), (7, None))
@@ -73,11 +74,6 @@ def write_text(path, text: str):
             fh.write(text)
     except OSError as err:
         raise IoError(f"cannot write {path}: {err}") from None
-
-
-def cyclomatic_complexity(method_node) -> int | None:
-    """Decision-point count for a method node with a parsed body, else None."""
-    return method_facts(method_node)[0]
 
 
 def dit(model: PseudoModel, qname: str) -> int:

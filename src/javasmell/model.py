@@ -1,10 +1,10 @@
 """Project model built by merging the plain facts of each parsed file.
 
-``file_facts`` reads a file's syntax tree once, right after parsing, and
-keeps only values: the package, the imports, and every type with its fields,
-its methods and their facts, and the raw type names its body refers to. The
-tree is then dropped, so a ``ParsedFile`` holds no syntax node and pickles.
-``build_model`` reads those facts only and leaves them unchanged.
+The parser leaves each file's facts in a ``ParsedFile`` of plain values:
+the package, the imports, and every type with its fields, its methods and
+what metrics and smells read of their bodies, and the raw type names its
+body refers to. ``build_model`` reads those facts only and leaves them
+unchanged.
 
 The model keeps the declared types with their fields and methods, the
 package/type index used for name resolution, and each file's code lines and
@@ -12,12 +12,6 @@ top-level type count. On top of those sit the single-parent inheritance
 forest (class ``extends`` only) and the type-dependency graph. A type
 declared twice keeps its first declaration, by path, and the later one is
 dropped together with every type nested in it.
-
-One walk of each method body, ``method_facts``, leaves on ``MethodInfo``
-all that metrics and smells read of a body. Besides it, only the preorder
-in ``file_facts`` passes through method bodies, for local classes and type
-references; the references skip lambdas and local classes, which the
-method facts include.
 
 Name resolution precedence: types declared in the same file, then same
 package, then single-type imports, then on-demand imports (two matching
@@ -31,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple
 
 from .lexer import SourceFile
-from .parser import NON_REF_TYPES, Node
+from .parser import NON_REF_TYPES, ParsedFile
 
 
 class External(NamedTuple):
@@ -49,76 +43,6 @@ class ModelDiagnostic:
 
     def __str__(self):
         return f"{self.file}:{self.line}: {self.code}: {self.message}"
-
-
-@dataclass
-class FieldInfo:
-    name: str
-    visibility: str
-    is_constant: bool
-
-
-class SwitchSite(NamedTuple):
-    """A switch statement, a MissingHierarchy candidate."""
-
-    line: int
-    cases: int
-    terminal: str  # last identifier of the selector: x.getKind() -> getKind
-    selector: str
-
-
-class LadderSite(NamedTuple):
-    """An if/else-if chain whose every condition is an instanceof."""
-
-    line: int
-    branches: int
-    operand: str | None  # the tested expression when all share it, else None
-
-
-@dataclass
-class MethodInfo:
-    name: str
-    arity: int
-    param_types: tuple
-    modifiers: frozenset
-    visibility: str
-    is_ctor: bool
-    has_body: bool
-    line: int
-    end_line: int
-    cc: int | None  # cyclomatic complexity; None without a parsed body
-    field_uses: int  # own fields read or written
-    rejected_body: bool  # the body is empty or only throws
-    hierarchy_sites: tuple  # SwitchSite and LadderSite, in preorder
-
-
-@dataclass
-class TypeInfo:
-    qname: str
-    simple_name: str
-    kind: str  # class | interface | enum
-    file: str
-    line: int
-    end_line: int
-    outer: str | None
-    supertype_raw: str | None
-    fields: list[FieldInfo] = field(default_factory=list)
-    methods: list[MethodInfo] = field(default_factory=list)
-    refs: tuple = ()  # (raw name, line, internal only) per type reference, in preorder
-    nested: list[str] = field(default_factory=list)
-    supertype: str | None = None  # resolved, project-internal only
-
-
-@dataclass
-class ParsedFile:
-    """The facts of one parsed file; plain values, no syntax node."""
-
-    path: str
-    package: str
-    imports: tuple  # (dotted name, on demand) per non-static import
-    types: list[TypeInfo]  # every type declaration, in preorder
-    diagnostics: list  # the parser's recoverable errors
-    code_lines: tuple  # sorted numbers of the lines that carry code
 
 
 @dataclass
@@ -231,200 +155,6 @@ class PseudoModel:
 
 # ----------------------------------------------------------------------
 # construction
-
-_IMPLICIT_PUBLIC_OWNERS = {"interface"}
-
-
-def _visibility(modifiers: frozenset, owner_kind: str, is_ctor: bool = False) -> str:
-    if "public" in modifiers:
-        return "public"
-    if "protected" in modifiers:
-        return "protected"
-    if "private" in modifiers:
-        return "private"
-    if owner_kind in _IMPLICIT_PUBLIC_OWNERS:
-        return "public"
-    if owner_kind == "enum" and is_ctor:
-        return "private"
-    return "package"
-
-
-_MEMBER_KINDS = ("FieldDecl", "MethodDecl", "ConstructorDecl")
-_DECISION_KINDS = frozenset(
-    {"If", "While", "DoWhile", "For", "ForEach", "Case", "Catch", "Ternary"}
-)
-
-
-def method_facts(method: Node, field_names=frozenset()) -> tuple:
-    """(cc, field uses, rejected body, hierarchy sites) of a method or
-    constructor node, read in one iterative preorder of its subtree.
-
-    cc is 1 + if + for + enhanced-for + while + do + case label + catch
-    clause + conditional operator + '&&' + '||', None without a parsed body;
-    lambda bodies count nothing. Field uses counts the *field_names* the
-    method reads or writes: a bare name loses to a parameter, local, loop
-    variable or catch name of the same name anywhere in the method, and
-    ``this.f`` always counts. A rejected body is empty or only throws. Field
-    uses and hierarchy sites include lambdas and local classes.
-    """
-    body = next((c for c in method.children if c.kind == "Block"), None)
-    shadowed = {name for _, name in method.attrs.get("params", ())}
-    bare: set = set()
-    this_hits: set = set()
-    sites: list = []
-    links: set = set()  # ids of else-if links, read with the head of their chain
-    cc = 1
-    lambdas = 0  # lambda bodies open around the current node
-    stack = [method]
-    while stack:
-        n = stack.pop()
-        if n is None:  # pushed below a lambda's children: its body ends here
-            lambdas -= 1
-            continue
-        k = n.kind
-        if k == "Name":
-            if n.attrs["id"] in field_names:
-                bare.add(n.attrs["id"])
-        elif k == "FieldAccess":
-            if n.children and n.children[0].kind == "This":
-                this_hits.add(n.attrs["name"])
-        elif k == "Binary":
-            if not lambdas and n.attrs.get("op") in ("&&", "||"):
-                cc += 1
-        elif k in _DECISION_KINDS:
-            if not lambdas:
-                cc += 1
-            if k == "If" and id(n) not in links:
-                chain = [n]
-                while chain[-1].attrs.get("has_else") and chain[-1].children[2].kind == "If":
-                    chain.append(chain[-1].children[2])
-                    links.add(id(chain[-1]))
-                operands = set()
-                for link in chain:
-                    cond = link.children[0]
-                    while cond.kind == "Paren" and cond.children:
-                        cond = cond.children[0]
-                    if cond.kind != "InstanceOf":
-                        break
-                    operands.add(cond.attrs.get("operand_text", "?"))
-                else:
-                    operand = operands.pop() if len(operands) == 1 else None
-                    sites.append(LadderSite(n.line, len(chain), operand))
-            elif k == "ForEach":
-                shadowed.add(n.attrs["var_name"])
-            elif k == "Catch":
-                shadowed.add(n.attrs["name"])
-        elif k == "LocalVar":
-            shadowed.update(n.attrs.get("names", ()))
-        elif k == "Switch":
-            a = n.attrs
-            sites.append(SwitchSite(n.line, a["case_count"], a["terminal_name"], a["selector_text"]))
-        elif k == "Lambda":
-            lambdas += 1
-            stack.append(None)
-        if n.children:
-            stack += n.children[::-1]
-    stmts = None if body is None else [c.kind for c in body.children if c.kind != "Empty"]
-    rejected = stmts in ([], ["Throw"])
-    uses = len(((bare - shadowed) | this_hits) & field_names)
-    return (None if body is None else cc), uses, rejected, tuple(sites)
-
-
-# Node kind -> the attribute naming the type it references.
-_TYPE_ATTR = {
-    "Parameter": "type", "MethodDecl": "return_type", "LocalVar": "type", "ForEach": "var_type",
-    "New": "type", "ArrayNew": "type", "Cast": "type", "InstanceOf": "type",
-}
-
-
-def file_facts(unit: Node, path: str, code_lines) -> ParsedFile:
-    """The facts of one parsed file, read in one iterative preorder of its
-    tree; the result refers to no syntax node.
-
-    Every type declaration is collected, local classes included (a local
-    class is nested in its enclosing type), with its fields and then its
-    methods and their ``method_facts``. Each type's ``refs`` are the raw
-    type names it refers to, in order: its supertypes and field types, then
-    in preorder over its body the parameter, return, local, loop variable,
-    creation, cast, instanceof and catch types and the head name of a
-    qualified call or field access (internal only: it may be a variable).
-    Nested types and lambda bodies add nothing to a type's references.
-    """
-    package = unit.attrs.get("package") or ""
-    types: list = []
-    # A stack of child iterators, each with the type it lies in and the list
-    # its references go to (None outside a type and inside a lambda).
-    stack = [(iter(unit.children), None, None)]
-    while stack:
-        it, owner, refs = stack[-1]
-        for n in it:
-            k, a = n.kind, n.attrs
-            if k == "TypeDecl":
-                info = _type_info(n, package, path, owner)
-                types.append(info)
-                stack.append((iter(n.children), info, info.refs))
-                break
-            if refs is not None:
-                attr = _TYPE_ATTR.get(k)
-                if attr is not None:
-                    refs.append((a.get(attr), n.line, False))
-                elif k == "Catch":
-                    refs.extend((raw, n.line, False) for raw in a.get("types", ()))
-                elif (k == "Call" and a.get("has_target") or k == "FieldAccess") and n.children:
-                    base = n.children[0]
-                    if base.kind == "Name":
-                        refs.append((base.attrs["id"], base.line, True))
-            if n.children:
-                stack.append((iter(n.children), owner, None if k == "Lambda" else refs))
-                break
-        else:
-            stack.pop()
-    for info in types:
-        info.refs = tuple(r for r in info.refs if r[0] and r[0] not in NON_REF_TYPES)
-    imports = tuple(
-        (imp["name"], imp["on_demand"]) for imp in unit.attrs.get("imports", ()) if not imp.get("static")
-    )
-    diagnostics = unit.attrs.get("diagnostics", [])
-    return ParsedFile(path, package, imports, types, diagnostics, tuple(sorted(code_lines)))
-
-
-def _type_info(decl: Node, package: str, path: str, outer: TypeInfo | None) -> TypeInfo:
-    """A type declaration's own facts; its ``refs`` start as a list of the
-    supertypes and field types, which the caller's walk extends."""
-    a, kind = decl.attrs, decl.attrs["type_kind"]
-    simple = a["name"]
-    if outer is not None:
-        qname = f"{outer.qname}.{simple}"
-    elif package:
-        qname = f"{package}.{simple}"
-    else:
-        qname = simple
-    supertype = a.get("supertype")
-    refs = [(raw, decl.line, False) for raw in [supertype, *a.get("interfaces", ())]]
-    # Fields first: the methods' facts count their uses.
-    members = [c for c in decl.children if c.kind in _MEMBER_KINDS]
-    fields = []
-    for m in members:
-        if m.kind == "FieldDecl":
-            mods = m.attrs["modifiers"]
-            constant = ("static" in mods and "final" in mods) or kind == "interface"
-            fields.append(FieldInfo(m.attrs["name"], _visibility(mods, kind), constant))
-            refs.append((m.attrs["type"], m.line, False))
-    field_names = {f.name for f in fields}
-    methods = []
-    for m in members:
-        if m.kind != "FieldDecl":
-            ma, is_ctor = m.attrs, m.kind == "ConstructorDecl"
-            methods.append(MethodInfo(
-                ma["name"], ma["arity"], tuple(t for t, _ in ma["params"]), ma["modifiers"],
-                _visibility(ma["modifiers"], kind, is_ctor), is_ctor, ma["has_body"],
-                m.line, m.end_line, *method_facts(m, field_names),
-            ))
-    return TypeInfo(
-        qname, simple, kind, path, decl.line, decl.end_line,
-        None if outer is None else outer.qname, supertype, fields, methods, refs,
-    )
-
 
 def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
     """Merge the facts of parsed files into a pseudo-model; order-independent.

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for a practical Java subset.
+"""Recursive-descent parser for a practical Java subset, straight to facts.
 
 Covers packages, imports, type declarations (classes, interfaces, enums,
 nested types), fields, methods, constructors, the common statement forms
@@ -10,17 +10,29 @@ and erased to raw names, annotations are parsed and dropped, lambda bodies
 are kept opaque. Anything outside the subset is consumed as an opaque
 statement and reported as a diagnostic instead of aborting the file.
 
+No syntax tree is built. As it parses, the parser fills the file's
+``ParsedFile``: every type declaration in preorder (a local class is nested
+in its enclosing type) with its fields, its methods and the raw type names
+its body refers to, and on each method what metrics and smells read of its
+body. A method's own-field uses are resolved when its type closes, since
+fields may be declared after the methods. Expressions yield only what a fact
+reads of them: the text and last identifier of a switch selector, and
+whether an ``if`` condition is an instanceof test and of what.
+
 Recovery is panic-mode at the member and statement level: the parser always
 consumes at least one token per recovery step, so a parse is bounded by the
-token count. The token list ends in an ``eof`` sentinel that is never
+token count. A construct that fails to parse is dropped with every fact it
+added, except the field declarators and case labels already complete before
+the error. The token list ends in an ``eof`` sentinel that is never
 consumed, so looking ahead needs no end-of-input test. ``ParseError`` is
 raised only when a file with syntax errors yields no declarations at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 from .lexer import SourceFile, Token
 
@@ -64,33 +76,79 @@ _BINARY_LEVEL = {
 }
 
 
-class Node:
-    """Generic syntax-tree node; ``attrs`` holds kind-specific data."""
+# ----------------------------------------------------------------------
+# facts
 
-    __slots__ = ("kind", "start", "end", "line", "col", "end_line", "children", "attrs")
 
-    def __init__(self, kind, start, end, line, col, end_line, attrs):
-        self.kind = kind
-        self.start = start
-        self.end = end
-        self.line = line
-        self.col = col
-        self.end_line = end_line
-        self.children: list[Node] = []
-        self.attrs = attrs
+@dataclass
+class FieldInfo:
+    name: str
+    visibility: str
+    is_constant: bool
 
-    def walk(self):
-        """Preorder over the subtree; iterative, so depth costs no stack."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            if node.children:
-                stack += node.children[::-1]
 
-    def __repr__(self):  # keep test failures readable
-        bits = ", ".join(f"{k}={v!r}" for k, v in self.attrs.items() if k != "diagnostics")
-        return f"<{self.kind} {self.line}:{self.col} {bits}>"
+class SwitchSite(NamedTuple):
+    """A switch statement, a MissingHierarchy candidate."""
+
+    line: int
+    cases: int
+    terminal: str  # last identifier of the selector: x.getKind() -> getKind
+    selector: str
+
+
+class LadderSite(NamedTuple):
+    """An if/else-if chain whose every condition is an instanceof."""
+
+    line: int
+    branches: int
+    operand: str | None  # the tested expression when all share it, else None
+
+
+@dataclass
+class MethodInfo:
+    """A method or constructor. cc is 1 + if + for + enhanced-for + while +
+    do + case label + catch clause + conditional operator + '&&' + '||'
+    outside lambda bodies. Field uses count the own fields it reads or
+    writes: a bare name loses to a parameter, local, loop variable or catch
+    name of the same name anywhere in the method, and ``this.f`` always
+    counts. Field uses and hierarchy sites include lambdas and local
+    classes, and a local class's decision points count as well."""
+
+    name: str
+    arity: int
+    param_types: tuple
+    modifiers: frozenset
+    visibility: str
+    is_ctor: bool
+    has_body: bool
+    line: int
+    end_line: int
+    cc: int | None  # cyclomatic complexity; None without a parsed body
+    field_uses: int  # own fields read or written
+    rejected_body: bool  # the body is empty or only throws
+    hierarchy_sites: tuple  # SwitchSite and LadderSite, in preorder
+
+
+@dataclass
+class TypeInfo:
+    qname: str
+    simple_name: str
+    kind: str  # class | interface | enum
+    file: str
+    line: int
+    end_line: int
+    outer: str | None
+    supertype_raw: str | None
+    fields: list[FieldInfo] = field(default_factory=list)
+    methods: list[MethodInfo] = field(default_factory=list)
+    # (raw name, line, internal only) per type reference: the supertypes and
+    # the field, parameter, return, local, loop variable, creation, cast,
+    # instanceof and catch types, and the head name of a qualified call or
+    # field access (internal only: it may be a variable). Nested types and
+    # lambda bodies add nothing here.
+    refs: tuple = ()
+    nested: list[str] = field(default_factory=list)
+    supertype: str | None = None  # resolved, project-internal only
 
 
 @dataclass
@@ -104,6 +162,18 @@ class Diagnostic:
         return f"{self.file}:{self.line}:{self.col}: {self.message}"
 
 
+@dataclass
+class ParsedFile:
+    """The facts of one parsed file; plain values, no syntax node."""
+
+    path: str
+    package: str
+    imports: tuple  # (dotted name, on demand) per non-static import
+    types: list[TypeInfo]  # every type declaration, in preorder
+    diagnostics: list  # the parser's recoverable errors
+    code_lines: tuple = ()  # sorted numbers of the lines that carry code
+
+
 class ParseError(Exception):
     def __init__(self, message: str, file: str, line: int, col: int):
         super().__init__(f"{file}:{line}:{col}: {message}")
@@ -115,51 +185,85 @@ class ParseError(Exception):
 class _Recover(Exception):
     """Internal: recoverable syntax error, reported at *token*."""
 
+    kept = None  # the fact state to return to when not the one before the construct
+
     def __init__(self, message: str, token: Token):
         super().__init__(message)
         self.message = message
         self.token = token
 
 
-def render(node: Node) -> str:
-    """Canonical, whitespace-free rendering of simple expressions.
+def _visibility(modifiers, owner_kind: str, is_ctor: bool = False) -> str:
+    if "public" in modifiers:
+        return "public"
+    if "protected" in modifiers:
+        return "protected"
+    if "private" in modifiers:
+        return "private"
+    if owner_kind == "interface":
+        return "public"
+    if owner_kind == "enum" and is_ctor:
+        return "private"
+    return "package"
 
-    Used to compare the scrutinee of instanceof ladders and switch selectors;
-    parentheses are transparent.
-    """
-    k = node.kind
-    if k == "Name":
-        return node.attrs.get("id", "?")
-    if k == "FieldAccess":
-        return f"{render(node.children[0])}.{node.attrs['name']}"
-    if k == "Call":
-        base = render(node.children[0]) + "." if node.attrs.get("has_target") else ""
-        return f"{base}{node.attrs['name']}()"
-    if k == "Paren":
-        return render(node.children[0])
-    if k == "This":
-        return "this"
-    if k == "Super":
-        return "super"
-    if k == "ArrayAccess":
-        return render(node.children[0]) + "[]"
-    if k == "Literal":
-        return node.attrs.get("text", "?")
-    if k == "Cast":
-        return render(node.children[0])
+
+class _Method:
+    """What the facts read of one method body, gathered as it is parsed.
+    The members of a local class add to the methods around it as well."""
+
+    __slots__ = ("decisions", "names", "this_fields", "locals", "sites")
+
+    def __init__(self):
+        self.decisions = 0  # decision points outside lambda bodies
+        self.names: list = []  # every bare name read or written
+        self.this_fields: list = []  # f of every this.f
+        self.locals: list = []  # local, loop variable and catch names
+        self.sites: list = []  # SwitchSite and LadderSite; None in a slot not filled
+
+
+# An expression yields what a fact may read of it: a Token for a name,
+# literal, this or super; a _Chain for a call, field access or array access;
+# a str for an instanceof test, holding its operand's text; None otherwise.
+
+
+class _Chain:
+    """Text and last identifier of a postfix chain, built link by link, so a
+    long chain costs no recursion."""
+
+    __slots__ = ("parts", "terminal")
+
+    def __init__(self, text: str, terminal: str = ""):
+        self.parts = [text]
+        self.terminal = terminal
+
+
+def _render(value) -> str:
+    """Canonical, whitespace-free text of a simple expression: parentheses
+    and casts are transparent, call arguments and indexes are dropped."""
+    if isinstance(value, Token):
+        return value.lexeme
+    if isinstance(value, _Chain):
+        return "".join(value.parts)
     return "?"
 
 
-def terminal_name(node: Node) -> str:
+def _terminal(value) -> str:
     """Last identifier of an expression: x.getKind() -> getKind."""
-    k = node.kind
-    if k in ("Call", "FieldAccess"):
-        return node.attrs["name"]
-    if k == "Name":
-        return node.attrs["id"].rpartition(".")[2]
-    if k in ("Paren", "Cast", "ArrayAccess"):
-        return terminal_name(node.children[0])
+    if isinstance(value, Token):
+        return value.lexeme if value.kind == "identifier" else ""
+    if isinstance(value, _Chain):
+        return value.terminal
     return ""
+
+
+def _link(value, part: str, terminal: str) -> _Chain:
+    """*value* extended by one link ('.f', '.m()' or '[]'). An expression
+    has one reader, so a chain grows in place."""
+    if not isinstance(value, _Chain):
+        value = _Chain(_render(value))
+    value.parts.append(part)
+    value.terminal = terminal
+    return value
 
 
 class _Parser:
@@ -172,6 +276,15 @@ class _Parser:
         self.src = source
         self.i = 0
         self.diags: list[Diagnostic] = []
+        self.package = ""
+        self.imports: list = []
+        self.declared = False  # a top-level declaration was parsed
+        self.types: list[TypeInfo] = []
+        self.type: TypeInfo | None = None  # the innermost open type
+        self.refs: list = []  # its references so far
+        # The innermost open method's facts; outside methods, a sink no fact reads.
+        self.outside = self.acc = _Method()
+        self.lambdas = 0  # lambda bodies open around the current token
 
     # ------------------------------------------------------------------
     # token plumbing; self.i never moves past the eof sentinel
@@ -214,27 +327,10 @@ class _Parser:
     def last(self) -> Token:
         return self.toks[self.i - 1]
 
-    def node(self, kind: str, tok: Token | None = None, **attrs) -> Node:
-        tok = tok or self.toks[self.i]
-        return Node(kind, tok.offset, tok.end, tok.line, tok.col, tok.line, attrs)
-
-    def close(self, n: Node) -> Node:
+    def end_line(self) -> int:
+        """The line on which the last consumed token ends."""
         t = self.toks[self.i - 1]
-        if t.end >= n.end:
-            n.end = t.end
-            n.end_line = t.line + t.lexeme.count("\n")
-        return n
-
-    def close_from(self, n: Node, base: Node) -> Node:
-        """Close *n* but anchor its start at *base* (left operand)."""
-        n.start, n.line, n.col = base.start, base.line, base.col
-        return self.close(n)
-
-    def grow(self, kind: str, tok: Token, children: list, **attrs) -> Node:
-        """A closed *kind* node at *tok* over *children*, anchored at the first."""
-        n = self.node(kind, tok, **attrs)
-        n.children = children
-        return self.close_from(n, children[0])
+        return t.line + t.lexeme.count("\n")
 
     def diag(self, message: str, tok: Token | None = None):
         tok = tok or self.toks[self.i]
@@ -242,6 +338,27 @@ class _Parser:
 
     def diag_recover(self, err: _Recover):
         self.diag(err.message, err.token)
+
+    # ------------------------------------------------------------------
+    # the fact state a dropped construct returns to
+
+    def mark(self) -> tuple:
+        """The fact state to return to when the construct parsed next is
+        dropped. Fields and methods need no entry: each is added once
+        complete, and a member that added one fails no more."""
+        acc = self.acc
+        return (
+            self.type, self.refs, len(self.refs), len(self.types), acc, self.lambdas,
+            acc.decisions, len(acc.names), len(acc.this_fields), len(acc.locals), len(acc.sites),
+        )
+
+    def rollback(self, mark: tuple):
+        self.type, self.refs, refs, types, self.acc, self.lambdas = mark[:6]
+        decisions, names, this_fields, locals_, sites = mark[6:]
+        acc = self.acc
+        acc.decisions = decisions
+        del self.refs[refs:], self.types[types:]
+        del acc.names[names:], acc.this_fields[this_fields:], acc.locals[locals_:], acc.sites[sites:]
 
     # ------------------------------------------------------------------
     # skipping and recovery
@@ -285,24 +402,22 @@ class _Parser:
     def skip_generics(self):
         self.skip_balanced("<", ">", "unbalanced '<'", self.peek())
 
-    def opaque_braces(self) -> Node:
-        n = self.node("Opaque")
+    def skip_braces(self):
         self.skip_balanced("{", "}", "unbalanced '{'", self.peek())
-        return self.close(n)
 
     def skip_dims(self):
         while self.at("[") and self.at("]", 1):
             self.i += 2
 
     def recover_until_brace(
-        self, parse_one, into: list, eof_message: str | None, anchor: Token | None = None
+        self, parse_one, eof_message: str | None, anchor: Token | None = None
     ) -> bool:
         """Call *parse_one* until '}' (left unconsumed) or end of input.
 
-        A node that *parse_one* returns is appended to *into*. A syntax error
-        is reported and skipped up to the next statement boundary, and every
-        step consumes at least one token. Returns False at end of input,
-        after reporting *eof_message* at *anchor*.
+        A syntax error is reported, the construct's facts are dropped, and
+        the input is skipped up to the next statement boundary; every step
+        consumes at least one token. Returns False at end of input, after
+        reporting *eof_message* at *anchor*.
         """
         while not self.at("}"):
             if self.peek() is self.eof:
@@ -310,11 +425,11 @@ class _Parser:
                     self.diag(eof_message, anchor)
                 return False
             guard = self.i
+            mark = self.mark()
             try:
-                node = parse_one()
-                if node is not None:
-                    into.append(node)
+                parse_one()
             except _Recover as err:
+                self.rollback(err.kept or mark)
                 self.diag_recover(err)
                 self.skip_statement_like()
             if self.i == guard:
@@ -333,18 +448,16 @@ class _Parser:
             return False
         return self.peek(2).lexeme in ("(", "<")
 
-    def skip_record(self) -> Node:
+    def skip_record(self):
         tok = self.advance()
         self.diag("record declaration skipped", tok)
-        n = self.node("Opaque", tok)
         self.advance()  # name
         if self.at("<"):
             self.skip_generics()
         self.skip_balanced("(", ")", "unterminated record header", tok)
         if self.accept("implements"):
             self.parse_type_list()
-        self.skip_balanced("{", "}", "unbalanced '{'", self.peek())
-        return self.close(n)
+        self.skip_braces()
 
     # ------------------------------------------------------------------
     # shared pieces
@@ -404,120 +517,119 @@ class _Parser:
     # ------------------------------------------------------------------
     # compilation unit
 
-    def parse_unit(self) -> Node:
-        attrs = {"package": None, "imports": [], "file": self.src.path}
+    def parse_unit(self):
         if self.peek() is self.eof:
-            return Node("CompilationUnit", 0, 0, 0, 0, 0, attrs)
-        unit = self.node("CompilationUnit", **attrs)
-
+            return
         while self.at("@") and not self.at("interface", 1):
             try:
                 self.skip_annotation()
             except _Recover as err:
                 self.diag_recover(err)
                 break
-        if self.at("package"):
-            self.advance()
+        if self.accept("package"):
             try:
-                pkg = self.node("PackageDecl", self.last())
-                unit.attrs["package"] = self.parse_qualified_name()
-                pkg.attrs["name"] = unit.attrs["package"]
+                self.package = self.parse_qualified_name()
                 self.expect(";")
-                unit.children.append(self.close(pkg))
             except _Recover as err:
                 self.diag_recover(err)
                 self.skip_statement_like()
-        while self.at("import"):
-            tok = self.advance()
+        while self.accept("import"):
             try:
-                imp = self.node("ImportDecl", tok)
                 is_static = self.accept("static") is not None
                 name = self.parse_qualified_name()
                 on_demand = False
                 if self.at(".") and self.at("*", 1):
-                    self.advance()
-                    self.advance()
+                    self.i += 2
                     on_demand = True
                 self.expect(";")
-                imp.attrs.update(name=name, on_demand=on_demand, static=is_static)
-                unit.attrs["imports"].append(imp.attrs)
-                unit.children.append(self.close(imp))
+                if not is_static:
+                    self.imports.append((name, on_demand))
             except _Recover as err:
                 self.diag_recover(err)
                 self.skip_statement_like()
 
-        while self.recover_until_brace(self.parse_top_level, unit.children, None):
+        while self.recover_until_brace(self.parse_top_level, None):
             self.diag("expected type declaration, found '}'")
             self.advance()
-        return self.close(unit)
 
-    def parse_top_level(self) -> Node | None:
+    def parse_top_level(self):
         if self.accept(";"):
-            return None
+            return
         mods = self.parse_modifiers()
         t = self.peek()
         if t.lexeme in ("class", "interface", "enum"):
-            return self.parse_type_decl(mods)
-        if t.lexeme == "@":
-            return self.skip_annotation_type_decl()
-        if self.at_record():
-            return self.skip_record()
-        raise _Recover(f"expected type declaration, found '{t.lexeme}'", t)
+            self.parse_type_decl(mods)
+        elif t.lexeme == "@":
+            self.skip_annotation_type_decl()
+        elif self.at_record():
+            self.skip_record()
+        else:
+            raise _Recover(f"expected type declaration, found '{t.lexeme}'", t)
+        self.declared = True
 
-    def skip_annotation_type_decl(self) -> Node:
+    def skip_annotation_type_decl(self):
         tok = self.expect("@")
-        n = self.node("Opaque", tok)
         self.expect("interface")
         self.expect_identifier()
         self.diag("annotation type declaration skipped", tok)
         if self.at("{"):
-            self.skip_balanced("{", "}", "unbalanced '{'", self.peek())
-        return self.close(n)
+            self.skip_braces()
 
     # ------------------------------------------------------------------
     # type declarations and members
 
-    def parse_type_decl(self, mods: set[str]) -> Node:
+    def parse_type_decl(self, mods: set[str]):
         kw = self.advance()  # class | interface | enum
         name = self.expect_identifier().lexeme
-        decl = self.node("TypeDecl", kw)
-        decl.attrs.update(
-            name=name,
-            type_kind=kw.lexeme,
-            modifiers=frozenset(mods),
-            supertype=None,
-            interfaces=[],
-        )
+        supertype, interfaces = None, []
         if self.at("<"):
             self.skip_generics()
         if kw.lexeme == "class":
             if self.accept("extends"):
-                decl.attrs["supertype"] = self.parse_type_text()
+                supertype = self.parse_type_text()
             if self.accept("implements"):
-                decl.attrs["interfaces"] = self.parse_type_list()
+                interfaces = self.parse_type_list()
         elif kw.lexeme == "interface":
             # All extended interfaces are superinterfaces; none is singled
             # out as "the" supertype.
             if self.accept("extends"):
-                decl.attrs["interfaces"] = self.parse_type_list()
+                interfaces = self.parse_type_list()
         else:  # enum
             if self.accept("implements"):
-                decl.attrs["interfaces"] = self.parse_type_list()
+                interfaces = self.parse_type_list()
         if kw.lexeme != "enum" and self.accept("permits"):
             self.parse_type_list()  # a sealed type's permitted subtypes
-        if kw.lexeme == "enum":
-            self.parse_enum_body(decl)
+        outer, outer_refs = self.type, self.refs
+        if outer is not None:
+            qname = f"{outer.qname}.{name}"
         else:
-            self.parse_class_body(decl)
-        return self.close(decl)
+            qname = f"{self.package}.{name}" if self.package else name
+        info = TypeInfo(
+            qname, name, kw.lexeme, self.src.path, kw.line, kw.line,
+            None if outer is None else outer.qname, supertype,
+        )
+        self.types.append(info)
+        refs = [(raw, kw.line, False) for raw in [supertype, *interfaces] if raw]
+        self.type, self.refs = info, refs
+        uses: list = []  # (method, the names that count as its field uses if fields)
+        if kw.lexeme == "enum":
+            self.parse_enum_body(info, uses)
+        else:
+            self.parse_class_body(info, uses)
+        info.end_line = self.end_line()
+        fields = {f.name for f in info.fields}
+        for method, names in uses:
+            method.field_uses = len(names & fields)
+        info.refs = tuple(r for r in refs if r[0] not in NON_REF_TYPES)
+        self.type, self.refs = outer, outer_refs
 
-    def parse_class_body(self, decl: Node):
+    def parse_class_body(self, info: TypeInfo, uses: list):
         self.expect("{")
-        members = partial(self.parse_member, decl)
-        if self.recover_until_brace(members, decl.children, "unexpected end of file in type body"):
+        members = partial(self.parse_member, info, uses)
+        if self.recover_until_brace(members, "unexpected end of file in type body"):
             self.advance()
 
-    def parse_enum_body(self, decl: Node):
+    def parse_enum_body(self, info: TypeInfo, uses: list):
         self.expect("{")
         while not self.at("}") and not self.at(";"):
             if self.peek() is self.eof:
@@ -526,26 +638,24 @@ class _Parser:
             while self.at("@"):
                 self.skip_annotation()
             ctok = self.expect_identifier()
-            const = self.node("EnumConstant", ctok, name=ctok.lexeme)
             if self.at("("):
-                const.children.extend(self.parse_args())
+                self.parse_args()
             if self.at("{"):
                 self.diag("enum constant body skipped", ctok)
-                const.children.append(self.opaque_braces())
-            decl.children.append(self.close(const))
+                self.skip_braces()
             if not self.accept(","):
                 break
-        members = partial(self.parse_member, decl)
+        members = partial(self.parse_member, info, uses)
         if self.accept(";") and not self.recover_until_brace(
-            members, decl.children, "unexpected end of file in enum body"
+            members, "unexpected end of file in enum body"
         ):
             return
         self.expect("}")
 
-    def parse_member(self, owner: Node) -> Node | None:
-        """One member declaration; fields are appended to *owner* directly."""
+    def parse_member(self, owner: TypeInfo, uses: list):
+        """One member declaration of *owner*."""
         if self.accept(";"):
-            return None
+            return
         start_tok = self.peek()
         mods = self.parse_modifiers()
         t = self.peek()
@@ -558,9 +668,7 @@ class _Parser:
         if self.at_record():
             return self.skip_record()
         if t.lexeme == "{":
-            init = self.node("Initializer", t, static="static" in mods)
-            init.children.append(self.parse_block())
-            return self.close(init)
+            return self.parse_block()  # an initializer
         if t.lexeme == "<":
             self.skip_generics()
             t = self.peek()
@@ -568,43 +676,52 @@ class _Parser:
                 raise _Recover("unexpected end of file after type parameters", t)
 
         # Constructor: bare name of the enclosing type followed by '('.
-        if t.kind == "identifier" and t.lexeme == owner.attrs.get("name") and self.at("(", 1):
-            name_tok = self.advance()
-            return self.parse_method(start_tok, mods, None, name_tok.lexeme, is_ctor=True)
+        if t.kind == "identifier" and t.lexeme == owner.simple_name and self.at("(", 1):
+            self.advance()
+            return self.parse_method(owner, uses, start_tok, mods, None, t.lexeme)
 
         type_text = self.parse_type_text()
         name_tok = self.expect_identifier()
         if self.at("("):
-            return self.parse_method(start_tok, mods, type_text, name_tok.lexeme)
+            return self.parse_method(owner, uses, start_tok, mods, type_text, name_tok.lexeme)
         self.parse_field_declarators(owner, start_tok, mods, type_text, name_tok)
-        return None
 
-    def parse_method(self, start_tok, mods, return_type, name, is_ctor=False) -> Node:
-        decl = self.node("ConstructorDecl" if is_ctor else "MethodDecl", start_tok)
-        params = self.parse_params(decl)
+    def parse_method(self, owner: TypeInfo, uses: list, start_tok, mods, return_type, name):
+        """A method, or a constructor when *return_type* is None."""
+        outer, acc = self.acc, _Method()
+        self.acc = acc
+        params = self.parse_params()
         self.skip_dims()
-        throws: list[str] = []
         if self.accept("throws"):
-            throws = self.parse_type_list()
-        body = None
+            self.parse_type_list()
+        leads = None  # the first token of each statement of the body
         if self.at("{"):
-            body = self.parse_block()
-            decl.children.append(body)
+            leads = []
+            self.parse_block(partial(self.parse_lead_statement, leads))
         else:
             self.expect(";")
-        decl.attrs.update(
-            name=name,
-            modifiers=frozenset(mods),
-            return_type=return_type,
-            params=params,
-            arity=len(params),
-            throws=throws,
-            is_ctor=is_ctor,
-            has_body=body is not None,
+        self.acc = outer
+        if return_type is not None:
+            self.refs.append((return_type, start_tok.line, False))
+        sites = tuple(s for s in acc.sites if s is not None)
+        if outer is not self.outside:  # a local class's method
+            outer.decisions += acc.decisions
+            outer.names += acc.names
+            outer.this_fields += acc.this_fields
+            outer.locals += acc.locals
+            outer.sites += sites
+        is_ctor, has_body = return_type is None, leads is not None
+        method = MethodInfo(
+            name, len(params), tuple(t for t, _ in params), frozenset(mods),
+            _visibility(mods, owner.kind, is_ctor), is_ctor, has_body,
+            start_tok.line, self.end_line(), 1 + acc.decisions if has_body else None, 0,
+            has_body and [lead for lead in leads if lead != ";"] in ([], ["throw"]), sites,
         )
-        return self.close(decl)
+        owner.methods.append(method)
+        shadowed = {p for _, p in params}.union(acc.locals)
+        uses.append((method, (set(acc.names) - shadowed).union(acc.this_fields)))
 
-    def parse_params(self, decl: Node) -> list[tuple[str, str]]:
+    def parse_params(self) -> list[tuple[str, str]]:
         self.expect("(")
         params: list[tuple[str, str]] = []
         while not self.at(")"):
@@ -619,88 +736,92 @@ class _Parser:
             # expected here; a plain identifier is.
             pname = self.expect_identifier().lexeme
             self.skip_dims()
-            param = self.node("Parameter", self.last(), type=ptype, name=pname)
-            decl.children.append(self.close(param))
+            self.refs.append((ptype, self.last().line, False))
             params.append((ptype, pname))
             if not self.accept(","):
                 break
         self.expect(")")
         return params
 
-    def parse_field_declarators(self, owner, start_tok, mods, type_text, first_name_tok):
-        name_tok = first_name_tok
-        while True:
-            fdecl = self.node("FieldDecl", start_tok)
-            fdecl.attrs.update(
-                name=name_tok.lexeme, modifiers=frozenset(mods), type=type_text
-            )
-            self.skip_dims()
-            if self.accept("="):
-                fdecl.children.append(self.parse_variable_init())
-            owner.children.append(self.close(fdecl))
-            if self.accept(","):
+    def parse_field_declarators(self, owner: TypeInfo, start_tok, mods, type_text, name_tok):
+        visibility = _visibility(mods, owner.kind)
+        constant = ("static" in mods and "final" in mods) or owner.kind == "interface"
+        kept = None
+        try:
+            while True:
+                self.skip_dims()
+                if self.accept("="):
+                    self.parse_variable_init()
+                owner.fields.append(FieldInfo(name_tok.lexeme, visibility, constant))
+                self.refs.append((type_text, start_tok.line, False))
+                kept = self.mark()  # a later declarator's error keeps this one
+                if not self.accept(","):
+                    break
                 name_tok = self.expect_identifier()
-                continue
             self.expect(";")
-            return
+        except _Recover as err:
+            err.kept = kept
+            raise
 
-    def parse_variable_init(self) -> Node:
+    def parse_variable_init(self):
         if self.at("{"):
-            return self.parse_array_initializer()
-        return self.parse_expression()
+            self.parse_array_initializer()
+        else:
+            self.parse_expression()
 
-    def parse_array_initializer(self) -> Node:
+    def parse_array_initializer(self):
         open_tok = self.expect("{")
-        n = self.node("ArrayInit", open_tok)
         while not self.at("}"):
             if self.peek() is self.eof:
                 raise _Recover("unterminated array initializer", open_tok)
-            n.children.append(self.parse_variable_init())
+            self.parse_variable_init()
             if not self.accept(","):
                 break
         self.expect("}")
-        return self.close(n)
 
     # ------------------------------------------------------------------
     # statements
 
-    def parse_block(self) -> Node:
+    def parse_block(self, parse_one=None):
         open_tok = self.expect("{")
-        block = self.node("Block", open_tok)
         if self.recover_until_brace(
-            self.parse_statement, block.children, "unexpected end of file in block", open_tok
+            parse_one or self.parse_statement, "unexpected end of file in block", open_tok
         ):
             self.advance()
-        return self.close(block)
 
-    def parse_statement(self) -> Node:
+    def parse_lead_statement(self, leads: list):
+        """A statement of a method body; its first token goes to *leads*."""
+        lead = self.peek().lexeme
+        self.parse_statement()
+        leads.append(lead)
+
+    def parse_statement(self):
         t = self.peek()
         lex = t.lexeme
         if lex == "{":
             return self.parse_block()
         if lex == ";":
             self.advance()
-            return self.close(self.node("Empty", t))
+            return
         if lex == "if":
             return self.parse_if()
         if lex == "while":
             self.advance()
-            n = self.node("While", t)
+            self.acc.decisions += 1
             self.expect("(")
-            n.children.append(self.parse_expression())
+            self.parse_expression()
             self.expect(")")
-            n.children.append(self.parse_statement())
-            return self.close(n)
+            return self.parse_statement()
         if lex == "do":
             self.advance()
-            n = self.node("DoWhile", t)
-            n.children.append(self.parse_statement())
+            self.acc.decisions += 1
+            self.parse_statement()
             self.expect("while")
             self.expect("(")
-            n.children.append(self.parse_expression())
+            self.parse_expression()
             self.expect(")")
             self.expect(";")
-            return self.close(n)
+            return
         if lex == "for":
             return self.parse_for()
         if lex == "switch":
@@ -709,40 +830,34 @@ class _Parser:
             return self.parse_try()
         if lex == "return":
             self.advance()
-            n = self.node("Return", t)
             if not self.at(";"):
-                n.children.append(self.parse_expression())
+                self.parse_expression()
             self.expect(";")
-            return self.close(n)
+            return
         if lex == "throw":
             self.advance()
-            n = self.node("Throw", t)
-            n.children.append(self.parse_expression())
+            self.parse_expression()
             self.expect(";")
-            return self.close(n)
+            return
         if lex in ("break", "continue"):
             self.advance()
-            n = self.node("Break" if lex == "break" else "Continue", t)
             if self.at_kind("identifier"):
-                n.attrs["label"] = self.advance().lexeme
+                self.advance()  # label
             self.expect(";")
-            return self.close(n)
+            return
         if lex == "synchronized":
             self.advance()
-            n = self.node("Sync", t)
             self.expect("(")
-            n.children.append(self.parse_expression())
+            self.parse_expression()
             self.expect(")")
-            n.children.append(self.parse_block())
-            return self.close(n)
+            return self.parse_block()
         if lex == "assert":
             self.advance()
-            n = self.node("Assert", t)
-            n.children.append(self.parse_expression())
+            self.parse_expression()
             if self.accept(":"):
-                n.children.append(self.parse_expression())
+                self.parse_expression()
             self.expect(";")
-            return self.close(n)
+            return
         if lex in ("class", "interface", "enum"):
             return self.parse_type_decl(set())
         if lex in ("final", "abstract", "static"):
@@ -750,31 +865,24 @@ class _Parser:
             nxt = self.peek()
             if nxt.lexeme in ("class", "interface", "enum"):
                 return self.parse_type_decl(mods)
-            local = self.try_parse_local_var()
-            if local is not None:
-                return local
+            if self.try_parse_local_var():
+                return
             raise _Recover("expected declaration after modifiers", nxt)
         if t.kind == "identifier":
             if self.at(":", 1) and not self.at(":", 2):
-                label = self.advance().lexeme
-                self.advance()
-                n = self.node("Labeled", t, label=label)
-                n.children.append(self.parse_statement())
-                return self.close(n)
+                self.i += 2  # label and ':'
+                return self.parse_statement()
             if self.at_record():
                 return self.skip_record()
         elif t is self.eof:
             raise _Recover("expected statement, found end of file", t)
 
-        local = self.try_parse_local_var()
-        if local is not None:
-            return local
-        n = self.node("ExprStmt", t)
-        n.children.append(self.parse_expression())
+        if self.try_parse_local_var():
+            return
+        self.parse_expression()
         self.expect(";")
-        return self.close(n)
 
-    def try_parse_local_var(self) -> Node | None:
+    def try_parse_local_var(self) -> bool:
         save = self.i
         start = self.peek()
         self.accept("final")
@@ -783,158 +891,163 @@ class _Parser:
                 self.skip_annotation()
             except _Recover:
                 self.i = save
-                return None
+                return False
         try:
             type_text = self.parse_type_text()
         except _Recover:
             self.i = save
-            return None
+            return False
         if not (self.at_kind("identifier") and self.peek(1).lexeme in ("=", ";", ",", "[")):
             self.i = save
-            return None
-        n = self.node("LocalVar", start, type=type_text, names=[])
+            return False
+        self.refs.append((type_text, start.line, False))
         while True:
-            name_tok = self.expect_identifier()
-            n.attrs["names"].append(name_tok.lexeme)
+            self.acc.locals.append(self.expect_identifier().lexeme)
             self.skip_dims()
             if self.accept("="):
-                n.children.append(self.parse_variable_init())
+                self.parse_variable_init()
             if self.accept(","):
                 continue
             self.expect(";")
-            return self.close(n)
+            return True
 
-    def parse_if(self) -> Node:
+    def parse_if(self):
+        """An if statement and the else-if links chained to it. A chain whose
+        every condition is an instanceof test leaves a LadderSite in the slot
+        that its head reserved, so sites stay in preorder."""
         tok = self.expect("if")
-        n = self.node("If", tok)
-        self.expect("(")
-        n.children.append(self.parse_expression())
-        self.expect(")")
-        n.children.append(self.parse_statement())
-        if self.accept("else"):
-            n.children.append(self.parse_statement())
-            n.attrs["has_else"] = True
-        return self.close(n)
+        acc = self.acc
+        slot = len(acc.sites)
+        acc.sites.append(None)
+        operands = []  # per link: the instanceof operand's text, or None
+        while True:
+            acc.decisions += 1
+            self.expect("(")
+            cond = self.parse_expression()
+            self.expect(")")
+            operands.append(cond if isinstance(cond, str) else None)
+            self.parse_statement()
+            if not self.accept("else"):
+                break
+            if not self.accept("if"):
+                self.parse_statement()
+                break
+        if None not in operands:
+            shared = operands[0] if len(set(operands)) == 1 else None
+            acc.sites[slot] = LadderSite(tok.line, len(operands), shared)
 
-    def parse_for(self) -> Node:
+    def parse_for(self):
         tok = self.expect("for")
         self.expect("(")
-        save = self.i
+        save, mark = self.i, self.mark()
         # Enhanced for: [final] Type name : expr
         self.accept("final")
         try:
             vtype = self.parse_type_text()
             if self.at_kind("identifier") and self.at(":", 1):
-                name_tok = self.advance()
+                acc = self.acc
+                acc.decisions += 1
+                acc.locals.append(self.advance().lexeme)
                 self.advance()
-                n = self.node("ForEach", tok, var_type=vtype, var_name=name_tok.lexeme)
-                n.children.append(self.parse_expression())
+                self.refs.append((vtype, tok.line, False))
+                self.parse_expression()
                 self.expect(")")
-                n.children.append(self.parse_statement())
-                return self.close(n)
+                return self.parse_statement()
         except _Recover:
-            pass
+            self.rollback(mark)
         self.i = save
 
-        n = self.node("For", tok)
+        self.acc.decisions += 1
         if not self.at(";"):
-            init = self.try_parse_local_var()
-            if init is None:
-                init = self.node("ExprStmt", self.peek())
-                init.children.append(self.parse_expression())
+            if not self.try_parse_local_var():
+                self.parse_expression()
                 while self.accept(","):
-                    init.children.append(self.parse_expression())
-                self.close(init)
+                    self.parse_expression()
                 self.expect(";")
-            n.children.append(init)
         else:
             self.advance()
         if not self.at(";"):
-            n.children.append(self.parse_expression())
+            self.parse_expression()
         self.expect(";")
         if not self.at(")"):
-            upd = self.node("ExprStmt", self.peek())
-            upd.children.append(self.parse_expression())
+            self.parse_expression()
             while self.accept(","):
-                upd.children.append(self.parse_expression())
-            n.children.append(self.close(upd))
+                self.parse_expression()
         self.expect(")")
-        n.children.append(self.parse_statement())
-        return self.close(n)
+        self.parse_statement()
 
-    def parse_switch(self) -> Node:
+    def parse_switch(self):
+        """A switch statement; it leaves a SwitchSite in the slot reserved
+        at its head, so sites stay in preorder."""
         tok = self.expect("switch")
-        n = self.node("Switch", tok)
+        acc = self.acc
+        slot = len(acc.sites)
+        acc.sites.append(None)
         self.expect("(")
         selector = self.parse_expression()
         self.expect(")")
-        n.children.append(selector)
-        n.attrs["selector_text"] = render(selector)
-        n.attrs["terminal_name"] = terminal_name(selector)
+        terminal, text = _terminal(selector), _render(selector)
         self.expect("{")
-        element = partial(self.parse_switch_element, n)
-        self.recover_until_brace(element, n.children, "unexpected end of file in switch", tok)
+        labels: list = []
+        element = partial(self.parse_switch_element, labels)
+        self.recover_until_brace(element, "unexpected end of file in switch", tok)
         self.accept("}")
-        n.attrs["case_count"] = sum(c.kind == "Case" for c in n.children)
-        return self.close(n)
+        acc.sites[slot] = SwitchSite(tok.line, len(labels), terminal, text)
 
-    def parse_switch_element(self, switch_node: Node) -> Node | None:
-        """A statement, or case labels and their arrow body appended to *switch_node*."""
-        if self.accept("case"):
-            while True:
-                label = self.node("Case", self.last())
-                label.children.append(self.parse_case_label())
-                switch_node.children.append(self.close(label))
-                if not self.accept(","):
-                    break
-            self.parse_case_tail(switch_node)
-        elif self.accept("default"):
-            switch_node.children.append(self.close(self.node("Default", self.last())))
-            self.parse_case_tail(switch_node)
-        else:
+    def parse_switch_element(self, labels: list):
+        """A statement, or case labels and their tail. Each case label's
+        first token goes to *labels*, and the label stays counted when its
+        tail fails."""
+        if not (self.at("case") or self.at("default")):
             return self.parse_statement()
-        return None
+        kept = None
+        try:
+            if self.accept("case"):
+                while True:
+                    first = self.peek()
+                    # No ternary here (':' closes the label); pattern labels
+                    # tolerate a trailing binding identifier.
+                    self.parse_binary(0)
+                    if self.at_kind("identifier"):
+                        self.advance()
+                    self.acc.decisions += 1
+                    labels.append(first)
+                    kept = self.mark()
+                    if not self.accept(","):
+                        break
+            else:
+                self.advance()
+            self.parse_case_tail()
+        except _Recover as err:
+            err.kept = kept
+            raise
 
-    def parse_case_label(self) -> Node:
-        # No ternary here (':' closes the label); pattern labels tolerate a
-        # trailing binding identifier.
-        expr = self.parse_binary(0)
-        if self.at_kind("identifier"):
-            self.advance()
-        return expr
-
-    def parse_case_tail(self, switch_node: Node):
+    def parse_case_tail(self):
         if self.accept("->"):
             if self.at("{"):
-                switch_node.children.append(self.parse_block())
+                self.parse_block()
             elif self.at("throw"):
-                switch_node.children.append(self.parse_statement())
+                self.parse_statement()
             else:
-                stmt = self.node("ExprStmt", self.peek())
-                stmt.children.append(self.parse_expression())
+                self.parse_expression()
                 self.expect(";")
-                switch_node.children.append(self.close(stmt))
         else:
             self.expect(":")
 
-    def parse_try(self) -> Node:
+    def parse_try(self):
         tok = self.expect("try")
-        n = self.node("Try", tok)
         if self.accept("("):
             while not self.at(")"):
                 if self.peek() is self.eof:
                     raise _Recover("unterminated resource list", tok)
-                res = self.try_parse_resource()
-                if res is None:
-                    res = self.parse_expression()
-                n.children.append(res)
+                if not self.try_parse_resource():
+                    self.parse_expression()
                 if not self.accept(";"):
                     break
             self.expect(")")
-        n.children.append(self.parse_block())
+        self.parse_block()
         while self.at("catch"):
             ctok = self.advance()
-            c = self.node("Catch", ctok)
             self.expect("(")
             self.accept("final")
             while self.at("@"):
@@ -942,16 +1055,16 @@ class _Parser:
             types = [self.parse_type_text()]
             while self.accept("|"):
                 types.append(self.parse_type_text())
-            c.attrs["types"] = types
-            c.attrs["name"] = self.expect_identifier().lexeme
+            name = self.expect_identifier().lexeme
             self.expect(")")
-            c.children.append(self.parse_block())
-            n.children.append(self.close(c))
+            self.parse_block()
+            self.acc.decisions += 1
+            self.acc.locals.append(name)
+            self.refs += [(raw, ctok.line, False) for raw in types]
         if self.accept("finally"):
-            n.children.append(self.parse_block())
-        return self.close(n)
+            self.parse_block()
 
-    def try_parse_resource(self) -> Node | None:
+    def try_parse_resource(self) -> bool:
         save = self.i
         start = self.peek()
         self.accept("final")
@@ -961,33 +1074,38 @@ class _Parser:
             self.expect("=")
         except _Recover:
             self.i = save
-            return None
-        n = self.node("LocalVar", start, type=rtype, names=[name_tok.lexeme])
-        n.children.append(self.parse_expression())
-        return self.close(n)
+            return False
+        self.refs.append((rtype, start.line, False))
+        self.acc.locals.append(name_tok.lexeme)
+        self.parse_expression()
+        return True
 
     # ------------------------------------------------------------------
-    # expressions
+    # expressions; each returns what a fact may read of it (see _Chain)
 
-    def parse_expression(self) -> Node:
+    def parse_expression(self):
         left = self.parse_ternary()
-        t = self.peek()
-        if t.lexeme in ASSIGN_OPS:
+        if self.peek().lexeme in ASSIGN_OPS:
             self.advance()
-            return self.grow("Assign", t, [left, self.parse_expression()], op=t.lexeme)
+            self.parse_expression()
+            return None
         return left
 
-    def parse_ternary(self) -> Node:
+    def parse_ternary(self):
         cond = self.parse_binary(0)
-        if self.at("?"):
-            qtok = self.advance()
-            then = self.parse_expression()
-            self.expect(":")
-            return self.grow("Ternary", qtok, [cond, then, self.parse_ternary()])
-        return cond
+        if not self.at("?"):
+            return cond
+        self.advance()
+        self.parse_expression()
+        self.expect(":")
+        self.parse_ternary()
+        if not self.lambdas:
+            self.acc.decisions += 1
+        return None
 
-    def parse_binary(self, min_level: int) -> Node:
+    def parse_binary(self, min_level: int):
         """Precedence climbing over operators binding at *min_level* or tighter."""
+        lead = self.peek()
         left = self.parse_unary()
         while True:
             t = self.peek()
@@ -999,26 +1117,35 @@ class _Parser:
                 ty = self.parse_type_text()
                 if self.at_kind("identifier"):  # pattern binding
                     self.advance()
-                left = self.grow("InstanceOf", t, [left], type=ty, operand_text=render(left))
+                if not self.lambdas:
+                    self.refs.append((ty, lead.line, False))
+                left = _render(left)
             else:
-                left = self.grow("Binary", t, [left, self.parse_binary(level + 1)], op=t.lexeme)
+                self.parse_binary(level + 1)
+                if t.lexeme in ("&&", "||") and not self.lambdas:
+                    self.acc.decisions += 1
+                left = None
 
-    def parse_unary(self) -> Node:
+    def parse_unary(self):
         t = self.peek()
         if t.kind == "operator" and t.lexeme in ("+", "-", "!", "~", "++", "--"):
             self.advance()
-            n = self.node("Unary", t, op=t.lexeme, prefix=True)
-            n.children.append(self.parse_unary())
-            return self.close(n)
+            self.parse_unary()
+            return None
         if t.lexeme == "(":
-            cast = self.try_parse_cast()
+            cast = self.skip_cast()
             if cast is not None:
-                return cast
+                if not self.lambdas:
+                    self.refs.append((cast, t.line, False))
+                operand = self.parse_unary()
+                return None if isinstance(operand, str) else operand
         return self.parse_postfix()
 
-    def try_parse_cast(self) -> Node | None:
+    def skip_cast(self) -> str | None:
+        """At '(': consume a cast's '(Type)' and return the type, or consume
+        nothing and return None."""
         save = self.i
-        open_tok = self.advance()  # (
+        self.advance()  # (
         try:
             ty = self.parse_type_text()
         except _Recover:
@@ -1038,21 +1165,22 @@ class _Parser:
         if not starts_operand:
             self.i = save
             return None
-        n = self.node("Cast", open_tok, type=ty)
-        n.children.append(self.parse_unary())
-        return self.close(n)
+        return ty
 
-    def parse_postfix(self) -> Node:
-        node = self.parse_primary()
+    def parse_postfix(self):
+        lead = self.peek()
+        value = self.parse_primary()
+        head = None  # an unparenthesized name: a bare call's name or a qualifier
+        if value is lead and lead.kind == "identifier":
+            if self.at("("):
+                self.parse_args()
+                value = _Chain(lead.lexeme + "()", lead.lexeme)
+            else:
+                self.acc.names.append(lead.lexeme)
+                head = lead
+        this = value is lead and lead.lexeme == "this"  # this.f is a field use
         while True:
             t = self.peek()
-            if t.lexeme == "(" and node.kind == "Name":
-                # Bare call: foo(...). Dotted callees arrive as FieldAccess
-                # and are rewritten in the '.' branch below.
-                n = self.node("Call", t, name=node.attrs["id"], has_target=False)
-                n.children = self.parse_args()
-                node = self.close_from(n, node)
-                continue
             if t.lexeme == ".":
                 self.advance()
                 if self.at("<"):
@@ -1060,36 +1188,33 @@ class _Parser:
                 nt = self.peek()
                 if nt is self.eof:
                     raise _Recover("expected member name after '.'", t)
-                if nt.lexeme == "class":
+                if nt.lexeme in ("class", "this", "new", "super"):
                     self.advance()
-                    node = self.grow("ClassLiteral", nt, [node])
+                    if nt.lexeme == "new":
+                        self.parse_creation(nt)
+                    # X.this and X.super read as this and super.
+                    value = None if nt.lexeme in ("class", "new") else nt
+                    this = nt.lexeme == "this"
                     continue
-                if nt.lexeme == "this":
-                    self.advance()
-                    node = self.grow("This", nt, [node], qualified=True)
-                    continue
-                if nt.lexeme == "new":
-                    self.advance()
-                    inner = self.parse_creation(nt)
-                    inner.children.insert(0, node)
-                    node = self.close_from(inner, node)
-                    continue
-                if nt.lexeme == "super":
-                    self.advance()
-                    node = self.grow("Super", nt, [node], qualified=True)
-                    continue
-                name_tok = self.expect_identifier()
+                name = self.expect_identifier().lexeme
+                if head is not None and value is head and not self.lambdas:
+                    self.refs.append((head.lexeme, head.line, True))
                 if self.at("("):
-                    args = [node] + self.parse_args()
-                    node = self.grow("Call", name_tok, args, name=name_tok.lexeme, has_target=True)
+                    self.parse_args()
+                    value = _link(value, f".{name}()", name)
                 else:
-                    node = self.grow("FieldAccess", name_tok, [node], name=name_tok.lexeme)
+                    if this:
+                        self.acc.this_fields.append(name)
+                    value = _link(value, "." + name, name)
+                this = False
                 continue
             if t.lexeme == "[":
                 self.advance()
-                children = [node] if self.at("]") else [node, self.parse_expression()]
+                if not self.at("]"):
+                    self.parse_expression()
                 self.expect("]")
-                node = self.grow("ArrayAccess", t, children)
+                value = _link(value, "[]", _terminal(value))
+                this = False
                 continue
             if t.lexeme == "::":
                 self.advance()
@@ -1097,26 +1222,24 @@ class _Parser:
                     self.skip_generics()
                 if self.peek() is self.eof:
                     raise _Recover("expected name after '::'", t)
-                ref = self.advance()
-                node = self.grow("MethodRef", ref, [node], name=ref.lexeme)
+                self.advance()
+                value, this = None, False
                 continue
             if t.kind == "operator" and t.lexeme in ("++", "--"):
                 self.advance()
-                node = self.grow("Unary", t, [node], op=t.lexeme, prefix=False)
+                value, this = None, False
                 continue
-            return node
+            return value
 
-    def parse_args(self) -> list[Node]:
+    def parse_args(self):
         self.expect("(")
-        args: list[Node] = []
         while not self.at(")"):
             if self.peek() is self.eof:
                 raise _Recover("unterminated argument list", self.eof)
-            args.append(self.parse_expression())
+            self.parse_expression()
             if not self.accept(","):
                 break
         self.expect(")")
-        return args
 
     def lambda_ahead(self) -> bool:
         # At '(': matched close paren directly followed by '->'.
@@ -1134,114 +1257,98 @@ class _Parser:
                 return False
             j += 1
 
-    def parse_lambda(self, start_tok) -> Node:
-        n = self.node("Lambda", start_tok)
+    def parse_lambda(self):
         if self.at("("):
             self.skip_balanced("(", ")", "unterminated lambda parameters", None)
         else:
             self.expect_identifier()
         self.expect("->")
         if self.at("{"):
-            n.children.append(self.opaque_braces())
+            self.skip_braces()
         else:
-            n.children.append(self.parse_expression())
-        return self.close(n)
+            # A dropped construct's rollback restores the count on an error.
+            self.lambdas += 1
+            self.parse_expression()
+            self.lambdas -= 1
 
-    def parse_creation(self, new_tok) -> Node:
+    def parse_creation(self, new_tok):
         ty = self.parse_type_text()
+        if not self.lambdas:
+            self.refs.append((ty, new_tok.line, False))
         if self.at("["):
-            n = self.node("ArrayNew", new_tok, type=ty)
             while self.accept("["):
                 if not self.at("]"):
-                    n.children.append(self.parse_expression())
+                    self.parse_expression()
                 self.expect("]")
             if self.at("{"):
-                n.children.append(self.parse_array_initializer())
-            return self.close(n)
-        if self.at("{"):
+                self.parse_array_initializer()
+        elif self.at("{"):
             # 'new T[] { ... }': the empty dims were consumed with the type.
-            n = self.node("ArrayNew", new_tok, type=ty)
-            n.children.append(self.parse_array_initializer())
-            return self.close(n)
-        n = self.node("New", new_tok, type=ty)
-        n.children.extend(self.parse_args())
-        if self.at("{"):
-            self.diag("anonymous class body skipped", new_tok)
-            n.children.append(self.opaque_braces())
-        return self.close(n)
+            self.parse_array_initializer()
+        else:
+            self.parse_args()
+            if self.at("{"):
+                self.diag("anonymous class body skipped", new_tok)
+                self.skip_braces()
 
-    def parse_primary(self) -> Node:
+    def parse_primary(self):
         t = self.peek()
         if t.kind == "literal":
             self.advance()
-            return self.close(self.node("Literal", t, text=t.lexeme))
+            return t
         if t.lexeme == "(":
             if self.lambda_ahead():
-                return self.parse_lambda(t)
+                return self.parse_lambda()
             self.advance()
             inner = self.parse_expression()
             self.expect(")")
-            n = self.node("Paren", t)
-            n.children = [inner]
-            return self.close(n)
+            return inner
         if t.lexeme == "new":
             self.advance()
             return self.parse_creation(t)
-        if t.lexeme == "this":
+        if t.lexeme in ("this", "super"):
             self.advance()
             if self.at("("):
-                n = self.node("Call", t, name="this", has_target=False)
-                n.children = self.parse_args()
-                return self.close(n)
-            return self.close(self.node("This", t))
-        if t.lexeme == "super":
-            self.advance()
-            if self.at("("):
-                n = self.node("Call", t, name="super", has_target=False)
-                n.children = self.parse_args()
-                return self.close(n)
-            return self.close(self.node("Super", t))
+                self.parse_args()
+                return _Chain(t.lexeme + "()", t.lexeme)
+            return t
         if t.lexeme == "switch":
             # Switch expressions are outside the subset; consume opaquely.
             self.diag("switch expression consumed opaquely", t)
             self.advance()
             self.skip_balanced("(", ")", "unterminated switch expression", t)
-            n = self.node("Opaque", t)
             if self.at("{"):
-                n.children.append(self.opaque_braces())
-            return self.close(n)
+                self.skip_braces()
+            return None
         if t.kind == "identifier":
             if self.at("->", 1):
-                return self.parse_lambda(t)
+                return self.parse_lambda()
             self.advance()
-            return self.close(self.node("Name", t, id=t.lexeme))
+            return t
         if t.kind == "keyword" and t.lexeme in NON_REF_TYPES:
             self.advance()
             self.skip_dims()
             self.expect(".")
             self.expect("class")
-            return self.close(self.node("ClassLiteral", t, primitive=t.lexeme))
+            return None
         if t is self.eof:
             raise _Recover("expected expression, found end of file", t)
         raise _Recover(f"unexpected token '{t.lexeme}' in expression", t)
 
 
-def parse(tokens: list[Token], source: SourceFile) -> Node:
-    """Parse *tokens* into a CompilationUnit.
+def parse(tokens: list[Token], source: SourceFile) -> ParsedFile:
+    """Parse *tokens* into the facts of *source*, without its code lines.
 
-    Recoverable errors leave diagnostics on the unit
-    (``unit.attrs["diagnostics"]``); ParseError is raised only when nothing
-    could be salvaged from a file that contains declarations.
+    Recoverable errors are listed in the result's ``diagnostics``;
+    ParseError is raised only when nothing could be salvaged from a file
+    that contains declarations.
     """
     p = _Parser(tokens, source)
     try:
-        unit = p.parse_unit()
+        p.parse_unit()
     except RecursionError:
         raise ParseError("nesting too deep to parse", source.path, 1, 1) from None
-    unit.attrs["diagnostics"] = p.diags
-    # A top-level Opaque child is a skipped record or annotation type.
-    has_decls = any(c.kind in ("TypeDecl", "Opaque") for c in unit.children)
-    if p.diags and not has_decls:
+    if p.diags and not p.declared:
         first = p.diags[0]
         raise ParseError(first.message, source.path, first.line, first.col)
-    return unit
+    return ParsedFile(source.path, p.package, tuple(p.imports), p.types, p.diags)

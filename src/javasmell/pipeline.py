@@ -17,8 +17,9 @@ from pathlib import Path
 
 from .lexer import LexError, SourceFile, code_line_numbers, tokenize
 from .metrics import compute_type_metrics, project_metrics
-from .model import ParsedFile, PseudoModel, build_model, file_facts
-from .parser import ParseError, parse
+from . import parser
+from .model import PseudoModel, build_model
+from .parser import ParsedFile, ParseError
 from .smells import RuleConfig, detect_all
 
 
@@ -59,10 +60,12 @@ def parse_one(path: Path, root: Path) -> ParsedFile:
 
 
 def parse_file(src: SourceFile) -> ParsedFile:
-    """Lex and parse one source file and read its facts and code lines.
-    The tokens and the syntax tree are dropped on return."""
+    """Lex and parse one source file to its facts and code lines. The
+    tokens are dropped on return."""
     toks = tokenize(src)
-    return file_facts(parse(toks, src), src.path, code_line_numbers(toks))
+    parsed = parser.parse(toks, src)
+    parsed.code_lines = tuple(sorted(code_line_numbers(toks)))
+    return parsed
 
 
 def analyze_paths(root, paths, config: RuleConfig | None = None, workers: int = 1) -> AnalysisResult:
@@ -70,8 +73,8 @@ def analyze_paths(root, paths, config: RuleConfig | None = None, workers: int = 
 
     The cyclic garbage collector is paused for the run and then left as it
     was found. That is safe because the analysis builds no reference
-    cycles: each file's tokens and syntax tree are freed by reference
-    counting once its facts are read, and the collector would only re-scan
+    cycles: each file's tokens are freed by reference counting once it is
+    parsed, and the collector would only re-scan
     the growing facts and free nothing (``tests/test_pipeline.py`` checks
     that a collection right after a run finds no garbage).
     """

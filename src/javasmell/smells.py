@@ -48,7 +48,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .model import PseudoModel, SwitchSite
+from .model import PseudoModel
+from .parser import SwitchSite
 
 
 class SmellKind(Enum):

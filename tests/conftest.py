@@ -2,9 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from javasmell.lexer import SourceFile, tokenize
-from javasmell.model import build_from_sources
-from javasmell.parser import parse
+from javasmell.model import build_from_sources, parse_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = FIXTURES / "corpus"
@@ -37,9 +35,8 @@ def corpus_model(corpus_sources):
 
 
 def parse_java(text, path="Test.java"):
-    """The syntax tree of *text*."""
-    src = SourceFile(path, text)
-    return parse(tokenize(src), src)
+    """The facts of *text*: its ``ParsedFile``."""
+    return parse_source(text, path)
 
 
 def model_of(**sources):

@@ -3,15 +3,9 @@ import pickle
 import random
 from types import FunctionType, ModuleType
 
-from javasmell.model import (
-    External,
-    LadderSite,
-    SwitchSite,
-    build_from_sources,
-    build_model,
-    parse_source,
-)
-from javasmell.parser import Node
+from javasmell.lexer import Token
+from javasmell.model import External, build_from_sources, build_model, parse_source
+from javasmell.parser import LadderSite, SwitchSite
 from javasmell.pipeline import analyze_tree
 
 from conftest import model_of
@@ -247,15 +241,15 @@ def test_method_facts_recorded_on_method_info():
     assert (g.cc, g.field_uses, g.rejected_body) == (1, 0, True)
 
 
-def _reaches_a_syntax_node(root) -> bool:
-    """Whether a parser ``Node`` is reachable from *root* by following
+def _reaches_a_token(root) -> bool:
+    """Whether a lexer ``Token`` is reachable from *root* by following
     ``gc.get_referents``; classes, modules and functions are not followed."""
     seen, stack = set(), [root]
     while stack:
         obj = stack.pop()
         if id(obj) in seen or isinstance(obj, (type, ModuleType, FunctionType)):
             continue
-        if isinstance(obj, Node):
+        if isinstance(obj, Token):
             return True
         seen.add(id(obj))
         stack.extend(gc.get_referents(obj))
@@ -263,9 +257,10 @@ def _reaches_a_syntax_node(root) -> bool:
 
 
 def test_facts_are_plain_values_that_build_equal_models(corpus_dir, corpus_sources):
+    # No token outlives its file's parse: the facts hold plain values only.
     parsed = [parse_source(text, path) for path, text in corpus_sources.items()]
-    assert not any(_reaches_a_syntax_node(pf) for pf in parsed)
-    assert not _reaches_a_syntax_node(analyze_tree(corpus_dir))
+    assert not any(_reaches_a_token(pf) for pf in parsed)
+    assert not _reaches_a_token(analyze_tree(corpus_dir))
 
     model = build_model(parsed)
     assert any(info.nested for info in model.types.values())

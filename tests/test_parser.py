@@ -1,62 +1,55 @@
 import copy
+import threading
 from pathlib import Path
 
 import pytest
 
 from javasmell.lexer import SourceFile, tokenize
-from javasmell.parser import ParseError, parse
+from javasmell.model import parse_source
+from javasmell.parser import LadderSite, ParseError, SwitchSite, parse
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def top_types(unit):
-    return [c for c in unit.children if c.kind == "TypeDecl"]
-
-
 def parse_text(text, path="T.java"):
-    src = SourceFile(path, text)
-    return parse(tokenize(src), src), src
+    """The facts of *text*: its ``ParsedFile``."""
+    return parse_source(text, path)
 
 
-def methods_of(type_node):
-    return [c for c in type_node.children if c.kind == "MethodDecl"]
+def ref_names(info):
+    return sorted(raw for raw, _, _ in info.refs)
 
 
-def fields_of(type_node):
-    return [c for c in type_node.children if c.kind == "FieldDecl"]
+def diagnostics(parsed):
+    return [(d.line, d.message) for d in parsed.diagnostics]
 
 
 def test_minimal_class_with_method():
-    unit, _ = parse_text("class A { void m(){} }")
-    types = top_types(unit)
-    assert len(types) == 1
-    assert types[0].attrs["name"] == "A"
-    ms = methods_of(types[0])
-    assert len(ms) == 1 and ms[0].attrs["name"] == "m"
-    assert ms[0].attrs["has_body"]
+    parsed = parse_text("class A { void m(){} }")
+    (a,) = parsed.types
+    assert (a.qname, a.kind) == ("A", "class")
+    (m,) = a.methods
+    assert m.name == "m" and m.has_body and not m.is_ctor
 
 
 def test_extends_implements():
-    unit, _ = parse_text("class A extends B implements C, D {}")
-    t = top_types(unit)[0]
-    assert t.attrs["supertype"] == "B"
-    assert t.attrs["interfaces"] == ["C", "D"]
+    (a,) = parse_text("class A extends B implements C, D {}").types
+    assert a.supertype_raw == "B"
+    assert ref_names(a) == ["B", "C", "D"]
 
 
 def test_interface_extends_go_to_interfaces():
-    unit, _ = parse_text("interface I extends A, B {}")
-    t = top_types(unit)[0]
-    assert t.attrs["supertype"] is None
-    assert t.attrs["interfaces"] == ["A", "B"]
+    (i,) = parse_text("interface I extends A, B {}").types
+    assert i.supertype_raw is None
+    assert ref_names(i) == ["A", "B"]
 
 
 def test_two_top_level_classes():
-    unit, _ = parse_text("class A {}\nclass B {}")
-    assert [t.attrs["name"] for t in top_types(unit)] == ["A", "B"]
+    assert [t.qname for t in parse_text("class A {}\nclass B {}").types] == ["A", "B"]
 
 
 def test_package_imports_and_nesting():
-    unit, _ = parse_text(
+    parsed = parse_text(
         """
         package com.example.app;
         import java.util.List;
@@ -68,17 +61,18 @@ def test_package_imports_and_nesting():
         }
         """
     )
-    assert unit.attrs["package"] == "com.example.app"
-    imports = unit.attrs["imports"]
-    assert {i["name"] for i in imports} == {"java.util.List", "java.io", "java.lang.Math.max"}
-    assert [i["on_demand"] for i in imports] == [False, True, False]
-    outer = top_types(unit)[0]
-    nested = [c.attrs["name"] for c in outer.children if c.kind == "TypeDecl"]
-    assert nested == ["Inner", "Helper"]
+    assert parsed.package == "com.example.app"
+    # A static import names no type.
+    assert parsed.imports == (("java.util.List", False), ("java.io", True))
+    assert [(t.qname, t.outer) for t in parsed.types] == [
+        ("com.example.app.Outer", None),
+        ("com.example.app.Outer.Inner", "com.example.app.Outer"),
+        ("com.example.app.Outer.Helper", "com.example.app.Outer"),
+    ]
 
 
 def test_generics_erased_annotations_dropped():
-    unit, _ = parse_text(
+    (a,) = parse_text(
         """
         class A {
             @Deprecated
@@ -87,35 +81,32 @@ def test_generics_erased_annotations_dropped():
             <T extends Comparable<T>> T pick(List<T> items, int[] weights) { return null; }
         }
         """
-    )
-    t = top_types(unit)[0]
-    f = fields_of(t)[0]
-    assert f.attrs["type"] == "Map"
-    m = methods_of(t)[0]
-    assert m.attrs["return_type"] == "T"
-    assert m.attrs["params"] == [("List", "items"), ("int", "weights")]
+    ).types
+    assert [(f.name, f.visibility) for f in a.fields] == [("index", "private")]
+    (m,) = a.methods
+    assert (m.name, m.arity, m.param_types) == ("pick", 2, ("List", "int"))
+    # Field, creation, return and parameter types; int names no type.
+    assert ref_names(a) == ["HashMap", "List", "Map", "T"]
 
 
 def test_field_declarator_groups_split():
-    unit, _ = parse_text("class A { public int a, b = 2, c[]; }")
-    t = top_types(unit)[0]
-    assert [f.attrs["name"] for f in fields_of(t)] == ["a", "b", "c"]
-    assert all(f.attrs["type"] == "int" for f in fields_of(t))
+    (a,) = parse_text("class A { public int a, b = 2, c[]; }").types
+    assert [(f.name, f.visibility, f.is_constant) for f in a.fields] == [
+        ("a", "public", False), ("b", "public", False), ("c", "public", False)
+    ]
 
 
 def test_constructor_and_varargs():
-    unit, _ = parse_text(
+    (a,) = parse_text(
         "class A { A(int x) { } void log(String fmt, Object... args) { } }"
-    )
-    t = top_types(unit)[0]
-    ctors = [c for c in t.children if c.kind == "ConstructorDecl"]
-    assert len(ctors) == 1 and ctors[0].attrs["arity"] == 1
-    m = methods_of(t)[0]
-    assert m.attrs["arity"] == 2
+    ).types
+    ctor, log = a.methods
+    assert (ctor.name, ctor.is_ctor, ctor.arity) == ("A", True, 1)
+    assert (log.is_ctor, log.arity, log.param_types) == (False, 2, ("String", "Object"))
 
 
 def test_enum_constants_and_members():
-    unit, _ = parse_text(
+    (mode,) = parse_text(
         """
         enum Mode implements Marker {
             ON(1), OFF(0);
@@ -124,16 +115,19 @@ def test_enum_constants_and_members():
             int level() { return level; }
         }
         """
-    )
-    t = top_types(unit)[0]
-    consts = [c.attrs["name"] for c in t.children if c.kind == "EnumConstant"]
-    assert consts == ["ON", "OFF"]
-    assert len(methods_of(t)) == 1
-    assert t.attrs["interfaces"] == ["Marker"]
+    ).types
+    assert mode.kind == "enum"
+    assert [f.name for f in mode.fields] == ["level"]
+    # The constants are no members; an enum constructor is private.
+    assert [(m.name, m.is_ctor, m.visibility) for m in mode.methods] == [
+        ("Mode", True, "private"), ("level", False, "package")
+    ]
+    assert [m.field_uses for m in mode.methods] == [1, 1]
+    assert ref_names(mode) == ["Marker"]
 
 
 def test_statement_forms_parse():
-    unit, _ = parse_text(
+    parsed = parse_text(
         """
         class A {
             int work(int[] xs, java.util.List<String> names) {
@@ -165,15 +159,24 @@ def test_statement_forms_parse():
         }
         """
     )
-    assert unit.attrs["diagnostics"] == []
-    kinds = {n.kind for n in unit.walk()}
-    assert {"For", "ForEach", "While", "DoWhile", "Switch", "Case", "Default",
-            "Try", "Catch", "Sync", "Assert", "Labeled", "Lambda", "Cast",
-            "InstanceOf", "Ternary"} <= kinds
+    assert parsed.diagnostics == []
+    (work,) = parsed.types[0].methods
+    # 1 + for + enhanced-for + while + do + two case labels + ternary +
+    # catch + labeled while; the lambda body is opaque.
+    assert work.cc == 10
+    assert work.hierarchy_sites == (SwitchSite(9, 2, "acc", "acc"),)
+    assert (work.line, work.end_line, work.rejected_body) == (3, 28, False)
+    # Types by line, and the heads of qualified names, which may be variables.
+    assert sorted(parsed.types[0].refs) == [
+        ("AutoCloseable", 14, False), ("Error", 16, False), ("IllegalStateException", 17, False),
+        ("Object", 25, False), ("Object", 25, False), ("Runnable", 24, False),
+        ("RuntimeException", 16, False), ("String", 6, False), ("String", 26, False),
+        ("java.util.List", 3, False), ("name", 6, True), ("xs", 5, True),
+    ]
 
 
 def test_instanceof_operand_text_and_switch_terminal():
-    unit, _ = parse_text(
+    (a,) = parse_text(
         """
         class A {
             void f(Object payload, Msg msg) {
@@ -182,16 +185,26 @@ def test_instanceof_operand_text_and_switch_terminal():
             }
         }
         """
+    ).types
+    assert a.methods[0].hierarchy_sites == (
+        LadderSite(4, 1, "payload"),
+        SwitchSite(5, 2, "getKind", "msg.getKind()"),
     )
-    inst = [n for n in unit.walk() if n.kind == "InstanceOf"]
-    assert inst[0].attrs["operand_text"] == "payload"
-    sw = [n for n in unit.walk() if n.kind == "Switch"][0]
-    assert sw.attrs["terminal_name"] == "getKind"
-    assert sw.attrs["case_count"] == 2
+
+
+def test_long_call_chains_in_switch_and_instanceof_are_analyzed():
+    # A selector or operand text is built link by link, so a chain far
+    # longer than the recursion limit allows is read like any other.
+    chain = "a" + ".b()" * 1200
+    (a,) = parse_text(
+        "class A {\n  void f() {\n    switch (%s) { case 1: break; }\n"
+        "    if (%s instanceof B) { }\n  }\n}\n" % (chain, chain)
+    ).types
+    assert a.methods[0].hierarchy_sites == (SwitchSite(3, 1, "b", chain), LadderSite(4, 1, chain))
 
 
 def test_kitchen_sink_compilation_unit():
-    unit, _ = parse_text(
+    parsed = parse_text(
         """
         package com.example.transfer;
         import java.util.*;
@@ -238,26 +251,31 @@ def test_kitchen_sink_compilation_unit():
         }
         """
     )
-    assert unit.attrs["diagnostics"] == []
-    registry = top_types(unit)[0]
-    assert registry.attrs["interfaces"] == ["Registry", "AutoCloseable"]
-    member_kinds = [c.kind for c in registry.children]
-    assert member_kinds.count("ConstructorDecl") == 2
-    assert member_kinds.count("Initializer") == 2
-    assert member_kinds.count("FieldDecl") == 4
+    assert parsed.diagnostics == []
+    registry, marker = parsed.types
+    assert (registry.qname, marker.outer) == ("com.example.transfer.ChannelRegistry", registry.qname)
+    assert [f.name for f in registry.fields] == ["INSTANCES", "flags", "names", "ratio"]
+    assert [(m.name, m.is_ctor) for m in registry.methods] == [
+        ("ChannelRegistry", True), ("ChannelRegistry", True), ("lookup", False), ("close", False)
+    ]
+    assert {"Registry", "AutoCloseable", "ConcurrentHashMap", "NamedChannel"} <= set(ref_names(registry))
+    lookup = registry.methods[2]
+    assert lookup.cc == 9
+    assert lookup.hierarchy_sites == (SwitchSite(23, 2, "charAt", "names[].charAt()"),)
 
 
 def test_array_creation_with_initializer_forms():
-    unit, _ = parse_text(
+    parsed = parse_text(
         "class A { int[] a = new int[] {1, 2}; int[] b = new int[3]; int[][] c = new int[2][]; }"
     )
-    assert unit.attrs["diagnostics"] == []
-    news = [n for n in unit.walk() if n.kind == "ArrayNew"]
-    assert len(news) == 3
+    assert parsed.diagnostics == []
+    (a,) = parsed.types
+    assert [f.name for f in a.fields] == ["a", "b", "c"]
+    assert a.refs == ()  # int names no type
 
 
 def test_unsupported_constructs_become_opaque_with_diagnostic():
-    unit, _ = parse_text(
+    parsed = parse_text(
         """
         class A {
             Runnable r = new Runnable() { public void run() { log("}"); } };
@@ -265,85 +283,81 @@ def test_unsupported_constructs_become_opaque_with_diagnostic():
         }
         """
     )
-    assert top_types(unit)[0].attrs["name"] == "A"
-    assert [m.attrs["name"] for m in methods_of(top_types(unit)[0])] == ["after"]
-    assert [d.message for d in unit.attrs["diagnostics"]] == ["anonymous class body skipped"]
-
-
-def record_diagnostics(unit):
-    return [(d.line, d.message) for d in unit.attrs["diagnostics"]]
+    (a,) = parsed.types
+    assert [f.name for f in a.fields] == ["r"]
+    assert [m.name for m in a.methods] == ["after"]
+    assert [d.message for d in parsed.diagnostics] == ["anonymous class body skipped"]
 
 
 def test_top_level_record_is_skipped_not_fatal():
-    unit, _ = parse_text("record P(int x) {\n    int twice() { return 2 * x; }\n}\nclass A { }\n")
-    assert [t.attrs["name"] for t in top_types(unit)] == ["A"]
-    assert record_diagnostics(unit) == [(1, "record declaration skipped")]
-    alone, _ = parse_text("record P<T>(T x) implements Comparable<P<T>> { }")
-    assert top_types(alone) == []
-    assert record_diagnostics(alone) == [(1, "record declaration skipped")]
+    parsed = parse_text("record P(int x) {\n    int twice() { return 2 * x; }\n}\nclass A { }\n")
+    assert [t.qname for t in parsed.types] == ["A"]
+    assert diagnostics(parsed) == [(1, "record declaration skipped")]
+    alone = parse_text("record P<T>(T x) implements Comparable<P<T>> { }")
+    assert alone.types == []
+    assert diagnostics(alone) == [(1, "record declaration skipped")]
 
 
 def test_member_record_is_skipped_not_a_method():
-    unit, _ = parse_text(
+    parsed = parse_text(
         "class A {\n    public record P(int x) { P { } }\n    void record(int h) { }\n    void m() { }\n}\n"
     )
-    (a,) = top_types(unit)
-    assert [m.attrs["name"] for m in methods_of(a)] == ["record", "m"]
-    assert record_diagnostics(unit) == [(2, "record declaration skipped")]
+    (a,) = parsed.types
+    assert [m.name for m in a.methods] == ["record", "m"]
+    assert diagnostics(parsed) == [(2, "record declaration skipped")]
 
 
 def test_local_record_is_skipped_as_one_statement():
-    unit, _ = parse_text(
+    parsed = parse_text(
         "class A {\n    void m() {\n        record P(int x) { }\n        record(1);\n        int y = 2;\n    }\n}\n"
     )
-    body = methods_of(top_types(unit)[0])[0].children[0]
-    assert [s.kind for s in body.children] == ["Opaque", "ExprStmt", "LocalVar"]
-    assert record_diagnostics(unit) == [(3, "record declaration skipped")]
+    (a,) = parsed.types
+    (m,) = a.methods
+    assert (a.end_line, m.line, m.end_line, m.cc, m.rejected_body) == (7, 2, 6, 1, False)
+    assert diagnostics(parsed) == [(3, "record declaration skipped")]
 
 
 def test_annotation_type_alone_is_skipped_not_fatal():
-    unit, _ = parse_text("@interface Marker {\n    int value() default 1;\n}\n")
-    assert [c.kind for c in unit.children] == ["Opaque"]
-    assert (unit.children[0].line, unit.children[0].end_line) == (1, 3)
-    assert record_diagnostics(unit) == [(1, "annotation type declaration skipped")]
+    parsed = parse_text("@interface Marker {\n    int value() default 1;\n}\n")
+    assert parsed.types == []
+    assert parsed.code_lines == (1, 2, 3)
+    assert diagnostics(parsed) == [(1, "annotation type declaration skipped")]
 
 
 def test_sealed_hierarchy_keeps_every_type():
-    unit, _ = parse_text(
+    parsed = parse_text(
         "sealed interface Shape permits Circle, Square { }\n"
         "final class Circle implements Shape { }\n"
         "non-sealed class Square implements Shape { }\n"
     )
-    assert [(t.attrs["name"], sorted(t.attrs["modifiers"])) for t in top_types(unit)] == [
-        ("Shape", ["sealed"]),
-        ("Circle", ["final"]),
-        ("Square", ["non-sealed"]),
+    assert [(t.qname, t.kind, ref_names(t)) for t in parsed.types] == [
+        ("Shape", "interface", []),  # a permits list adds no reference
+        ("Circle", "class", ["Shape"]),
+        ("Square", "class", ["Shape"]),
     ]
-    assert top_types(unit)[2].attrs["interfaces"] == ["Shape"]
-    assert unit.attrs["diagnostics"] == []
+    assert parsed.diagnostics == []
 
 
 def test_sealed_class_permits_after_extends():
-    unit, _ = parse_text("public abstract sealed class B extends A implements I permits C, p.D<T> { }")
-    (b,) = top_types(unit)
-    assert sorted(b.attrs["modifiers"]) == ["abstract", "public", "sealed"]
-    assert (b.attrs["supertype"], b.attrs["interfaces"]) == ("A", ["I"])
-    assert unit.attrs["diagnostics"] == []
+    parsed = parse_text("public abstract sealed class B extends A implements I permits C, p.D<T> { }")
+    (b,) = parsed.types
+    assert (b.supertype_raw, ref_names(b)) == ("A", ["A", "I"])
+    assert parsed.diagnostics == []
 
 
 def test_sealed_and_non_stay_names_outside_modifier_position():
-    unit, _ = parse_text(
+    parsed = parse_text(
         "class A {\n    int sealed;\n    int non;\n"
         "    int m() { return non - sealed; }\n    void sealed() { }\n}\n"
     )
-    (a,) = top_types(unit)
-    assert [f.attrs["name"] for f in fields_of(a)] == ["sealed", "non"]
-    assert [m.attrs["name"] for m in methods_of(a)] == ["m", "sealed"]
-    assert unit.attrs["diagnostics"] == []
+    (a,) = parsed.types
+    assert [f.name for f in a.fields] == ["sealed", "non"]
+    assert [(m.name, m.field_uses) for m in a.methods] == [("m", 2), ("sealed", 0)]
+    assert parsed.diagnostics == []
 
 
 def test_recoverable_error_keeps_partial_tree():
-    unit, _ = parse_text(
+    parsed = parse_text(
         """
         class A {
             void ok() { }
@@ -353,16 +367,14 @@ def test_recoverable_error_keeps_partial_tree():
         class B { }
         """
     )
-    names = [t.attrs["name"] for t in top_types(unit)]
-    assert names == ["A", "B"]
-    assert unit.attrs["diagnostics"]
-    a_methods = [c.attrs["name"] for c in top_types(unit)[0].children if c.kind == "MethodDecl"]
-    assert "ok" in a_methods
+    assert [t.qname for t in parsed.types] == ["A", "B"]
+    assert parsed.diagnostics
+    assert "ok" in [m.name for m in parsed.types[0].methods]
 
 
 def test_method_reference_cut_off_after_type_arguments_is_recoverable():
-    unit, _ = parse_text("class A { void m() { Object f = X::<T>")
-    assert "expected name after '::'" in [d.message for d in unit.attrs["diagnostics"]]
+    parsed = parse_text("class A { void m() { Object f = X::<T>")
+    assert "expected name after '::'" in [d.message for d in parsed.diagnostics]
 
 
 def test_unrecoverable_raises_parse_error():
@@ -377,69 +389,58 @@ def test_pathological_nesting_is_parse_error_not_crash():
         parse_text("class Deep { void f(int x) { %s } }" % body)
 
 
+def test_nesting_limits_hold():
+    # The parser recurses once per nesting level. Under the default
+    # recursion limit it takes 160 nested parentheses and 190 nested
+    # braced blocks. A new thread starts with an empty stack, so the
+    # frames of the caller (here pytest's) do not count.
+    parens = "class A { int f(int x) { return %s; } }" % ("(" * 160 + "x" + ")" * 160)
+    blocks = "class Deep { void f(int x) { %s } }" % (
+        "".join("if (x > %d) { " % i for i in range(190)) + "x = 0;" + " }" * 190
+    )
+    results = []
+    thread = threading.Thread(target=lambda: results.extend(map(parse_text, (parens, blocks))))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert [r.types[0].methods[0].cc for r in results] == [1, 191]
+
+
 def test_empty_file_is_fine():
-    unit, _ = parse_text("")
-    assert unit.attrs["diagnostics"] == []
-    assert top_types(unit) == []
+    parsed = parse_text("")
+    assert (parsed.diagnostics, parsed.types, parsed.package, parsed.imports) == ([], [], "", ())
 
 
 # ----------------------------------------------------------------------
 # structural invariants
 
 
-def collect_spans(node, out):
-    for child in node.children:
-        out.append((child.start, child.end))
-        collect_spans(child, out)
-
-
 def test_spans_inside_file_and_siblings_do_not_interleave():
     for path in sorted((FIXTURES / "corpus").glob("*.java")):
-        text = path.read_text(encoding="utf-8")
-        unit, src = parse_text(text, path.name)
-        n = len(src.content)
-        stack = [unit]
-        while stack:
-            node = stack.pop()
-            assert 0 <= node.start <= node.end <= n
+        parsed = parse_text(path.read_text(encoding="utf-8"), path.name)
+        last = parsed.code_lines[-1]
+        spans = {t.qname: (t.line, t.end_line) for t in parsed.types}
+        for t in parsed.types:
+            assert 1 <= t.line <= t.end_line <= last
+            if t.outer is not None:
+                outer_line, outer_end = spans[t.outer]
+                assert outer_line <= t.line and t.end_line <= outer_end
             prev_end = None
-            for child in node.children:
-                assert node.start <= child.start and child.end <= node.end
+            for m in t.methods:
+                assert t.line <= m.line <= m.end_line <= t.end_line
                 if prev_end is not None:
-                    assert child.start >= prev_end, f"siblings interleave in {path.name}"
-                prev_end = child.end
-                stack.append(child)
-
-
-def test_every_node_has_exactly_one_parent():
-    text = (FIXTURES / "corpus" / "GodModule.java").read_text(encoding="utf-8")
-    unit, _ = parse_text(text)
-    parents = {}
-    for node in unit.walk():
-        for child in node.children:
-            assert id(child) not in parents, "node reachable from two parents"
-            parents[id(child)] = node
-    assert id(unit) not in parents  # root has none
-
-
-def node_shape(node):
-    return (
-        node.kind,
-        tuple(sorted((k, repr(v)) for k, v in node.attrs.items() if k != "diagnostics")),
-        tuple(node_shape(c) for c in node.children),
-    )
+                    assert m.line >= prev_end, f"methods interleave in {path.name}"
+                prev_end = m.end_line
 
 
 def test_parse_determinism():
     text = (FIXTURES / "corpus" / "GodModule.java").read_text(encoding="utf-8")
-    first, _ = parse_text(text)
-    second, _ = parse_text(text)
-    assert node_shape(first) == node_shape(second)
+    assert parse_text(text) == parse_text(text)
 
 
 def test_single_token_deletions_always_terminate():
     # Error resilience: parsing any stream with one token removed, or cut
-    # off after any token, must finish (partial tree or ParseError), never
+    # off after any token, must finish (partial facts or ParseError), never
     # hang or fail with another exception.
     for path in sorted((FIXTURES / "corpus").glob("*.java")):
         text = path.read_text(encoding="utf-8")
@@ -456,22 +457,3 @@ def test_single_token_deletions_always_terminate():
                 parse(tokens[:end], src)
             except ParseError:
                 pass
-
-
-def recursive_preorder(node):
-    yield node
-    for child in node.children:
-        yield from recursive_preorder(child)
-
-
-def test_walk_is_recursive_preorder():
-    import random
-
-    from random_java import random_method
-
-    rng = random.Random(5150)
-    texts = [random_method(rng)[0] for _ in range(40)]
-    texts += [p.read_text(encoding="utf-8") for p in sorted((FIXTURES / "corpus").glob("*.java"))]
-    for text in texts:
-        unit, _ = parse_text(text)
-        assert [id(n) for n in unit.walk()] == [id(n) for n in recursive_preorder(unit)]
