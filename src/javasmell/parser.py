@@ -345,7 +345,7 @@ class _Parser:
     def mark(self) -> tuple:
         """The fact state to return to when the construct parsed next is
         dropped. Fields and methods need no entry: each is added once
-        complete, and a member that added one fails no more."""
+        complete, and stays when the rest of its member fails."""
         acc = self.acc
         return (
             self.type, self.refs, len(self.refs), len(self.types), acc, self.lambdas,
