@@ -164,6 +164,11 @@ HAND_WRITTEN = [
         "class A { int f; void m() { F g = x -> y(; Object o = new Foo(); if (f > 0 ? a : b) { } } }",
     ),
     ("cast-of-an-instanceof", "class A { void m() { if ((boolean) (o instanceof A)) { } } }"),
+    (
+        "expressions-across-lines",
+        "class A { void m() { Object o = u\n.new V(); Object p = (a)\n.new W[1]; boolean b = x\n.y\n"
+        "instanceof Z; Object q = new\nQ(); r\n.s(); (T)\nt.u(); } }",
+    ),
 ]
 
 
