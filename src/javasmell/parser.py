@@ -1191,7 +1191,7 @@ class _Parser:
                 if nt.lexeme in ("class", "this", "new", "super"):
                     self.advance()
                     if nt.lexeme == "new":
-                        self.parse_creation(nt)
+                        self.parse_creation(nt, lead.line)
                     # X.this and X.super read as this and super.
                     value = None if nt.lexeme in ("class", "new") else nt
                     this = nt.lexeme == "this"
@@ -1271,10 +1271,12 @@ class _Parser:
             self.parse_expression()
             self.lambdas -= 1
 
-    def parse_creation(self, new_tok):
+    def parse_creation(self, new_tok, line: int):
+        """A creation at *new_tok*; its type is referred to at *line*, where
+        the expression starts ('x.new T()' starts at x)."""
         ty = self.parse_type_text()
         if not self.lambdas:
-            self.refs.append((ty, new_tok.line, False))
+            self.refs.append((ty, line, False))
         if self.at("["):
             while self.accept("["):
                 if not self.at("]"):
@@ -1305,7 +1307,7 @@ class _Parser:
             return inner
         if t.lexeme == "new":
             self.advance()
-            return self.parse_creation(t)
+            return self.parse_creation(t, t.line)
         if t.lexeme in ("this", "super"):
             self.advance()
             if self.at("("):
