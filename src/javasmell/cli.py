@@ -38,7 +38,7 @@ from .report import (
     write_report_json,
 )
 from .repometa import InvalidMetadata, classify, load_metadata
-from .smells import ConfigError, RuleConfig, SmellKind
+from .smells import ConfigError, RuleConfig, SmellKind, kind_from_name
 
 EXIT_OK = 0
 EXIT_FATAL = 1
@@ -74,8 +74,6 @@ def _output_dir(path) -> Path:
 def _universe(truth, findings, kinds_arg):
     """Evaluated kind universe: explicit --kinds, else what the review and
     the detector actually touched."""
-    from .smells import kind_from_name
-
     if kinds_arg:
         return [kind_from_name(name.strip()) for name in kinds_arg.split(",") if name.strip()]
     present = {k for _, k in truth.entries}
@@ -97,7 +95,7 @@ def build_arg_parser() -> _Parser:
     p.add_argument("--truth", help="ground-truth file; also writes evaluation.csv")
     p.add_argument("--timestamp", help="fixed ISO-8601 timestamp for the provenance header")
     p.add_argument("--workers", type=int, default=1,
-                   help="threads that parse files (they share the interpreter lock: no speedup)")
+                   help="accepted for compatibility and ignored: files are parsed one after another")
     p.add_argument("--project", help="project name (default: source root name)")
 
     p = sub.add_parser("classify", help="classify repository maturity")
@@ -152,7 +150,7 @@ def cmd_analyze(args) -> int:
             return EXIT_FATAL
 
     project = args.project or src.resolve().name
-    result = analyze_paths(src, find_java_files(src), config, args.workers)
+    result = analyze_paths(src, find_java_files(src), config)
 
     for diag in result.parse_diagnostics:
         print(str(diag), file=sys.stderr)

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple
 
-from .lexer import SourceFile
 from .parser import NON_REF_TYPES, ParsedFile
 
 
@@ -274,18 +273,3 @@ def _flag_extends_cycles(model: PseudoModel):
             seen.add(cur)
             chain.append(cur)
             cur = model.types[cur].supertype
-
-
-# ----------------------------------------------------------------------
-# convenience used by tests and the pipeline
-
-
-def parse_source(text: str, path: str = "<memory>.java") -> ParsedFile:
-    from .pipeline import parse_file  # the pipeline imports this module
-
-    return parse_file(SourceFile(path, text))
-
-
-def build_from_sources(sources: dict) -> PseudoModel:
-    """Build a model straight from {path: java source text}."""
-    return build_model(parse_source(text, path) for path, text in sources.items())

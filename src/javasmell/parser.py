@@ -939,25 +939,26 @@ class _Parser:
     def parse_for(self):
         tok = self.expect("for")
         self.expect("(")
-        save, mark = self.i, self.mark()
-        # Enhanced for: [final] Type name : expr
+        save = self.i
+        # Enhanced for: [final] Type name : expr. The header adds no facts,
+        # and an error after it is reported at its own token.
         self.accept("final")
         try:
             vtype = self.parse_type_text()
-            if self.at_kind("identifier") and self.at(":", 1):
-                acc = self.acc
-                acc.decisions += 1
-                acc.locals.append(self.advance().lexeme)
-                self.advance()
-                self.refs.append((vtype, tok.line, False))
-                self.parse_expression()
-                self.expect(")")
-                return self.parse_statement()
+            enhanced = self.at_kind("identifier") and self.at(":", 1)
         except _Recover:
-            self.rollback(mark)
+            enhanced = False
+        acc = self.acc
+        acc.decisions += 1
+        if enhanced:
+            acc.locals.append(self.advance().lexeme)
+            self.advance()
+            self.refs.append((vtype, tok.line, False))
+            self.parse_expression()
+            self.expect(")")
+            return self.parse_statement()
         self.i = save
 
-        self.acc.decisions += 1
         if not self.at(";"):
             if not self.try_parse_local_var():
                 self.parse_expression()

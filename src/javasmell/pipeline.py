@@ -1,17 +1,15 @@
 """End-to-end analysis: scan, parse, model, metrics, smells.
 
 File discovery matches the ``.java`` suffix case-sensitively and never
-follows symbolic links. Files may be parsed on several threads, which share
-the interpreter lock and so gain no speed; results are merged over a
-canonically sorted path list, so output is identical for any worker count
-or enumeration order. A file that fails to lex/parse/decode is
-recorded as a failure and the rest of the corpus is still analyzed.
+follows symbolic links. Files are parsed one after another in canonically
+sorted path order, so output is identical for any enumeration order. A file
+that fails to lex/parse/decode is recorded as a failure and the rest of the
+corpus is still analyzed.
 """
 
 from __future__ import annotations
 
 import gc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,58 +66,53 @@ def parse_file(src: SourceFile) -> ParsedFile:
     return parsed
 
 
-def analyze_paths(root, paths, config: RuleConfig | None = None, workers: int = 1) -> AnalysisResult:
-    """Analyze an explicit file list (order-insensitive).
+def parse_source(text: str, path: str = "<memory>.java") -> ParsedFile:
+    """Parse Java *text* as if read from *path*."""
+    return parse_file(SourceFile(path, text))
+
+
+def build_from_sources(sources: dict) -> PseudoModel:
+    """Build a model straight from {path: java source text}."""
+    return build_model(parse_source(text, path) for path, text in sources.items())
+
+
+def analyze_paths(root, paths, config: RuleConfig | None = None) -> AnalysisResult:
+    """Analyze an explicit file list (order-insensitive), one file after
+    another in sorted path order.
 
     The cyclic garbage collector is paused for the run and then left as it
     was found. That is safe because the analysis builds no reference
     cycles: each file's tokens are freed by reference counting once it is
-    parsed, and the collector would only re-scan
-    the growing facts and free nothing (``tests/test_pipeline.py`` checks
-    that a collection right after a run finds no garbage).
+    parsed, and the collector would only re-scan the growing facts and free
+    nothing (``tests/test_pipeline.py`` checks that a collection right after
+    a run finds no garbage).
     """
+    root = Path(root)
+    config = config or RuleConfig()
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _analyze(Path(root), paths, config or RuleConfig(), workers)
+        parsed, failures = [], []
+        for path in sorted(map(Path, paths), key=lambda p: p.relative_to(root).as_posix()):
+            try:
+                parsed.append(parse_one(path, root))
+            except (LexError, ParseError, UnicodeDecodeError, OSError) as err:
+                failures.append(FileFailure(path.relative_to(root).as_posix(), str(err)))
+
+        model = build_model(parsed)
+        tm = compute_type_metrics(model)
+        return AnalysisResult(
+            model=model,
+            type_metrics=tm,
+            project_metrics=project_metrics(model, tm),
+            findings=detect_all(model, tm, config),
+            failures=failures,
+            parse_diagnostics=[d for pf in parsed for d in pf.diagnostics],
+        )
     finally:
         if was_enabled:
             gc.enable()
 
 
-def _analyze(root: Path, paths, config: RuleConfig, workers: int) -> AnalysisResult:
-    ordered = sorted(paths, key=lambda p: Path(p).relative_to(root).as_posix())
-
-    def safe_parse(path):
-        try:
-            return parse_one(Path(path), root)
-        except (LexError, ParseError, UnicodeDecodeError, OSError) as err:
-            rel = Path(path).relative_to(root).as_posix()
-            return FileFailure(rel, str(err))
-
-    if workers > 1 and len(ordered) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(safe_parse, ordered))
-    else:
-        results = [safe_parse(p) for p in ordered]
-
-    parsed = [r for r in results if isinstance(r, ParsedFile)]
-    failures = [r for r in results if isinstance(r, FileFailure)]
-    diagnostics = [d for pf in parsed for d in pf.diagnostics]
-
-    model = build_model(parsed)
-    tm = compute_type_metrics(model)
-    pm = project_metrics(model, tm)
-    findings = detect_all(model, tm, config)
-    return AnalysisResult(
-        model=model,
-        type_metrics=tm,
-        project_metrics=pm,
-        findings=findings,
-        failures=failures,
-        parse_diagnostics=diagnostics,
-    )
-
-
-def analyze_tree(root, config: RuleConfig | None = None, workers: int = 1) -> AnalysisResult:
-    return analyze_paths(root, find_java_files(root), config, workers)
+def analyze_tree(root, config: RuleConfig | None = None) -> AnalysisResult:
+    return analyze_paths(root, find_java_files(root), config)

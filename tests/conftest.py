@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from javasmell.model import build_from_sources, parse_source
+from javasmell.pipeline import build_from_sources, parse_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = FIXTURES / "corpus"

@@ -27,8 +27,7 @@ import pytest
 
 from javasmell.evaluation import GroundTruth, evaluate, load_ground_truth
 from javasmell.metrics import compute_type_metrics, project_metrics
-from javasmell.model import build_from_sources
-from javasmell.pipeline import analyze_paths, find_java_files
+from javasmell.pipeline import analyze_paths, build_from_sources, find_java_files
 from javasmell.report import parse_provenance, write_provenance, write_report_json, build_report
 from javasmell.smells import RuleConfig, SmellFinding, SmellKind, detect_all, strongly_connected_components
 from javasmell.repometa import Maturity, RepoMetadata, classify
@@ -272,10 +271,11 @@ def test_08_determinism_shuffled_enumeration_and_workers(tmp_path):
     files = find_java_files(CORPUS)
     rng = random.Random(88)
     outputs = []
-    for run_idx, workers in enumerate((1, 4, 1, 4)):
+    # Worker-count invariance is test_cli.py::test_determinism_across_workers.
+    for run_idx in range(4):
         shuffled = list(files)
         rng.shuffle(shuffled)
-        result = analyze_paths(CORPUS, shuffled, workers=workers)
+        result = analyze_paths(CORPUS, shuffled)
         out = tmp_path / f"run{run_idx}"
         out.mkdir()
         config = RuleConfig()

@@ -26,7 +26,7 @@ import tempfile
 from pathlib import Path
 
 from javasmell.metrics import compute_type_metrics, write_metrics_csv
-from javasmell.model import build_from_sources
+from javasmell.pipeline import build_from_sources
 from javasmell.smells import RuleConfig, detect_all
 
 sys.path.insert(0, str(Path(__file__).parent))

@@ -1,5 +1,6 @@
 import json
 import shutil
+import threading
 
 import pytest
 
@@ -327,6 +328,28 @@ def test_determinism_across_workers(tmp_path, capsys):
     )
     assert (out1 / "provenance.log").read_bytes() == (out2 / "provenance.log").read_bytes()
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+def test_analyze_starts_no_thread_at_any_worker_count(tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    out = tmp_path / "out"
+    code, stdout, _ = run(
+        ["analyze", "--src", str(CORPUS), "--out", str(out), "--workers", "4"], capsys
+    )
+    assert code == EXIT_OK
+    assert "findings: 11" in stdout
+
+
+def test_analyze_rejects_workers_below_one(tmp_path, capsys):
+    code, stdout, stderr = run(
+        ["analyze", "--src", str(CORPUS), "--out", str(tmp_path / "o"), "--workers", "0"], capsys
+    )
+    assert code == EXIT_FATAL
+    assert stderr == "error: --workers must be >= 1\n"
+    assert stdout == ""
 
 
 def test_analyze_survives_deep_expression_nesting(tmp_path, capsys):

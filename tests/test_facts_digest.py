@@ -35,7 +35,7 @@ import sys
 from pathlib import Path
 
 from javasmell.lexer import SourceFile, tokenize
-from javasmell.model import parse_source
+from javasmell.pipeline import parse_source
 from javasmell.parser import ParseError
 
 sys.path.insert(0, str(Path(__file__).parent))

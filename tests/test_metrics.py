@@ -13,7 +13,7 @@ from javasmell.metrics import (
     CSV_COLUMNS,
     _span_loc,
 )
-from javasmell.model import build_from_sources
+from javasmell.pipeline import build_from_sources
 
 from conftest import model_of, parse_java
 

@@ -4,9 +4,9 @@ import random
 from types import FunctionType, ModuleType
 
 from javasmell.lexer import Token
-from javasmell.model import External, build_from_sources, build_model, parse_source
+from javasmell.model import External, build_model
 from javasmell.parser import LadderSite, SwitchSite
-from javasmell.pipeline import analyze_tree
+from javasmell.pipeline import analyze_tree, build_from_sources, parse_source
 
 from conftest import model_of
 

@@ -20,8 +20,8 @@ import sys
 from pathlib import Path
 
 from javasmell.metrics import project_metrics
-from javasmell.model import External, build_from_sources
-from javasmell.pipeline import analyze_tree
+from javasmell.model import External
+from javasmell.pipeline import analyze_tree, build_from_sources
 
 sys.path.insert(0, str(Path(__file__).parent))
 from conftest import CORPUS  # noqa: E402

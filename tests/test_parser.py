@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from javasmell.lexer import SourceFile, tokenize
-from javasmell.model import parse_source
+from javasmell.pipeline import parse_source
 from javasmell.parser import LadderSite, ParseError, SwitchSite, parse
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -287,6 +287,15 @@ def test_unsupported_constructs_become_opaque_with_diagnostic():
     assert [f.name for f in a.fields] == ["r"]
     assert [m.name for m in a.methods] == ["after"]
     assert [d.message for d in parsed.diagnostics] == ["anonymous class body skipped"]
+
+
+def test_unbraced_enhanced_for_reports_the_error_in_its_body():
+    # Past a matched "Type name :" header, a body error is reported at its own token.
+    text = "class A { void m(List<String> xs) { for (String v : xs) v.f(; int k; } }"
+    parsed = parse_text(text)
+    (d,) = parsed.diagnostics
+    assert (d.message, d.col) == ("unexpected token ';' in expression", text.index("; int k") + 1)
+    assert [m.name for m in parsed.types[0].methods] == ["m"]
 
 
 def test_top_level_record_is_skipped_not_fatal():

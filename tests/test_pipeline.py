@@ -76,11 +76,12 @@ def malformed_tree(root):
     return root
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_analysis_leaves_no_garbage_on_the_fixture_corpus(gc_state, workers):
+@pytest.mark.parametrize("runs", [1, 2])
+def test_analysis_leaves_no_garbage_on_the_fixture_corpus(gc_state, runs):
     gc.collect()
     gc.disable()
-    result = analyze_tree(CORPUS, workers=workers)
+    for _ in range(runs):
+        result = analyze_tree(CORPUS)
     assert gc.collect() == 0
     assert result.findings and not result.failures
 
@@ -89,7 +90,7 @@ def test_analysis_leaves_no_garbage_on_malformed_files(gc_state, tmp_path):
     root = malformed_tree(tmp_path / "src")
     gc.collect()
     gc.disable()
-    result = analyze_tree(root, workers=2)
+    result = analyze_tree(root)
     assert gc.collect() == 0
     assert sorted(f.path for f in result.failures) == [
         "Illegal.java", "Latin1.java", "NoDecl.java", "OpenComment.java", "Unterminated.java",
