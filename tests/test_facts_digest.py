@@ -5,8 +5,9 @@ Every input is parsed to its ``ParsedFile`` and reduced to two digests:
 - the facts digest covers every field of the ``ParsedFile`` and of each
   type, field and method in it, every diagnostic's message, line and
   column, or the ``ParseError``'s message. A type's ``refs`` are pinned as
-  a sorted multiset: their only reader, ``build_model``, folds them into a
-  set and the first line per name, so their order is no output's concern;
+  a sorted multiset of (raw name, line) pairs: their only reader,
+  ``build_model``, folds them into a set and the first line per name, so
+  their order is no output's concern;
 - the diagnostics digest covers the diagnostics alone, or the
   ``ParseError``.
 
@@ -207,6 +208,11 @@ def fact_inputs():
         ]
 
 
+def _refs(info) -> list:
+    """A type's references as sorted (raw name, line) pairs."""
+    return sorted(ref[:2] for ref in info.refs)
+
+
 def canonical(value):
     if isinstance(value, (set, frozenset)):
         return ("set", sorted(canonical(v) for v in value))
@@ -214,7 +220,7 @@ def canonical(value):
         return (type(value).__name__, [canonical(v) for v in value])
     if dataclasses.is_dataclass(value):
         return (type(value).__name__, [
-            (f.name, canonical(sorted(value.refs) if f.name == "refs" else getattr(value, f.name)))
+            (f.name, canonical(_refs(value) if f.name == "refs" else getattr(value, f.name)))
             for f in dataclasses.fields(value)
         ])
     return value

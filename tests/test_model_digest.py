@@ -2,9 +2,9 @@
 hand-written projects of ``test_analysis_digest.py``.
 
 Every project is modelled and reduced to one line per view: a digest of the
-dependency graph (externals included), the subtype lists, the incoming
-sets, the top-level type count per file and the code lines per file, and
-the plain file count and ``total_loc``. None of these projects has an
+dependency graph (edges between project types only), the subtype lists,
+the incoming sets, the top-level type count per file and the code lines per
+file, and the plain file count and ``total_loc``. None of these projects has an
 ambiguous import or a duplicate type.
 
 The lines in ``fixtures/model_digests.txt`` were written by
@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 
 from javasmell.metrics import project_metrics
-from javasmell.model import External
 from javasmell.pipeline import analyze_tree, build_from_sources
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -30,17 +29,12 @@ from test_analysis_digest import HAND_WRITTEN  # noqa: E402
 DIGESTS = Path(__file__).parent / "fixtures" / "model_digests.txt"
 
 
-def _key(target):
-    """Sort key for a dependency target: project types, then externals."""
-    return (1, target.name) if isinstance(target, External) else (0, target)
-
-
 def _canonical(mapping: dict) -> list:
     out = []
     for key in sorted(mapping):
         value = mapping[key]
         if isinstance(value, (set, frozenset, list, tuple)):
-            value = [repr(v) for v in sorted(value, key=_key)]
+            value = [repr(v) for v in sorted(value)]
         out.append((key, value))
     return out
 
@@ -61,7 +55,8 @@ def projects():
 
 def lines(name: str, model) -> list:
     views = {
-        "deps": model.deps,
+        # A target that is not a qname names no project type.
+        "deps": {q: {t for t in ts if isinstance(t, str)} for q, ts in model.deps.items()},
         "subtypes": model.subtypes,
         "incoming": model.incoming,
         "file_top_level": model.file_top_level,
