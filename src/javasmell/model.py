@@ -13,24 +13,21 @@ forest (class ``extends`` only) and the type-dependency graph. A type
 declared twice keeps its first declaration, by path, and the later one is
 dropped together with every type nested in it.
 
-Name resolution precedence: types declared in the same file, then same
-package, then single-type imports, then on-demand imports (two matching
-on-demand imports are ambiguous and resolve external, with one diagnostic
-per file and name), then external.
+A written type name resolves to a project type or to nothing. Precedence:
+types declared in the same file, then the same package's top-level types,
+then single-type imports, then on-demand imports (two matching on-demand
+imports are ambiguous and resolve to no project type, with one diagnostic
+per file and name). A name that none of these finds, such as a library type
+or a variable at the head of a qualified call, resolves to no project type.
+The dependency graph holds edges between project types only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .parser import NON_REF_TYPES, ParsedFile
-
-
-class External(NamedTuple):
-    """Unresolved type reference; one bucket per distinct raw name."""
-
-    name: str
 
 
 @dataclass
@@ -55,8 +52,7 @@ class _FileScope:
 @dataclass
 class PseudoModel:
     types: dict = field(default_factory=dict)  # qname -> TypeInfo
-    packages: dict = field(default_factory=dict)  # package -> [qname]
-    deps: dict = field(default_factory=dict)  # qname -> set[str | External]
+    deps: dict = field(default_factory=dict)  # qname -> set of the project qnames it refers to
     subtypes: dict = field(default_factory=dict)  # qname -> [qname]
     incoming: dict = field(default_factory=dict)  # qname -> set of sources
     file_top_level: dict = field(default_factory=dict)  # file -> count
@@ -65,13 +61,6 @@ class PseudoModel:
     _scopes: dict = field(default_factory=dict)  # file -> _FileScope
 
     # --------------------------------------------------------------
-    def internal_dep_graph(self) -> dict:
-        """Adjacency restricted to project types (externals dropped)."""
-        return {
-            q: {t for t in targets if isinstance(t, str)}
-            for q, targets in self.deps.items()
-        }
-
     def incoming_count(self, qname: str) -> int:
         return len(self.incoming.get(qname, ()))
 
@@ -98,58 +87,36 @@ class PseudoModel:
         return None
 
     def resolve(self, raw: str, file: str):
-        """Resolve a written type name to a project qname or External."""
-        return self._resolve(raw, file)[0]
-
-    def _resolve(self, raw: str, file: str):
-        """``resolve``'s result, and the sorted on-demand candidates when
-        two or more match the name's head (else None)."""
-        if not raw or raw in NON_REF_TYPES:
-            return External(raw), None
+        """The project qname that the type name *raw*, written in *file*,
+        refers to, or None. When two or more on-demand imports match the
+        name's head, the sorted tuple of their candidates instead."""
+        if raw in NON_REF_TYPES:
+            return None
         if raw in self.types:
-            return raw, None
-        head, _, rest = raw.partition(".")
+            return raw
+        head, *rest = raw.split(".")
         scope = self._scopes.get(file)
-        q = None
-        if scope is not None:
-            q = scope.simple_names.get(head)
-            if q is None:
-                q = self._package_lookup(scope.package, head)
-            if q is None:
-                target = scope.single_imports.get(head)
-                if target is not None:
-                    if target in self.types:
-                        q = target
-                    else:
-                        return External(target + ("." + rest if rest else "")), None
-            if q is None and scope.on_demand:
-                candidates = sorted(
-                    {
-                        pkg + "." + head
-                        for pkg in scope.on_demand
-                        if pkg + "." + head in self.types
-                    }
-                )
-                if len(candidates) == 1:
-                    q = candidates[0]
-                elif len(candidates) > 1:
-                    return External(raw), candidates
+        if scope is None:
+            return None
+        q = scope.simple_names.get(head)
         if q is None:
-            return External(raw), None
-        if rest:
-            for seg in rest.split("."):
-                nxt = q + "." + seg
-                if nxt not in self.types:
-                    return External(raw), None
-                q = nxt
-        return q, None
-
-    def _package_lookup(self, package: str, simple: str):
-        for q in self.packages.get(package, ()):
-            info = self.types[q]
-            if info.outer is None and info.simple_name == simple:
-                return q
-        return None
+            top = self.types.get(f"{scope.package}.{head}" if scope.package else head)
+            if top is not None and top.outer is None:
+                q = top.qname
+        if q is None:
+            q = scope.single_imports.get(head)
+        if q is None and scope.on_demand:
+            candidates = tuple(sorted({pkg + "." + head for pkg in scope.on_demand} & self.types.keys()))
+            if len(candidates) > 1:
+                return candidates
+            q = candidates[0] if candidates else None
+        if q not in self.types:
+            return None  # a single-type import of no project type lands here too
+        for seg in rest:
+            q += "." + seg
+            if q not in self.types:
+                return None
+        return q
 
 
 # ----------------------------------------------------------------------
@@ -203,17 +170,13 @@ def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
                 model.types[info.outer].nested.append(qname)
             model.types[qname] = info
             scope.simple_names.setdefault(info.simple_name, qname)
-            model.packages.setdefault(pf.package, []).append(qname)
-
-    for pkg in model.packages.values():
-        pkg.sort()
 
     # Pass 2: inheritance resolution and extends-cycle detection.
     for qname in sorted(model.types):
         info = model.types[qname]
         if info.supertype_raw:
             resolved = model.resolve(info.supertype_raw, info.file)
-            if isinstance(resolved, str):
+            if resolved in model.types:  # neither None nor an ambiguous name's candidates
                 info.supertype = resolved
                 model.subtypes.setdefault(resolved, []).append(qname)
     for lst in model.subtypes.values():
@@ -225,16 +188,15 @@ def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
     ambiguous: dict = {}  # (file, head) -> (line, candidates)
     for qname in sorted(model.types):
         info = model.types[qname]
-        edges = model.deps.setdefault(qname, set())
-        for raw, line, internal_only in info.refs:
-            resolved, candidates = model._resolve(raw, info.file)
-            if candidates:
+        edges = model.deps[qname] = set()
+        for raw, line in info.refs:
+            resolved = model.resolve(raw, info.file)
+            if isinstance(resolved, tuple):  # an ambiguous name's candidates
                 key = (info.file, raw.partition(".")[0])
                 if key not in ambiguous or line < ambiguous[key][0]:
-                    ambiguous[key] = (line, candidates)
-            if resolved == qname or (internal_only and not isinstance(resolved, str)):
-                continue  # self reference, or an unresolved name that may be a variable
-            edges.add(resolved)
+                    ambiguous[key] = (line, resolved)
+            elif resolved is not None and resolved != qname:  # no self reference
+                edges.add(resolved)
     for file, line, head, candidates in sorted(
         (file, line, head, c) for (file, head), (line, c) in ambiguous.items()
     ):
@@ -244,8 +206,7 @@ def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
 
     for src, targets in model.deps.items():
         for tgt in targets:
-            if isinstance(tgt, str):
-                model.incoming.setdefault(tgt, set()).add(src)
+            model.incoming.setdefault(tgt, set()).add(src)
     return model
 
 

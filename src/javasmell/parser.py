@@ -141,11 +141,11 @@ class TypeInfo:
     supertype_raw: str | None
     fields: list[FieldInfo] = field(default_factory=list)
     methods: list[MethodInfo] = field(default_factory=list)
-    # (raw name, line, internal only) per type reference: the supertypes and
-    # the field, parameter, return, local, loop variable, creation, cast,
-    # instanceof and catch types, and the head name of a qualified call or
-    # field access (internal only: it may be a variable). Nested types and
-    # lambda bodies add nothing here.
+    # (raw name, line) per type reference: the supertypes and the field,
+    # parameter, return, local, loop variable, creation, cast, instanceof and
+    # catch types, and the head name of a qualified call or field access,
+    # which may name a variable and then resolves to no project type. Nested
+    # types and lambda bodies add nothing here.
     refs: tuple = ()
     nested: list[str] = field(default_factory=list)
     supertype: str | None = None  # resolved, project-internal only
@@ -609,7 +609,7 @@ class _Parser:
             None if outer is None else outer.qname, supertype,
         )
         self.types.append(info)
-        refs = [(raw, kw.line, False) for raw in [supertype, *interfaces] if raw]
+        refs = [(raw, kw.line) for raw in [supertype, *interfaces] if raw]
         self.type, self.refs = info, refs
         uses: list = []  # (method, the names that count as its field uses if fields)
         if kw.lexeme == "enum":
@@ -702,7 +702,7 @@ class _Parser:
             self.expect(";")
         self.acc = outer
         if return_type is not None:
-            self.refs.append((return_type, start_tok.line, False))
+            self.refs.append((return_type, start_tok.line))
         sites = tuple(s for s in acc.sites if s is not None)
         if outer is not self.outside:  # a local class's method
             outer.decisions += acc.decisions
@@ -736,7 +736,7 @@ class _Parser:
             # expected here; a plain identifier is.
             pname = self.expect_identifier().lexeme
             self.skip_dims()
-            self.refs.append((ptype, self.last().line, False))
+            self.refs.append((ptype, self.last().line))
             params.append((ptype, pname))
             if not self.accept(","):
                 break
@@ -753,7 +753,7 @@ class _Parser:
                 if self.accept("="):
                     self.parse_variable_init()
                 owner.fields.append(FieldInfo(name_tok.lexeme, visibility, constant))
-                self.refs.append((type_text, start_tok.line, False))
+                self.refs.append((type_text, start_tok.line))
                 kept = self.mark()  # a later declarator's error keeps this one
                 if not self.accept(","):
                     break
@@ -900,7 +900,7 @@ class _Parser:
         if not (self.at_kind("identifier") and self.peek(1).lexeme in ("=", ";", ",", "[")):
             self.i = save
             return False
-        self.refs.append((type_text, start.line, False))
+        self.refs.append((type_text, start.line))
         while True:
             self.acc.locals.append(self.expect_identifier().lexeme)
             self.skip_dims()
@@ -953,7 +953,7 @@ class _Parser:
         if enhanced:
             acc.locals.append(self.advance().lexeme)
             self.advance()
-            self.refs.append((vtype, tok.line, False))
+            self.refs.append((vtype, tok.line))
             self.parse_expression()
             self.expect(")")
             return self.parse_statement()
@@ -1061,7 +1061,7 @@ class _Parser:
             self.parse_block()
             self.acc.decisions += 1
             self.acc.locals.append(name)
-            self.refs += [(raw, ctok.line, False) for raw in types]
+            self.refs += [(raw, ctok.line) for raw in types]
         if self.accept("finally"):
             self.parse_block()
 
@@ -1076,7 +1076,7 @@ class _Parser:
         except _Recover:
             self.i = save
             return False
-        self.refs.append((rtype, start.line, False))
+        self.refs.append((rtype, start.line))
         self.acc.locals.append(name_tok.lexeme)
         self.parse_expression()
         return True
@@ -1119,7 +1119,7 @@ class _Parser:
                 if self.at_kind("identifier"):  # pattern binding
                     self.advance()
                 if not self.lambdas:
-                    self.refs.append((ty, lead.line, False))
+                    self.refs.append((ty, lead.line))
                 left = _render(left)
             else:
                 self.parse_binary(level + 1)
@@ -1137,7 +1137,7 @@ class _Parser:
             cast = self.skip_cast()
             if cast is not None:
                 if not self.lambdas:
-                    self.refs.append((cast, t.line, False))
+                    self.refs.append((cast, t.line))
                 operand = self.parse_unary()
                 return None if isinstance(operand, str) else operand
         return self.parse_postfix()
@@ -1199,7 +1199,7 @@ class _Parser:
                     continue
                 name = self.expect_identifier().lexeme
                 if head is not None and value is head and not self.lambdas:
-                    self.refs.append((head.lexeme, head.line, True))
+                    self.refs.append((head.lexeme, head.line))
                 if self.at("("):
                     self.parse_args()
                     value = _link(value, f".{name}()", name)
@@ -1277,7 +1277,7 @@ class _Parser:
         the expression starts ('x.new T()' starts at x)."""
         ty = self.parse_type_text()
         if not self.lambdas:
-            self.refs.append((ty, line, False))
+            self.refs.append((ty, line))
         if self.at("["):
             while self.accept("["):
                 if not self.at("]"):

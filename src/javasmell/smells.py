@@ -218,7 +218,8 @@ def _is_main_style(method) -> bool:
 
 
 def strongly_connected_components(adjacency: dict) -> list[list]:
-    """Iterative Tarjan over an adjacency mapping node -> iterable of nodes."""
+    """Iterative Tarjan over an adjacency mapping node -> iterable of nodes;
+    every successor must be a key."""
     index: dict = {}
     lowlink: dict = {}
     on_stack: set = set()
@@ -229,7 +230,7 @@ def strongly_connected_components(adjacency: dict) -> list[list]:
     for root in sorted(adjacency):
         if root in index:
             continue
-        work = [(root, iter(sorted(adjacency.get(root, ()))))]
+        work = [(root, iter(sorted(adjacency[root])))]
         index[root] = lowlink[root] = counter[0]
         counter[0] += 1
         stack.append(root)
@@ -238,14 +239,12 @@ def strongly_connected_components(adjacency: dict) -> list[list]:
             node, it = work[-1]
             advanced = False
             for succ in it:
-                if succ not in adjacency:
-                    continue
                 if succ not in index:
                     index[succ] = lowlink[succ] = counter[0]
                     counter[0] += 1
                     stack.append(succ)
                     on_stack.add(succ)
-                    work.append((succ, iter(sorted(adjacency.get(succ, ())))))
+                    work.append((succ, iter(sorted(adjacency[succ]))))
                     advanced = True
                     break
                 if succ in on_stack:
@@ -270,11 +269,8 @@ def strongly_connected_components(adjacency: dict) -> list[list]:
 
 def _cycle_members(model: PseudoModel) -> dict:
     """qname -> sorted members of its dependency cycle, for SCCs of size >= 2."""
-    graph = model.internal_dep_graph()
-    for qname in model.types:
-        graph.setdefault(qname, set())
     members: dict = {}
-    for component in strongly_connected_components(graph):
+    for component in strongly_connected_components(model.deps):
         if len(component) >= 2:
             cycle = tuple(sorted(component))
             members.update((qname, cycle) for qname in cycle)

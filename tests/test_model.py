@@ -4,7 +4,7 @@ import random
 from types import FunctionType, ModuleType
 
 from javasmell.lexer import Token
-from javasmell.model import External, build_model
+from javasmell.model import build_model
 from javasmell.parser import LadderSite, SwitchSite
 from javasmell.pipeline import analyze_tree, build_from_sources, parse_source
 
@@ -29,11 +29,12 @@ def test_dependency_cycle_edges():
 
 def test_foreign_supertype_suppressed_from_inheritance():
     # Resolution walked by hand: Foreign is not declared anywhere in the
-    # project, so no inheritance edge, only External('Foreign') fan-out.
+    # project, so it resolves to no type and adds no edge of either kind.
     m = model_of(A="package p; class A extends Foreign { }")
+    assert m.resolve("Foreign", m.types["p.A"].file) is None
     assert m.types["p.A"].supertype is None
     assert m.subtypes == {}
-    assert External("Foreign") in m.deps["p.A"]
+    assert m.deps["p.A"] == set()
 
 
 def test_resolution_precedence_same_package():
@@ -41,9 +42,10 @@ def test_resolution_precedence_same_package():
     assert m.resolve("B", m.types["p.A"].file) == "p.B"
 
 
-def test_resolution_unknown_is_external():
+def test_resolution_unknown_is_none():
     m = model_of(A="package p; class A { List xs; }")
-    assert m.resolve("List", m.types["p.A"].file) == External("List")
+    assert m.resolve("List", m.types["p.A"].file) is None
+    assert m.deps["p.A"] == set()
 
 
 def test_resolution_same_file_beats_same_package():
@@ -62,9 +64,16 @@ def test_single_import_resolves_project_type():
     assert "q.Helper" in m.deps["p.A"]
 
 
-def test_single_import_of_library_type_keeps_full_path():
-    m = model_of(A="package p; import java.util.List; class A { List xs; }")
-    assert External("java.util.List") in m.deps["p.A"]
+def test_single_import_of_library_type_adds_no_edge():
+    m = model_of(
+        A="package p; import java.util.List; class A { List xs; List.Inner ys; }",
+        Inner="package java.util.List; public class Inner { }",
+    )
+    # java.util.List is no project type, so List.Inner names none either,
+    # although a package java.util.List declares an Inner.
+    assert m.resolve("List", m.types["p.A"].file) is None
+    assert m.resolve("List.Inner", m.types["p.A"].file) is None
+    assert m.deps["p.A"] == set()
 
 
 def test_on_demand_import_resolves_unique_match():
@@ -82,7 +91,8 @@ def test_ambiguous_on_demand_imports_go_external():
         QX="package q; public class X { }",
         RX="package r; public class X { }",
     )
-    assert External("X") in m.deps["p.A"]
+    assert m.resolve("X", m.types["p.A"].file) == ("q.X", "r.X")
+    assert m.deps["p.A"] == set()
     assert any(d.code == "ambiguous-import" for d in m.diagnostics)
 
 
@@ -120,7 +130,7 @@ class User extends Shape {
         "c/Two.java:2: ambiguous-import: 'Shape' matches a.Shape, b.Shape",
         "c/User.java:4: ambiguous-import: 'Shape' matches a.Shape, b.Shape",
     ]
-    assert External("Shape") in m.deps["c.User"]
+    assert m.deps["c.User"] == set()
 
 
 def test_types_nested_in_a_dropped_duplicate_are_dropped():
@@ -153,17 +163,19 @@ def test_self_reference_dropped():
 
 def test_static_access_edge_only_when_internal():
     m = model_of(
-        A="package p; class A { void f() { Config.reset(); local.reset(); } }",
+        A="package p; class A { void f() { Object local = this; Config.reset(); local.hashCode(); } }",
         Config="package p; class Config { static void reset() { } }",
     )
-    assert "p.Config" in m.deps["p.A"]
-    assert External("local") not in m.deps["p.A"]
+    # Both heads are recorded as references; only the type's resolves.
+    assert {raw for raw, _ in m.types["p.A"].refs} == {"Object", "Config", "local"}
+    assert m.resolve("local", m.types["p.A"].file) is None
+    assert m.deps["p.A"] == {"p.Config"}
 
 
 def test_every_type_ref_resolves_to_internal_or_external(corpus_model):
+    assert corpus_model.deps.keys() == corpus_model.types.keys()
     for qname, targets in corpus_model.deps.items():
-        for tgt in targets:
-            assert isinstance(tgt, str) and tgt in corpus_model.types or isinstance(tgt, External)
+        assert targets <= corpus_model.types.keys() - {qname}
 
 
 def test_order_independence(corpus_sources):

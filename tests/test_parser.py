@@ -17,7 +17,7 @@ def parse_text(text, path="T.java"):
 
 
 def ref_names(info):
-    return sorted(raw for raw, _, _ in info.refs)
+    return sorted(raw for raw, _ in info.refs)
 
 
 def diagnostics(parsed):
@@ -168,10 +168,9 @@ def test_statement_forms_parse():
     assert (work.line, work.end_line, work.rejected_body) == (3, 28, False)
     # Types by line, and the heads of qualified names, which may be variables.
     assert sorted(parsed.types[0].refs) == [
-        ("AutoCloseable", 14, False), ("Error", 16, False), ("IllegalStateException", 17, False),
-        ("Object", 25, False), ("Object", 25, False), ("Runnable", 24, False),
-        ("RuntimeException", 16, False), ("String", 6, False), ("String", 26, False),
-        ("java.util.List", 3, False), ("name", 6, True), ("xs", 5, True),
+        ("AutoCloseable", 14), ("Error", 16), ("IllegalStateException", 17), ("Object", 25),
+        ("Object", 25), ("Runnable", 24), ("RuntimeException", 16), ("String", 6), ("String", 26),
+        ("java.util.List", 3), ("name", 6), ("xs", 5),
     ]
 
 
