@@ -727,9 +727,7 @@ class _Parser:
         while not self.at(")"):
             if self.peek() is self.eof:
                 raise _Recover("unexpected end of file in parameter list", self.eof)
-            while self.at("@"):
-                self.skip_annotation()
-            self.accept("final")
+            self.parse_modifiers()
             ptype = self.parse_type_text()
             self.accept("...")
             # Receiver parameters ("this") and lambda-ish noise are not
@@ -885,14 +883,8 @@ class _Parser:
     def try_parse_local_var(self) -> bool:
         save = self.i
         start = self.peek()
-        self.accept("final")
-        while self.at("@"):
-            try:
-                self.skip_annotation()
-            except _Recover:
-                self.i = save
-                return False
         try:
+            self.parse_modifiers()
             type_text = self.parse_type_text()
         except _Recover:
             self.i = save
@@ -940,10 +932,10 @@ class _Parser:
         tok = self.expect("for")
         self.expect("(")
         save = self.i
-        # Enhanced for: [final] Type name : expr. The header adds no facts,
-        # and an error after it is reported at its own token.
-        self.accept("final")
+        # Enhanced for: [modifiers] Type name : expr. The header adds no
+        # facts, and an error after it is reported at its own token.
         try:
+            self.parse_modifiers()
             vtype = self.parse_type_text()
             enhanced = self.at_kind("identifier") and self.at(":", 1)
         except _Recover:
@@ -1050,9 +1042,7 @@ class _Parser:
         while self.at("catch"):
             ctok = self.advance()
             self.expect("(")
-            self.accept("final")
-            while self.at("@"):
-                self.skip_annotation()
+            self.parse_modifiers()
             types = [self.parse_type_text()]
             while self.accept("|"):
                 types.append(self.parse_type_text())
@@ -1068,8 +1058,8 @@ class _Parser:
     def try_parse_resource(self) -> bool:
         save = self.i
         start = self.peek()
-        self.accept("final")
         try:
+            self.parse_modifiers()
             rtype = self.parse_type_text()
             name_tok = self.expect_identifier()
             self.expect("=")

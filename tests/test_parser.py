@@ -297,6 +297,32 @@ def test_unbraced_enhanced_for_reports_the_error_in_its_body():
     assert [m.name for m in parsed.types[0].methods] == ["m"]
 
 
+def test_annotated_loop_variable_keeps_the_loop():
+    parsed = parse_text(
+        "class A { void m(java.util.List<String> xs) {"
+        " for (@Deprecated String u : xs) { if (u.isEmpty()) { } } } }"
+    )
+    assert parsed.diagnostics == []
+    (m,) = parsed.types[0].methods
+    assert m.cc == 3  # 1 + enhanced-for + if
+
+
+def test_annotated_final_local_is_a_declaration():
+    parsed = parse_text("class A { int x; void m() { @Deprecated final int x = 1; x++; } }")
+    assert parsed.diagnostics == []
+    (m,) = parsed.types[0].methods
+    assert m.field_uses == 0  # the local x shadows the field
+
+
+def test_annotated_resource_is_a_declaration():
+    parsed = parse_text(
+        "class A { void m(java.io.Reader r0) throws Exception {"
+        " try (@Deprecated java.io.Reader r = r0) { } } }"
+    )
+    assert parsed.diagnostics == []
+    assert ref_names(parsed.types[0]) == ["java.io.Reader", "java.io.Reader"]
+
+
 def test_top_level_record_is_skipped_not_fatal():
     parsed = parse_text("record P(int x) {\n    int twice() { return 2 * x; }\n}\nclass A { }\n")
     assert [t.qname for t in parsed.types] == ["A"]
