@@ -3,26 +3,28 @@
 Produces a flat token stream. Comments are kept in the stream (kind
 ``comment``), so everything between tokens is whitespace and the original
 file is reconstructible from token offsets; the parser skips them, and
-``code_line_numbers`` leaves their lines out. Only comments, and string or
-character literals holding an escaped line break, span lines.
+``code_line_numbers`` leaves their lines out. Only comments span lines: a
+string or character literal ends on its line, so a backslash before a line
+break inside one is an unterminated literal, as javac rejects it.
 
 ``tokenize`` is one pass of one compiled master regex, ``_TOKEN_RE``, whose
 alternatives are named groups: the name of the group that matched
 (``m.lastgroup``) is the token's kind, or says what to do. Whitespace runs
 and newlines are matched as well but make no token; newlines, and those
-inside multi-line comments and literals, advance the line number and the
-offset of the line's first character, from which each token's column
-follows. Longest-match rules live in the alternatives' order: comments come
-before the ``/`` operator, numbers (``.5``) before the ``.`` separator,
-``...`` and ``::`` before ``.`` and ``:``, and multi-character operators
-before their prefixes.
+inside multi-line comments, advance the line number and the offset of the
+line's first character, from which each token's column follows.
+Longest-match rules live in the alternatives' order: comments come before
+the ``/`` operator, numbers (``.5``) before the ``.`` separator, ``...``
+and ``::`` before ``.`` and ``:``, and multi-character operators before
+their prefixes.
 
-A word starts with a letter, ``_`` or ``$``; a number with a digit or with
-``.`` and a digit (``str.isalpha``/``str.isdigit``). The regex's word and
-digit classes cannot tell a letter from a non-decimal digit such as ``²``,
-so a word that starts outside ASCII, and a ``.`` followed by such a
-character, go to ``_rare_token``. So do unterminated literals and comments
-and illegal characters, which raise ``LexError``.
+A word starts with a letter, ``_`` or ``$``; a number with a decimal digit
+or with ``.`` and a decimal digit. The regex's word class cannot tell a
+letter from a non-decimal digit such as ``²``, so a word that starts outside
+ASCII goes to ``_rare_kind``, which keeps it when it starts with a letter
+(``str.isalpha``) and otherwise raises ``LexError``, as javac reports an
+illegal character. Unterminated literals and comments and illegal
+characters go there too, and raise ``LexError``.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ MULTI_OPERATORS = (
 # What follows a number's first character: word characters and dots, and a
 # sign right after an exponent letter (e/E; p/P in hexadecimal numbers).
 _DECIMAL_TAIL = r"(?:[\w.]|(?<=[eE])[+-])*"
-_DECIMAL_TAIL_RE = re.compile(_DECIMAL_TAIL)
 
 _TOKEN_RE = re.compile(
     rf"""
@@ -66,10 +67,10 @@ _TOKEN_RE = re.compile(
     | (?P<literal>
           0[xX](?:[\w.]|(?<=[pP])[+-])*
         | (?:\d|\.\d){_DECIMAL_TAIL}
-        | "(?:[^"\\\n]|\\.)*"
-        | '(?:[^'\\\n]|\\.)*'
+        | "(?:[^"\\\n]|\\[^\n])*"
+        | '(?:[^'\\\n]|\\[^\n])*'
       )
-    | (?P<rare>/\*|\.(?=[^\W\d\x00-\x7f])|[^\W\d][\w$]*)
+    | (?P<rare>/\*|[^\W\d][\w$]*)
     | (?P<separator>\.\.\.|::|[(){{}}\[\];,.@])
     | (?P<operator>{"|".join(map(re.escape, MULTI_OPERATORS))}|[=<>!~?:+\-*/&|^%])
     | (?P<illegal>.)
@@ -133,42 +134,35 @@ def tokenize(source: SourceFile) -> list[Token]:
     toks: list[Token] = []
     append = toks.append
     word_kind = _WORD_KINDS.get
-    line, bol, resume = 1, 0, 0
-    # A rare token may end where the regex's match does not, so the scan
-    # resumes after it.
-    while resume is not None:
-        matches, resume = _TOKEN_RE.finditer(text, resume), None
-        for m in matches:
-            kind = m.lastgroup
-            if kind == "space":
+    line, bol = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
+            continue
+        start = m.start()
+        if kind == "newline":
+            line += 1
+            bol = start + 1
+            continue
+        lexeme = m.group()
+        if kind == "word":
+            kind = word_kind(lexeme, "identifier")
+        elif kind == "comment":
+            newlines = lexeme.count("\n")
+            if newlines:
+                append(Token(kind, lexeme, line, start - bol + 1, start, m.end()))
+                line += newlines
+                bol = start + lexeme.rfind("\n") + 1
                 continue
-            start = m.start()
-            if kind == "newline":
-                line += 1
-                bol = start + 1
-                continue
-            lexeme = m.group()
-            if kind == "word":
-                kind = word_kind(lexeme, "identifier")
-            elif kind == "comment" or kind == "literal":
-                newlines = lexeme.count("\n")
-                if newlines:
-                    append(Token(kind, lexeme, line, start - bol + 1, start, m.end()))
-                    line += newlines
-                    bol = start + lexeme.rfind("\n") + 1
-                    continue
-            elif kind == "rare" or kind == "illegal":
-                kind, lexeme = _rare_token(text, start, lexeme, line, start - bol + 1)
-                resume = start + len(lexeme)
-                append(Token(kind, lexeme, line, start - bol + 1, start, resume))
-                break
-            append(Token(kind, lexeme, line, start - bol + 1, start, m.end()))
+        elif kind == "rare" or kind == "illegal":
+            kind = _rare_kind(lexeme, line, start - bol + 1)
+        append(Token(kind, lexeme, line, start - bol + 1, start, m.end()))
     return toks
 
 
-def _rare_token(text: str, start: int, lexeme: str, line: int, col: int) -> tuple[str, str]:
-    """Kind and lexeme of the token at *start*, which the ``rare`` or
-    ``illegal`` alternative matched as *lexeme*; or the ``LexError``."""
+def _rare_kind(lexeme: str, line: int, col: int) -> str:
+    """Kind of the token *lexeme* that the ``rare`` or ``illegal``
+    alternative matched, or the ``LexError`` it stands for."""
     ch = lexeme[0]
     if lexeme == "/*":
         raise LexError("unterminated block comment", line, col)
@@ -176,12 +170,7 @@ def _rare_token(text: str, start: int, lexeme: str, line: int, col: int) -> tupl
         what = "string" if ch == '"' else "character"
         raise LexError(f"unterminated {what} literal", line, col)
     if ch.isalpha():
-        return "identifier", lexeme
-    first_digit = start + (ch == ".")
-    if text[first_digit].isdigit():
-        return "literal", text[start : _DECIMAL_TAIL_RE.match(text, first_digit + 1).end()]
-    if ch == ".":
-        return "separator", ch
+        return "identifier"
     raise LexError(f"illegal character {ch!r}", line, col)
 
 

@@ -328,9 +328,9 @@ class _Parser:
         return self.toks[self.i - 1]
 
     def end_line(self) -> int:
-        """The line on which the last consumed token ends."""
-        t = self.toks[self.i - 1]
-        return t.line + t.lexeme.count("\n")
+        """The line of the last consumed token; no token the parser sees
+        spans lines."""
+        return self.toks[self.i - 1].line
 
     def diag(self, message: str, tok: Token | None = None):
         tok = tok or self.toks[self.i]

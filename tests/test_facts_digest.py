@@ -4,7 +4,7 @@ Every input is parsed to its ``ParsedFile`` and reduced to two digests:
 
 - the facts digest covers every field of the ``ParsedFile`` and of each
   type, field and method in it, every diagnostic's message, line and
-  column, or the ``ParseError``'s message. A type's ``refs`` are pinned as
+  column, or the ``LexError``'s or ``ParseError``'s message. A type's ``refs`` are pinned as
   a sorted multiset of (raw name, line) pairs: their only reader,
   ``build_model``, folds them into a set and the first line per name, so
   their order is no output's concern;
@@ -35,7 +35,7 @@ import random
 import sys
 from pathlib import Path
 
-from javasmell.lexer import SourceFile, tokenize
+from javasmell.lexer import LexError, SourceFile, tokenize
 from javasmell.pipeline import parse_source
 from javasmell.parser import ParseError
 
@@ -237,8 +237,8 @@ def dump_diagnostics(name: str, text: str) -> str:
 def dump_facts(name: str, text: str) -> str:
     try:
         parsed = parse_source(text, name.partition("@")[0])
-    except ParseError as err:
-        return f"ParseError {err}\n"
+    except (LexError, ParseError) as err:
+        return f"{type(err).__name__} {err}\n"
     lines = [f"{f.name} {canonical(getattr(parsed, f.name))!r}" for f in dataclasses.fields(parsed)]
     return "\n".join(lines) + "\n"
 

@@ -73,6 +73,11 @@ def test_bom_is_stripped():
         ("'x", "unterminated character"),
         ("/* open", "unterminated block comment"),
         ("int x = `;", "illegal character"),
+        # Only comments span lines; javac rejects these too.
+        ('"a\\\nb"', "unterminated string"),
+        ("'\\\n'", "unterminated character"),
+        ("a = ² + 1;", "illegal character '²'"),
+        ("a = .²;", "illegal character '²'"),
     ],
 )
 def test_lex_errors_carry_position(bad, message):
