@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .model import PseudoModel
 from .parser import TypeInfo
@@ -35,6 +35,8 @@ class MethodMetrics:
 
 @dataclass
 class TypeMetrics:
+    """One metrics.csv row; the field order is the column order."""
+
     qualified_name: str
     loc: int
     nof: int
@@ -190,22 +192,8 @@ def project_metrics(model: PseudoModel, type_metrics: dict | None = None) -> Pro
     )
 
 
-# Fixed column order for metrics.csv.
-CSV_COLUMNS = (
-    "qualified_name",
-    "loc",
-    "nof",
-    "nopf",
-    "nopf_nonconst",
-    "nom",
-    "nopm",
-    "nc",
-    "dit",
-    "wmc",
-    "max_cc",
-    "lcom",
-    "types_in_file",
-)
+# Fixed column order for metrics.csv: TypeMetrics' fields, in order.
+CSV_COLUMNS = tuple(f.name for f in fields(TypeMetrics))
 
 
 def write_metrics_csv(type_metrics: dict, path):
