@@ -208,11 +208,6 @@ def fact_inputs():
         ]
 
 
-def _refs(info) -> list:
-    """A type's references as sorted (raw name, line) pairs."""
-    return sorted(ref[:2] for ref in info.refs)
-
-
 def canonical(value):
     if isinstance(value, (set, frozenset)):
         return ("set", sorted(canonical(v) for v in value))
@@ -220,7 +215,7 @@ def canonical(value):
         return (type(value).__name__, [canonical(v) for v in value])
     if dataclasses.is_dataclass(value):
         return (type(value).__name__, [
-            (f.name, canonical(_refs(value) if f.name == "refs" else getattr(value, f.name)))
+            (f.name, canonical(sorted(value.refs) if f.name == "refs" else getattr(value, f.name)))
             for f in dataclasses.fields(value)
         ])
     return value

@@ -55,8 +55,7 @@ def projects():
 
 def lines(name: str, model) -> list:
     views = {
-        # A target that is not a qname names no project type.
-        "deps": {q: {t for t in ts if isinstance(t, str)} for q, ts in model.deps.items()},
+        "deps": model.deps,
         "subtypes": model.subtypes,
         "incoming": model.incoming,
         "file_top_level": model.file_top_level,
