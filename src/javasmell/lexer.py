@@ -1,18 +1,17 @@
 """Tokenizer for Java source files.
 
-Produces a flat token stream. Comments are kept in the stream (kind
-``comment``), so everything between tokens is whitespace and the original
-file is reconstructible from token offsets; the parser skips them, and
-``code_line_numbers`` leaves their lines out. Only comments span lines: a
-string or character literal ends on its line, so a backslash before a line
-break inside one is an unterminated literal, as javac rejects it.
+Produces a flat stream of code tokens, each with its kind, lexeme, line and
+column. Comments make no token: one only advances the line count. Only
+comments span lines: a string or character literal ends on its line, so a
+backslash before a line break inside one is an unterminated literal, as
+javac rejects it.
 
 ``tokenize`` is one pass of one compiled master regex, ``_TOKEN_RE``, whose
 alternatives are named groups: the name of the group that matched
-(``m.lastgroup``) is the token's kind, or says what to do. Whitespace runs
-and newlines are matched as well but make no token; newlines, and those
-inside multi-line comments, advance the line number and the offset of the
-line's first character, from which each token's column follows.
+(``m.lastgroup``) is the token's kind, or says what to do. Whitespace runs,
+newlines and comments are matched as well but make no token; newlines, and
+those inside multi-line comments, advance the line number and the offset of
+the line's first character, from which each token's column follows.
 Longest-match rules live in the alternatives' order: comments come before
 the ``/`` operator, numbers (``.5``) before the ``.`` separator, ``...``
 and ``::`` before ``.`` and ``:``, and multi-character operators before
@@ -108,28 +107,22 @@ class SourceFile:
 
 
 class Token:
-    """One token; ``end`` is the offset just past its lexeme."""
+    """One token of code, at its 1-based line and column."""
 
-    __slots__ = ("kind", "lexeme", "line", "col", "offset", "end")
+    __slots__ = ("kind", "lexeme", "line", "col")
 
-    def __init__(self, kind: str, lexeme: str, line: int, col: int, offset: int, end: int):
-        self.kind = kind  # keyword | identifier | literal | operator | separator | comment
+    def __init__(self, kind: str, lexeme: str, line: int, col: int):
+        self.kind = kind  # keyword | identifier | literal | operator | separator
         self.lexeme = lexeme
         self.line = line
         self.col = col
-        self.offset = offset
-        self.end = end
-
-    @property
-    def length(self) -> int:
-        return self.end - self.offset
 
     def __repr__(self):
         return f"<{self.kind} {self.lexeme!r} {self.line}:{self.col}>"
 
 
 def tokenize(source: SourceFile) -> list[Token]:
-    """Full token stream for *source*, comments included."""
+    """The code tokens of *source*, in source order."""
     text = source.content
     toks: list[Token] = []
     append = toks.append
@@ -150,13 +143,12 @@ def tokenize(source: SourceFile) -> list[Token]:
         elif kind == "comment":
             newlines = lexeme.count("\n")
             if newlines:
-                append(Token(kind, lexeme, line, start - bol + 1, start, m.end()))
                 line += newlines
                 bol = start + lexeme.rfind("\n") + 1
-                continue
+            continue
         elif kind == "rare" or kind == "illegal":
             kind = _rare_kind(lexeme, line, start - bol + 1)
-        append(Token(kind, lexeme, line, start - bol + 1, start, m.end()))
+        append(Token(kind, lexeme, line, start - bol + 1))
     return toks
 
 
@@ -172,9 +164,3 @@ def _rare_kind(lexeme: str, line: int, col: int) -> str:
     if ch.isalpha():
         return "identifier"
     raise LexError(f"illegal character {ch!r}", line, col)
-
-
-def code_line_numbers(tokens: list[Token]) -> set[int]:
-    """Lines carrying at least one non-comment token."""
-    return {t.line for t in tokens if t.kind != "comment"}
-

@@ -171,7 +171,7 @@ class ParsedFile:
     imports: tuple  # (dotted name, on demand) per non-static import
     types: list[TypeInfo]  # every type declaration, in preorder
     diagnostics: list  # the parser's recoverable errors
-    code_lines: tuple = ()  # sorted numbers of the lines that carry code
+    code_lines: tuple  # numbers of the lines that carry code, ascending
 
 
 class ParseError(Exception):
@@ -268,11 +268,9 @@ def _link(value, part: str, terminal: str) -> _Chain:
 
 class _Parser:
     def __init__(self, tokens: list[Token], source: SourceFile):
-        toks = [t for t in tokens if t.kind != "comment"]
-        line, col, offset = (toks[-1].line, toks[-1].col, toks[-1].offset) if toks else (1, 1, 0)
-        self.eof = Token("eof", "end of file", line, col, offset, offset + len("end of file"))
-        toks.append(self.eof)
-        self.toks = toks
+        line, col = (tokens[-1].line, tokens[-1].col) if tokens else (1, 1)
+        self.eof = Token("eof", "end of file", line, col)
+        self.toks = tokens + [self.eof]
         self.src = source
         self.i = 0
         self.diags: list[Diagnostic] = []
@@ -483,7 +481,7 @@ class _Parser:
         if not (self.at("non") and self.at("-", 1) and self.at("sealed", 2)):
             return False
         non, minus, sealed = self.toks[self.i : self.i + 3]
-        return non.end == minus.offset and minus.end == sealed.offset
+        return non.line == sealed.line and non.col + 3 == minus.col == sealed.col - 1
 
     def parse_qualified_name(self) -> str:
         parts = [self.expect_identifier().lexeme]
@@ -1330,7 +1328,7 @@ class _Parser:
 
 
 def parse(tokens: list[Token], source: SourceFile) -> ParsedFile:
-    """Parse *tokens* into the facts of *source*, without its code lines.
+    """Parse the code tokens of *source* into its facts and code lines.
 
     Recoverable errors are listed in the result's ``diagnostics``;
     ParseError is raised only when nothing could be salvaged from a file
@@ -1344,4 +1342,5 @@ def parse(tokens: list[Token], source: SourceFile) -> ParsedFile:
     if p.diags and not p.declared:
         first = p.diags[0]
         raise ParseError(first.message, source.path, first.line, first.col)
-    return ParsedFile(source.path, p.package, tuple(p.imports), p.types, p.diags)
+    code_lines = tuple(dict.fromkeys(t.line for t in tokens))  # tokens come in line order
+    return ParsedFile(source.path, p.package, tuple(p.imports), p.types, p.diags, code_lines)

@@ -13,7 +13,7 @@ import gc
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .lexer import LexError, SourceFile, code_line_numbers, tokenize
+from .lexer import LexError, SourceFile, tokenize
 from .metrics import compute_type_metrics, project_metrics
 from . import parser
 from .model import PseudoModel, build_model
@@ -60,10 +60,7 @@ def parse_one(path: Path, root: Path) -> ParsedFile:
 def parse_file(src: SourceFile) -> ParsedFile:
     """Lex and parse one source file to its facts and code lines. The
     tokens are dropped on return."""
-    toks = tokenize(src)
-    parsed = parser.parse(toks, src)
-    parsed.code_lines = tuple(sorted(code_line_numbers(toks)))
-    return parsed
+    return parser.parse(tokenize(src), src)
 
 
 def parse_source(text: str, path: str = "<memory>.java") -> ParsedFile:

@@ -1,8 +1,10 @@
+import re
 from pathlib import Path
 
 import pytest
 
-from javasmell.lexer import LexError, SourceFile, code_line_numbers, tokenize
+from javasmell.lexer import LexError, SourceFile, tokenize
+from javasmell.pipeline import parse_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -25,7 +27,7 @@ def test_minimal_class():
 def test_empty_input():
     _, tokens = toks("")
     assert tokens == []
-    assert len(code_line_numbers(tokens)) == 0
+    assert parse_source("").code_lines == ()
 
 
 def test_token_spans_and_kinds():
@@ -34,10 +36,9 @@ def test_token_spans_and_kinds():
     assert kinds == [
         "keyword", "identifier", "operator", "literal", "separator",
         "identifier", "identifier", "operator", "literal", "separator",
-        "comment",
     ]
     assert tokens[8].lexeme == '"a\\"b"'
-    assert (tokens[0].line, tokens[0].col, tokens[0].length) == (1, 1, 3)
+    assert (tokens[0].line, tokens[0].col, len(tokens[0].lexeme)) == (1, 1, 3)
 
 
 def test_operators_longest_match():
@@ -63,7 +64,7 @@ def test_numeric_literals_stay_single_tokens():
 def test_bom_is_stripped():
     src, tokens = toks("\ufeffclass A {}")
     assert tokens[0].lexeme == "class"
-    assert tokens[0].offset == 0
+    assert (tokens[0].line, tokens[0].col) == (1, 1)
 
 
 @pytest.mark.parametrize(
@@ -90,25 +91,29 @@ def test_lex_errors_carry_position(bad, message):
 
 def test_string_may_contain_comment_markers():
     _, tokens = toks('String s = "// /* no comment */";')
-    assert all(t.kind != "comment" for t in tokens)
+    assert [t.lexeme for t in tokens] == ["String", "s", "=", '"// /* no comment */"', ";"]
 
 
 # ----------------------------------------------------------------------
-# reconstruction invariant: the gaps between consecutive tokens are pure
-# whitespace, so lexemes + whitespace reproduce the file
+# reconstruction invariant: each token's lexeme stands at its line and
+# column, and the gaps between consecutive tokens hold only whitespace and
+# comments, so lexemes, whitespace and comments reproduce the file
+
+_COMMENT = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
 
 
 def assert_reconstructs(text):
     src = SourceFile("T.java", text)
-    tokens = tokenize(src)
+    starts = [0] + [k + 1 for k, ch in enumerate(src.content) if ch == "\n"]
     rebuilt = []
     pos = 0
-    for t in tokens:
-        gap = src.content[pos : t.offset]
-        assert gap.strip() == "", f"non-whitespace between tokens: {gap!r}"
-        rebuilt.append(gap)
-        rebuilt.append(t.lexeme)
-        pos = t.offset + t.length
+    for t in tokenize(src):
+        at = starts[t.line - 1] + t.col - 1
+        gap = src.content[pos:at]
+        assert _COMMENT.sub("", gap).strip() == "", f"code between tokens: {gap!r}"
+        assert src.content.startswith(t.lexeme, at)
+        rebuilt += [gap, t.lexeme]
+        pos = at + len(t.lexeme)
     rebuilt.append(src.content[pos:])
     assert "".join(rebuilt) == src.content
 
@@ -184,8 +189,7 @@ def test_loc_fixture_57_lines():
     assert len(code) == 51
     assert len(comment - code) == 6
 
-    tokens = tokenize(SourceFile("loc_sample.java", text))
-    assert len(code_line_numbers(tokens)) == 51
+    assert len(parse_source(text, "loc_sample.java").code_lines) == 51
 
 
 def test_line_count_closes_the_last_line_at_a_trailing_newline():
@@ -198,5 +202,4 @@ def test_line_stats_agree_with_classifier_across_fixtures():
     for path in sorted((FIXTURES / "corpus").glob("*.java")):
         text = path.read_text(encoding="utf-8")
         code, _ = classify_lines(text)
-        tokens = tokenize(SourceFile(path.name, text))
-        assert code_line_numbers(tokens) == code
+        assert parse_source(text, path.name).code_lines == tuple(sorted(code))
