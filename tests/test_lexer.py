@@ -2,8 +2,11 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from javasmell.lexer import LexError, SourceFile, tokenize
+from javasmell.parser import ParseError
 from javasmell.pipeline import parse_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -203,3 +206,37 @@ def test_line_stats_agree_with_classifier_across_fixtures():
         text = path.read_text(encoding="utf-8")
         code, _ = classify_lines(text)
         assert parse_source(text, path.name).code_lines == tuple(sorted(code))
+
+
+# ----------------------------------------------------------------------
+# code lines as a property over prefixes and one-token deletions of the
+# fixture corpus and the LOC sample, which mixes comments into code lines
+
+CORPUS_TEXTS = [
+    p.read_text(encoding="utf-8")
+    for p in [*sorted((FIXTURES / "corpus").glob("*.java")), FIXTURES / "loc_sample.java"]
+]
+
+
+@st.composite
+def corpus_variants(draw):
+    """A prefix of a corpus file, or the file with one token deleted."""
+    text = draw(st.sampled_from(CORPUS_TEXTS))
+    if draw(st.booleans()):
+        return text[: draw(st.integers(0, len(text)))]
+    starts = [0] + [k + 1 for k, ch in enumerate(text) if ch == "\n"]
+    t = draw(st.sampled_from(tokenize(SourceFile("T.java", text))))
+    at = starts[t.line - 1] + t.col - 1
+    return text[:at] + text[at + len(t.lexeme) :]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(corpus_variants())
+def test_code_lines_agree_with_classifier_on_corpus_variants(text):
+    try:
+        tokens = tokenize(SourceFile("T.java", text))
+        parsed = parse_source(text)
+    except (LexError, ParseError):
+        assume(False)
+    assert all(a.line <= b.line for a, b in zip(tokens, tokens[1:]))
+    assert parsed.code_lines == tuple(sorted(classify_lines(text)[0]))
