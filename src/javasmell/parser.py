@@ -856,7 +856,7 @@ class _Parser:
             return
         if lex in ("class", "interface", "enum"):
             return self.parse_type_decl(set())
-        if lex in ("final", "abstract", "static"):
+        if lex in ("final", "abstract", "static") or lex == "@" and not self.at("interface", 1):
             mods = self.parse_modifiers()
             nxt = self.peek()
             if nxt.lexeme in ("class", "interface", "enum"):
