@@ -19,16 +19,19 @@ their prefixes.
 
 A word starts with a letter, ``_`` or ``$``; a number with a decimal digit
 or with ``.`` and a decimal digit. The regex's word class cannot tell a
-letter from a non-decimal digit such as ``²``, so a word that starts outside
-ASCII goes to ``_rare_kind``, which keeps it when it starts with a letter
-(``str.isalpha``) and otherwise raises ``LexError``, as javac reports an
-illegal character. Unterminated literals and comments and illegal
+letter from a non-decimal digit such as ``²``, so the ``word`` alternative
+takes only ASCII words, and a word holding any other character goes to
+``_rare_kind``. That keeps it when it starts with a letter (``str.isalpha``),
+``_`` or ``$`` and holds no non-decimal digit (Unicode category ``No``), and
+otherwise raises ``LexError`` at the offending character, as javac reports
+an illegal character. Unterminated literals and comments and illegal
 characters go there too, and raise ``LexError``.
 """
 
 from __future__ import annotations
 
 import re
+import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,14 +65,14 @@ _TOKEN_RE = re.compile(
       (?P<space>[ \t\r\f]+)
     | (?P<newline>\n[ \t\r\f]*)
     | (?P<comment>//[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)
-    | (?P<word>[A-Za-z_$][\w$]*)
+    | (?P<word>[A-Za-z_$][A-Za-z0-9_$]*(?![\w$]))
     | (?P<literal>
           0[xX](?:[\w.]|(?<=[pP])[+-])*
         | (?:\d|\.\d){_DECIMAL_TAIL}
         | "(?:[^"\\\n]|\\[^\n])*"
         | '(?:[^'\\\n]|\\[^\n])*'
       )
-    | (?P<rare>/\*|[^\W\d][\w$]*)
+    | (?P<rare>/\*|(?:[^\W\d]|\$)[\w$]*)
     | (?P<separator>\.\.\.|::|[(){{}}\[\];,.@])
     | (?P<operator>{"|".join(map(re.escape, MULTI_OPERATORS))}|[=<>!~?:+\-*/&|^%])
     | (?P<illegal>.)
@@ -161,6 +164,9 @@ def _rare_kind(lexeme: str, line: int, col: int) -> str:
     if ch in "\"'":
         what = "string" if ch == '"' else "character"
         raise LexError(f"unterminated {what} literal", line, col)
-    if ch.isalpha():
+    if ch.isalpha() or ch in "_$":
+        for k, c in enumerate(lexeme):
+            if unicodedata.category(c) == "No":
+                raise LexError(f"illegal character {c!r}", line, col + k)
         return "identifier"
     raise LexError(f"illegal character {ch!r}", line, col)

@@ -92,6 +92,19 @@ def test_lex_errors_carry_position(bad, message):
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("word,col", [("x²", 2), ("_x½", 3), ("$x²", 3)])
+def test_word_holding_a_non_decimal_digit_is_illegal(word, col):
+    with pytest.raises(LexError) as err:
+        tokenize(SourceFile("T.java", f"int {word};"))
+    assert (err.value.message, err.value.col) == (f"illegal character {word[-1]!r}", 4 + col)
+
+
+def test_non_ascii_letters_and_decimal_digits_stay_in_identifiers():
+    words = ["xñ", "x٣", "xⅫ", "名前", "é1", "a$b", "$é"]
+    _, tokens = toks(" + ".join(words))
+    assert [(t.kind, t.lexeme) for t in tokens[::2]] == [("identifier", w) for w in words]
+
+
 def test_string_may_contain_comment_markers():
     _, tokens = toks('String s = "// /* no comment */";')
     assert [t.lexeme for t in tokens] == ["String", "s", "=", '"// /* no comment */"', ";"]
