@@ -111,8 +111,9 @@ class MethodInfo:
     outside lambda bodies. Field uses count the own fields it reads or
     writes: a bare name loses to a parameter, local, loop variable or catch
     name of the same name anywhere in the method, and ``this.f`` always
-    counts. Field uses and hierarchy sites include lambdas and local
-    classes, and a local class's decision points count as well."""
+    counts. Field uses include lambdas and local classes. The decision
+    points and hierarchy sites of a local class's methods count in those
+    methods alone; those of its initializers count in the enclosing one."""
 
     name: str
     arity: int
@@ -209,7 +210,8 @@ def _visibility(modifiers, owner_kind: str, is_ctor: bool = False) -> str:
 
 class _Method:
     """What the facts read of one method body, gathered as it is parsed.
-    The members of a local class add to the methods around it as well."""
+    A local class's methods add their names, fields and locals to the
+    methods around them, but keep their decisions and sites."""
 
     __slots__ = ("decisions", "names", "this_fields", "locals", "sites")
 
@@ -703,11 +705,9 @@ class _Parser:
             self.refs.append((return_type, start_tok.line))
         sites = tuple(s for s in acc.sites if s is not None)
         if outer is not self.outside:  # a local class's method
-            outer.decisions += acc.decisions
             outer.names += acc.names
             outer.this_fields += acc.this_fields
             outer.locals += acc.locals
-            outer.sites += sites
         is_ctor, has_body = return_type is None, leads is not None
         method = MethodInfo(
             name, len(params), tuple(t for t, _ in params), frozenset(mods),

@@ -300,6 +300,29 @@ def test_three_branch_instanceof_ladder_flagged():
     assert found[0].evidence["operand"] == "s"
 
 
+def test_ladder_in_a_local_class_is_flagged_once():
+    src = """package p; class Outer {
+        int f(Object s) {
+            class Local {
+                String g() {
+                    if (s instanceof A) { return "a"; }
+                    else if (s instanceof B) { return "b"; }
+                    else if (s instanceof C) { return "c"; }
+                    return "x";
+                }
+            }
+            return s == null ? 0 : 1;
+        }
+    }"""
+    m = model_of(Outer=src)
+    found = detect(K.MISSING_HIERARCHY, m)
+    assert [(f.subject, f.evidence["branches"]) for f in found] == [("p.Outer.Local", "3")]
+    (f,) = m.types["p.Outer"].methods
+    assert f.cc == 2  # 1 + the conditional; the local class's ifs count in g alone
+    (g,) = m.types["p.Outer.Local"].methods
+    assert g.cc == 4
+
+
 def test_two_branch_ladder_not_flagged():
     m = model_of(Inspect=LADDER.replace("@THIRD@", ""))
     assert detect(K.MISSING_HIERARCHY, m) == []
