@@ -42,3 +42,9 @@ def parse_java(text, path="Test.java"):
 def model_of(**sources):
     """Build a model from keyword sources: model_of(A='class A {}')."""
     return build_from_sources({f"{name}.java": text for name, text in sources.items()})
+
+
+def token_offsets(text, tokens):
+    """Offset in *text* of each token, from its line and column."""
+    starts = [0] + [k + 1 for k, ch in enumerate(text) if ch == "\n"]
+    return [starts[t.line - 1] + t.col - 1 for t in tokens]

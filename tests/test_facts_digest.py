@@ -12,12 +12,12 @@ Every input is parsed to its ``ParsedFile`` and reduced to two digests:
   ``ParseError``.
 
 The diagnostics digest runs over every ``.java`` fixture, about 40 prefixes
-of each (cut before evenly spaced code tokens, so most end mid-construct) and
+of each (cut before evenly spaced tokens, so most end mid-construct) and
 400 seeded ``random_java`` methods. The facts digest runs over those, the
 hand-written cases below, 200 seeded ``random_java`` methods placed in a
 class whose fields share names with their parameters, locals and loop
 variables, and, one line per corpus file, every copy of the file with one
-code token blanked out. A token's offset follows from its line and column.
+token blanked out. A token's offset follows from its line and column.
 
 The digests in ``fixtures/facts_digests.txt`` and
 ``fixtures/diagnostic_digests.txt`` were written by
@@ -35,13 +35,13 @@ import random
 import sys
 from pathlib import Path
 
-from javasmell.lexer import LexError
+from javasmell.lexer import LexError, SourceFile, tokenize
 from javasmell.pipeline import parse_source
 from javasmell.parser import ParseError
 
 sys.path.insert(0, str(Path(__file__).parent))
 from random_java import random_method  # noqa: E402
-from test_token_digest import code_tokens, token_offsets  # noqa: E402
+from conftest import token_offsets  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FACTS = FIXTURES / "facts_digests.txt"
@@ -181,7 +181,7 @@ def inputs():
         name = path.relative_to(FIXTURES).as_posix()
         text = path.read_text(encoding="utf-8")
         yield name, text
-        tokens = code_tokens(name, text)
+        tokens = tokenize(SourceFile(name, text))
         offsets = token_offsets(text, tokens)
         step = max(1, len(tokens) // PREFIXES_PER_FILE)
         for k in range(0, len(tokens), step):
@@ -204,7 +204,7 @@ def fact_inputs():
         yield f"in_class/{k}", [text[: -len("}\n")] + FIELDS_AFTER + "}\n"]
     for path in sorted((FIXTURES / "corpus").glob("*.java")):
         text = path.read_text(encoding="utf-8")
-        tokens = code_tokens(path.name, text)
+        tokens = tokenize(SourceFile(path.name, text))
         yield f"corpus/{path.name}/each-token-blanked", [
             text[:at] + " " * len(t.lexeme) + text[at + len(t.lexeme) :]
             for t, at in zip(tokens, token_offsets(text, tokens))

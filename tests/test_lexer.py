@@ -9,6 +9,8 @@ from javasmell.lexer import LexError, SourceFile, tokenize
 from javasmell.parser import ParseError
 from javasmell.pipeline import parse_source
 
+from conftest import token_offsets
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -120,11 +122,10 @@ _COMMENT = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
 
 def assert_reconstructs(text):
     src = SourceFile("T.java", text)
-    starts = [0] + [k + 1 for k, ch in enumerate(src.content) if ch == "\n"]
+    tokens = tokenize(src)
     rebuilt = []
     pos = 0
-    for t in tokenize(src):
-        at = starts[t.line - 1] + t.col - 1
+    for t, at in zip(tokens, token_offsets(src.content, tokens)):
         gap = src.content[pos:at]
         assert _COMMENT.sub("", gap).strip() == "", f"code between tokens: {gap!r}"
         assert src.content.startswith(t.lexeme, at)
@@ -237,10 +238,10 @@ def corpus_variants(draw):
     text = draw(st.sampled_from(CORPUS_TEXTS))
     if draw(st.booleans()):
         return text[: draw(st.integers(0, len(text)))]
-    starts = [0] + [k + 1 for k, ch in enumerate(text) if ch == "\n"]
-    t = draw(st.sampled_from(tokenize(SourceFile("T.java", text))))
-    at = starts[t.line - 1] + t.col - 1
-    return text[:at] + text[at + len(t.lexeme) :]
+    tokens = tokenize(SourceFile("T.java", text))
+    k = draw(st.integers(0, len(tokens) - 1))
+    at = token_offsets(text, tokens)[k]
+    return text[:at] + text[at + len(tokens[k].lexeme) :]
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)

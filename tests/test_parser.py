@@ -315,7 +315,9 @@ def test_annotated_final_local_is_a_declaration():
 
 
 def test_annotated_local_class_is_a_type():
-    parsed = parse_text("class A { void m() { @Deprecated class L { int f; } @SuppressWarnings(\"x\")\n T t; } }")
+    parsed = parse_text(
+        "class A { void m() { @Deprecated class L { int f; } @SuppressWarnings(\"x\")\n T t; } }"
+    )
     assert parsed.diagnostics == []
     assert [t.qname for t in parsed.types] == ["A", "A.L"]
     assert sorted(parsed.types[0].refs) == [("T", 2)]  # the type's line, not the annotation's

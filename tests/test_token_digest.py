@@ -1,9 +1,9 @@
 """Pinned token streams and lexer errors for a fixed set of inputs.
 
-Every input is lexed and reduced to one digest over each code token's kind,
+Every input is lexed and reduced to one digest over each token's kind,
 lexeme, line and column, or over the ``LexError``'s message, line and
 column. The inputs are every ``.java`` fixture, about 40 prefixes of each
-(cut before evenly spaced code tokens, and cut again inside the same tokens,
+(cut before evenly spaced tokens, and cut again inside the same tokens,
 so strings end unterminated), 400 seeded ``random_java`` methods and the
 hand-written edge cases below. A cut's offset follows from the token's line
 and column.
@@ -25,6 +25,7 @@ from javasmell.lexer import LexError, SourceFile, tokenize
 
 sys.path.insert(0, str(Path(__file__).parent))
 from random_java import random_method  # noqa: E402
+from conftest import token_offsets  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DIGESTS = FIXTURES / "token_digests.txt"
@@ -89,16 +90,6 @@ EDGE_CASES = [
 ]
 
 
-def code_tokens(name: str, text: str) -> list:
-    return [t for t in tokenize(SourceFile(name, text)) if t.kind != "comment"]
-
-
-def token_offsets(text: str, tokens) -> list:
-    """Offset in *text* of each token, from its line and column."""
-    starts = [0] + [k + 1 for k, ch in enumerate(text) if ch == "\n"]
-    return [starts[t.line - 1] + t.col - 1 for t in tokens]
-
-
 def inputs():
     """(name, text) pairs, in a fixed order."""
     files = sorted(FIXTURES.glob("*.java")) + sorted((FIXTURES / "corpus").glob("*.java"))
@@ -106,7 +97,7 @@ def inputs():
         name = path.relative_to(FIXTURES).as_posix()
         text = path.read_text(encoding="utf-8")
         yield name, text
-        tokens = code_tokens(name, text)
+        tokens = tokenize(SourceFile(name, text))
         offsets = token_offsets(text, tokens)
         step = max(1, len(tokens) // PREFIXES_PER_FILE)
         for k in range(0, len(tokens), step):
@@ -121,7 +112,7 @@ def inputs():
 
 def dump(name: str, text: str) -> str:
     try:
-        tokens = code_tokens(name, text)
+        tokens = tokenize(SourceFile(name, text))
     except LexError as err:
         return f"LexError {err.message!r} {err.line} {err.col}\n"
     return "".join(f"{t.kind} {t.lexeme!r} {t.line} {t.col}\n" for t in tokens)
