@@ -22,10 +22,11 @@ or with ``.`` and a decimal digit. The regex's word class cannot tell a
 letter from a non-decimal digit such as ``²``, so the ``word`` alternative
 takes only ASCII words, and a word holding any other character goes to
 ``_rare_kind``. That keeps it when it starts with a letter (``str.isalpha``),
-``_`` or ``$`` and holds no non-decimal digit (Unicode category ``No``), and
-otherwise raises ``LexError`` at the offending character, as javac reports
-an illegal character. Unterminated literals and comments and illegal
-characters go there too, and raise ``LexError``.
+a letter number such as ``Ⅻ`` (category ``Nl``), ``_`` or ``$`` and holds no
+non-decimal digit (category ``No``), and otherwise raises ``LexError`` at the
+offending character, as javac reports an illegal character. Unterminated
+literals and comments and illegal characters go there too, and raise
+``LexError``.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def _rare_kind(lexeme: str, line: int, col: int) -> str:
     if ch in "\"'":
         what = "string" if ch == '"' else "character"
         raise LexError(f"unterminated {what} literal", line, col)
-    if ch.isalpha() or ch in "_$":
+    if ch.isalpha() or ch in "_$" or unicodedata.category(ch) == "Nl":
         for k, c in enumerate(lexeme):
             if unicodedata.category(c) == "No":
                 raise LexError(f"illegal character {c!r}", line, col + k)

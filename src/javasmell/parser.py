@@ -6,8 +6,9 @@ nested types), fields, methods, constructors, the common statement forms
 throw, locals, expression statements) and enough of the expression grammar to
 see calls, field accesses, object creation, casts, instanceof, the
 conditional operator and short-circuit logic. Generic arguments are parsed
-and erased to raw names, annotations are parsed and dropped, lambda bodies
-are kept opaque. Anything outside the subset is consumed as an opaque
+and erased to raw names, annotations are parsed and dropped. A lambda's
+expression body is parsed and only its names count (for field uses); a block
+body is skipped. Anything outside the subset is consumed as an opaque
 statement and reported as a diagnostic instead of aborting the file.
 
 No syntax tree is built. As it parses, the parser fills the file's
@@ -111,9 +112,9 @@ class MethodInfo:
     outside lambda bodies. Field uses count the own fields it reads or
     writes: a bare name loses to a parameter, local, loop variable or catch
     name of the same name anywhere in the method, and ``this.f`` always
-    counts. Field uses include lambdas and local classes. The decision
-    points and hierarchy sites of a local class's methods count in those
-    methods alone; those of its initializers count in the enclosing one."""
+    counts. Field uses include expression-bodied lambdas and local classes.
+    The decision points and hierarchy sites of a local class's methods count
+    in those methods alone; those of its initializers count in no method."""
 
     name: str
     arity: int
@@ -210,8 +211,9 @@ def _visibility(modifiers, owner_kind: str, is_ctor: bool = False) -> str:
 
 class _Method:
     """What the facts read of one method body, gathered as it is parsed.
-    A local class's methods add their names, fields and locals to the
-    methods around them, but keep their decisions and sites."""
+    A local class's methods and initializers add their names, fields and
+    locals to the method around the class, but not their decisions and
+    sites."""
 
     __slots__ = ("decisions", "names", "this_fields", "locals", "sites")
 
@@ -282,9 +284,9 @@ class _Parser:
         self.types: list[TypeInfo] = []
         self.type: TypeInfo | None = None  # the innermost open type
         self.refs: list = []  # its references so far
+        self.uses: list = []  # its (method, names that count as field uses if fields)
         # The innermost open method's facts; outside methods, a sink no fact reads.
         self.outside = self.acc = _Method()
-        self.lambdas = 0  # lambda bodies open around the current token
 
     # ------------------------------------------------------------------
     # token plumbing; self.i never moves past the eof sentinel
@@ -348,12 +350,12 @@ class _Parser:
         complete, and stays when the rest of its member fails."""
         acc = self.acc
         return (
-            self.type, self.refs, len(self.refs), len(self.types), acc, self.lambdas,
+            self.type, self.refs, self.uses, len(self.refs), len(self.types), acc,
             acc.decisions, len(acc.names), len(acc.this_fields), len(acc.locals), len(acc.sites),
         )
 
     def rollback(self, mark: tuple):
-        self.type, self.refs, refs, types, self.acc, self.lambdas = mark[:6]
+        self.type, self.refs, self.uses, refs, types, self.acc = mark[:6]
         decisions, names, this_fields, locals_, sites = mark[6:]
         acc = self.acc
         acc.decisions = decisions
@@ -442,12 +444,6 @@ class _Parser:
         if self.at("("):
             self.skip_balanced("(", ")", "unbalanced annotation arguments", None)
 
-    def at_record(self) -> bool:
-        """At 'record Name (' or 'record Name <' ('record' is contextual)."""
-        if not (self.at("record") and self.at_kind("identifier", 1)):
-            return False
-        return self.peek(2).lexeme in ("(", "<")
-
     def skip_record(self):
         tok = self.advance()
         self.diag("record declaration skipped", tok)
@@ -514,6 +510,20 @@ class _Parser:
             names.append(self.parse_type_text())
         return names
 
+    def parse_list(self, open_: str, close: str, parse_item, eof_message: str,
+                   anchor: Token | None = None, sep: str = ","):
+        """*open_*, items read by *parse_item* and separated by *sep* (one
+        may trail), then *close*. Running into the end of input raises
+        *eof_message*, reported at *anchor* or, without one, at the end."""
+        self.expect(open_)
+        while not self.at(close):
+            if self.peek() is self.eof:
+                raise _Recover(eof_message, anchor or self.eof)
+            parse_item()
+            if not self.accept(sep):
+                break
+        self.expect(close)
+
     # ------------------------------------------------------------------
     # compilation unit
 
@@ -555,17 +565,27 @@ class _Parser:
     def parse_top_level(self):
         if self.accept(";"):
             return
-        mods = self.parse_modifiers()
-        t = self.peek()
-        if t.lexeme in ("class", "interface", "enum"):
-            self.parse_type_decl(mods)
-        elif t.lexeme == "@":
-            self.skip_annotation_type_decl()
-        elif self.at_record():
-            self.skip_record()
-        else:
+        self.parse_modifiers()
+        if not self.parse_declaration():
+            t = self.peek()
             raise _Recover(f"expected type declaration, found '{t.lexeme}'", t)
         self.declared = True
+
+    def parse_declaration(self) -> bool:
+        """A class, interface, enum, annotation type or record declaration,
+        if one starts here; the last two are skipped. A type's modifiers
+        are no fact, so they are read before and dropped."""
+        lex = self.toks[self.i].lexeme
+        if lex in ("class", "interface", "enum"):
+            self.parse_type_decl()
+        elif lex == "@" and self.at("interface", 1):
+            self.skip_annotation_type_decl()
+        # 'record' is contextual: only 'record Name (' or 'record Name <' is one.
+        elif lex == "record" and self.at_kind("identifier", 1) and self.peek(2).lexeme in ("(", "<"):
+            self.skip_record()
+        else:
+            return False
+        return True
 
     def skip_annotation_type_decl(self):
         tok = self.expect("@")
@@ -578,7 +598,7 @@ class _Parser:
     # ------------------------------------------------------------------
     # type declarations and members
 
-    def parse_type_decl(self, mods: set[str]):
+    def parse_type_decl(self):
         kw = self.advance()  # class | interface | enum
         name = self.expect_identifier().lexeme
         supertype, interfaces = None, []
@@ -599,7 +619,7 @@ class _Parser:
                 interfaces = self.parse_type_list()
         if kw.lexeme != "enum" and self.accept("permits"):
             self.parse_type_list()  # a sealed type's permitted subtypes
-        outer, outer_refs = self.type, self.refs
+        outer, outer_refs, outer_uses, outer_acc = self.type, self.refs, self.uses, self.acc
         if outer is not None:
             qname = f"{outer.qname}.{name}"
         else:
@@ -610,26 +630,27 @@ class _Parser:
         )
         self.types.append(info)
         refs = [(raw, kw.line) for raw in [supertype, *interfaces] if raw]
-        self.type, self.refs = info, refs
-        uses: list = []  # (method, the names that count as its field uses if fields)
+        self.type, self.refs, self.uses = info, refs, []
+        if self.acc is not self.outside:  # a local type: its initializers count in no method
+            self.acc = _Method()
         if kw.lexeme == "enum":
-            self.parse_enum_body(info, uses)
+            self.parse_enum_body()
         else:
-            self.parse_class_body(info, uses)
+            self.parse_class_body()
         info.end_line = self.end_line()
         fields = {f.name for f in info.fields}
-        for method, names in uses:
+        for method, names in self.uses:
             method.field_uses = len(names & fields)
         info.refs = tuple(r for r in refs if r[0] not in NON_REF_TYPES)
-        self.type, self.refs = outer, outer_refs
+        self.restore_acc(outer_acc)
+        self.type, self.refs, self.uses = outer, outer_refs, outer_uses
 
-    def parse_class_body(self, info: TypeInfo, uses: list):
+    def parse_class_body(self):
         self.expect("{")
-        members = partial(self.parse_member, info, uses)
-        if self.recover_until_brace(members, "unexpected end of file in type body"):
+        if self.recover_until_brace(self.parse_member, "unexpected end of file in type body"):
             self.advance()
 
-    def parse_enum_body(self, info: TypeInfo, uses: list):
+    def parse_enum_body(self):
         self.expect("{")
         while not self.at("}") and not self.at(";"):
             if self.peek() is self.eof:
@@ -639,21 +660,20 @@ class _Parser:
                 self.skip_annotation()
             ctok = self.expect_identifier()
             if self.at("("):
-                self.parse_args()
+                self.parse_list("(", ")", self.parse_expression, "unterminated argument list")
             if self.at("{"):
                 self.diag("enum constant body skipped", ctok)
                 self.skip_braces()
             if not self.accept(","):
                 break
-        members = partial(self.parse_member, info, uses)
         if self.accept(";") and not self.recover_until_brace(
-            members, "unexpected end of file in enum body"
+            self.parse_member, "unexpected end of file in enum body"
         ):
             return
         self.expect("}")
 
-    def parse_member(self, owner: TypeInfo, uses: list):
-        """One member declaration of *owner*."""
+    def parse_member(self):
+        """One member declaration of the open type."""
         if self.accept(";"):
             return
         start_tok = self.peek()
@@ -661,12 +681,8 @@ class _Parser:
         t = self.peek()
         if t is self.eof:
             raise _Recover("unexpected end of file in type body", t)
-        if t.lexeme == "@" and self.at("interface", 1):
-            return self.skip_annotation_type_decl()
-        if t.lexeme in ("class", "interface", "enum"):
-            return self.parse_type_decl(mods)
-        if self.at_record():
-            return self.skip_record()
+        if self.parse_declaration():
+            return
         if t.lexeme == "{":
             return self.parse_block()  # an initializer
         if t.lexeme == "<":
@@ -676,17 +692,17 @@ class _Parser:
                 raise _Recover("unexpected end of file after type parameters", t)
 
         # Constructor: bare name of the enclosing type followed by '('.
-        if t.kind == "identifier" and t.lexeme == owner.simple_name and self.at("(", 1):
+        if t.kind == "identifier" and t.lexeme == self.type.simple_name and self.at("(", 1):
             self.advance()
-            return self.parse_method(owner, uses, start_tok, mods, None, t.lexeme)
+            return self.parse_method(start_tok, mods, None, t.lexeme)
 
         type_text = self.parse_type_text()
         name_tok = self.expect_identifier()
         if self.at("("):
-            return self.parse_method(owner, uses, start_tok, mods, type_text, name_tok.lexeme)
-        self.parse_field_declarators(owner, start_tok, mods, type_text, name_tok)
+            return self.parse_method(start_tok, mods, type_text, name_tok.lexeme)
+        self.parse_field_declarators(start_tok, mods, type_text, name_tok)
 
-    def parse_method(self, owner: TypeInfo, uses: list, start_tok, mods, return_type, name):
+    def parse_method(self, start_tok, mods, return_type, name):
         """A method, or a constructor when *return_type* is None."""
         outer, acc = self.acc, _Method()
         self.acc = acc
@@ -700,46 +716,49 @@ class _Parser:
             self.parse_block(partial(self.parse_lead_statement, leads))
         else:
             self.expect(";")
-        self.acc = outer
+        self.restore_acc(outer)
         if return_type is not None:
             self.refs.append((return_type, start_tok.line))
         sites = tuple(s for s in acc.sites if s is not None)
-        if outer is not self.outside:  # a local class's method
-            outer.names += acc.names
-            outer.this_fields += acc.this_fields
-            outer.locals += acc.locals
         is_ctor, has_body = return_type is None, leads is not None
         method = MethodInfo(
             name, len(params), tuple(t for t, _ in params), frozenset(mods),
-            _visibility(mods, owner.kind, is_ctor), is_ctor, has_body,
+            _visibility(mods, self.type.kind, is_ctor), is_ctor, has_body,
             start_tok.line, self.end_line(), 1 + acc.decisions if has_body else None, 0,
             has_body and [lead for lead in leads if lead != ";"] in ([], ["throw"]), sites,
         )
-        owner.methods.append(method)
+        self.type.methods.append(method)
         shadowed = {p for _, p in params}.union(acc.locals)
-        uses.append((method, (set(acc.names) - shadowed).union(acc.this_fields)))
+        self.uses.append((method, (set(acc.names) - shadowed).union(acc.this_fields)))
+
+    def restore_acc(self, outer: _Method):
+        """Make *outer* the open accumulator again. Inside a method, it takes
+        the names, fields and locals a local class's method or body gathered."""
+        acc, self.acc = self.acc, outer
+        if outer is not self.outside:
+            outer.names += acc.names
+            outer.this_fields += acc.this_fields
+            outer.locals += acc.locals
 
     def parse_params(self) -> list[tuple[str, str]]:
-        self.expect("(")
         params: list[tuple[str, str]] = []
-        while not self.at(")"):
-            if self.peek() is self.eof:
-                raise _Recover("unexpected end of file in parameter list", self.eof)
-            self.parse_modifiers()
-            ptype = self.parse_type_text()
-            self.accept("...")
-            # Receiver parameters ("this") and lambda-ish noise are not
-            # expected here; a plain identifier is.
-            pname = self.expect_identifier().lexeme
-            self.skip_dims()
-            self.refs.append((ptype, self.last().line))
-            params.append((ptype, pname))
-            if not self.accept(","):
-                break
-        self.expect(")")
+        param = partial(self.parse_param, params)
+        self.parse_list("(", ")", param, "unexpected end of file in parameter list")
         return params
 
-    def parse_field_declarators(self, owner: TypeInfo, start_tok, mods, type_text, name_tok):
+    def parse_param(self, params: list):
+        self.parse_modifiers()
+        ptype = self.parse_type_text()
+        self.accept("...")
+        # Receiver parameters ("this") and lambda-ish noise are not
+        # expected here; a plain identifier is.
+        pname = self.expect_identifier().lexeme
+        self.skip_dims()
+        self.refs.append((ptype, self.last().line))
+        params.append((ptype, pname))
+
+    def parse_field_declarators(self, start_tok, mods, type_text, name_tok):
+        owner = self.type
         visibility = _visibility(mods, owner.kind)
         constant = ("static" in mods and "final" in mods) or owner.kind == "interface"
         kept = None
@@ -760,20 +779,12 @@ class _Parser:
             raise
 
     def parse_variable_init(self):
+        """An expression or an array initializer."""
         if self.at("{"):
-            self.parse_array_initializer()
+            init = self.parse_variable_init
+            self.parse_list("{", "}", init, "unterminated array initializer", self.peek())
         else:
             self.parse_expression()
-
-    def parse_array_initializer(self):
-        open_tok = self.expect("{")
-        while not self.at("}"):
-            if self.peek() is self.eof:
-                raise _Recover("unterminated array initializer", open_tok)
-            self.parse_variable_init()
-            if not self.accept(","):
-                break
-        self.expect("}")
 
     # ------------------------------------------------------------------
     # statements
@@ -804,18 +815,14 @@ class _Parser:
         if lex == "while":
             self.advance()
             self.acc.decisions += 1
-            self.expect("(")
-            self.parse_expression()
-            self.expect(")")
+            self.parse_parenthesized()
             return self.parse_statement()
         if lex == "do":
             self.advance()
             self.acc.decisions += 1
             self.parse_statement()
             self.expect("while")
-            self.expect("(")
-            self.parse_expression()
-            self.expect(")")
+            self.parse_parenthesized()
             self.expect(";")
             return
         if lex == "for":
@@ -843,9 +850,7 @@ class _Parser:
             return
         if lex == "synchronized":
             self.advance()
-            self.expect("(")
-            self.parse_expression()
-            self.expect(")")
+            self.parse_parenthesized()
             return self.parse_block()
         if lex == "assert":
             self.advance()
@@ -854,41 +859,42 @@ class _Parser:
                 self.parse_expression()
             self.expect(";")
             return
-        if lex in ("class", "interface", "enum"):
-            return self.parse_type_decl(set())
-        if lex in ("final", "abstract", "static") or lex == "@" and not self.at("interface", 1):
-            mods = self.parse_modifiers()
-            nxt = self.peek()
-            if nxt.lexeme in ("class", "interface", "enum"):
-                return self.parse_type_decl(mods)
-            if self.try_parse_local_var():
+        if lex in ("final", "abstract", "static", "@"):
+            self.parse_modifiers()
+            if self.parse_declaration() or self.try_parse_local_var():
                 return
-            raise _Recover("expected declaration after modifiers", nxt)
-        if t.kind == "identifier":
-            if self.at(":", 1) and not self.at(":", 2):
-                self.i += 2  # label and ':'
-                return self.parse_statement()
-            if self.at_record():
-                return self.skip_record()
-        elif t is self.eof:
+            raise _Recover("expected declaration after modifiers", self.peek())
+        if t.kind == "identifier" and self.at(":", 1) and not self.at(":", 2):
+            self.i += 2  # label and ':'
+            return self.parse_statement()
+        if self.parse_declaration():
+            return
+        if t is self.eof:
             raise _Recover("expected statement, found end of file", t)
-
         if self.try_parse_local_var():
             return
         self.parse_expression()
         self.expect(";")
 
-    def try_parse_local_var(self) -> bool:
+    def try_head(self, follow: tuple) -> str | None:
+        """At '[modifiers] Type name' with a token in *follow* after the
+        name: consume what comes before the name and return the type.
+        Otherwise consume nothing and return None."""
         save = self.i
-        start = self.peek()
         try:
             self.parse_modifiers()
             type_text = self.parse_type_text()
+            if self.at_kind("identifier") and self.peek(1).lexeme in follow:
+                return type_text
         except _Recover:
-            self.i = save
-            return False
-        if not (self.at_kind("identifier") and self.peek(1).lexeme in ("=", ";", ",", "[")):
-            self.i = save
+            pass
+        self.i = save
+        return None
+
+    def try_parse_local_var(self) -> bool:
+        start = self.peek()
+        type_text = self.try_head(("=", ";", ",", "["))
+        if type_text is None:
             return False
         self.refs.append((type_text, start.line))
         while True:
@@ -896,10 +902,9 @@ class _Parser:
             self.skip_dims()
             if self.accept("="):
                 self.parse_variable_init()
-            if self.accept(","):
-                continue
-            self.expect(";")
-            return True
+            if not self.accept(","):
+                self.expect(";")
+                return True
 
     def parse_if(self):
         """An if statement and the else-if links chained to it. A chain whose
@@ -912,9 +917,7 @@ class _Parser:
         operands = []  # per link: the instanceof operand's text, or None
         while True:
             acc.decisions += 1
-            self.expect("(")
-            cond = self.parse_expression()
-            self.expect(")")
+            cond = self.parse_parenthesized()
             operands.append(cond if isinstance(cond, str) else None)
             self.parse_statement()
             if not self.accept("else"):
@@ -929,34 +932,20 @@ class _Parser:
     def parse_for(self):
         tok = self.expect("for")
         self.expect("(")
-        save = self.i
-        # Enhanced for: [modifiers] Type name : expr. The header adds no
-        # facts, and an error after it is reported at its own token.
-        try:
-            self.parse_modifiers()
-            vtype = self.parse_type_text()
-            enhanced = self.at_kind("identifier") and self.at(":", 1)
-        except _Recover:
-            enhanced = False
-        acc = self.acc
-        acc.decisions += 1
-        if enhanced:
-            acc.locals.append(self.advance().lexeme)
+        self.acc.decisions += 1
+        vtype = self.try_head((":",))  # enhanced for: [modifiers] Type name : expr
+        if vtype is not None:
+            self.acc.locals.append(self.advance().lexeme)
             self.advance()
             self.refs.append((vtype, tok.line))
             self.parse_expression()
             self.expect(")")
             return self.parse_statement()
-        self.i = save
-
-        if not self.at(";"):
-            if not self.try_parse_local_var():
+        if not self.accept(";") and not self.try_parse_local_var():
+            self.parse_expression()
+            while self.accept(","):
                 self.parse_expression()
-                while self.accept(","):
-                    self.parse_expression()
-                self.expect(";")
-        else:
-            self.advance()
+            self.expect(";")
         if not self.at(";"):
             self.parse_expression()
         self.expect(";")
@@ -974,9 +963,7 @@ class _Parser:
         acc = self.acc
         slot = len(acc.sites)
         acc.sites.append(None)
-        self.expect("(")
-        selector = self.parse_expression()
-        self.expect(")")
+        selector = self.parse_parenthesized()
         terminal, text = _terminal(selector), _render(selector)
         self.expect("{")
         labels: list = []
@@ -1027,15 +1014,8 @@ class _Parser:
 
     def parse_try(self):
         tok = self.expect("try")
-        if self.accept("("):
-            while not self.at(")"):
-                if self.peek() is self.eof:
-                    raise _Recover("unterminated resource list", tok)
-                if not self.try_parse_resource():
-                    self.parse_expression()
-                if not self.accept(";"):
-                    break
-            self.expect(")")
+        if self.at("("):
+            self.parse_list("(", ")", self.parse_resource, "unterminated resource list", tok, ";")
         self.parse_block()
         while self.at("catch"):
             ctok = self.advance()
@@ -1053,21 +1033,15 @@ class _Parser:
         if self.accept("finally"):
             self.parse_block()
 
-    def try_parse_resource(self) -> bool:
-        save = self.i
+    def parse_resource(self):
+        """A resource: a declaration 'Type name = expr' or an expression."""
         start = self.peek()
-        try:
-            self.parse_modifiers()
-            rtype = self.parse_type_text()
-            name_tok = self.expect_identifier()
-            self.expect("=")
-        except _Recover:
-            self.i = save
-            return False
-        self.refs.append((rtype, start.line))
-        self.acc.locals.append(name_tok.lexeme)
+        rtype = self.try_head(("=",))
+        if rtype is not None:
+            self.refs.append((rtype, start.line))
+            self.acc.locals.append(self.advance().lexeme)
+            self.advance()  # =
         self.parse_expression()
-        return True
 
     # ------------------------------------------------------------------
     # expressions; each returns what a fact may read of it (see _Chain)
@@ -1080,6 +1054,13 @@ class _Parser:
             return None
         return left
 
+    def parse_parenthesized(self):
+        """'(' expression ')'; returns what the expression yields."""
+        self.expect("(")
+        value = self.parse_expression()
+        self.expect(")")
+        return value
+
     def parse_ternary(self):
         cond = self.parse_binary(0)
         if not self.at("?"):
@@ -1088,8 +1069,7 @@ class _Parser:
         self.parse_expression()
         self.expect(":")
         self.parse_ternary()
-        if not self.lambdas:
-            self.acc.decisions += 1
+        self.acc.decisions += 1
         return None
 
     def parse_binary(self, min_level: int):
@@ -1106,12 +1086,11 @@ class _Parser:
                 ty = self.parse_type_text()
                 if self.at_kind("identifier"):  # pattern binding
                     self.advance()
-                if not self.lambdas:
-                    self.refs.append((ty, lead.line))
+                self.refs.append((ty, lead.line))
                 left = _render(left)
             else:
                 self.parse_binary(level + 1)
-                if t.lexeme in ("&&", "||") and not self.lambdas:
+                if t.lexeme in ("&&", "||"):
                     self.acc.decisions += 1
                 left = None
 
@@ -1124,8 +1103,7 @@ class _Parser:
         if t.lexeme == "(":
             cast = self.skip_cast()
             if cast is not None:
-                if not self.lambdas:
-                    self.refs.append((cast, t.line))
+                self.refs.append((cast, t.line))
                 operand = self.parse_unary()
                 return None if isinstance(operand, str) else operand
         return self.parse_postfix()
@@ -1162,7 +1140,7 @@ class _Parser:
         head = None  # an unparenthesized name: a bare call's name or a qualifier
         if value is lead and lead.kind == "identifier":
             if self.at("("):
-                self.parse_args()
+                self.parse_list("(", ")", self.parse_expression, "unterminated argument list")
                 value = _Chain(lead.lexeme + "()", lead.lexeme)
             else:
                 self.acc.names.append(lead.lexeme)
@@ -1186,10 +1164,10 @@ class _Parser:
                     this = nt.lexeme == "this"
                     continue
                 name = self.expect_identifier().lexeme
-                if head is not None and value is head and not self.lambdas:
+                if head is not None and value is head:
                     self.refs.append((head.lexeme, head.line))
                 if self.at("("):
-                    self.parse_args()
+                    self.parse_list("(", ")", self.parse_expression, "unterminated argument list")
                     value = _link(value, f".{name}()", name)
                 else:
                     if this:
@@ -1220,16 +1198,6 @@ class _Parser:
                 continue
             return value
 
-    def parse_args(self):
-        self.expect("(")
-        while not self.at(")"):
-            if self.peek() is self.eof:
-                raise _Recover("unterminated argument list", self.eof)
-            self.parse_expression()
-            if not self.accept(","):
-                break
-        self.expect(")")
-
     def lambda_ahead(self) -> bool:
         # At '(': matched close paren directly followed by '->'.
         depth = 0
@@ -1255,29 +1223,30 @@ class _Parser:
         if self.at("{"):
             self.skip_braces()
         else:
-            # A dropped construct's rollback restores the count on an error.
-            self.lambdas += 1
+            # Only the body's names count. On an error, the enclosing
+            # construct's rollback restores what this cuts back.
+            refs, decisions = len(self.refs), self.acc.decisions
             self.parse_expression()
-            self.lambdas -= 1
+            del self.refs[refs:]
+            self.acc.decisions = decisions
 
     def parse_creation(self, new_tok, line: int):
         """A creation at *new_tok*; its type is referred to at *line*, where
         the expression starts ('x.new T()' starts at x)."""
         ty = self.parse_type_text()
-        if not self.lambdas:
-            self.refs.append((ty, line))
+        self.refs.append((ty, line))
         if self.at("["):
             while self.accept("["):
                 if not self.at("]"):
                     self.parse_expression()
                 self.expect("]")
             if self.at("{"):
-                self.parse_array_initializer()
+                self.parse_variable_init()
         elif self.at("{"):
             # 'new T[] { ... }': the empty dims were consumed with the type.
-            self.parse_array_initializer()
+            self.parse_variable_init()
         else:
-            self.parse_args()
+            self.parse_list("(", ")", self.parse_expression, "unterminated argument list")
             if self.at("{"):
                 self.diag("anonymous class body skipped", new_tok)
                 self.skip_braces()
@@ -1300,7 +1269,7 @@ class _Parser:
         if t.lexeme in ("this", "super"):
             self.advance()
             if self.at("("):
-                self.parse_args()
+                self.parse_list("(", ")", self.parse_expression, "unterminated argument list")
                 return _Chain(t.lexeme + "()", t.lexeme)
             return t
         if t.lexeme == "switch":

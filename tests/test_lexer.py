@@ -107,6 +107,12 @@ def test_non_ascii_letters_and_decimal_digits_stay_in_identifiers():
     assert [(t.kind, t.lexeme) for t in tokens[::2]] == [("identifier", w) for w in words]
 
 
+def test_letter_number_starts_an_identifier():
+    # javac accepts 'int Ⅻ;': a letter number (category Nl) is a Java letter.
+    _, tokens = toks("int Ⅻ; int Ⅻx;")
+    assert [(t.kind, t.lexeme) for t in tokens[1::3]] == [("identifier", "Ⅻ"), ("identifier", "Ⅻx")]
+
+
 def test_string_may_contain_comment_markers():
     _, tokens = toks('String s = "// /* no comment */";')
     assert [t.lexeme for t in tokens] == ["String", "s", "=", '"// /* no comment */"', ";"]

@@ -323,6 +323,33 @@ def test_annotated_local_class_is_a_type():
     assert sorted(parsed.types[0].refs) == [("T", 2)]  # the type's line, not the annotation's
 
 
+def test_local_class_initializers_count_in_no_method():
+    parsed = parse_text(
+        "class A { int f; void m() { class L { { if (f > 0) { } } int g = f > 0 ? 1 : 2; } } }"
+    )
+    assert parsed.diagnostics == []
+    (m,) = parsed.types[0].methods
+    assert (m.cc, m.field_uses, m.hierarchy_sites) == (1, 1, ())
+
+
+def test_expression_lambda_body_adds_only_names():
+    parsed = parse_text(
+        "class A { int f, g; Object o;\n"
+        "  void m() { F h = x -> (X) o instanceof Y && f > 0 ? g : 0; } }"
+    )
+    assert parsed.diagnostics == []
+    (a,) = parsed.types
+    (m,) = a.methods
+    assert (m.cc, m.field_uses) == (1, 3)
+    assert ref_names(a) == ["F", "Object"]
+
+
+def test_block_lambda_names_are_no_field_uses():
+    parsed = parse_text("class A { int f; void m() { Runnable r = () -> { f++; }; } }")
+    assert parsed.diagnostics == []
+    assert parsed.types[0].methods[0].field_uses == 0
+
+
 def test_annotated_resource_is_a_declaration():
     parsed = parse_text(
         "class A { void m(java.io.Reader r0) throws Exception {"
@@ -351,13 +378,22 @@ def test_member_record_is_skipped_not_a_method():
 
 
 def test_local_record_is_skipped_as_one_statement():
+    # Modifiers and annotations do not change that; javac 17 compiles all three.
     parsed = parse_text(
-        "class A {\n    void m() {\n        record P(int x) { }\n        record(1);\n        int y = 2;\n    }\n}\n"
+        "class A {\n    void m() {\n        record P(int x) { }\n        record(1);\n        int y = 2;\n"
+        "        final record R(int x) { }\n        @Deprecated record Q(int y) { }\n    }\n}\n"
     )
     (a,) = parsed.types
     (m,) = a.methods
-    assert (a.end_line, m.line, m.end_line, m.cc, m.rejected_body) == (7, 2, 6, 1, False)
-    assert diagnostics(parsed) == [(3, "record declaration skipped")]
+    assert (a.end_line, m.line, m.end_line, m.cc, m.rejected_body) == (9, 2, 8, 1, False)
+    assert diagnostics(parsed) == [(line, "record declaration skipped") for line in (3, 6, 7)]
+
+
+def test_local_annotation_type_is_skipped():
+    # javac rejects it ("annotation type declaration not allowed here").
+    parsed = parse_text("class A {\n    void m() {\n        @interface N { }\n    }\n}\n")
+    assert [m.name for m in parsed.types[0].methods] == ["m"]
+    assert diagnostics(parsed) == [(3, "annotation type declaration skipped")]
 
 
 def test_annotation_type_alone_is_skipped_not_fatal():
@@ -434,19 +470,24 @@ def test_pathological_nesting_is_parse_error_not_crash():
 
 def test_nesting_limits_hold():
     # The parser recurses once per nesting level. Under the default
-    # recursion limit it takes 160 nested parentheses and 190 nested
-    # braced blocks. A new thread starts with an empty stack, so the
-    # frames of the caller (here pytest's) do not count.
+    # recursion limit it takes 160 nested parentheses, 160 nested calls,
+    # 480 nested array initializers and 190 nested braced blocks. A new
+    # thread starts with an empty stack, so the frames of the caller (here
+    # pytest's) do not count.
     parens = "class A { int f(int x) { return %s; } }" % ("(" * 160 + "x" + ")" * 160)
+    calls = "class A { int f(int x) { return %s; } }" % ("f(" * 160 + "x" + ")" * 160)
+    arrays = "class A { void f() { int[] a = %s; } }" % ("{" * 480 + "1" + "}" * 480)
     blocks = "class Deep { void f(int x) { %s } }" % (
         "".join("if (x > %d) { " % i for i in range(190)) + "x = 0;" + " }" * 190
     )
+    texts = (parens, calls, arrays, blocks)
     results = []
-    thread = threading.Thread(target=lambda: results.extend(map(parse_text, (parens, blocks))))
+    thread = threading.Thread(target=lambda: results.extend(map(parse_text, texts)))
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive()
-    assert [r.types[0].methods[0].cc for r in results] == [1, 191]
+    assert [r.diagnostics for r in results] == [[]] * 4
+    assert [r.types[0].methods[0].cc for r in results] == [1, 1, 1, 191]
 
 
 def test_empty_file_is_fine():
