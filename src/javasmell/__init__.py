@@ -5,14 +5,13 @@ __version__ = "0.1.0"
 from .lexer import LexError, SourceFile, Token, tokenize
 from .parser import ParseError, ParsedFile, parse
 from .model import PseudoModel, build_model
-from .metrics import MethodMetrics, ProjectMetrics, TypeMetrics
+from .metrics import ProjectMetrics, TypeMetrics
 from .smells import RuleConfig, SmellFinding, SmellKind, detect_all
 from .pipeline import AnalysisResult, analyze_tree
 
 __all__ = [
     "AnalysisResult",
     "LexError",
-    "MethodMetrics",
     "ParseError",
     "ParsedFile",
     "ProjectMetrics",

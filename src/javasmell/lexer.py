@@ -104,10 +104,9 @@ class SourceFile:
             self.content = self.content[1:]
 
     @classmethod
-    def from_path(cls, path, root=None) -> "SourceFile":
+    def from_path(cls, path, root) -> "SourceFile":
         p = Path(path)
-        rel = p.relative_to(root).as_posix() if root is not None else str(p)
-        return cls(rel, p.read_text(encoding="utf-8"))
+        return cls(p.relative_to(root).as_posix(), p.read_text(encoding="utf-8"))
 
 
 class Token:

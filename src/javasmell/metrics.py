@@ -1,8 +1,10 @@
-"""Per-method, per-type, and project-level design metrics.
+"""Per-type and project-level design metrics.
 
 Everything read from method bodies comes from the facts the parser records
 per method (``parser.MethodInfo``): cyclomatic complexity, and the own
-fields each method uses for LCOM. DIT follows the resolved
+fields each method uses for LCOM. No metric is reported per method: a
+method's cyclomatic complexity counts in its type's WMC and max CC and in
+the project's CC histogram. DIT follows the resolved
 project-internal extends chain only; NC is the number of direct internal
 subtypes, so summing NC over all types equals the number of types that have
 an internal supertype. LCOM is 1 minus the mean fraction of methods touching
@@ -22,15 +24,6 @@ from .parser import TypeInfo
 
 CC_BUCKETS = ((1, 19), (20, 39), (40, None))  # sustainable / complex / unmaintainable
 DIT_BUCKETS = ((0, 6), (7, None))
-
-
-@dataclass
-class MethodMetrics:
-    qualified_name: str
-    cc: int | None  # None when there is no parsed body
-    loc: int
-    visibility: str
-    is_override: bool
 
 
 @dataclass
@@ -84,7 +77,7 @@ def dit(model: PseudoModel, qname: str) -> int:
     return sum(1 for _ in model.ancestors(qname))
 
 
-def lcom(model: PseudoModel, info: TypeInfo) -> float | None:
+def lcom(info: TypeInfo) -> float | None:
     methods = [m for m in info.methods if not m.is_ctor and m.has_body]
     nom = len(methods)
     nof = len({f.name for f in info.fields})
@@ -95,30 +88,9 @@ def lcom(model: PseudoModel, info: TypeInfo) -> float | None:
     return (denom - accesses) / denom
 
 
-def is_override(model: PseudoModel, qname: str, method) -> bool:
-    if method.is_ctor:
-        return False
-    return model.find_ancestor_method(qname, method.name, method.arity) is not None
-
-
 def _span_loc(model: PseudoModel, file: str, start_line: int, end_line: int) -> int:
     code = model.file_code_lines.get(file, ())
     return bisect_right(code, end_line) - bisect_left(code, start_line)
-
-
-def compute_method_metrics(model: PseudoModel) -> list[MethodMetrics]:
-    return [
-        MethodMetrics(
-            qualified_name=f"{qname}.{m.name}({','.join(m.param_types)})",
-            cc=m.cc,
-            loc=_span_loc(model, info.file, m.line, m.end_line),
-            visibility=m.visibility,
-            is_override=is_override(model, qname, m),
-        )
-        for qname, info in sorted(model.types.items())
-        for m in info.methods
-        if not m.is_ctor
-    ]
 
 
 def compute_type_metrics(model: PseudoModel) -> dict:
@@ -144,7 +116,7 @@ def compute_type_metrics(model: PseudoModel) -> dict:
             dit=dit(model, qname),
             wmc=sum(ccs),
             max_cc=max(ccs, default=0),
-            lcom=lcom(model, info),
+            lcom=lcom(info),
             types_in_file=model.file_top_level.get(info.file, 0),
         )
     return out
@@ -161,16 +133,15 @@ def _histogram(values, buckets) -> tuple:
     return tuple(counts)
 
 
-def project_metrics(model: PseudoModel, type_metrics: dict | None = None) -> ProjectMetrics:
-    tm = type_metrics if type_metrics is not None else compute_type_metrics(model)
+def project_metrics(model: PseudoModel, type_metrics: dict) -> ProjectMetrics:
     total_types = len(model.types)
-    total_fields = sum(t.nof for t in tm.values())
-    total_methods = sum(t.nom for t in tm.values())
+    total_fields = sum(t.nof for t in type_metrics.values())
+    total_methods = sum(t.nom for t in type_metrics.values())
     total_loc = sum(len(lines) for lines in model.file_code_lines.values())
 
     children = sum(1 for q in model.types if model.types[q].supertype is not None)
-    total_public_fields = sum(t.nopf for t in tm.values())
-    total_public_methods = sum(t.nopm for t in tm.values())
+    total_public_fields = sum(t.nopf for t in type_metrics.values())
+    total_public_methods = sum(t.nopm for t in type_metrics.values())
 
     def pct(num, den):
         return 100.0 * num / den if den else None
@@ -188,7 +159,7 @@ def project_metrics(model: PseudoModel, type_metrics: dict | None = None) -> Pro
         pct_public_fields=pct(total_public_fields, total_fields),
         pct_public_methods=pct(total_public_methods, total_methods),
         cc_histogram=_histogram(ccs, CC_BUCKETS),
-        dit_histogram=_histogram((t.dit for t in tm.values()), DIT_BUCKETS),
+        dit_histogram=_histogram((t.dit for t in type_metrics.values()), DIT_BUCKETS),
     )
 
 

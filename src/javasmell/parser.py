@@ -107,7 +107,8 @@ class LadderSite(NamedTuple):
 
 @dataclass
 class MethodInfo:
-    """A method or constructor. cc is 1 + if + for + enhanced-for + while +
+    """A method or constructor, with what the type metrics and the smells
+    read of it. cc is 1 + if + for + enhanced-for + while +
     do + case label + catch clause + conditional operator + '&&' + '||'
     outside lambda bodies. Field uses count the own fields it reads or
     writes: a bare name loses to a parameter, local, loop variable or catch
@@ -118,13 +119,10 @@ class MethodInfo:
 
     name: str
     arity: int
-    param_types: tuple
     modifiers: frozenset
     visibility: str
     is_ctor: bool
     has_body: bool
-    line: int
-    end_line: int
     cc: int | None  # cyclomatic complexity; None without a parsed body
     field_uses: int  # own fields read or written
     rejected_body: bool  # the body is empty or only throws
@@ -325,9 +323,6 @@ class _Parser:
             raise _Recover(f"expected identifier, found '{t.lexeme}'", t)
         self.i += 1
         return t
-
-    def last(self) -> Token:
-        return self.toks[self.i - 1]
 
     def end_line(self) -> int:
         """The line of the last consumed token; no token the parser sees
@@ -722,13 +717,12 @@ class _Parser:
         sites = tuple(s for s in acc.sites if s is not None)
         is_ctor, has_body = return_type is None, leads is not None
         method = MethodInfo(
-            name, len(params), tuple(t for t, _ in params), frozenset(mods),
-            _visibility(mods, self.type.kind, is_ctor), is_ctor, has_body,
-            start_tok.line, self.end_line(), 1 + acc.decisions if has_body else None, 0,
+            name, len(params), frozenset(mods), _visibility(mods, self.type.kind, is_ctor),
+            is_ctor, has_body, 1 + acc.decisions if has_body else None, 0,
             has_body and [lead for lead in leads if lead != ";"] in ([], ["throw"]), sites,
         )
         self.type.methods.append(method)
-        shadowed = {p for _, p in params}.union(acc.locals)
+        shadowed = set(params).union(acc.locals)
         self.uses.append((method, (set(acc.names) - shadowed).union(acc.this_fields)))
 
     def restore_acc(self, outer: _Method):
@@ -740,8 +734,9 @@ class _Parser:
             outer.this_fields += acc.this_fields
             outer.locals += acc.locals
 
-    def parse_params(self) -> list[tuple[str, str]]:
-        params: list[tuple[str, str]] = []
+    def parse_params(self) -> list[str]:
+        """The parameter names; each type counts as a reference."""
+        params: list[str] = []
         param = partial(self.parse_param, params)
         self.parse_list("(", ")", param, "unexpected end of file in parameter list")
         return params
@@ -754,8 +749,8 @@ class _Parser:
         # expected here; a plain identifier is.
         pname = self.expect_identifier().lexeme
         self.skip_dims()
-        self.refs.append((ptype, self.last().line))
-        params.append((ptype, pname))
+        self.refs.append((ptype, self.end_line()))
+        params.append(pname)
 
     def parse_field_declarators(self, start_tok, mods, type_text, name_tok):
         owner = self.type
@@ -859,7 +854,7 @@ class _Parser:
                 self.parse_expression()
             self.expect(";")
             return
-        if lex in ("final", "abstract", "static", "@"):
+        if lex in ("final", "abstract", "static", "strictfp", "@"):
             self.parse_modifiers()
             if self.parse_declaration() or self.try_parse_local_var():
                 return

@@ -18,12 +18,6 @@ class InvalidMetadata(Exception):
     pass
 
 
-class MalformedLog(Exception):
-    def __init__(self, message, lineno):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
-
-
 class Maturity(Enum):
     DEVELOPING = "Developing"
     ESTABLISHED = "Established"
@@ -124,37 +118,3 @@ def load_metadata(path, analysis_date: dt.date | None = None) -> RepoMetadata:
             analysis_date = dt.date.today()
     return RepoMetadata(commits, contributors, releases, last, analysis_date)
 
-
-@dataclass
-class GitLogStats:
-    commits: int
-    contributors: int
-    last_commit_date: dt.date | None
-
-
-def parse_git_log(log_text: str) -> GitLogStats:
-    """One commit per line: ISO-8601 date <TAB> author email <TAB> hash.
-
-    Contributors are distinct author emails compared case-insensitively.
-    """
-    commits = 0
-    emails: set = set()
-    last: dt.date | None = None
-    for lineno, raw in enumerate(log_text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise MalformedLog(f"expected 3 tab-separated fields, got {len(parts)}", lineno)
-        date_text, email, commit_hash = parts
-        if not email or not commit_hash:
-            raise MalformedLog("empty field", lineno)
-        try:
-            day = dt.date.fromisoformat(date_text[:10])
-        except ValueError:
-            raise MalformedLog(f"bad date {date_text!r}", lineno) from None
-        commits += 1
-        emails.add(email.lower())
-        last = day if last is None or day > last else last
-    return GitLogStats(commits, len(emails), last)

@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 
 from javasmell.metrics import (
-    compute_method_metrics,
     compute_type_metrics,
     dit,
     lcom,
@@ -85,7 +84,7 @@ def test_dit_seven_deep_fixture():
     text = (FIXTURES / "deep_hierarchy.java").read_text(encoding="utf-8")
     m = build_from_sources({"deep_hierarchy.java": text})
     assert dit(m, "sample.deep.Layer7") == 7
-    pm = project_metrics(m)
+    pm = project_metrics(m, compute_type_metrics(m))
     assert pm.dit_histogram[1] == 1  # the one type beyond depth 6
 
 
@@ -105,7 +104,7 @@ def test_dit_cycle_acyclic_prefix():
 
 def test_lcom_single_method_single_field():
     m = model_of(A="package p; class A { int x; void f() { x = 1; } }")
-    assert lcom(m, m.types["p.A"]) == 0.0
+    assert lcom(m.types["p.A"]) == 0.0
 
 
 def test_lcom_disjoint_halves():
@@ -118,19 +117,19 @@ def test_lcom_disjoint_halves():
             void g() { y = 2; }
         }"""
     )
-    assert lcom(m, m.types["p.A"]) == 0.5
+    assert lcom(m.types["p.A"]) == 0.5
 
 
 def test_lcom_absent_without_methods_or_fields():
     m = model_of(A="package p; class A { int x; }", B="package p; class B { void f() { } }")
-    assert lcom(m, m.types["p.A"]) is None
-    assert lcom(m, m.types["p.B"]) is None
+    assert lcom(m.types["p.A"]) is None
+    assert lcom(m.types["p.B"]) is None
 
 
 def test_lcom_exact_boundary_value(corpus_model):
     # 10 methods, 5 fields, each field touched by exactly two methods:
     # (50 - 10) / 50 == 0.8 exactly, bit-for-bit.
-    assert lcom(corpus_model, corpus_model.types["sample.SessionState"]) == 0.8
+    assert lcom(corpus_model.types["sample.SessionState"]) == 0.8
 
 
 def test_lcom_shadowed_local_does_not_count():
@@ -142,33 +141,16 @@ def test_lcom_shadowed_local_does_not_count():
         }"""
     )
     # f touches only its local; g touches the field via this.
-    assert lcom(m, m.types["p.A"]) == 0.5
-
-
-def test_override_detection_name_and_arity():
-    m = model_of(
-        A="package p; class A { void m(int x) { } }",
-        B="package p; class B extends A { void m(int y) { } void m() { } }",
-    )
-    mm = {x.qualified_name: x for x in compute_method_metrics(m)}
-    assert mm["p.B.m(int)"].is_override
-    assert not mm["p.B.m()"].is_override
-
-
-def test_method_metrics_loc_and_visibility(corpus_model):
-    mm = {x.qualified_name: x for x in compute_method_metrics(corpus_model)}
-    touch = mm["sample.GodModule.touch01()"]
-    assert touch.cc == 1 and touch.loc == 1 and touch.visibility == "package"
-    main = mm["sample.GodModule.main(String)"]
-    assert main.visibility == "public" and main.loc == 4
-    overridden = mm["sample.StubRenderer.area()"]
-    assert overridden.is_override
+    assert lcom(m.types["p.A"]) == 0.5
 
 
 def test_type_metrics_counts(corpus_model):
     tm = compute_type_metrics(corpus_model)
     gm = tm["sample.GodModule"]
     assert gm.nom == 30 and gm.nopm == 1 and gm.nof == 0
+    methods = {m.name: m for m in corpus_model.types["sample.GodModule"].methods}
+    assert (methods["touch01"].cc, methods["touch01"].visibility) == (1, "package")
+    assert methods["main"].visibility == "public"
     cs = tm["sample.ConnectionSettings"]
     assert (cs.nof, cs.nopf, cs.nopf_nonconst) == (3, 3, 2)
     assert tm["sample.Shape"].nc == 11
@@ -193,7 +175,7 @@ def test_project_metrics_ratios():
     for i in range(6):
         sources[f"C{i}.java"] = f"package p; class C{i} extends T{i} {{ }}"
     m = build_from_sources(sources)
-    pm = project_metrics(m)
+    pm = project_metrics(m, compute_type_metrics(m))
     assert pm.total_types == 100
     assert math.isclose(pm.pct_child_classes, 6.0)
 
@@ -207,14 +189,14 @@ def test_project_metrics_public_field_ratio():
         fields.append(f"{vis}int f{i};")
     src = "package p; class A { %s }" % " ".join(fields)
     m = build_from_sources({"A.java": src})
-    pm = project_metrics(m)
+    pm = project_metrics(m, compute_type_metrics(m))
     assert src.count("public int") == 8 and src.count("int f") == 24
     assert math.isclose(pm.pct_public_fields, 100.0 * 8 / 24)
 
 
 def test_percent_fields_absent_not_zero():
     m = model_of(A="package p; class A { }")
-    pm = project_metrics(m)
+    pm = project_metrics(m, compute_type_metrics(m))
     assert pm.pct_public_fields is None
     assert pm.pct_public_methods is None
 
@@ -271,7 +253,7 @@ def test_lcom_one_walk_shadowing_rules():
     )
     # f: 'a' is a parameter and 'b' a later local, so only this.a counts;
     # g: 'c' is the loop variable and 'd' the catch name, so nothing counts.
-    assert lcom(m, m.types["p.A"]) == (8 - 1) / 8
+    assert lcom(m.types["p.A"]) == (8 - 1) / 8
 
 
 def _span_loc_by_scan(code_lines, start, end):
@@ -279,17 +261,16 @@ def _span_loc_by_scan(code_lines, start, end):
 
 
 def test_span_loc_matches_full_scan(corpus_sources):
-    methods = "".join(
-        f"    int m{i}(int x) {{\n        // note\n\n        return x + {i};\n    }}\n"
+    nested = "".join(
+        f"    static class C{i} {{\n        // note\n\n        int x = {i};\n    }}\n"
         for i in range(1200)
     )
-    sources = dict(corpus_sources, **{"Big.java": f"package big;\nclass Big {{\n{methods}}}\n"})
+    sources = dict(corpus_sources, **{"Big.java": f"package big;\nclass Big {{\n{nested}}}\n"})
     model = build_from_sources(sources)
     spans = 0
     for info in model.types.values():
         code = set(model.file_code_lines[info.file])
-        members = [(info.line, info.end_line)] + [(m.line, m.end_line) for m in info.methods]
-        for start, end in members:
-            assert _span_loc(model, info.file, start, end) == _span_loc_by_scan(code, start, end)
-            spans += 1
+        start, end = info.line, info.end_line
+        assert _span_loc(model, info.file, start, end) == _span_loc_by_scan(code, start, end)
+        spans += 1
     assert spans > 1200

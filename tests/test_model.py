@@ -249,7 +249,6 @@ def test_method_facts_recorded_on_method_info():
     # not count. 'a' is a parameter, so only 'kind' and 'b' are field uses.
     assert (f.cc, f.field_uses, f.rejected_body) == (4, 2, False)
     assert f.hierarchy_sites == (LadderSite(6, 2, "kind"), SwitchSite(7, 1, "kind", "this.kind"))
-    assert (f.line, f.end_line) == (5, 10)
     assert (g.cc, g.field_uses, g.rejected_body) == (1, 0, True)
 
 

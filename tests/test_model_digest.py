@@ -19,7 +19,7 @@ import hashlib
 import sys
 from pathlib import Path
 
-from javasmell.metrics import project_metrics
+from javasmell.metrics import compute_type_metrics, project_metrics
 from javasmell.pipeline import analyze_tree, build_from_sources
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -63,7 +63,7 @@ def lines(name: str, model) -> list:
     }
     out = [f"{name} {view} {_digest(_canonical(value))}" for view, value in views.items()]
     out.append(f"{name} files {len(model.file_code_lines)}")
-    out.append(f"{name} total_loc {project_metrics(model).total_loc}")
+    out.append(f"{name} total_loc {project_metrics(model, compute_type_metrics(model)).total_loc}")
     return out
 
 

@@ -4,15 +4,12 @@ import random
 import pytest
 
 from javasmell.repometa import (
-    GitLogStats,
     InvalidMetadata,
-    MalformedLog,
     Maturity,
     RepoMetadata,
     add_months,
     classify,
     load_metadata,
-    parse_git_log,
 )
 
 MAY_2019 = dt.date(2019, 5, 1)
@@ -93,53 +90,6 @@ def test_invalid_metadata():
         meta(-1, 0)
     with pytest.raises(InvalidMetadata):
         meta(1, 1, last=dt.date(2020, 1, 1), analysis=dt.date(2019, 1, 1))
-
-
-# ----------------------------------------------------------------------
-# git log parsing
-
-
-def test_git_log_counts():
-    log = (
-        "2019-03-01\talice@example.org\tabc1\n"
-        "2019-03-02\tbob@example.org\tabc2\n"
-        "2019-02-27\talice@example.org\tabc3\n"
-    )
-    stats = parse_git_log(log)
-    assert stats == GitLogStats(3, 2, dt.date(2019, 3, 2))
-
-
-def test_git_log_empty():
-    assert parse_git_log("") == GitLogStats(0, 0, None)
-
-
-def test_git_log_case_folded_contributors():
-    # 50 records over 7 addresses that differ only by case; the distinct
-    # count is case-insensitive.
-    rng = random.Random(11)
-    base = [f"dev{i}@example.org" for i in range(7)]
-    lines = []
-    for n in range(50):
-        email = rng.choice(base)
-        email = "".join(c.upper() if rng.random() < 0.5 else c for c in email)
-        lines.append(f"2019-01-{n % 28 + 1:02d}\t{email}\tsha{n}")
-    text = "\n".join(lines)
-    independent = len({e.split("\t")[1].lower() for e in lines})
-    assert independent == 7
-    stats = parse_git_log(text)
-    assert stats.commits == 50
-    assert stats.contributors == 7
-
-
-def test_git_log_malformed_line_number():
-    with pytest.raises(MalformedLog) as err:
-        parse_git_log("2019-01-01\ta@b\tsha\nnot-a-record\n")
-    assert err.value.lineno == 2
-
-
-def test_git_log_accepts_timestamps():
-    stats = parse_git_log("2019-01-01T12:30:00+02:00\ta@b\tsha")
-    assert stats.last_commit_date == dt.date(2019, 1, 1)
 
 
 # ----------------------------------------------------------------------

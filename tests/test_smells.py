@@ -110,6 +110,30 @@ def test_throw_only_override_flagged():
     assert found[0].evidence["rejected_methods"] == "m"
 
 
+def test_throw_only_override_of_a_grandparent_method_flagged():
+    m = model_of(
+        Base="package p; class Base { void m() { int x = 1; } }",
+        Mid="package p; class Mid extends Base { }",
+        Sub="package p; class Sub extends Mid { void m() { throw new X(); } }",
+    )
+    found = detect(K.BROKEN_HIERARCHY, m)
+    assert [(f.subject, f.evidence["supertype"]) for f in found] == [("p.Sub", "p.Mid")]
+
+
+@pytest.mark.parametrize(
+    "base, sub",
+    [
+        # m(int) overrides no m(): the arity differs.
+        ("class Base { void m() { int x = 1; } }", "void m(int y) { throw new X(); }"),
+        # A private m() is not inherited.
+        ("class Base { private void m() { int x = 1; } }", "void m() { throw new X(); }"),
+    ],
+)
+def test_throw_only_method_overriding_nothing_not_flagged(base, sub):
+    m = model_of(Base=f"package p; {base}", Sub=f"package p; class Sub extends Base {{ {sub} }}")
+    assert detect(K.BROKEN_HIERARCHY, m) == []
+
+
 def test_substantive_overrides_not_flagged():
     m = model_of(
         Base="package p; class Base { int m() { return 0; } }",
