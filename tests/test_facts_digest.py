@@ -3,8 +3,7 @@
 Every input is parsed to its ``ParsedFile`` and reduced to two digests:
 
 - the facts digest covers every field of the ``ParsedFile`` and of each
-  type, field and method in it, apart from the method fields named in
-  ``SKIPPED_METHOD_FIELDS``, every diagnostic's message, line and
+  type, field and method in it, every diagnostic's message, line and
   column, or the ``LexError``'s or ``ParseError``'s message. A type's ``refs`` are pinned as
   a sorted multiset of (raw name, line) pairs: their only reader,
   ``build_model``, folds them into a set and the first line per name, so
@@ -38,7 +37,7 @@ from pathlib import Path
 
 from javasmell.lexer import LexError, SourceFile, tokenize
 from javasmell.pipeline import parse_source
-from javasmell.parser import MethodInfo, ParseError
+from javasmell.parser import ParseError
 
 sys.path.insert(0, str(Path(__file__).parent))
 from random_java import random_method  # noqa: E402
@@ -57,9 +56,6 @@ IN_CLASS_SEED = 20240502
 # shadow, and some they use unshadowed; half of them follow the method.
 FIELDS_BEFORE = "    int x, v, i; String names, tag; int[] items;\n"
 FIELDS_AFTER = "    long big; int t0, e0, y, z;\n"
-
-# MethodInfo fields that no command reads; the digest leaves them out.
-SKIPPED_METHOD_FIELDS = frozenset({"param_types", "line", "end_line"})
 
 HAND_WRITTEN = [
     ("field-declarators-cut", "class A { int a = x ? 1 : 2, b = f(; int c; void m() { a++; c = b; } }"),
@@ -224,7 +220,6 @@ def canonical(value):
         return (type(value).__name__, [
             (f.name, canonical(sorted(value.refs) if f.name == "refs" else getattr(value, f.name)))
             for f in dataclasses.fields(value)
-            if not (isinstance(value, MethodInfo) and f.name in SKIPPED_METHOD_FIELDS)
         ])
     return value
 
