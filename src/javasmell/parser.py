@@ -108,14 +108,14 @@ class LadderSite(NamedTuple):
 @dataclass
 class MethodInfo:
     """A method or constructor, with what the type metrics and the smells
-    read of it. cc is 1 + if + for + enhanced-for + while +
-    do + case label + catch clause + conditional operator + '&&' + '||'
-    outside lambda bodies. Field uses count the own fields it reads or
-    writes: a bare name loses to a parameter, local, loop variable or catch
-    name of the same name anywhere in the method, and ``this.f`` always
-    counts. Field uses include expression-bodied lambdas and local classes.
-    The decision points and hierarchy sites of a local class's methods count
-    in those methods alone; those of its initializers count in no method."""
+    read of it. cc is 1 + if + for + enhanced-for + while + do + case label
+    + catch clause + conditional operator + '&&' + '||' outside lambda
+    bodies. Field uses count the own fields it reads or writes: a bare name
+    loses to a parameter, local, loop variable or catch name of the same
+    name anywhere in the method, and ``this.f`` always counts. Field uses
+    include expression-bodied lambdas and local classes. The decision points
+    and hierarchy sites of a local class's methods count in those methods
+    alone; those of its initializers count in no method."""
 
     name: str
     arity: int
