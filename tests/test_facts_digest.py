@@ -171,6 +171,17 @@ HAND_WRITTEN = [
         "class A { void m() { Object o = u\n.new V(); Object p = (a)\n.new W[1]; boolean b = x\n.y\n"
         "instanceof Z; Object q = new\nQ(); r\n.s(); (T)\nt.u(); } }",
     ),
+    (
+        "instanceof-pattern-modifiers",
+        "class A { boolean m(Object x) { if (x instanceof final Foo f && f.ok()) { }"
+        " return x instanceof @Deprecated Foo g; } }",
+    ),
+    (
+        "intersection-casts",
+        "class A { void m() { Runnable r = (Runnable & java.io.Serializable) () -> {};"
+        " Object o = (Comparable<String> & java.io.Serializable) \"s\"; } }",
+    ),
+    ("primitive-array-constructor-reference", "class A { void m() { IntFunction<int[]> a = int[]::new; } }"),
 ]
 
 
