@@ -51,16 +51,15 @@ MODIFIER_WORDS = frozenset(
     }
 )
 
-ASSIGN_OPS = frozenset(
-    {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="}
-)
-
-# Binary operator -> precedence level, loosest first. instanceof sits at the
-# relational level; its right side is a type, not an operand.
-_BINARY_LEVEL = {
+# Infix operator -> precedence level, loosest first: assignment (-2), the
+# conditional's '?' (-1), then the binary operators from 0. instanceof sits
+# at the relational level; its right side is a type, not an operand.
+_LEVEL = {
     op: level
     for level, ops in enumerate(
         (
+            ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="),
+            ("?",),
             ("||",),
             ("&&",),
             ("|",),
@@ -71,7 +70,8 @@ _BINARY_LEVEL = {
             ("<<", ">>", ">>>"),
             ("+", "-"),
             ("*", "/", "%"),
-        )
+        ),
+        start=-2,
     )
     for op in ops
 }
@@ -980,7 +980,7 @@ class _Parser:
                     first = self.peek()
                     # No ternary here (':' closes the label); pattern labels
                     # tolerate a trailing binding identifier.
-                    self.parse_binary(0)
+                    self.parse_expression(0)
                     if self.at_kind("identifier"):
                         self.advance()
                     self.acc.decisions += 1
@@ -1041,13 +1041,36 @@ class _Parser:
     # ------------------------------------------------------------------
     # expressions; each returns what a fact may read of it (see _Chain)
 
-    def parse_expression(self):
-        left = self.parse_ternary()
-        if self.peek().lexeme in ASSIGN_OPS:
+    def parse_expression(self, min_level: int = -2):
+        """Precedence climbing (Pratt 1973) over the infix operators of
+        *min_level* or tighter (see _LEVEL): one frame per nesting level."""
+        lead = self.peek()
+        left = self.parse_operand()
+        while True:
+            t = self.peek()
+            level = _LEVEL.get(t.lexeme, -3)
+            if level < min_level:
+                return left
             self.advance()
-            self.parse_expression()
-            return None
-        return left
+            if level == -2:  # assignment
+                self.parse_expression()
+            elif level == -1:  # the conditional
+                self.parse_expression()
+                self.expect(":")
+                self.parse_expression(-1)
+                self.acc.decisions += 1
+            elif t.lexeme == "instanceof":
+                ty = self.parse_type_text()
+                if self.at_kind("identifier"):  # pattern binding
+                    self.advance()
+                self.refs.append((ty, lead.line))
+                left = _render(left)
+                continue
+            else:
+                self.parse_expression(level + 1)
+                if t.lexeme in ("&&", "||"):
+                    self.acc.decisions += 1
+            left = None
 
     def parse_parenthesized(self):
         """'(' expression ')'; returns what the expression yields."""
@@ -1056,80 +1079,22 @@ class _Parser:
         self.expect(")")
         return value
 
-    def parse_ternary(self):
-        cond = self.parse_binary(0)
-        if not self.at("?"):
-            return cond
-        self.advance()
-        self.parse_expression()
-        self.expect(":")
-        self.parse_ternary()
-        self.acc.decisions += 1
-        return None
-
-    def parse_binary(self, min_level: int):
-        """Precedence climbing over operators binding at *min_level* or tighter."""
-        lead = self.peek()
-        left = self.parse_unary()
+    def parse_operand(self):
+        """Prefix operators and casts, read by a loop, then a primary and its
+        postfix chain. A prefix operator leaves nothing a fact reads; a cast
+        leaves its operand, unless that is an instanceof test."""
+        prefixed = cast = False
         while True:
             t = self.peek()
-            level = _BINARY_LEVEL.get(t.lexeme, -1)
-            if level < min_level:
-                return left
-            self.advance()
-            if t.lexeme == "instanceof":
-                ty = self.parse_type_text()
-                if self.at_kind("identifier"):  # pattern binding
-                    self.advance()
-                self.refs.append((ty, lead.line))
-                left = _render(left)
-            else:
-                self.parse_binary(level + 1)
-                if t.lexeme in ("&&", "||"):
-                    self.acc.decisions += 1
-                left = None
-
-    def parse_unary(self):
-        t = self.peek()
-        if t.kind == "operator" and t.lexeme in ("+", "-", "!", "~", "++", "--"):
-            self.advance()
-            self.parse_unary()
-            return None
-        if t.lexeme == "(":
-            cast = self.skip_cast()
-            if cast is not None:
-                self.refs.append((cast, t.line))
-                operand = self.parse_unary()
-                return None if isinstance(operand, str) else operand
-        return self.parse_postfix()
-
-    def skip_cast(self) -> str | None:
-        """At '(': consume a cast's '(Type)' and return the type, or consume
-        nothing and return None."""
-        save = self.i
-        self.advance()  # (
-        try:
-            ty = self.parse_type_text()
-        except _Recover:
-            self.i = save
-            return None
-        if not self.at(")"):
-            self.i = save
-            return None
-        self.advance()
-        nxt = self.peek()
-        is_primitive = ty in PRIMITIVES
-        starts_operand = (
-            nxt.kind in ("identifier", "literal")
-            or nxt.lexeme in ("(", "this", "super", "new", "!", "~")
-            or (is_primitive and nxt.lexeme in ("+", "-"))
-        )
-        if not starts_operand:
-            self.i = save
-            return None
-        return ty
-
-    def parse_postfix(self):
+            if t.kind == "operator" and t.lexeme in ("+", "-", "!", "~", "++", "--"):
+                self.advance()
+                prefixed = True
+                continue
+            ty = self.skip_cast() if t.lexeme == "(" else None
+            if ty is None:
+                break
+            self.refs.append((ty, t.line))
+            cast = True
         lead = self.peek()
         value = self.parse_primary()
         head = None  # an unparenthesized name: a bare call's name or a qualifier
@@ -1191,7 +1156,35 @@ class _Parser:
                 self.advance()
                 value, this = None, False
                 continue
+            if prefixed or (cast and isinstance(value, str)):
+                return None
             return value
+
+    def skip_cast(self) -> str | None:
+        """At '(': consume a cast's '(Type)' and return the type, or consume
+        nothing and return None."""
+        save = self.i
+        self.advance()  # (
+        try:
+            ty = self.parse_type_text()
+        except _Recover:
+            self.i = save
+            return None
+        if not self.at(")"):
+            self.i = save
+            return None
+        self.advance()
+        nxt = self.peek()
+        is_primitive = ty in PRIMITIVES
+        starts_operand = (
+            nxt.kind in ("identifier", "literal")
+            or nxt.lexeme in ("(", "this", "super", "new", "!", "~")
+            or (is_primitive and nxt.lexeme in ("+", "-"))
+        )
+        if not starts_operand:
+            self.i = save
+            return None
+        return ty
 
     def lambda_ahead(self) -> bool:
         # At '(': matched close paren directly followed by '->'.
