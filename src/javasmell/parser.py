@@ -1060,6 +1060,7 @@ class _Parser:
                 self.parse_expression(-1)
                 self.acc.decisions += 1
             elif t.lexeme == "instanceof":
+                self.parse_modifiers()  # of a pattern: final, annotations
                 ty = self.parse_type_text()
                 if self.at_kind("identifier"):  # pattern binding
                     self.advance()
@@ -1090,10 +1091,10 @@ class _Parser:
                 self.advance()
                 prefixed = True
                 continue
-            ty = self.skip_cast() if t.lexeme == "(" else None
-            if ty is None:
+            types = self.skip_cast() if t.lexeme == "(" else None
+            if types is None:
                 break
-            self.refs.append((ty, t.line))
+            self.refs += [(ty, t.line) for ty in types]
             cast = True
         lead = self.peek()
         value = self.parse_primary()
@@ -1160,13 +1161,15 @@ class _Parser:
                 return None
             return value
 
-    def skip_cast(self) -> str | None:
-        """At '(': consume a cast's '(Type)' and return the type, or consume
-        nothing and return None."""
+    def skip_cast(self) -> list | None:
+        """At '(': consume a cast's '(Type)' or '(Type & Type ...)' and
+        return its types, or consume nothing and return None."""
         save = self.i
         self.advance()  # (
         try:
-            ty = self.parse_type_text()
+            types = [self.parse_type_text()]
+            while self.accept("&"):
+                types.append(self.parse_type_text())
         except _Recover:
             self.i = save
             return None
@@ -1175,7 +1178,7 @@ class _Parser:
             return None
         self.advance()
         nxt = self.peek()
-        is_primitive = ty in PRIMITIVES
+        is_primitive = types[0] in PRIMITIVES
         starts_operand = (
             nxt.kind in ("identifier", "literal")
             or nxt.lexeme in ("(", "this", "super", "new", "!", "~")
@@ -1184,7 +1187,7 @@ class _Parser:
         if not starts_operand:
             self.i = save
             return None
-        return ty
+        return types
 
     def lambda_ahead(self) -> bool:
         # At '(': matched close paren directly followed by '->'.
@@ -1276,8 +1279,9 @@ class _Parser:
         if t.kind == "keyword" and t.lexeme in NON_REF_TYPES:
             self.advance()
             self.skip_dims()
-            self.expect(".")
-            self.expect("class")
+            if not self.at("::"):  # int[]::new is left to the postfix loop
+                self.expect(".")
+                self.expect("class")
             return None
         if t is self.eof:
             raise _Recover("expected expression, found end of file", t)

@@ -330,6 +330,37 @@ def test_strictfp_local_class_is_a_type():
     assert [t.qname for t in parsed.types] == ["P", "P.L"]
 
 
+def test_instanceof_pattern_takes_final_and_annotations():
+    # javac 17 compiles both patterns.
+    parsed = parse_text(
+        "class A { boolean m(Object x) { if (x instanceof final Foo f && f.ok()) { }\n"
+        " return x instanceof @Deprecated Bar g; } }"
+    )
+    assert parsed.diagnostics == []
+    (a,) = parsed.types
+    assert a.methods[0].cc == 3
+    assert ("Foo", 1) in a.refs and ("Bar", 2) in a.refs
+
+
+def test_intersection_cast_refers_to_every_bound():
+    # javac 17 compiles both casts.
+    parsed = parse_text(
+        "class A { void m() { Runnable r = (Runnable & java.io.Serializable) () -> {};\n"
+        ' Object o = (Comparable<String> & java.io.Serializable) "s"; } }'
+    )
+    assert parsed.diagnostics == []
+    assert sorted(parsed.types[0].refs) == [
+        ("Comparable", 2), ("Object", 2), ("Runnable", 1), ("Runnable", 1),
+        ("java.io.Serializable", 1), ("java.io.Serializable", 2),
+    ]
+
+
+def test_primitive_array_constructor_reference():
+    parsed = parse_text("class A { void m() { IntFunction<int[]> a = int[]::new; } }")
+    assert parsed.diagnostics == []
+    assert ref_names(parsed.types[0]) == ["IntFunction"]
+
+
 def test_local_class_initializers_count_in_no_method():
     parsed = parse_text(
         "class A { int f; void m() { class L { { if (f > 0) { } } int g = f > 0 ? 1 : 2; } } }"
