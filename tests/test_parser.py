@@ -507,25 +507,33 @@ def test_pathological_nesting_is_parse_error_not_crash():
 
 
 def test_nesting_limits_hold():
-    # The parser recurses once per nesting level. Under the default
-    # recursion limit it takes 160 nested parentheses, 160 nested calls,
-    # 480 nested array initializers and 190 nested braced blocks. A new
-    # thread starts with an empty stack, so the frames of the caller (here
-    # pytest's) do not count.
-    parens = "class A { int f(int x) { return %s; } }" % ("(" * 160 + "x" + ")" * 160)
-    calls = "class A { int f(int x) { return %s; } }" % ("f(" * 160 + "x" + ")" * 160)
-    arrays = "class A { void f() { int[] a = %s; } }" % ("{" * 480 + "1" + "}" * 480)
-    blocks = "class Deep { void f(int x) { %s } }" % (
-        "".join("if (x > %d) { " % i for i in range(190)) + "x = 0;" + " }" * 190
+    # A nested parenthesis or call costs the parser three frames, a chained
+    # lambda four and a conditional nested in a true branch one; prefix
+    # operators and casts are read by a loop and cost none. Under the
+    # default recursion limit it takes 320 nested parentheses or calls, 240
+    # chained lambdas, 960 nested conditionals, 480 nested array
+    # initializers and 190 nested braced blocks. A new thread starts with an
+    # empty stack, so the frames of the caller (here pytest's) do not count.
+    ret = "class A { int f(int x) { return %s; } }"
+    texts = (
+        ret % ("(" * 320 + "x" + ")" * 320),
+        ret % ("f(" * 320 + "x" + ")" * 320),
+        ret % ("x -> " * 240 + "x"),
+        ret % ("c ? " * 960 + "x" + " : y" * 960),
+        ret % ("- " * 4000 + "x"),
+        ret % ("(A) " * 4000 + "x"),
+        "class A { void f() { int[] a = %s; } }" % ("{" * 480 + "1" + "}" * 480),
+        "class Deep { void f(int x) { %s } }" % (
+            "".join("if (x > %d) { " % i for i in range(190)) + "x = 0;" + " }" * 190
+        ),
     )
-    texts = (parens, calls, arrays, blocks)
     results = []
     thread = threading.Thread(target=lambda: results.extend(map(parse_text, texts)))
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive()
-    assert [r.diagnostics for r in results] == [[]] * 4
-    assert [r.types[0].methods[0].cc for r in results] == [1, 1, 1, 191]
+    assert [r.diagnostics for r in results] == [[]] * 8
+    assert [r.types[0].methods[0].cc for r in results] == [1, 1, 1, 961, 1, 1, 1, 191]
 
 
 def test_empty_file_is_fine():
