@@ -1170,19 +1170,15 @@ class _Parser:
             types = [self.parse_type_text()]
             while self.accept("&"):
                 types.append(self.parse_type_text())
+            self.expect(")")
         except _Recover:
             self.i = save
             return None
-        if not self.at(")"):
-            self.i = save
-            return None
-        self.advance()
         nxt = self.peek()
-        is_primitive = types[0] in PRIMITIVES
         starts_operand = (
             nxt.kind in ("identifier", "literal")
             or nxt.lexeme in ("(", "this", "super", "new", "!", "~")
-            or (is_primitive and nxt.lexeme in ("+", "-"))
+            or (types[0] in PRIMITIVES and nxt.lexeme in ("+", "-"))
         )
         if not starts_operand:
             self.i = save
