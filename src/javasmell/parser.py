@@ -1042,8 +1042,8 @@ class _Parser:
     # expressions; each returns what a fact may read of it (see _Chain)
 
     def parse_expression(self, min_level: int = -2):
-        """Precedence climbing (Pratt 1973) over the infix operators of
-        *min_level* or tighter (see _LEVEL): one frame per nesting level."""
+        """Precedence climbing (Pratt 1973) over the operators of _LEVEL that
+        bind at *min_level* or tighter; the default takes them all."""
         lead = self.peek()
         left = self.parse_operand()
         while True:
