@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 
 from .evaluation import EvaluationResult
-from .metrics import ProjectMetrics, write_text
+from .metrics import CC_BUCKETS, DIT_BUCKETS, ProjectMetrics, write_text
 from .repometa import Maturity, MaturityClass
 from .smells import SmellFinding, SmellKind, kind_from_name
 
@@ -161,13 +161,14 @@ def _metrics_obj(pm: ProjectMetrics | None):
         "pct_child_classes": pm.pct_child_classes,
         "pct_public_fields": pm.pct_public_fields,
         "pct_public_methods": pm.pct_public_methods,
-        "cc_histogram": {
-            "1_19": pm.cc_histogram[0],
-            "20_39": pm.cc_histogram[1],
-            "40_plus": pm.cc_histogram[2],
-        },
-        "dit_histogram": {"0_6": pm.dit_histogram[0], "7_plus": pm.dit_histogram[1]},
+        "cc_histogram": _histogram_obj(pm.cc_histogram, CC_BUCKETS),
+        "dit_histogram": _histogram_obj(pm.dit_histogram, DIT_BUCKETS),
     }
+
+
+def _histogram_obj(counts: tuple, buckets: tuple) -> dict:
+    """Bucket label -> count; a bucket (lo, hi) is labelled lo_hi, or lo_plus when open."""
+    return {f"{lo}_{'plus' if hi is None else hi}": n for (lo, hi), n in zip(buckets, counts)}
 
 
 def _finding_obj(f: SmellFinding):
