@@ -2,14 +2,15 @@
 
 Everything read from method bodies comes from the facts the parser records
 per method (``parser.MethodInfo``): cyclomatic complexity, and the own
-fields each method uses for LCOM. No metric is reported per method: a
-method's cyclomatic complexity counts in its type's WMC and max CC and in
-the project's CC histogram. DIT follows the resolved
-project-internal extends chain only; NC is the number of direct internal
-subtypes, so summing NC over all types equals the number of types that have
-an internal supertype. LCOM is 1 minus the mean fraction of methods touching
-each own field, computed as (nom*nof - accesses) / (nom*nof) so that exact
-threshold boundaries like 0.8 compare cleanly.
+fields each method uses for LCOM. A constructor leaves no such facts, so it
+counts in no metric. No metric is reported per method: a method's
+cyclomatic complexity counts in its type's WMC and max CC and in the
+project's CC histogram. DIT follows the resolved project-internal extends
+chain only; NC is the number of direct internal subtypes, so summing NC
+over all types equals the number of types that have an internal supertype.
+LCOM is 1 minus the mean fraction of methods touching each own field,
+computed as (nom*nof - accesses) / (nom*nof) so that exact threshold
+boundaries like 0.8 compare cleanly.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def dit(model: PseudoModel, qname: str) -> int:
 
 
 def lcom(info: TypeInfo) -> float | None:
-    methods = [m for m in info.methods if not m.is_ctor and m.has_body]
+    methods = [m for m in info.methods if m.cc is not None]
     nom = len(methods)
     nof = len({f.name for f in info.fields})
     if nom == 0 or nof == 0:
@@ -97,8 +98,7 @@ def compute_type_metrics(model: PseudoModel) -> dict:
     out: dict = {}
     for qname in sorted(model.types):
         info = model.types[qname]
-        methods = [m for m in info.methods if not m.is_ctor]
-        ccs = [m.cc for m in methods if m.cc is not None]
+        ccs = [m.cc for m in info.methods if m.cc is not None]
         nof = len(info.fields)
         nopf = sum(1 for f in info.fields if f.visibility == "public")
         nopf_nonconst = sum(
@@ -110,8 +110,8 @@ def compute_type_metrics(model: PseudoModel) -> dict:
             nof=nof,
             nopf=nopf,
             nopf_nonconst=nopf_nonconst,
-            nom=len(methods),
-            nopm=sum(1 for m in methods if m.visibility == "public"),
+            nom=len(info.methods),
+            nopm=sum(1 for m in info.methods if m.visibility == "public"),
             nc=len(model.subtypes.get(qname, ())),
             dit=dit(model, qname),
             wmc=sum(ccs),
@@ -139,17 +139,14 @@ def project_metrics(model: PseudoModel, type_metrics: dict) -> ProjectMetrics:
     total_methods = sum(t.nom for t in type_metrics.values())
     total_loc = sum(len(lines) for lines in model.file_code_lines.values())
 
-    children = sum(1 for q in model.types if model.types[q].supertype is not None)
+    children = len(model.supertype)
     total_public_fields = sum(t.nopf for t in type_metrics.values())
     total_public_methods = sum(t.nopm for t in type_metrics.values())
 
     def pct(num, den):
         return 100.0 * num / den if den else None
 
-    ccs = [
-        m.cc for info in model.types.values() for m in info.methods
-        if not m.is_ctor and m.cc is not None
-    ]
+    ccs = [m.cc for info in model.types.values() for m in info.methods if m.cc is not None]
     return ProjectMetrics(
         total_types=total_types,
         total_fields=total_fields,

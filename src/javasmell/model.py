@@ -6,10 +6,12 @@ what metrics and smells read of their bodies, and the raw type names its
 body refers to. ``build_model`` reads those facts only and leaves them
 unchanged.
 
-The model keeps the declared types with their fields and methods, the
-package/type index used for name resolution, and each file's code lines and
-top-level type count. On top of those sit the single-parent inheritance
-forest (class ``extends`` only) and the type-dependency graph. A type
+The model keeps the declared types as parsed, the package/type index used
+for name resolution, and each file's code lines and top-level type count.
+What it resolves it keeps in maps of its own: each type's kept member types,
+the single-parent inheritance forest (class ``extends`` only, as supertype
+and subtype maps) and the type-dependency graph. A cycle of supertypes,
+which javac rejects, is reported once, at its first member by qname. A type
 declared twice keeps its first declaration, by path, and the later one is
 dropped together with every type nested in it.
 
@@ -24,7 +26,7 @@ The dependency graph holds edges between project types only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .parser import NON_REF_TYPES, ParsedFile
@@ -53,7 +55,9 @@ class _FileScope:
 class PseudoModel:
     types: dict = field(default_factory=dict)  # qname -> TypeInfo
     deps: dict = field(default_factory=dict)  # qname -> set of the project qnames it refers to
+    supertype: dict = field(default_factory=dict)  # qname -> its resolved project supertype
     subtypes: dict = field(default_factory=dict)  # qname -> [qname]
+    nested: dict = field(default_factory=dict)  # qname -> [kept member type qnames]
     incoming: dict = field(default_factory=dict)  # qname -> set of sources
     file_top_level: dict = field(default_factory=dict)  # file -> count
     file_code_lines: dict = field(default_factory=dict)  # file -> sorted [int]
@@ -67,22 +71,17 @@ class PseudoModel:
     def ancestors(self, qname: str):
         """Resolved supertype chain, cycle-safe."""
         seen = {qname}
-        cur = self.types[qname].supertype
+        cur = self.supertype.get(qname)
         while cur is not None and cur not in seen:
             seen.add(cur)
             yield self.types[cur]
-            cur = self.types[cur].supertype
+            cur = self.supertype.get(cur)
 
     def find_ancestor_method(self, qname: str, name: str, arity: int):
         """First non-private ancestor method matching name and arity."""
         for anc in self.ancestors(qname):
             for m in anc.methods:
-                if (
-                    not m.is_ctor
-                    and m.name == name
-                    and m.arity == arity
-                    and m.visibility != "private"
-                ):
+                if m.name == name and m.arity == arity and m.visibility != "private":
                     return anc, m
         return None
 
@@ -125,8 +124,8 @@ class PseudoModel:
 def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
     """Merge the facts of parsed files into a pseudo-model; order-independent.
 
-    The facts are left unchanged: each type is copied before its nested
-    types and its resolved supertype are filled in.
+    The facts are left unchanged: the model keeps the resolutions it makes
+    (supertypes, member types) in maps of its own.
     """
     model = PseudoModel()
     files = sorted(parsed, key=lambda pf: pf.path)
@@ -165,9 +164,8 @@ def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
                     )
                 )
                 continue
-            info = replace(info, nested=[])
             if info.outer is not None:
-                model.types[info.outer].nested.append(qname)
+                model.nested.setdefault(info.outer, []).append(qname)
             model.types[qname] = info
             scope.simple_names.setdefault(info.simple_name, qname)
 
@@ -177,7 +175,7 @@ def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
         if info.supertype_raw:
             resolved = model.resolve(info.supertype_raw, info.file)
             if resolved in model.types:  # neither None nor an ambiguous name's candidates
-                info.supertype = resolved
+                model.supertype[qname] = resolved
                 model.subtypes.setdefault(resolved, []).append(qname)
     for lst in model.subtypes.values():
         lst.sort()
@@ -211,26 +209,58 @@ def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
 
 
 def _flag_extends_cycles(model: PseudoModel):
-    reported: set = set()
-    for start in sorted(model.types):
-        chain: list = []
-        seen: set = set()
-        cur = start
-        while cur is not None:
-            if cur in seen:
-                cycle = frozenset(chain[chain.index(cur):])
-                if cycle not in reported:
-                    reported.add(cycle)
-                    info = model.types[cur]
-                    model.diagnostics.append(
-                        ModelDiagnostic(
-                            "extends-cycle",
-                            "inheritance cycle: " + " -> ".join(sorted(cycle)),
-                            info.file,
-                            info.line,
-                        )
-                    )
-                break
-            seen.add(cur)
-            chain.append(cur)
-            cur = model.types[cur].supertype
+    """One extends-cycle diagnostic per cycle of the supertype map, at the
+    cycle's first member by qname."""
+    sup = model.supertype
+    adjacency = {q: [s] if s in sup else [] for q, s in sup.items()}
+    for component in sorted(strongly_connected_components(adjacency)):
+        first = component[0]
+        if len(component) >= 2 or sup[first] == first:
+            info = model.types[first]
+            model.diagnostics.append(
+                ModelDiagnostic(
+                    "extends-cycle", "inheritance cycle: " + " -> ".join(component), info.file, info.line
+                )
+            )
+
+
+def strongly_connected_components(adjacency: dict) -> list[list]:
+    """Iterative Tarjan (1972) over an adjacency mapping node -> iterable of
+    nodes; every successor must be a key. Each component comes sorted."""
+    index: dict = {}  # node -> visit order; its size is the next order
+    lowlink: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    work: list = []  # (node, iterator over its sorted successors) per open visit
+    sccs: list[list] = []
+
+    def visit(node):
+        index[node] = lowlink[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(sorted(adjacency[node]))))
+
+    for root in sorted(adjacency):
+        if root in index:
+            continue
+        visit(root)
+        while work:
+            node, successors = work[-1]
+            for succ in successors:
+                if succ not in index:
+                    visit(succ)
+                    break
+                if succ in on_stack:
+                    lowlink[node] = min(lowlink[node], index[succ])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] == index[node]:
+                    component = []
+                    while not component or component[-1] != node:
+                        component.append(stack.pop())
+                    on_stack.difference_update(component)
+                    sccs.append(sorted(component))
+    return sccs

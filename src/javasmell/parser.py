@@ -13,10 +13,12 @@ statement and reported as a diagnostic instead of aborting the file.
 
 No syntax tree is built. As it parses, the parser fills the file's
 ``ParsedFile``: every type declaration in preorder (a local class is nested
-in its enclosing type) with its fields, its methods and the raw type names
+in its enclosing type) with its fields, its methods, the switches and
+instanceof ladders of its methods and constructors, and the raw type names
 its body refers to, and on each method what metrics and smells read of its
-body. A method's own-field uses are resolved when its type closes, since
-fields may be declared after the methods. Expressions yield only what a fact
+body. A constructor leaves its sites and references but no method. A
+method's own-field uses are resolved when its type closes, since fields may
+be declared after the methods. Expressions yield only what a fact
 reads of them: the text and last identifier of a switch selector, and
 whether an ``if`` condition is an instanceof test and of what.
 
@@ -107,26 +109,23 @@ class LadderSite(NamedTuple):
 
 @dataclass
 class MethodInfo:
-    """A method or constructor, with what the type metrics and the smells
-    read of it. cc is 1 + if + for + enhanced-for + while + do + case label
-    + catch clause + conditional operator + '&&' + '||' outside lambda
-    bodies. Field uses count the own fields it reads or writes: a bare name
-    loses to a parameter, local, loop variable or catch name of the same
-    name anywhere in the method, and ``this.f`` always counts. Field uses
-    include expression-bodied lambdas and local classes. The decision points
-    and hierarchy sites of a local class's methods count in those methods
+    """A method, with what the type metrics and the smells read of it; a
+    constructor leaves none. cc is 1 + if + for + enhanced-for + while + do
+    + case label + catch clause + conditional operator + '&&' + '||'
+    outside lambda bodies. Field uses count the own fields it reads or
+    writes: a bare name loses to a parameter, local, loop variable or catch
+    name of the same name anywhere in the method, and ``this.f`` always
+    counts. Field uses include expression-bodied lambdas and local classes.
+    The decision points of a local class's methods count in those methods
     alone; those of its initializers count in no method."""
 
     name: str
     arity: int
     modifiers: frozenset
     visibility: str
-    is_ctor: bool
-    has_body: bool
     cc: int | None  # cyclomatic complexity; None without a parsed body
     field_uses: int  # own fields read or written
     rejected_body: bool  # the body is empty or only throws
-    hierarchy_sites: tuple  # SwitchSite and LadderSite, in preorder
 
 
 @dataclass
@@ -141,14 +140,16 @@ class TypeInfo:
     supertype_raw: str | None
     fields: list[FieldInfo] = field(default_factory=list)
     methods: list[MethodInfo] = field(default_factory=list)
+    # (method or constructor name, SwitchSite | LadderSite) per site of its
+    # methods and constructors, in preorder; a local class's sites sit on
+    # the local class, an initializer's on no type.
+    hierarchy_sites: list = field(default_factory=list)
     # (raw name, line) per type reference: the supertypes and the field,
     # parameter, return, local, loop variable, creation, cast, instanceof and
     # catch types, and the head name of a qualified call or field access,
     # which may name a variable and then resolves to no project type. Nested
     # types and lambda bodies add nothing here.
     refs: tuple = ()
-    nested: list[str] = field(default_factory=list)
-    supertype: str | None = None  # resolved, project-internal only
 
 
 @dataclass
@@ -193,7 +194,7 @@ class _Recover(Exception):
         self.token = token
 
 
-def _visibility(modifiers, owner_kind: str, is_ctor: bool = False) -> str:
+def _visibility(modifiers, owner_kind: str) -> str:
     if "public" in modifiers:
         return "public"
     if "protected" in modifiers:
@@ -202,8 +203,6 @@ def _visibility(modifiers, owner_kind: str, is_ctor: bool = False) -> str:
         return "private"
     if owner_kind == "interface":
         return "public"
-    if owner_kind == "enum" and is_ctor:
-        return "private"
     return "package"
 
 
@@ -698,7 +697,9 @@ class _Parser:
         self.parse_field_declarators(start_tok, mods, type_text, name_tok)
 
     def parse_method(self, start_tok, mods, return_type, name):
-        """A method, or a constructor when *return_type* is None."""
+        """A method, or a constructor when *return_type* is None. A
+        constructor leaves its references, names and sites, but no
+        MethodInfo."""
         outer, acc = self.acc, _Method()
         self.acc = acc
         params = self.parse_params()
@@ -712,14 +713,15 @@ class _Parser:
         else:
             self.expect(";")
         self.restore_acc(outer)
-        if return_type is not None:
-            self.refs.append((return_type, start_tok.line))
-        sites = tuple(s for s in acc.sites if s is not None)
-        is_ctor, has_body = return_type is None, leads is not None
+        self.type.hierarchy_sites += [(name, s) for s in acc.sites if s is not None]
+        if return_type is None:
+            return
+        self.refs.append((return_type, start_tok.line))
+        has_body = leads is not None
         method = MethodInfo(
-            name, len(params), frozenset(mods), _visibility(mods, self.type.kind, is_ctor),
-            is_ctor, has_body, 1 + acc.decisions if has_body else None, 0,
-            has_body and [lead for lead in leads if lead != ";"] in ([], ["throw"]), sites,
+            name, len(params), frozenset(mods), _visibility(mods, self.type.kind),
+            1 + acc.decisions if has_body else None, 0,
+            has_body and [lead for lead in leads if lead != ";"] in ([], ["throw"]),
         )
         self.type.methods.append(method)
         shadowed = set(params).union(acc.locals)

@@ -4,9 +4,10 @@ Every threshold is configurable through a plain ``key = value`` file; unknown
 keys are rejected so typos cannot silently disable a rule. Each key is one
 row of ``_KEYS``, which parses, checks and echoes it. Evidence on each
 finding records the metric values that fired the rule. Rules are pure
-readers of the model's per-method facts and the metrics, never of syntax
-nodes, and ``detect_all`` sorts canonically so output is byte-stable across
-runs and file orderings.
+readers of the model's facts and the metrics, never of syntax nodes, and
+``detect_all`` sorts canonically so output is byte-stable across runs and
+file orderings. A constructor's switches and ladders are the only facts it
+leaves, so MissingHierarchy is the one rule it can fire.
 
 The eight per-type rules are rows of one table, ``_TYPE_RULES``: each is a
 predicate over a type, its metrics and the config that returns the evidence
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .model import PseudoModel
+from .model import PseudoModel, strongly_connected_components
 from .parser import SwitchSite
 
 
@@ -210,61 +211,10 @@ class RuleConfig:
 def _is_main_style(method) -> bool:
     return (
         method.name == "main"
-        and not method.is_ctor
         and method.arity == 1
         and "static" in method.modifiers
         and "public" in method.modifiers
     )
-
-
-def strongly_connected_components(adjacency: dict) -> list[list]:
-    """Iterative Tarjan over an adjacency mapping node -> iterable of nodes;
-    every successor must be a key."""
-    index: dict = {}
-    lowlink: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    counter = [0]
-    sccs: list[list] = []
-
-    for root in sorted(adjacency):
-        if root in index:
-            continue
-        work = [(root, iter(sorted(adjacency[root])))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in index:
-                    index[succ] = lowlink[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(sorted(adjacency[succ]))))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == node:
-                        break
-                sccs.append(sorted(component))
-    return sccs
 
 
 def _cycle_members(model: PseudoModel) -> dict:
@@ -310,18 +260,19 @@ def _insufficient_modularization(model, info, t, config):
 
 
 def _broken_hierarchy(model, info, t, config):
-    if info.supertype is None:
+    supertype = model.supertype.get(info.qname)
+    if supertype is None:
         return None
     rejected = []
     for m in info.methods:
-        if m.is_ctor or not m.rejected_body:
+        if not m.rejected_body:
             continue
         hit = model.find_ancestor_method(info.qname, m.name, m.arity)
-        if hit is not None and hit[1].has_body:
+        if hit is not None and hit[1].cc is not None:
             rejected.append(m.name)
     if not rejected:
         return None
-    return {"rejected_methods": ";".join(sorted(rejected)), "supertype": info.supertype}
+    return {"rejected_methods": ";".join(sorted(rejected)), "supertype": supertype}
 
 
 def _deficient_encapsulation(model, info, t, config):
@@ -335,7 +286,7 @@ def _deficient_encapsulation(model, info, t, config):
 
 def _unnecessary_abstraction(model, info, t, config):
     if info.kind == "interface":
-        if t.nom + t.nof + len(info.nested) == 0:
+        if t.nom + t.nof == 0 and info.qname not in model.nested:
             return {"members": "0"}
     elif t.nom == 0 and t.nof >= 1:
         return {"nom": "0", "nof": str(t.nof)}
@@ -349,7 +300,7 @@ def _wide_hierarchy(model, info, t, config):
 def _imperative_abstraction(model, info, t, config):
     if info.kind != "class" or t.nom != 1 or t.nof > config.ia_max_fields:
         return None
-    the_method = next(m for m in info.methods if not m.is_ctor)
+    the_method = info.methods[0]
     if the_method.visibility != "public":
         return None
     return {"method": the_method.name, "nom": "1", "nof": str(t.nof)}
@@ -384,20 +335,19 @@ _TYPE_RULES = (
 
 def _missing_hierarchy(info, config: RuleConfig):
     """(evidence, line) for each switch or instanceof ladder that fires."""
-    for m in info.methods:
-        for site in m.hierarchy_sites:
-            if isinstance(site, SwitchSite):
-                tagged = site.terminal and config.tag_re.search(site.terminal)
-                if tagged and site.cases >= config.mh_min_branches:
-                    yield {
-                        "method": m.name, "cases": str(site.cases),
-                        "selector": site.selector, "pattern": "switch",
-                    }, site.line
-            elif site.operand is not None and site.branches >= config.mh_min_branches:
+    for method, site in info.hierarchy_sites:
+        if isinstance(site, SwitchSite):
+            tagged = site.terminal and config.tag_re.search(site.terminal)
+            if tagged and site.cases >= config.mh_min_branches:
                 yield {
-                    "method": m.name, "branches": str(site.branches),
-                    "operand": site.operand, "pattern": "instanceof",
+                    "method": method, "cases": str(site.cases),
+                    "selector": site.selector, "pattern": "switch",
                 }, site.line
+        elif site.operand is not None and site.branches >= config.mh_min_branches:
+            yield {
+                "method": method, "branches": str(site.branches),
+                "operand": site.operand, "pattern": "instanceof",
+            }, site.line
 
 
 # ----------------------------------------------------------------------

@@ -247,7 +247,7 @@ def test_07_metric_duality_on_fixtures():
         model, tm = result.model, result.type_metrics
         pm = result.project_metrics
         total_nc = sum(t.nc for t in tm.values())
-        with_parent = sum(1 for q in model.types if model.types[q].supertype is not None)
+        with_parent = sum(1 for q in model.types if model.supertype.get(q) is not None)
         if total_nc != with_parent:
             failures.append(f"{name}: sum(nc) {total_nc} != internal-supertype count {with_parent}")
         if sum(pm.dit_histogram) != pm.total_types:
@@ -256,7 +256,7 @@ def test_07_metric_duality_on_fixtures():
             1
             for q in model.types
             for m in model.types[q].methods
-            if not m.is_ctor and m.cc is not None
+            if m.cc is not None
         )
         if sum(pm.cc_histogram) != measured:
             failures.append(f"{name}: cc histogram sums to {sum(pm.cc_histogram)} != {measured}")

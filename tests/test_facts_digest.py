@@ -228,31 +228,11 @@ def canonical(value):
     if isinstance(value, (list, tuple)):
         return (type(value).__name__, [canonical(v) for v in value])
     if dataclasses.is_dataclass(value):
-        return (type(value).__name__, [(name, canonical(v)) for name, v in _bridge(value)])
+        return (type(value).__name__, [
+            (f.name, canonical(sorted(value.refs) if f.name == "refs" else getattr(value, f.name)))
+            for f in dataclasses.fields(value)
+        ])
     return value
-
-
-def _bridge(value):
-    """The (name, value) pairs a fact dataclass is pinned by, in the shape
-    where constructors leave no MethodInfo and each type holds its
-    (method name, site) pairs. To be deleted once the facts take it."""
-    items = [
-        (f.name, sorted(value.refs) if f.name == "refs" else getattr(value, f.name))
-        for f in dataclasses.fields(value)
-    ]
-    kind = type(value).__name__
-    if kind == "MethodInfo":
-        return [(n, v) for n, v in items if n not in ("is_ctor", "has_body", "hierarchy_sites")]
-    if kind != "TypeInfo":
-        return items
-    out = []
-    for n, v in items:
-        if n == "methods":
-            out.append((n, [m for m in v if not m.is_ctor]))
-            out.append(("hierarchy_sites", [(m.name, s) for m in v for s in m.hierarchy_sites]))
-        elif n not in ("nested", "supertype"):
-            out.append((n, v))
-    return out
 
 
 def dump_diagnostics(name: str, text: str) -> str:

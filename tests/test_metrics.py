@@ -205,7 +205,7 @@ def test_nc_dit_duality(corpus_model):
     tm = compute_type_metrics(corpus_model)
     total_nc = sum(t.nc for t in tm.values())
     with_internal_parent = sum(
-        1 for q in corpus_model.types if corpus_model.types[q].supertype is not None
+        1 for q in corpus_model.types if corpus_model.supertype.get(q) is not None
     )
     assert total_nc == with_internal_parent
     assert total_nc == sum(1 for t in tm.values() if t.dit >= 1)

@@ -13,7 +13,7 @@ from conftest import model_of
 
 def test_internal_extends_creates_edges():
     m = model_of(A="package p; class A extends B { }", B="package p; class B { }")
-    assert m.types["p.A"].supertype == "p.B"
+    assert m.supertype == {"p.A": "p.B"}
     assert "p.B" in m.deps["p.A"]
     assert m.subtypes["p.B"] == ["p.A"]
 
@@ -32,7 +32,7 @@ def test_foreign_supertype_suppressed_from_inheritance():
     # project, so it resolves to no type and adds no edge of either kind.
     m = model_of(A="package p; class A extends Foreign { }")
     assert m.resolve("Foreign", m.types["p.A"].file) is None
-    assert m.types["p.A"].supertype is None
+    assert m.supertype == {}
     assert m.subtypes == {}
     assert m.deps["p.A"] == set()
 
@@ -141,7 +141,7 @@ def test_types_nested_in_a_dropped_duplicate_are_dropped():
         }
     )
     assert sorted(m.types) == ["c.Dup", "c.Dup.In"]
-    assert m.types["c.Dup"].nested == ["c.Dup.In"]
+    assert m.nested == {"c.Dup": ["c.Dup.In"]}
     assert [(d.code, d.file, d.line) for d in m.diagnostics] == [
         ("duplicate-type", "c/Dup.java", 3),
         ("duplicate-type", "c/Dup2.java", 2),
@@ -154,6 +154,28 @@ def test_extends_cycle_reported_not_silent():
         B="package p; class B extends A { }",
     )
     assert any(d.code == "extends-cycle" for d in m.diagnostics)
+
+
+def cycle_diagnostics(sources):
+    return [str(d) for d in build_from_sources(sources).diagnostics]
+
+
+def test_extends_cycle_reported_once_at_its_first_member():
+    # javac rejects each of these; the model reports every cycle once, at
+    # its first member by qname, and sorts the reports by that member.
+    d = "package p;\nclass D extends F {}\nclass E extends F {}\nclass F extends E {}\n"
+    assert cycle_diagnostics({"p/D.java": d}) == ["p/D.java:3: extends-cycle: inheritance cycle: p.E -> p.F"]
+    c = "package p;\nclass C extends C {}\n"
+    assert cycle_diagnostics({"p/C.java": c}) == ["p/C.java:2: extends-cycle: inheritance cycle: p.C"]
+    # A's chain enters the Y-Z cycle before the search reaches B.
+    two = {
+        "p/A.java": "package p;\nclass A extends Y {}\nclass Y extends Z {}\nclass Z extends Y {}\n",
+        "p/B.java": "package p;\nclass K extends B {}\nclass B extends K {}\n",
+    }
+    assert cycle_diagnostics(two) == [
+        "p/B.java:3: extends-cycle: inheritance cycle: p.B -> p.K",
+        "p/A.java:3: extends-cycle: inheritance cycle: p.Y -> p.Z",
+    ]
 
 
 def test_self_reference_dropped():
@@ -188,10 +210,9 @@ def test_order_independence(corpus_sources):
             parse_source(text, path) for path, text in items
         )
         assert shuffled.deps == base.deps
-        assert {q: t.supertype for q, t in shuffled.types.items()} == {
-            q: t.supertype for q, t in base.types.items()
-        }
+        assert shuffled.supertype == base.supertype
         assert shuffled.subtypes == base.subtypes
+        assert shuffled.nested == base.nested
 
 
 def test_incoming_counts(corpus_model):
@@ -242,14 +263,16 @@ def test_method_facts_recorded_on_method_info():
             void g() { ; throw new IllegalStateException(); }
         }"""
     )
-    ctor, none, f, g = m.types["p.A"].methods
-    assert (ctor.cc, ctor.field_uses, ctor.rejected_body, ctor.hierarchy_sites) == (1, 0, True, ())
-    assert (none.cc, none.rejected_body, none.hierarchy_sites) == (None, False, ())
+    a = m.types["p.A"]
+    none, f, g = a.methods  # the constructor leaves no MethodInfo
+    assert (none.name, none.cc, none.rejected_body) == ("none", None, False)
     # 1 + the If, its else-if and the case label; the lambda's '&&' does
     # not count. 'a' is a parameter, so only 'kind' and 'b' are field uses.
-    assert (f.cc, f.field_uses, f.rejected_body) == (4, 2, False)
-    assert f.hierarchy_sites == (LadderSite(6, 2, "kind"), SwitchSite(7, 1, "kind", "this.kind"))
-    assert (g.cc, g.field_uses, g.rejected_body) == (1, 0, True)
+    assert (f.name, f.cc, f.field_uses, f.rejected_body) == ("f", 4, 2, False)
+    assert a.hierarchy_sites == [
+        ("f", LadderSite(6, 2, "kind")), ("f", SwitchSite(7, 1, "kind", "this.kind"))
+    ]
+    assert (g.name, g.cc, g.field_uses, g.rejected_body) == ("g", 1, 0, True)
 
 
 def _reaches_a_token(root) -> bool:
@@ -273,9 +296,10 @@ def test_facts_are_plain_values_that_build_equal_models(corpus_dir, corpus_sourc
     assert not any(_reaches_a_token(pf) for pf in parsed)
     assert not _reaches_a_token(analyze_tree(corpus_dir))
 
+    before = pickle.loads(pickle.dumps(parsed))
     model = build_model(parsed)
-    assert any(info.nested for info in model.types.values())
-    assert build_model(pickle.loads(pickle.dumps(parsed))) == model
-    # Building again from the same facts gives an equal model, nested lists
-    # included: the first build changed none of them.
+    assert model.nested and model.supertype
+    assert parsed == before  # building changed no fact
+    assert build_model(before) == model
+    # Building again from the same facts gives an equal model.
     assert build_model(parsed) == model

@@ -29,7 +29,7 @@ def test_minimal_class_with_method():
     (a,) = parsed.types
     assert (a.qname, a.kind) == ("A", "class")
     (m,) = a.methods
-    assert m.name == "m" and m.has_body and not m.is_ctor
+    assert (m.name, m.cc) == ("m", 1)
 
 
 def test_extends_implements():
@@ -97,12 +97,12 @@ def test_field_declarator_groups_split():
 
 
 def test_constructor_and_varargs():
-    (a,) = parse_text(
-        "class A { A(int x) { } void log(String fmt, Object... args) { } }"
-    ).types
-    ctor, log = a.methods
-    assert (ctor.name, ctor.is_ctor, ctor.arity) == ("A", True, 1)
-    assert (log.is_ctor, log.arity) == (False, 2)
+    parsed = parse_text("class A { A(Integer x) { } void log(String fmt, Object... args) { } }")
+    assert parsed.diagnostics == []
+    (a,) = parsed.types
+    (log,) = a.methods  # the constructor leaves no MethodInfo, only its references
+    assert (log.name, log.arity) == ("log", 2)
+    assert ref_names(a) == ["Integer", "Object", "String"]
 
 
 def test_enum_constants_and_members():
@@ -118,11 +118,8 @@ def test_enum_constants_and_members():
     ).types
     assert mode.kind == "enum"
     assert [f.name for f in mode.fields] == ["level"]
-    # The constants are no members; an enum constructor is private.
-    assert [(m.name, m.is_ctor, m.visibility) for m in mode.methods] == [
-        ("Mode", True, "private"), ("level", False, "package")
-    ]
-    assert [m.field_uses for m in mode.methods] == [1, 1]
+    # The constants are no members, and the constructor leaves no method.
+    assert [(m.name, m.visibility, m.field_uses) for m in mode.methods] == [("level", "package", 1)]
     assert ref_names(mode) == ["Marker"]
 
 
@@ -164,7 +161,7 @@ def test_statement_forms_parse():
     # 1 + for + enhanced-for + while + do + two case labels + ternary +
     # catch + labeled while; the lambda body is opaque.
     assert work.cc == 10
-    assert work.hierarchy_sites == (SwitchSite(9, 2, "acc", "acc"),)
+    assert parsed.types[0].hierarchy_sites == [("work", SwitchSite(9, 2, "acc", "acc"))]
     assert work.rejected_body is False
     # Types by line, and the heads of qualified names, which may be variables.
     assert sorted(parsed.types[0].refs) == [
@@ -185,10 +182,10 @@ def test_instanceof_operand_text_and_switch_terminal():
         }
         """
     ).types
-    assert a.methods[0].hierarchy_sites == (
-        LadderSite(4, 1, "payload"),
-        SwitchSite(5, 2, "getKind", "msg.getKind()"),
-    )
+    assert a.hierarchy_sites == [
+        ("f", LadderSite(4, 1, "payload")),
+        ("f", SwitchSite(5, 2, "getKind", "msg.getKind()")),
+    ]
 
 
 def test_long_call_chains_in_switch_and_instanceof_are_analyzed():
@@ -199,7 +196,7 @@ def test_long_call_chains_in_switch_and_instanceof_are_analyzed():
         "class A {\n  void f() {\n    switch (%s) { case 1: break; }\n"
         "    if (%s instanceof B) { }\n  }\n}\n" % (chain, chain)
     ).types
-    assert a.methods[0].hierarchy_sites == (SwitchSite(3, 1, "b", chain), LadderSite(4, 1, chain))
+    assert a.hierarchy_sites == [("f", SwitchSite(3, 1, "b", chain)), ("f", LadderSite(4, 1, chain))]
 
 
 def test_kitchen_sink_compilation_unit():
@@ -254,13 +251,12 @@ def test_kitchen_sink_compilation_unit():
     registry, marker = parsed.types
     assert (registry.qname, marker.outer) == ("com.example.transfer.ChannelRegistry", registry.qname)
     assert [f.name for f in registry.fields] == ["INSTANCES", "flags", "names", "ratio"]
-    assert [(m.name, m.is_ctor) for m in registry.methods] == [
-        ("ChannelRegistry", True), ("ChannelRegistry", True), ("lookup", False), ("close", False)
-    ]
+    # The two constructors leave no method.
+    assert [m.name for m in registry.methods] == ["lookup", "close"]
     assert {"Registry", "AutoCloseable", "ConcurrentHashMap", "NamedChannel"} <= set(ref_names(registry))
-    lookup = registry.methods[2]
+    lookup = registry.methods[0]
     assert lookup.cc == 9
-    assert lookup.hierarchy_sites == (SwitchSite(23, 2, "charAt", "names[].charAt()"),)
+    assert registry.hierarchy_sites == [("lookup", SwitchSite(23, 2, "charAt", "names[].charAt()"))]
 
 
 def test_array_creation_with_initializer_forms():
@@ -367,7 +363,8 @@ def test_local_class_initializers_count_in_no_method():
     )
     assert parsed.diagnostics == []
     (m,) = parsed.types[0].methods
-    assert (m.cc, m.field_uses, m.hierarchy_sites) == (1, 1, ())
+    assert (m.cc, m.field_uses) == (1, 1)
+    assert [t.hierarchy_sites for t in parsed.types] == [[], []]
 
 
 def test_expression_lambda_body_adds_only_names():

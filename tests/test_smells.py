@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from javasmell.metrics import compute_type_metrics
+from javasmell.metrics import compute_type_metrics, project_metrics
 from javasmell.smells import (
     ConfigError,
     RuleConfig,
@@ -391,6 +391,57 @@ def test_switch_on_plain_selector_not_flagged():
     }"""
     m = model_of(Router=src)
     assert detect(K.MISSING_HIERARCHY, m) == []
+
+
+# ----------------------------------------------------------------------
+# constructors: MissingHierarchy candidates, otherwise in no metric or rule
+
+
+def test_constructor_counts_in_no_metric():
+    m = model_of(
+        Job="""package p; class Job {
+        int n;
+        public Job(int k) { if (k > 0 && k < 9) { n = k; } for (int i = 0; i < k; i++) { n++; } }
+        public void run() { if (n > 0) { n--; } }
+    }"""
+    )
+    tm = compute_type_metrics(m)
+    t = tm["p.Job"]
+    assert (t.nom, t.nopm, t.wmc, t.max_cc) == (1, 1, 2, 2)
+    pm = project_metrics(m, tm)
+    assert (pm.total_methods, pm.cc_histogram) == (1, (1, 0, 0))
+    found = detect(K.IMPERATIVE_ABSTRACTION, m)
+    assert [(f.subject, f.evidence["method"]) for f in found] == [("p.Job", "run")]
+
+
+def test_switch_in_a_constructor_is_a_missing_hierarchy():
+    m = model_of(
+        Shape="""package p; class Shape {
+        int sides;
+        Shape(int kind) {
+            switch (kind) { case 1: sides = 0; break; case 2: sides = 3; break; case 3: sides = 4; }
+        }
+    }"""
+    )
+    found = detect(K.MISSING_HIERARCHY, m)
+    assert [(f.subject, f.line, f.evidence["method"], f.evidence["cases"]) for f in found] == [
+        ("p.Shape", 4, "Shape", "3")
+    ]
+
+
+@pytest.mark.parametrize(
+    "base, sub",
+    [
+        # The subclass's throw-only constructor overrides nothing, not even
+        # a method of its name.
+        ("void Sub() { int x = 1; }", "Sub() { throw new X(); }"),
+        # A throw-only method named like the base's constructor overrides nothing.
+        ("Base() { int x = 1; }", "void Base() { throw new X(); }"),
+    ],
+)
+def test_throw_only_constructor_not_a_broken_hierarchy(base, sub):
+    m = model_of(Base=f"package p; class Base {{ {base} }}", Sub=f"package p; class Sub extends Base {{ {sub} }}")
+    assert detect(K.BROKEN_HIERARCHY, m) == []
 
 
 # ----------------------------------------------------------------------
