@@ -429,3 +429,66 @@ def test_out_naming_an_existing_file_is_fatal(tmp_path, capsys, command):
     assert code == EXIT_FATAL
     assert stderr.startswith("error: cannot create output directory") and str(taken) in stderr
     assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def _fatal_case(name, tmp_path):
+    """argv and the exact stderr line for one fatal path no other test reaches."""
+    analyze = ["analyze", "--src", str(CORPUS), "--out", str(tmp_path / "out")]
+    missing = tmp_path / "missing"
+    if name == "unknown-config-key":
+        cfg = tmp_path / "rules.conf"
+        cfg.write_text("no.such.key = 1\n", encoding="utf-8")
+        return analyze + ["--config", str(cfg)], f"{cfg}:1: unknown key 'no.such.key'"
+    if name == "missing-config-file":
+        return (
+            analyze + ["--config", str(missing)],
+            f"[Errno 2] No such file or directory: '{missing}'",
+        )
+    if name == "non-integer-metadata-count":
+        meta = tmp_path / "repo.meta"
+        write_meta(meta, "many", 10, 1)
+        return analyze + ["--metadata", str(meta)], f"non-integer count in {meta}"
+    if name == "bad-timestamp":
+        return analyze + ["--timestamp", "yesterday"], "bad ISO-8601 timestamp 'yesterday'"
+    if name == "malformed-truth-line":
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("sample.Shape WideHierarchy tp\n", encoding="utf-8")
+        return (
+            analyze + ["--truth", str(truth)],
+            f"{truth}:1: expected 3 tab-separated fields, got 1",
+        )
+    if name == "unknown-kinds-name":
+        from javasmell.report import build_report, write_report_json
+
+        report = tmp_path / "report.json"
+        write_report_json(build_report("p", []), report)
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("", encoding="utf-8")
+        argv = ["evaluate", str(report), "--truth", str(truth), "--out", str(tmp_path / "out")]
+        return argv + ["--kinds", "WideHierarchy,Bogus"], "unknown smell kind 'Bogus'"
+    if name == "missing-compare-report":
+        return (
+            ["compare", str(missing), "--out", str(tmp_path / "out")],
+            f"cannot read report: [Errno 2] No such file or directory: '{missing}'",
+        )
+    assert name == "missing-evaluate-report"
+    argv = ["evaluate", str(missing), "--truth", str(CORPUS_TRUTH), "--out", str(tmp_path / "out")]
+    return argv, f"[Errno 2] No such file or directory: '{missing}'"
+
+
+@pytest.mark.parametrize("name", [
+    "unknown-config-key",
+    "missing-config-file",
+    "non-integer-metadata-count",
+    "bad-timestamp",
+    "malformed-truth-line",
+    "unknown-kinds-name",
+    "missing-compare-report",
+    "missing-evaluate-report",
+])
+def test_fatal_input_is_one_error_line(tmp_path, capsys, name):
+    argv, message = _fatal_case(name, tmp_path)
+    code, _, stderr = run(argv, capsys)
+    assert code == EXIT_FATAL
+    assert stderr == f"error: {message}\n"
+    assert "Traceback" not in stderr
