@@ -8,6 +8,12 @@ report.json files -> comparison.csv grouped by stack).
 Exit codes: 0 success, 1 fatal error, 2 partial success (some files failed
 to parse), 64 usage error. stdout carries the human-readable summary,
 stderr the diagnostics.
+
+A fatal error is raised where it is found: a ``files.FatalError`` for a bad
+input or an unwritable output, or the ``OSError`` or ``UnicodeDecodeError``
+of an input file that cannot be opened or decoded. ``main`` alone catches
+them, prints one ``error: ...`` line and returns 1. ``analyze`` reads every
+input before it creates ``--out``.
 """
 
 from __future__ import annotations
@@ -18,14 +24,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .evaluation import (
-    DuplicateAnnotation,
-    MalformedAnnotation,
-    UnlabeledFinding,
-    evaluate,
-    load_ground_truth,
-)
-from .metrics import IoError, write_metrics_csv
+from .evaluation import evaluate, load_ground_truth
+from .files import FatalError
+from .metrics import write_metrics_csv
 from .pipeline import analyze_paths, find_java_files
 from .report import (
     build_report,
@@ -37,8 +38,8 @@ from .report import (
     write_provenance,
     write_report_json,
 )
-from .repometa import InvalidMetadata, classify, load_metadata
-from .smells import ConfigError, RuleConfig, SmellKind, kind_from_name
+from .repometa import classify, load_metadata
+from .smells import RuleConfig, SmellKind, kind_from_name
 
 EXIT_OK = 0
 EXIT_FATAL = 1
@@ -56,18 +57,18 @@ def _canonical_timestamp(text: str) -> str:
     try:
         stamp = dt.datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError:
-        raise ValueError(f"bad ISO-8601 timestamp {text!r}") from None
+        raise FatalError(f"bad ISO-8601 timestamp {text!r}") from None
     return stamp.isoformat()
 
 
 def _output_dir(path) -> Path:
     """The --out directory, created if missing. An --out that cannot be a
-    directory (an existing file, say) is an IoError like a failed write."""
+    directory (an existing file, say) is fatal like a failed write."""
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
-        raise IoError(f"cannot create output directory {out}: {err}") from None
+        raise FatalError(f"cannot create output directory {out}: {err}") from None
     return out
 
 
@@ -120,34 +121,17 @@ def build_arg_parser() -> _Parser:
 def cmd_analyze(args) -> int:
     src = Path(args.src)
     if not src.is_dir():
-        print(f"error: --src {src} is not a directory", file=sys.stderr)
-        return EXIT_FATAL
+        raise FatalError(f"--src {src} is not a directory")
     if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return EXIT_FATAL
-    out = _output_dir(args.out)
-
-    try:
-        config = RuleConfig.from_file(args.config) if args.config else RuleConfig()
-    except (ConfigError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FATAL
-
-    maturity = None
-    if args.metadata:
-        try:
-            maturity = classify(load_metadata(args.metadata))
-        except (InvalidMetadata, OSError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_FATAL
-
-    timestamp = dt.datetime.now().isoformat()
+        raise FatalError("--workers must be >= 1")
+    config = RuleConfig.from_file(args.config) if args.config else RuleConfig()
+    maturity = classify(load_metadata(args.metadata)) if args.metadata else None
+    truth = load_ground_truth(args.truth) if args.truth else None
     if args.timestamp:
-        try:
-            timestamp = _canonical_timestamp(args.timestamp)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_FATAL
+        timestamp = _canonical_timestamp(args.timestamp)
+    else:
+        timestamp = dt.datetime.now().isoformat()
+    out = _output_dir(args.out)
 
     project = args.project or src.resolve().name
     result = analyze_paths(src, find_java_files(src), config)
@@ -187,14 +171,8 @@ def cmd_analyze(args) -> int:
             print(f"  {kind.value}: {n}")
     print(f"outputs: {out / 'provenance.log'}, {out / 'report.json'}, {out / 'metrics.csv'}")
 
-    if args.truth:
-        try:
-            truth = load_ground_truth(args.truth)
-            kinds = _universe(truth, result.findings, None)
-            evaluation = evaluate(result.findings, truth, kinds=kinds)
-        except (UnlabeledFinding, DuplicateAnnotation, MalformedAnnotation, OSError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_FATAL
+    if truth is not None:
+        evaluation = evaluate(result.findings, truth, kinds=_universe(truth, result.findings, None))
         write_evaluation_csv(evaluation, out / "evaluation.csv")
         for line in evaluation_lines(evaluation):
             print(line)
@@ -203,11 +181,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        verdict = classify(load_metadata(args.metadata))
-    except (InvalidMetadata, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FATAL
+    verdict = classify(load_metadata(args.metadata))
     print(verdict.label.value)
     for line in verdict.rationale:
         print(f"  {line}")
@@ -215,14 +189,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        report = report_from_json(args.report)
-        truth = load_ground_truth(args.truth)
-        kinds = _universe(truth, report.findings, args.kinds)
-        result = evaluate(report.findings, truth, kinds=kinds)
-    except (UnlabeledFinding, DuplicateAnnotation, MalformedAnnotation, OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FATAL
+    report = report_from_json(args.report)
+    truth = load_ground_truth(args.truth)
+    result = evaluate(report.findings, truth, kinds=_universe(truth, report.findings, args.kinds))
     out = _output_dir(args.out)
     write_evaluation_csv(result, out / "evaluation.csv")
     print(f"project: {report.project_name}")
@@ -232,15 +201,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    try:
-        reports = [report_from_json(p) for p in args.reports]
-        comp = comparison(reports)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FATAL
-    except OSError as err:
-        print(f"error: cannot read report: {err}", file=sys.stderr)
-        return EXIT_FATAL
+    comp = comparison([report_from_json(p) for p in args.reports])
     out = _output_dir(args.out)
     write_comparison_csv(comp, out / "comparison.csv")
     for label, projects in comp.stacks.items():
@@ -259,7 +220,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except IoError as err:  # an output file of any command could not be written
+    except (FatalError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FATAL
 

@@ -17,24 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .files import FatalError
 from .smells import SmellKind, kind_from_name
 
 CATALOG_SIZE = len(SmellKind)
-
-
-class DuplicateAnnotation(Exception):
-    pass
-
-
-class MalformedAnnotation(Exception):
-    pass
-
-
-class UnlabeledFinding(Exception):
-    def __init__(self, pairs):
-        self.pairs = list(pairs)
-        listing = ", ".join(f"({s}, {k.value})" for s, k in self.pairs)
-        super().__init__(f"findings without ground-truth verdicts: {listing}")
 
 
 @dataclass
@@ -46,30 +32,24 @@ class GroundTruth:
 def load_ground_truth(path) -> GroundTruth:
     entries: dict = {}
     missed: set = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
-                raise MalformedAnnotation(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
-                )
+                raise FatalError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
             subject, kind_name, verdict = (p.strip() for p in parts)
             try:
                 kind = kind_from_name(kind_name)
-            except ValueError as err:
-                raise MalformedAnnotation(f"{path}:{lineno}: {err}") from None
+            except FatalError as err:
+                raise FatalError(f"{path}:{lineno}: {err}") from None
             if verdict not in ("tp", "fp", "missed"):
-                raise MalformedAnnotation(
-                    f"{path}:{lineno}: verdict must be tp, fp or missed, got {verdict!r}"
-                )
+                raise FatalError(f"{path}:{lineno}: verdict must be tp, fp or missed, got {verdict!r}")
             key = (subject, kind)
             if key in entries or key in missed:
-                raise DuplicateAnnotation(
-                    f"{path}:{lineno}: duplicate annotation for {subject} / {kind.value}"
-                )
+                raise FatalError(f"{path}:{lineno}: duplicate annotation for {subject} / {kind.value}")
             if verdict == "missed":
                 missed.add(key)
             else:
@@ -110,7 +90,8 @@ def evaluate(findings, truth: GroundTruth, kinds=None) -> EvaluationResult:
         key=lambda pair: (pair[0], pair[1].value),
     )
     if unlabeled:
-        raise UnlabeledFinding(unlabeled)
+        listing = ", ".join(f"({s}, {k.value})" for s, k in unlabeled)
+        raise FatalError(f"findings without ground-truth verdicts: {listing}")
 
     per_kind: dict = {}
     for kind in universe:

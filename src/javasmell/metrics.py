@@ -20,6 +20,7 @@ import io
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 
+from .files import write_text
 from .model import PseudoModel
 from .parser import TypeInfo
 
@@ -57,19 +58,6 @@ class ProjectMetrics:
     pct_public_methods: float | None
     cc_histogram: tuple  # counts for CC_BUCKETS
     dit_histogram: tuple  # counts for DIT_BUCKETS
-
-
-class IoError(Exception):
-    """An output file could not be written."""
-
-
-def write_text(path, text: str):
-    """Write *text* to *path* as UTF-8, newlines untranslated; IoError on failure."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as err:
-        raise IoError(f"cannot write {path}: {err}") from None
 
 
 def dit(model: PseudoModel, qname: str) -> int:

@@ -13,9 +13,7 @@ import datetime as dt
 from dataclasses import dataclass
 from enum import Enum
 
-
-class InvalidMetadata(Exception):
-    pass
+from .files import FatalError, key_values
 
 
 class Maturity(Enum):
@@ -40,9 +38,9 @@ class RepoMetadata:
 
     def __post_init__(self):
         if min(self.commits, self.contributors, self.releases) < 0:
-            raise InvalidMetadata("counts must be non-negative")
+            raise FatalError("counts must be non-negative")
         if self.last_commit_date > self.analysis_date:
-            raise InvalidMetadata("last_commit_date is after analysis_date")
+            raise FatalError("last_commit_date is after analysis_date")
 
 
 def add_months(day: dt.date, months: int) -> dt.date:
@@ -86,31 +84,22 @@ def _parse_date(text: str, context: str):
     try:
         return dt.date.fromisoformat(text[:10]) if "T" in text else dt.date.fromisoformat(text)
     except ValueError:
-        raise InvalidMetadata(f"{context}: bad ISO-8601 date {text!r}") from None
+        raise FatalError(f"{context}: bad ISO-8601 date {text!r}") from None
 
 
 def load_metadata(path, analysis_date: dt.date | None = None) -> RepoMetadata:
     """Key/value metadata file: commits, contributors, releases,
     last_commit_date, optional analysis_date (defaults to today)."""
-    values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidMetadata(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    values = {key: value for _, key, value in key_values(path)}
     try:
         commits = int(values["commits"])
         contributors = int(values["contributors"])
         releases = int(values["releases"])
         last = _parse_date(values["last_commit_date"], "last_commit_date")
     except KeyError as err:
-        raise InvalidMetadata(f"missing key {err.args[0]!r} in {path}") from None
+        raise FatalError(f"missing key {err.args[0]!r} in {path}") from None
     except ValueError:
-        raise InvalidMetadata(f"non-integer count in {path}") from None
+        raise FatalError(f"non-integer count in {path}") from None
     if analysis_date is None:
         if "analysis_date" in values:
             analysis_date = _parse_date(values["analysis_date"], "analysis_date")

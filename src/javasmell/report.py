@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 
 from .evaluation import EvaluationResult
-from .metrics import CC_BUCKETS, DIT_BUCKETS, ProjectMetrics, write_text
+from .files import FatalError, write_text
+from .metrics import CC_BUCKETS, DIT_BUCKETS, ProjectMetrics
 from .repometa import Maturity, MaturityClass
 from .smells import SmellFinding, SmellKind, kind_from_name
 
@@ -204,7 +205,7 @@ def write_report_json(report: ProjectReport, path):
 
 
 def report_from_json(path) -> ProjectReport:
-    """Read a report.json back; a file that is not one is a ValueError naming *path*."""
+    """Read a report.json back; a file that is not one is a FatalError naming *path*."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -243,9 +244,9 @@ def report_from_json(path) -> ProjectReport:
             config_echo=list(obj.get("config_echo", ())),
         )
     except KeyError as err:
-        raise ValueError(f"{path}: not a javasmell report: no {err} key") from None
-    except (ValueError, TypeError, AttributeError) as err:
-        raise ValueError(f"{path}: not a javasmell report: {err}") from None
+        raise FatalError(f"{path}: not a javasmell report: no {err} key") from None
+    except (FatalError, ValueError, TypeError, AttributeError) as err:
+        raise FatalError(f"{path}: not a javasmell report: {err}") from None
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +271,7 @@ def comparison(reports) -> ComparisonReport:
     per_project: dict = {}
     for report in reports:
         if report.project_name in per_project:
-            raise ValueError(f"duplicate project name {report.project_name!r}")
+            raise FatalError(f"duplicate project name {report.project_name!r}")
         label = (
             report.maturity.label.value
             if report.maturity is not None

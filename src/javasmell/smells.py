@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
+from .files import FatalError, key_values
 from .model import PseudoModel, strongly_connected_components
 from .parser import SwitchSite
 
@@ -74,7 +75,7 @@ def kind_from_name(name: str) -> SmellKind:
     try:
         return _KIND_BY_NAME[name]
     except KeyError:
-        raise ValueError(f"unknown smell kind {name!r}") from None
+        raise FatalError(f"unknown smell kind {name!r}") from None
 
 
 @dataclass
@@ -88,10 +89,6 @@ class SmellFinding:
 
     def sort_key(self):
         return (_KIND_ORDER[self.kind], self.subject, self.file, self.line)
-
-
-class ConfigError(Exception):
-    pass
 
 
 # ----------------------------------------------------------------------
@@ -165,32 +162,24 @@ class RuleConfig:
         for key, (attr, vtype) in _KEYS.items():
             value = getattr(self, attr)
             if not vtype.check(value):
-                raise ConfigError(f"{key} expects {vtype.requirement}, got {value!r}")
+                raise FatalError(f"{key} expects {vtype.requirement}, got {value!r}")
         self.tag_re = re.compile(self.mh_tag_pattern, re.IGNORECASE)
 
     @classmethod
     def from_file(cls, path) -> "RuleConfig":
         values: dict = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, _, text = line.partition("=")
-                key = key.strip()
-                if key not in _KEYS:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                attr, vtype = _KEYS[key]
-                try:
-                    value = vtype.parse(text.strip())
-                    ok = vtype.check(value)
-                except ValueError:
-                    ok = False
-                if not ok:
-                    raise ConfigError(f"{path}:{lineno}: {key} expects {vtype.requirement}")
-                values[attr] = value
+        for lineno, key, text in key_values(path):
+            if key not in _KEYS:
+                raise FatalError(f"{path}:{lineno}: unknown key {key!r}")
+            attr, vtype = _KEYS[key]
+            try:
+                value = vtype.parse(text)
+                ok = vtype.check(value)
+            except ValueError:
+                ok = False
+            if not ok:
+                raise FatalError(f"{path}:{lineno}: {key} expects {vtype.requirement}")
+            values[attr] = value
         return cls(**values)
 
     def echo_lines(self) -> list[str]:

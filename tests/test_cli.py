@@ -469,7 +469,7 @@ def _fatal_case(name, tmp_path):
     if name == "missing-compare-report":
         return (
             ["compare", str(missing), "--out", str(tmp_path / "out")],
-            f"cannot read report: [Errno 2] No such file or directory: '{missing}'",
+            f"[Errno 2] No such file or directory: '{missing}'",
         )
     assert name == "missing-evaluate-report"
     argv = ["evaluate", str(missing), "--truth", str(CORPUS_TRUTH), "--out", str(tmp_path / "out")]
@@ -492,3 +492,32 @@ def test_fatal_input_is_one_error_line(tmp_path, capsys, name):
     assert code == EXIT_FATAL
     assert stderr == f"error: {message}\n"
     assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("name", [
+    "unknown-config-key",
+    "missing-config-file",
+    "non-integer-metadata-count",
+    "bad-timestamp",
+    "malformed-truth-line",
+])
+def test_analyze_checks_its_inputs_before_creating_out(tmp_path, capsys, name):
+    argv, _ = _fatal_case(name, tmp_path)
+    code, _, _ = run(argv, capsys)
+    assert code == EXIT_FATAL
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "evaluate"])
+def test_undecodable_truth_is_one_error_line(tmp_path, capsys, command):
+    report_dir = tmp_path / "report"
+    assert run(["analyze", "--src", str(CORPUS), "--out", str(report_dir)], capsys)[0] == EXIT_OK
+    truth = tmp_path / "truth.tsv"
+    truth.write_bytes(b"sample.Shape\tWideHierarchy\ttp\xff\n")
+    argv = {
+        "analyze": ["analyze", "--src", str(CORPUS)],
+        "evaluate": ["evaluate", str(report_dir / "report.json")],
+    }[command]
+    code, _, stderr = run(argv + ["--truth", str(truth), "--out", str(tmp_path / "out")], capsys)
+    assert code == EXIT_FATAL
+    assert stderr.startswith("error: 'utf-8' codec can't decode byte 0xff") and stderr.count("\n") == 1

@@ -2,14 +2,8 @@ import math
 
 import pytest
 
-from javasmell.evaluation import (
-    DuplicateAnnotation,
-    GroundTruth,
-    MalformedAnnotation,
-    UnlabeledFinding,
-    evaluate,
-    load_ground_truth,
-)
+from javasmell.evaluation import GroundTruth, evaluate, load_ground_truth
+from javasmell.files import FatalError
 from javasmell.smells import SmellFinding, SmellKind
 
 K = SmellKind
@@ -60,9 +54,9 @@ def test_recall_counts_missed_annotations():
 def test_unlabeled_finding_rejected():
     findings, truth = synth({K.WIDE_HIERARCHY: (2, 2)})
     findings.append(finding("p.Unknown", K.WIDE_HIERARCHY))
-    with pytest.raises(UnlabeledFinding) as err:
+    with pytest.raises(FatalError) as err:
         evaluate(findings, truth)
-    assert ("p.Unknown", K.WIDE_HIERARCHY) in err.value.pairs
+    assert "(p.Unknown, WideHierarchy)" in str(err.value)
 
 
 def test_all_false_positives_precision_zero():
@@ -120,12 +114,18 @@ def test_load_well_formed(tmp_path):
     assert truth.missed == set()
 
 
+def test_load_ignores_a_utf8_bom(tmp_path):
+    f = tmp_path / "truth.tsv"
+    f.write_text("\ufeffp.A\tWideHierarchy\ttp\n", encoding="utf-8")
+    assert load_ground_truth(f).entries == {("p.A", K.WIDE_HIERARCHY): "tp"}
+
+
 def test_load_duplicate_rejected(tmp_path):
     f = tmp_path / "truth.tsv"
     f.write_text(
         "p.A\tWideHierarchy\ttp\np.A\tWideHierarchy\tfp\n", encoding="utf-8"
     )
-    with pytest.raises(DuplicateAnnotation):
+    with pytest.raises(FatalError):
         load_ground_truth(f)
 
 
@@ -146,5 +146,5 @@ def test_load_mixed_entries_and_missed(tmp_path):
 def test_load_malformed(tmp_path, line):
     f = tmp_path / "truth.tsv"
     f.write_text(line + "\n", encoding="utf-8")
-    with pytest.raises(MalformedAnnotation):
+    with pytest.raises(FatalError):
         load_ground_truth(f)

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
+from javasmell.files import FatalError
 from javasmell.repometa import (
-    InvalidMetadata,
     Maturity,
     RepoMetadata,
     add_months,
@@ -86,9 +86,9 @@ def test_month_clamping():
 
 
 def test_invalid_metadata():
-    with pytest.raises(InvalidMetadata):
+    with pytest.raises(FatalError):
         meta(-1, 0)
-    with pytest.raises(InvalidMetadata):
+    with pytest.raises(FatalError):
         meta(1, 1, last=dt.date(2020, 1, 1), analysis=dt.date(2019, 1, 1))
 
 
@@ -108,10 +108,20 @@ def test_load_metadata(tmp_path):
     assert classify(m).label is Maturity.DEVELOPING
 
 
+def test_load_metadata_ignores_a_utf8_bom(tmp_path):
+    f = tmp_path / "repo.meta"
+    f.write_text(
+        "\ufeffcommits = 412\ncontributors = 10\nreleases = 1\n"
+        "last_commit_date = 2019-05-01\nanalysis_date = 2019-05-20\n",
+        encoding="utf-8",
+    )
+    assert load_metadata(f).commits == 412
+
+
 def test_load_metadata_missing_key(tmp_path):
     f = tmp_path / "repo.meta"
     f.write_text("commits = 1\n", encoding="utf-8")
-    with pytest.raises(InvalidMetadata, match="missing key"):
+    with pytest.raises(FatalError, match="missing key"):
         load_metadata(f)
 
 
@@ -121,5 +131,5 @@ def test_load_metadata_bad_date(tmp_path):
         "commits = 1\ncontributors = 1\nreleases = 1\nlast_commit_date = 2019-13-01\n",
         encoding="utf-8",
     )
-    with pytest.raises(InvalidMetadata, match="bad ISO-8601"):
+    with pytest.raises(FatalError, match="bad ISO-8601"):
         load_metadata(f)

@@ -5,7 +5,8 @@ import string
 import pytest
 
 from javasmell.evaluation import GroundTruth, evaluate
-from javasmell.metrics import IoError, write_metrics_csv
+from javasmell.files import FatalError
+from javasmell.metrics import write_metrics_csv
 from javasmell.report import (
     build_report,
     comparison,
@@ -181,7 +182,7 @@ def test_report_json_roundtrip(tmp_path):
 def test_malformed_report_json_is_a_value_error_naming_the_path(tmp_path, text, detail):
     path = tmp_path / "report.json"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(FatalError) as err:
         report_from_json(path)
     assert str(err.value).startswith(f"{path}: not a javasmell report: ")
     assert detail in str(err.value)
@@ -255,7 +256,7 @@ def test_comparison_duplicate_project_rejected():
         make_report("same", {K.WIDE_HIERARCHY: 1}, Maturity.DEVELOPING),
         make_report("same", {K.WIDE_HIERARCHY: 2}, Maturity.DEVELOPING),
     ]
-    with pytest.raises(ValueError, match="duplicate project"):
+    with pytest.raises(FatalError, match="duplicate project"):
         comparison(reports)
 
 
@@ -306,5 +307,5 @@ _WRITERS = {
 def test_write_error_raises_io_error_naming_the_path(tmp_path, writer):
     path = tmp_path / "taken"
     path.mkdir()  # a directory where the output file should go
-    with pytest.raises(IoError, match="cannot write .*taken"):
+    with pytest.raises(FatalError, match="cannot write .*taken"):
         _WRITERS[writer](path)

@@ -4,9 +4,9 @@ import re
 
 import pytest
 
+from javasmell.files import FatalError
 from javasmell.metrics import compute_type_metrics, project_metrics
 from javasmell.smells import (
-    ConfigError,
     RuleConfig,
     SmellKind,
     detect_all,
@@ -543,8 +543,14 @@ def test_config_file_roundtrip(tmp_path):
 def test_config_unknown_key_rejected(tmp_path):
     cfg_file = tmp_path / "rules.conf"
     cfg_file.write_text("wide_hierarchy.min_kids = 4\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="unknown key"):
+    with pytest.raises(FatalError, match="unknown key"):
         RuleConfig.from_file(cfg_file)
+
+
+def test_config_ignores_a_utf8_bom(tmp_path):
+    cfg_file = tmp_path / "rules.conf"
+    cfg_file.write_text("\ufeffwide_hierarchy.min_children = 4\n", encoding="utf-8")
+    assert RuleConfig.from_file(cfg_file).wh_min_children == 4
 
 
 @pytest.mark.parametrize(
@@ -561,14 +567,14 @@ def test_config_bad_value_names_its_line(tmp_path, line, expects):
     cfg_file = tmp_path / "rules.conf"
     cfg_file.write_text(f"# header\n{line}\n", encoding="utf-8")
     key = line.partition(" ")[0]
-    with pytest.raises(ConfigError, match="^" + re.escape(f"{cfg_file}:2: {key} expects {expects}")):
+    with pytest.raises(FatalError, match="^" + re.escape(f"{cfg_file}:2: {key} expects {expects}")):
         RuleConfig.from_file(cfg_file)
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(FatalError):
         RuleConfig(wh_min_children=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(FatalError):
         RuleConfig(ma_min_lcom=1.5)
 
 
