@@ -182,6 +182,19 @@ HAND_WRITTEN = [
         " Object o = (Comparable<String> & java.io.Serializable) \"s\"; } }",
     ),
     ("primitive-array-constructor-reference", "class A { void m() { IntFunction<int[]> a = int[]::new; } }"),
+    (
+        "arrow-case-statements",
+        "class A { void m(int k) { switch (k) { case 1 -> foo(); case 2 -> throw new X(); default -> { } } } }",
+    ),
+    ("for-with-expression-lists", "class A { int i, j; void m() { for (i = 0, j = 1; i < 3; i++, j++) { } } }"),
+    ("primitive-class-literals", "class A { Object a = int.class, b = int[].class; }"),
+    ("annotated-package-and-enum-constant", "@Deprecated package p; enum E { @Deprecated A, B }"),
+    ("empty-declarations", "; class A { ; int f; ; } ;"),
+    ("mismatched-closing-angle", "class A { List<B>>> x; int y; }"),
+    ("end-of-file-in-enum-constants", "enum E { A, B,"),
+    ("end-of-file-in-enum-members", "enum E { A, B; int f;"),
+    ("end-of-file-after-type-parameters", "class A { <T>"),
+    ("modifiers-before-a-literal", "class A { void m() { final 5; int k; } }"),
 ]
 
 
