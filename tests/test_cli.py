@@ -69,6 +69,22 @@ def test_analyze_partial_on_malformed_file(tmp_path, capsys):
     assert "sample.OneShotTask" in subjects  # the good file was still analyzed
 
 
+def test_per_file_failure_lines(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "A.java").write_text("class A { /* never closed", encoding="utf-8")
+    (src / "B.java").write_text("int x;", encoding="utf-8")
+    (src / "C.java").write_bytes(b"class C { }\xff")
+    (src / "D.java").write_text("class D { }", encoding="utf-8")
+    code, _, stderr = run(["analyze", "--src", str(src), "--out", str(tmp_path / "out")], capsys)
+    assert code == EXIT_PARTIAL
+    assert stderr.splitlines() == [
+        "A.java: failed to parse: unterminated block comment at 1:11",
+        "B.java: failed to parse: B.java:1:1: expected type declaration, found 'int'",
+        "C.java: failed to parse: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte",
+    ]
+
+
 def test_analyze_keeps_a_file_holding_only_an_annotation_type(tmp_path, capsys):
     src = tmp_path / "src"
     src.mkdir()

@@ -4,12 +4,11 @@ Every input is parsed to its ``ParsedFile`` and reduced to two digests:
 
 - the facts digest covers every field of the ``ParsedFile`` and of each
   type, field and method in it, every diagnostic's message, line and
-  column, or the ``LexError``'s or ``ParseError``'s message. A type's ``refs`` are pinned as
-  a sorted multiset of (raw name, line) pairs: their only reader,
-  ``build_model``, folds them into a set and the first line per name, so
-  their order is no output's concern;
-- the diagnostics digest covers the diagnostics alone, or the
-  ``ParseError``.
+  column, or the message, line and column of the error that fails the
+  file. A type's ``refs`` are pinned as a sorted multiset of (raw name,
+  line) pairs: their only reader, ``build_model``, folds them into a set
+  and the first line per name, so their order is no output's concern;
+- the diagnostics digest covers the diagnostics alone, or the error.
 
 The diagnostics digest runs over every ``.java`` fixture, about 40 prefixes
 of each (cut before evenly spaced tokens, so most end mid-construct) and
@@ -248,11 +247,20 @@ def canonical(value):
     return value
 
 
+def dump_error(err) -> str:
+    """The message, line and column of a lex or parse error."""
+    if isinstance(err, ParseError):
+        message = str(err).partition(f"{err.file}:{err.line}:{err.col}: ")[2]
+    else:
+        message = err.message
+    return f"error {message!r} {err.line} {err.col}\n"
+
+
 def dump_diagnostics(name: str, text: str) -> str:
     try:
         parsed = parse_source(text, name.partition("@")[0])
     except ParseError as err:
-        return f"ParseError {err}\n"
+        return dump_error(err)
     return "".join(f"{d.message} {d.line} {d.col}\n" for d in parsed.diagnostics)
 
 
@@ -260,7 +268,7 @@ def dump_facts(name: str, text: str) -> str:
     try:
         parsed = parse_source(text, name.partition("@")[0])
     except (LexError, ParseError) as err:
-        return f"{type(err).__name__} {err}\n"
+        return dump_error(err)
     lines = [f"{f.name} {canonical(getattr(parsed, f.name))!r}" for f in dataclasses.fields(parsed)]
     return "\n".join(lines) + "\n"
 

@@ -229,6 +229,19 @@ def test_nested_resolution_through_outer():
     assert "p.Shape.Circle" in m.deps["p.User"]
 
 
+def test_fully_qualified_names_resolve_to_project_types():
+    m = model_of(
+        A="package p; public class A { public static class In { } int f; }",
+        U="package q; class U { p.A a; p.A.In b; }",
+    )
+    user = m.types["q.U"].file
+    assert m.resolve("p.A", user) == "p.A"
+    assert m.resolve("p.A.In", user) == "p.A.In"
+    assert m.deps["q.U"] == {"p.A", "p.A.In"}
+    assert m.resolve("p.A.Missing", user) is None
+    assert m.resolve("A.Missing", m.types["p.A"].file) is None
+
+
 def test_local_class_modeled_as_nested():
     m = model_of(
         Host="""package p; class Host {
