@@ -7,13 +7,14 @@ report.json files -> comparison.csv grouped by stack).
 
 Exit codes: 0 success, 1 fatal error, 2 partial success (some files failed
 to parse), 64 usage error. stdout carries the human-readable summary,
-stderr the diagnostics.
+stderr the diagnostics, and one ``<path>: failed to parse: <message> at
+<line>:<col>`` line per source file that could not be analyzed.
 
 A fatal error is raised where it is found: a ``files.FatalError`` for a bad
-input or an unwritable output, or the ``OSError`` or ``UnicodeDecodeError``
-of an input file that cannot be opened or decoded. ``main`` alone catches
-them, prints one ``error: ...`` line and returns 1. ``analyze`` reads every
-input before it creates ``--out``.
+or undecodable input or an unwritable output, or the ``OSError`` of an
+input file that cannot be opened. Both name the file. ``main`` alone
+catches them, prints one ``error: ...`` line and returns 1. ``analyze``
+reads every input before it creates ``--out``.
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (FatalError, OSError, UnicodeDecodeError) as err:
+    except (FatalError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FATAL
 

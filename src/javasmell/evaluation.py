@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .files import FatalError
+from .files import FatalError, lines
 from .smells import SmellKind, kind_from_name
 
 CATALOG_SIZE = len(SmellKind)
@@ -32,28 +32,24 @@ class GroundTruth:
 def load_ground_truth(path) -> GroundTruth:
     entries: dict = {}
     missed: set = set()
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FatalError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
-            subject, kind_name, verdict = (p.strip() for p in parts)
-            try:
-                kind = kind_from_name(kind_name)
-            except FatalError as err:
-                raise FatalError(f"{path}:{lineno}: {err}") from None
-            if verdict not in ("tp", "fp", "missed"):
-                raise FatalError(f"{path}:{lineno}: verdict must be tp, fp or missed, got {verdict!r}")
-            key = (subject, kind)
-            if key in entries or key in missed:
-                raise FatalError(f"{path}:{lineno}: duplicate annotation for {subject} / {kind.value}")
-            if verdict == "missed":
-                missed.add(key)
-            else:
-                entries[key] = verdict
+    for lineno, line in lines(path):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise FatalError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
+        subject, kind_name, verdict = (p.strip() for p in parts)
+        try:
+            kind = kind_from_name(kind_name)
+        except FatalError as err:
+            raise FatalError(f"{path}:{lineno}: {err}") from None
+        if verdict not in ("tp", "fp", "missed"):
+            raise FatalError(f"{path}:{lineno}: verdict must be tp, fp or missed, got {verdict!r}")
+        key = (subject, kind)
+        if key in entries or key in missed:
+            raise FatalError(f"{path}:{lineno}: duplicate annotation for {subject} / {kind.value}")
+        if verdict == "missed":
+            missed.add(key)
+        else:
+            entries[key] = verdict
     return GroundTruth(entries, missed)
 
 

@@ -23,10 +23,13 @@ letter from a non-decimal digit such as ``²``, so the ``word`` alternative
 takes only ASCII words, and a word holding any other character goes to
 ``_rare_kind``. That keeps it when it starts with a letter (``str.isalpha``),
 a letter number such as ``Ⅻ`` (category ``Nl``), ``_`` or ``$`` and holds no
-non-decimal digit (category ``No``), and otherwise raises ``LexError`` at the
-offending character, as javac reports an illegal character. Unterminated
-literals and comments and illegal characters go there too, and raise
-``LexError``.
+non-decimal digit (category ``No``), and otherwise raises ``ParseError`` at
+the offending character, as javac reports an illegal character.
+Unterminated literals and comments and illegal characters go there too, and
+raise ``ParseError``.
+
+``ParseError`` is the one error for a source file that cannot be analyzed:
+the parser raises it too. Its text is ``<message> at <line>:<col>``.
 """
 
 from __future__ import annotations
@@ -82,8 +85,9 @@ _TOKEN_RE = re.compile(
 )
 
 
-class LexError(Exception):
-    """Unterminated literal/comment or an illegal character."""
+class ParseError(Exception):
+    """A file that cannot be analyzed: the lexer's unterminated literal or
+    comment or illegal character, or the parser's unsalvageable syntax."""
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} at {line}:{col}")
@@ -157,16 +161,16 @@ def tokenize(source: SourceFile) -> list[Token]:
 
 def _rare_kind(lexeme: str, line: int, col: int) -> str:
     """Kind of the token *lexeme* that the ``rare`` or ``illegal``
-    alternative matched, or the ``LexError`` it stands for."""
+    alternative matched, or the ``ParseError`` it stands for."""
     ch = lexeme[0]
     if lexeme == "/*":
-        raise LexError("unterminated block comment", line, col)
+        raise ParseError("unterminated block comment", line, col)
     if ch in "\"'":
         what = "string" if ch == '"' else "character"
-        raise LexError(f"unterminated {what} literal", line, col)
+        raise ParseError(f"unterminated {what} literal", line, col)
     if ch.isalpha() or ch in "_$" or unicodedata.category(ch) == "Nl":
         for k, c in enumerate(lexeme):
             if unicodedata.category(c) == "No":
-                raise LexError(f"illegal character {c!r}", line, col + k)
+                raise ParseError(f"illegal character {c!r}", line, col + k)
         return "identifier"
-    raise LexError(f"illegal character {ch!r}", line, col)
+    raise ParseError(f"illegal character {ch!r}", line, col)

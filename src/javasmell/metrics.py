@@ -15,12 +15,10 @@ boundaries like 0.8 compare cleanly.
 
 from __future__ import annotations
 
-import csv
-import io
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 
-from .files import write_text
+from .files import write_csv
 from .model import PseudoModel
 from .parser import TypeInfo
 
@@ -153,19 +151,8 @@ CSV_COLUMNS = tuple(f.name for f in fields(TypeMetrics))
 
 
 def write_metrics_csv(type_metrics: dict, path):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    rows = [CSV_COLUMNS]
     for qname in sorted(type_metrics):
-        t = type_metrics[qname]
-        row = []
-        for col in CSV_COLUMNS:
-            value = getattr(t, col)
-            if value is None:
-                row.append("")
-            elif isinstance(value, float):
-                row.append(f"{value:.6g}")
-            else:
-                row.append(str(value))
-        writer.writerow(row)
-    write_text(path, buf.getvalue())
+        values = (getattr(type_metrics[qname], col) for col in CSV_COLUMNS)
+        rows.append([f"{v:.6g}" if isinstance(v, float) else v for v in values])  # None: empty
+    write_csv(path, rows)

@@ -27,8 +27,10 @@ consumes at least one token per recovery step, so a parse is bounded by the
 token count. A construct that fails to parse is dropped with every fact it
 added, except the field declarators and case labels already complete before
 the error. The token list ends in an ``eof`` sentinel that is never
-consumed, so looking ahead needs no end-of-input test. ``ParseError`` is
-raised only when a file with syntax errors yields no declarations at all.
+consumed, so looking ahead needs no end-of-input test. The lexer's
+``ParseError`` is raised, at its first diagnostic, only when a file with
+syntax errors yields no declarations at all, and at 1:1 when the file
+nests too deep for the parser's recursion.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
-from .lexer import SourceFile, Token
+from .lexer import ParseError, SourceFile, Token
 
 PRIMITIVES = frozenset(
     {"boolean", "byte", "short", "char", "int", "long", "float", "double"}
@@ -173,14 +175,6 @@ class ParsedFile:
     types: list[TypeInfo]  # every type declaration, in preorder
     diagnostics: list  # the parser's recoverable errors
     code_lines: tuple  # numbers of the lines that carry code, ascending
-
-
-class ParseError(Exception):
-    def __init__(self, message: str, file: str, line: int, col: int):
-        super().__init__(f"{file}:{line}:{col}: {message}")
-        self.file = file
-        self.line = line
-        self.col = col
 
 
 class _Recover(Exception):
@@ -1297,9 +1291,9 @@ def parse(tokens: list[Token], source: SourceFile) -> ParsedFile:
     try:
         p.parse_unit()
     except RecursionError:
-        raise ParseError("nesting too deep to parse", source.path, 1, 1) from None
+        raise ParseError("nesting too deep to parse", 1, 1) from None
     if p.diags and not p.declared:
         first = p.diags[0]
-        raise ParseError(first.message, source.path, first.line, first.col)
+        raise ParseError(first.message, first.line, first.col)
     code_lines = tuple(dict.fromkeys(t.line for t in tokens))  # tokens come in line order
     return ParsedFile(source.path, p.package, tuple(p.imports), p.types, p.diags, code_lines)

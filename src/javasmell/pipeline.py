@@ -3,8 +3,9 @@
 File discovery matches the ``.java`` suffix case-sensitively and never
 follows symbolic links. Files are parsed one after another in canonically
 sorted path order, so output is identical for any enumeration order. A file
-that fails to lex/parse/decode is recorded as a failure and the rest of the
-corpus is still analyzed.
+that cannot be read, decoded, lexed or parsed (an ``OSError``, a
+``UnicodeDecodeError`` or the lexer's ``ParseError``) is recorded as a
+failure with the error's text, and the rest of the corpus is still analyzed.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import gc
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .lexer import LexError, SourceFile, tokenize
+from .lexer import ParseError, SourceFile, tokenize
 from .metrics import compute_type_metrics, project_metrics
 from . import parser
 from .model import PseudoModel, build_model
-from .parser import ParsedFile, ParseError
+from .parser import ParsedFile
 from .smells import RuleConfig, detect_all
 
 
@@ -93,7 +94,7 @@ def analyze_paths(root, paths, config: RuleConfig | None = None) -> AnalysisResu
         for path in sorted(map(Path, paths), key=lambda p: p.relative_to(root).as_posix()):
             try:
                 parsed.append(parse_one(path, root))
-            except (LexError, ParseError, UnicodeDecodeError, OSError) as err:
+            except (ParseError, UnicodeDecodeError, OSError) as err:
                 failures.append(FileFailure(path.relative_to(root).as_posix(), str(err)))
 
         model = build_model(parsed)

@@ -13,7 +13,8 @@ provenance.log
 
 report.json
     The full project report with a fixed key order: project_name, maturity,
-    smell_counts, smell_percentages, project_metrics, findings, config_echo.
+    smell_counts, smell_percentages, project_metrics (``ProjectMetrics``'
+    fields in order), findings, config_echo.
 
 comparison.csv
     One row per smell kind; per-project count columns grouped by stack
@@ -24,18 +25,20 @@ evaluation.csv
     Per-kind detected / true positive / precision / recall rows plus overall
     and catalog-mean rows.
 
-Percentages are printed with two decimals, rounded half-up.
+Both CSV files quote a field only when it holds a comma, a quote or a
+newline, as metrics.csv does. Percentages are printed with two decimals,
+rounded half-up.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import ROUND_HALF_UP, Decimal
 
 from .evaluation import EvaluationResult
-from .files import FatalError, write_text
+from .files import FatalError, lines, read_text, write_csv, write_text
 from .metrics import CC_BUCKETS, DIT_BUCKETS, ProjectMetrics
 from .repometa import Maturity, MaturityClass
 from .smells import SmellFinding, SmellKind, kind_from_name
@@ -107,37 +110,33 @@ def write_provenance(findings, path, *, project, version, config_digest, timesta
         f"# config {config_digest}",
         f"# generated {timestamp}",
     ]
-    lines = header + [_finding_line(f) for f in findings]
-    write_text(path, "".join(line + "\n" for line in lines))
+    records = header + [_finding_line(f) for f in findings]
+    write_text(path, "".join(record + "\n" for record in records))
 
 
 def parse_provenance(path) -> list:
     findings = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = [_ESCAPED.sub(lambda m: _UNESCAPES[m.group()], p) for p in line.split("\t")]
-            kind, subject, file_path, line_no = parts[0], parts[1], parts[2], int(parts[3])
-            cycle: tuple = ()
-            evidence = {}
-            for chunk in parts[4:]:
-                key, _, value = chunk.partition("=")
-                if key == "cycle":
-                    cycle = tuple(value.split(";"))
-                else:
-                    evidence[key] = value
-            findings.append(
-                SmellFinding(
-                    kind=kind_from_name(kind),
-                    subject=subject,
-                    file=file_path,
-                    line=line_no,
-                    evidence=evidence,
-                    cycle_members=cycle,
-                )
+    for _, line in lines(path):
+        parts = [_ESCAPED.sub(lambda m: _UNESCAPES[m.group()], p) for p in line.split("\t")]
+        kind, subject, file_path, line_no = parts[0], parts[1], parts[2], int(parts[3])
+        cycle: tuple = ()
+        evidence = {}
+        for chunk in parts[4:]:
+            key, _, value = chunk.partition("=")
+            if key == "cycle":
+                cycle = tuple(value.split(";"))
+            else:
+                evidence[key] = value
+        findings.append(
+            SmellFinding(
+                kind=kind_from_name(kind),
+                subject=subject,
+                file=file_path,
+                line=line_no,
+                evidence=evidence,
+                cycle_members=cycle,
             )
+        )
     return findings
 
 
@@ -154,17 +153,10 @@ def _maturity_obj(maturity: MaturityClass | None):
 def _metrics_obj(pm: ProjectMetrics | None):
     if pm is None:
         return None
-    return {
-        "total_types": pm.total_types,
-        "total_fields": pm.total_fields,
-        "total_methods": pm.total_methods,
-        "total_loc": pm.total_loc,
-        "pct_child_classes": pm.pct_child_classes,
-        "pct_public_fields": pm.pct_public_fields,
-        "pct_public_methods": pm.pct_public_methods,
-        "cc_histogram": _histogram_obj(pm.cc_histogram, CC_BUCKETS),
-        "dit_histogram": _histogram_obj(pm.dit_histogram, DIT_BUCKETS),
-    }
+    obj = {f.name: getattr(pm, f.name) for f in fields(pm)}
+    obj["cc_histogram"] = _histogram_obj(pm.cc_histogram, CC_BUCKETS)
+    obj["dit_histogram"] = _histogram_obj(pm.dit_histogram, DIT_BUCKETS)
+    return obj
 
 
 def _histogram_obj(counts: tuple, buckets: tuple) -> dict:
@@ -206,8 +198,7 @@ def write_report_json(report: ProjectReport, path):
 
 def report_from_json(path) -> ProjectReport:
     """Read a report.json back; a file that is not one is a FatalError naming *path*."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     try:
         obj = json.loads(text)
         if not isinstance(obj, dict):
@@ -302,18 +293,18 @@ def write_comparison_csv(comp: ComparisonReport, path):
         header.append(f"{label.lower()}_total")
     for label in labels:
         header.append(f"{label.lower()}_mean_pct")
-    lines = [",".join(header)]
+    rows = [header]
     for kind in SmellKind:
         row = [kind.value]
         for label in labels:
             for project in comp.stacks[label]:
-                row.append(str(comp.per_project[project][kind]))
-            row.append(str(comp.totals[label][kind]))
+                row.append(comp.per_project[project][kind])
+            row.append(comp.totals[label][kind])
         for label in labels:
             mean = comp.mean_pct[label][kind]
             row.append("" if mean is None else format_pct(mean))
-        lines.append(",".join(row))
-    write_text(path, "\n".join(lines) + "\n")
+        rows.append(row)
+    write_csv(path, rows)
 
 
 # ----------------------------------------------------------------------
@@ -322,34 +313,32 @@ def write_comparison_csv(comp: ComparisonReport, path):
 
 def evaluation_lines(result: EvaluationResult) -> list:
     """Per-kind 'detected / TP / precision%' rows plus overall lines."""
-    lines = []
+    out = []
     for kind, ke in result.per_kind.items():
         marker = " (no detections)" if ke.zero_detection else ""
-        lines.append(
+        out.append(
             f"{kind.value}: {ke.detected} / {ke.true_positives} / "
             f"{format_pct(100.0 * ke.precision)}%{marker}"
         )
-    lines.append(
+    out.append(
         f"overall (pooled): {result.overall_detected} / {result.overall_tp} / "
         f"{format_pct(100.0 * result.overall_precision)}%"
     )
-    lines.append(f"overall (catalog mean): {format_pct(100.0 * result.catalog_precision)}%")
-    lines.append(f"overall recall: {format_pct(100.0 * result.overall_recall)}%")
-    return lines
+    out.append(f"overall (catalog mean): {format_pct(100.0 * result.catalog_precision)}%")
+    out.append(f"overall recall: {format_pct(100.0 * result.overall_recall)}%")
+    return out
 
 
 def write_evaluation_csv(result: EvaluationResult, path):
-    lines = ["kind,detected,true_positives,precision_pct,recall_pct,zero_detection"]
+    rows = [("kind", "detected", "true_positives", "precision_pct", "recall_pct", "zero_detection")]
     for kind, ke in result.per_kind.items():
-        lines.append(
-            f"{kind.value},{ke.detected},{ke.true_positives},"
-            f"{format_pct(100.0 * ke.precision)},{format_pct(100.0 * ke.recall)},"
-            f"{'yes' if ke.zero_detection else 'no'}"
-        )
-    lines.append(
-        f"overall,{result.overall_detected},{result.overall_tp},"
-        f"{format_pct(100.0 * result.overall_precision)},"
-        f"{format_pct(100.0 * result.overall_recall)},"
-    )
-    lines.append(f"catalog_mean,,,{format_pct(100.0 * result.catalog_precision)},,")
-    write_text(path, "\n".join(lines) + "\n")
+        rows.append((
+            kind.value, ke.detected, ke.true_positives, format_pct(100.0 * ke.precision),
+            format_pct(100.0 * ke.recall), "yes" if ke.zero_detection else "no",
+        ))
+    rows.append((
+        "overall", result.overall_detected, result.overall_tp,
+        format_pct(100.0 * result.overall_precision), format_pct(100.0 * result.overall_recall), "",
+    ))
+    rows.append(("catalog_mean", "", "", format_pct(100.0 * result.catalog_precision), "", ""))
+    write_csv(path, rows)

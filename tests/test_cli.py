@@ -80,7 +80,7 @@ def test_per_file_failure_lines(tmp_path, capsys):
     assert code == EXIT_PARTIAL
     assert stderr.splitlines() == [
         "A.java: failed to parse: unterminated block comment at 1:11",
-        "B.java: failed to parse: B.java:1:1: expected type declaration, found 'int'",
+        "B.java: failed to parse: expected type declaration, found 'int' at 1:1",
         "C.java: failed to parse: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte",
     ]
 
@@ -536,4 +536,60 @@ def test_undecodable_truth_is_one_error_line(tmp_path, capsys, command):
     }[command]
     code, _, stderr = run(argv + ["--truth", str(truth), "--out", str(tmp_path / "out")], capsys)
     assert code == EXIT_FATAL
-    assert stderr.startswith("error: 'utf-8' codec can't decode byte 0xff") and stderr.count("\n") == 1
+    assert stderr.startswith(f"error: {truth}: 'utf-8' codec can't decode byte 0xff")
+    assert stderr.count("\n") == 1
+
+
+INPUTS = [
+    "config", "analyze-metadata", "classify-metadata", "analyze-truth", "evaluate-truth",
+    "evaluate-report", "compare-report",
+]
+
+
+def _one_input(name, tmp_path, capsys):
+    """argv of a command that reads the input *name* from ``tmp_path/input``,
+    that path, and valid bytes for it."""
+    path = tmp_path / "input"
+    out = tmp_path / "out"
+    analyze = ["analyze", "--src", str(CORPUS), "--out", str(out), "--timestamp", "2024-01-01T00:00:00"]
+    if name == "config":
+        return analyze + ["--config", str(path)], path, b"wide_hierarchy.min_children = 12\n"
+    if name.endswith("metadata"):
+        write_meta(path, 412, 10, 1)
+        argv = analyze if name == "analyze-metadata" else ["classify"]
+        return argv + ["--metadata", str(path)], path, path.read_bytes()
+    if name == "analyze-truth":
+        return analyze + ["--truth", str(path)], path, CORPUS_TRUTH.read_bytes()
+    report = analyze_corpus(tmp_path, capsys, "report") / "report.json"
+    if name == "evaluate-truth":
+        argv = ["evaluate", str(report), "--truth", str(path), "--out", str(out)]
+        return argv, path, CORPUS_TRUTH.read_bytes()
+    if name == "evaluate-report":
+        argv = ["evaluate", str(path), "--truth", str(CORPUS_TRUTH), "--out", str(out)]
+        return argv, path, report.read_bytes()
+    assert name == "compare-report"
+    other = report.read_bytes().replace(b'"project_name": "corpus"', b'"project_name": "other"', 1)
+    return ["compare", str(report), str(path), "--out", str(out)], path, other
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_undecodable_input_is_one_error_line_naming_it(tmp_path, capsys, name):
+    argv, path, text = _one_input(name, tmp_path, capsys)
+    path.write_bytes(text + b"\xff")
+    code, _, stderr = run(argv, capsys)
+    assert code == EXIT_FATAL
+    assert stderr.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+    assert stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_input_with_a_bom_reads_as_without(tmp_path, capsys, name):
+    argv, path, text = _one_input(name, tmp_path, capsys)
+    results = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(bom + text)
+        code, stdout, stderr = run(argv, capsys)
+        outputs = {p.name: p.read_bytes() for p in sorted((tmp_path / "out").glob("*"))}
+        results.append((code, stdout, stderr, outputs))
+    assert results[0][0] == EXIT_OK
+    assert results[1] == results[0]

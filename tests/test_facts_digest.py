@@ -34,9 +34,8 @@ import random
 import sys
 from pathlib import Path
 
-from javasmell.lexer import LexError, SourceFile, tokenize
+from javasmell.lexer import ParseError, SourceFile, tokenize
 from javasmell.pipeline import parse_source
-from javasmell.parser import ParseError
 
 sys.path.insert(0, str(Path(__file__).parent))
 from random_java import random_method  # noqa: E402
@@ -247,13 +246,8 @@ def canonical(value):
     return value
 
 
-def dump_error(err) -> str:
-    """The message, line and column of a lex or parse error."""
-    if isinstance(err, ParseError):
-        message = str(err).partition(f"{err.file}:{err.line}:{err.col}: ")[2]
-    else:
-        message = err.message
-    return f"error {message!r} {err.line} {err.col}\n"
+def dump_error(err: ParseError) -> str:
+    return f"error {err.message!r} {err.line} {err.col}\n"
 
 
 def dump_diagnostics(name: str, text: str) -> str:
@@ -267,7 +261,7 @@ def dump_diagnostics(name: str, text: str) -> str:
 def dump_facts(name: str, text: str) -> str:
     try:
         parsed = parse_source(text, name.partition("@")[0])
-    except (LexError, ParseError) as err:
+    except ParseError as err:
         return dump_error(err)
     lines = [f"{f.name} {canonical(getattr(parsed, f.name))!r}" for f in dataclasses.fields(parsed)]
     return "\n".join(lines) + "\n"

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from javasmell.lexer import LexError, SourceFile, tokenize
-from javasmell.parser import ParseError
+from javasmell.lexer import ParseError, SourceFile, tokenize
 from javasmell.pipeline import parse_source
 
 from conftest import token_offsets
@@ -88,7 +87,7 @@ def test_bom_is_stripped():
 )
 def test_lex_errors_carry_position(bad, message):
     src = SourceFile("T.java", bad)
-    with pytest.raises(LexError) as err:
+    with pytest.raises(ParseError) as err:
         tokenize(src)
     assert message in str(err.value)
     assert err.value.line == 1
@@ -96,7 +95,7 @@ def test_lex_errors_carry_position(bad, message):
 
 @pytest.mark.parametrize("word,col", [("x²", 2), ("_x½", 3), ("$x²", 3)])
 def test_word_holding_a_non_decimal_digit_is_illegal(word, col):
-    with pytest.raises(LexError) as err:
+    with pytest.raises(ParseError) as err:
         tokenize(SourceFile("T.java", f"int {word};"))
     assert (err.value.message, err.value.col) == (f"illegal character {word[-1]!r}", 4 + col)
 
@@ -256,7 +255,7 @@ def test_code_lines_agree_with_classifier_on_corpus_variants(text):
     try:
         tokens = tokenize(SourceFile("T.java", text))
         parsed = parse_source(text)
-    except (LexError, ParseError):
+    except ParseError:
         assume(False)
     assert all(a.line <= b.line for a, b in zip(tokens, tokens[1:]))
     assert parsed.code_lines == tuple(sorted(classify_lines(text)[0]))

@@ -1,3 +1,4 @@
+import csv
 import math
 import random
 import string
@@ -272,6 +273,20 @@ def test_comparison_csv_layout(tmp_path):
     ua_row = dict(zip(header, lines[1].split(",")))
     assert ua_row["smell"] == "UnutilizedAbstraction"
     assert ua_row["developing_total"] == "825"
+
+
+def test_comparison_csv_quotes_a_name_holding_a_comma(tmp_path):
+    comp = comparison([
+        make_report("acme, core", {K.WIDE_HIERARCHY: 1}, Maturity.DEVELOPING),
+        make_report("plain", {K.WIDE_HIERARCHY: 2}, Maturity.ESTABLISHED),
+    ])
+    path = tmp_path / "comparison.csv"
+    write_comparison_csv(comp, path)
+    with path.open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][:3] == ["smell", "acme, core", "developing_total"]
+    assert {len(row) for row in rows} == {len(rows[0])}
+    assert path.read_text(encoding="utf-8").startswith('smell,"acme, core",developing_total,plain,')
 
 
 def test_provenance_roundtrip_escapes_separators(tmp_path):

@@ -1,7 +1,7 @@
 """Pinned token streams and lexer errors for a fixed set of inputs.
 
 Every input is lexed and reduced to one digest over each token's kind,
-lexeme, line and column, or over the ``LexError``'s message, line and
+lexeme, line and column, or over the ``ParseError``'s message, line and
 column. The inputs are every ``.java`` fixture, about 40 prefixes of each
 (cut before evenly spaced tokens, and cut again inside the same tokens,
 so strings end unterminated), 400 seeded ``random_java`` methods and the
@@ -21,7 +21,7 @@ import random
 import sys
 from pathlib import Path
 
-from javasmell.lexer import LexError, SourceFile, tokenize
+from javasmell.lexer import ParseError, SourceFile, tokenize
 
 sys.path.insert(0, str(Path(__file__).parent))
 from random_java import random_method  # noqa: E402
@@ -113,7 +113,9 @@ def inputs():
 def dump(name: str, text: str) -> str:
     try:
         tokens = tokenize(SourceFile(name, text))
-    except LexError as err:
+    except ParseError as err:
+        # The label is the lexer error's old class name, kept so that the
+        # pinned digests stay valid.
         return f"LexError {err.message!r} {err.line} {err.col}\n"
     return "".join(f"{t.kind} {t.lexeme!r} {t.line} {t.col}\n" for t in tokens)
 
