@@ -110,8 +110,8 @@ def write_provenance(findings, path, *, project, version, config_digest, timesta
         f"# config {config_digest}",
         f"# generated {timestamp}",
     ]
-    records = header + [_finding_line(f) for f in findings]
-    write_text(path, "".join(record + "\n" for record in records))
+    lines = header + [_finding_line(f) for f in findings]
+    write_text(path, "".join(line + "\n" for line in lines))
 
 
 def parse_provenance(path) -> list:
@@ -313,20 +313,20 @@ def write_comparison_csv(comp: ComparisonReport, path):
 
 def evaluation_lines(result: EvaluationResult) -> list:
     """Per-kind 'detected / TP / precision%' rows plus overall lines."""
-    out = []
+    lines = []
     for kind, ke in result.per_kind.items():
         marker = " (no detections)" if ke.zero_detection else ""
-        out.append(
+        lines.append(
             f"{kind.value}: {ke.detected} / {ke.true_positives} / "
             f"{format_pct(100.0 * ke.precision)}%{marker}"
         )
-    out.append(
+    lines.append(
         f"overall (pooled): {result.overall_detected} / {result.overall_tp} / "
         f"{format_pct(100.0 * result.overall_precision)}%"
     )
-    out.append(f"overall (catalog mean): {format_pct(100.0 * result.catalog_precision)}%")
-    out.append(f"overall recall: {format_pct(100.0 * result.overall_recall)}%")
-    return out
+    lines.append(f"overall (catalog mean): {format_pct(100.0 * result.catalog_precision)}%")
+    lines.append(f"overall recall: {format_pct(100.0 * result.overall_recall)}%")
+    return lines
 
 
 def write_evaluation_csv(result: EvaluationResult, path):
