@@ -3,8 +3,8 @@
 Every input is parsed to its ``ParsedFile`` and reduced to two digests:
 
 - the facts digest covers every field of the ``ParsedFile`` and of each
-  type, field and method in it, every diagnostic's message, line and
-  column, or the message, line and column of the error that fails the
+  type, field and method in it, every diagnostic's message, file, line
+  and column, or the message, line and column of the error that fails the
   file. A type's ``refs`` are pinned as a sorted multiset of (raw name,
   line) pairs: their only reader, ``build_model``, folds them into a set
   and the first line per name, so their order is no output's concern;
@@ -246,6 +246,15 @@ def canonical(value):
     return value
 
 
+def canonical_diagnostics(parsed) -> tuple:
+    """Each diagnostic as its message, the file's path, line and column,
+    under the label ``Diagnostic``."""
+    return ("list", [
+        ("Diagnostic", [("message", d.message), ("file", parsed.path), ("line", d.line), ("col", d.col)])
+        for d in parsed.diagnostics
+    ])
+
+
 def dump_error(err: ParseError) -> str:
     return f"error {err.message!r} {err.line} {err.col}\n"
 
@@ -263,7 +272,10 @@ def dump_facts(name: str, text: str) -> str:
         parsed = parse_source(text, name.partition("@")[0])
     except ParseError as err:
         return dump_error(err)
-    lines = [f"{f.name} {canonical(getattr(parsed, f.name))!r}" for f in dataclasses.fields(parsed)]
+    lines = []
+    for f in dataclasses.fields(parsed):
+        value = canonical_diagnostics(parsed) if f.name == "diagnostics" else canonical(getattr(parsed, f.name))
+        lines.append(f"{f.name} {value!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from javasmell.metrics import (
     compute_type_metrics,
-    dit,
     lcom,
     project_metrics,
     write_metrics_csv,
@@ -70,36 +69,39 @@ def test_cc_monotonic_under_added_if():
         assert with_if == base + 1
 
 
+def dits(m) -> dict:
+    return {qname: t.dit for qname, t in compute_type_metrics(m).items()}
+
+
 def test_dit_chain():
     m = model_of(
         A="package p; class A { }",
         B="package p; class B extends A { }",
         C="package p; class C extends B { }",
     )
-    assert dit(m, "p.A") == 0
-    assert dit(m, "p.C") == 2
+    assert dits(m) == {"p.A": 0, "p.B": 1, "p.C": 2}
 
 
 def test_dit_seven_deep_fixture():
     text = (FIXTURES / "deep_hierarchy.java").read_text(encoding="utf-8")
     m = build_from_sources({"deep_hierarchy.java": text})
-    assert dit(m, "sample.deep.Layer7") == 7
+    assert dits(m)["sample.deep.Layer7"] == 7
     pm = project_metrics(m, compute_type_metrics(m))
     assert pm.dit_histogram[1] == 1  # the one type beyond depth 6
 
 
 def test_dit_stops_at_external_supertype():
     m = model_of(A="package p; class A extends Foreign { }")
-    assert dit(m, "p.A") == 0
+    assert dits(m) == {"p.A": 0}
 
 
 def test_dit_cycle_acyclic_prefix():
     m = model_of(
         A="package p; class A extends B { }",
         B="package p; class B extends A { }",
+        C="package p; class C extends A { }",
     )
-    assert dit(m, "p.A") == 1
-    assert dit(m, "p.B") == 1
+    assert dits(m) == {"p.A": 1, "p.B": 1, "p.C": 2}
 
 
 def test_lcom_single_method_single_field():

@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import pickle
 import threading
 from pathlib import Path
 
@@ -581,3 +583,14 @@ def test_single_token_deletions_always_terminate():
                 parse(tokens[:end], src)
             except ParseError:
                 pass
+
+
+def test_parsed_file_with_diagnostics_round_trips_through_pickle():
+    parsed = parse_text("class A { record R(int x) { } int a = 1, b = f(; void m() { g(; } }")
+    back = pickle.loads(pickle.dumps(parsed))
+    assert [(d.message, d.line, d.col) for d in back.diagnostics] == [
+        ("record declaration skipped", 1, 11),
+        ("unexpected token ';' in expression", 1, 48),
+        ("unexpected token ';' in expression", 1, 63),
+    ]
+    assert dataclasses.replace(back, diagnostics=[]) == dataclasses.replace(parsed, diagnostics=[])

@@ -319,7 +319,7 @@ _WRITERS = {
 
 
 @pytest.mark.parametrize("writer", sorted(_WRITERS))
-def test_write_error_raises_io_error_naming_the_path(tmp_path, writer):
+def test_write_error_is_a_fatal_error_naming_the_path(tmp_path, writer):
     path = tmp_path / "taken"
     path.mkdir()  # a directory where the output file should go
     with pytest.raises(FatalError, match="cannot write .*taken"):
