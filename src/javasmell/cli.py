@@ -73,17 +73,6 @@ def _output_dir(path) -> Path:
     return out
 
 
-def _universe(truth, findings, kinds_arg):
-    """Evaluated kind universe: explicit --kinds, else what the review and
-    the detector actually touched."""
-    if kinds_arg:
-        return [kind_from_name(name.strip()) for name in kinds_arg.split(",") if name.strip()]
-    present = {k for _, k in truth.entries}
-    present |= {k for _, k in truth.missed}
-    present |= {f.kind for f in findings}
-    return [k for k in SmellKind if k in present]
-
-
 def build_arg_parser() -> _Parser:
     parser = _Parser(prog="javasmell", description=__doc__)
     parser.add_argument("--version", action="version", version=f"javasmell {__version__}")
@@ -137,10 +126,10 @@ def cmd_analyze(args) -> int:
     project = args.project or src.resolve().name
     result = analyze_paths(src, find_java_files(src), config)
 
-    for diag in result.parse_diagnostics:
-        print(str(diag), file=sys.stderr)
+    for line in result.parse_diagnostics:
+        print(line, file=sys.stderr)
     for diag in result.model.diagnostics:
-        print(str(diag), file=sys.stderr)
+        print(diag, file=sys.stderr)
     for failure in result.failures:
         print(f"{failure.path}: failed to parse: {failure.error}", file=sys.stderr)
 
@@ -173,7 +162,7 @@ def cmd_analyze(args) -> int:
     print(f"outputs: {out / 'provenance.log'}, {out / 'report.json'}, {out / 'metrics.csv'}")
 
     if truth is not None:
-        evaluation = evaluate(result.findings, truth, kinds=_universe(truth, result.findings, None))
+        evaluation = evaluate(result.findings, truth)
         write_evaluation_csv(evaluation, out / "evaluation.csv")
         for line in evaluation_lines(evaluation):
             print(line)
@@ -192,7 +181,10 @@ def cmd_classify(args) -> int:
 def cmd_evaluate(args) -> int:
     report = report_from_json(args.report)
     truth = load_ground_truth(args.truth)
-    result = evaluate(report.findings, truth, kinds=_universe(truth, report.findings, args.kinds))
+    kinds = None  # evaluate's default: the kinds the truth or the findings name
+    if args.kinds:
+        kinds = [kind_from_name(name.strip()) for name in args.kinds.split(",") if name.strip()]
+    result = evaluate(report.findings, truth, kinds)
     out = _output_dir(args.out)
     write_evaluation_csv(result, out / "evaluation.csv")
     print(f"project: {report.project_name}")

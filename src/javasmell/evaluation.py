@@ -74,8 +74,12 @@ class EvaluationResult:
 
 def evaluate(findings, truth: GroundTruth, kinds=None) -> EvaluationResult:
     """Score *findings* against *truth* over the given kind universe
-    (default: the full catalog)."""
-    universe = list(kinds) if kinds is not None else list(SmellKind)
+    (default: the kinds that the truth or the findings name, in catalog
+    order)."""
+    if kinds is None:
+        named = {k for _, k in (*truth.entries, *truth.missed)} | {f.kind for f in findings}
+        kinds = [k for k in SmellKind if k in named]
+    universe = list(kinds)
 
     unlabeled = sorted(
         {

@@ -28,8 +28,8 @@ the offending character, as javac reports an illegal character.
 Unterminated literals and comments and illegal characters go there too, and
 raise ``ParseError``.
 
-``ParseError`` is the one error for a source file that cannot be analyzed:
-the parser raises it too. Its text is ``<message> at <line>:<col>``.
+``ParseError`` is the one syntax error, text ``<message> at <line>:<col>``:
+the parser raises it too, and keeps those it recovers from as diagnostics.
 """
 
 from __future__ import annotations
@@ -86,14 +86,15 @@ _TOKEN_RE = re.compile(
 
 
 class ParseError(Exception):
-    """A file that cannot be analyzed: the lexer's unterminated literal or
-    comment or illegal character, or the parser's unsalvageable syntax."""
+    """A syntax error at a 1-based line and column, from the lexer or the
+    parser. Its arguments are its fields, so it pickles."""
 
     def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{message} at {line}:{col}")
-        self.message = message
-        self.line = line
-        self.col = col
+        super().__init__(message, line, col)
+        self.message, self.line, self.col = message, line, col
+
+    def __str__(self):
+        return f"{self.message} at {self.line}:{self.col}"
 
 
 @dataclass

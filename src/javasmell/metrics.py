@@ -5,9 +5,9 @@ per method (``parser.MethodInfo``): cyclomatic complexity, and the own
 fields each method uses for LCOM. A constructor leaves no such facts, so it
 counts in no metric. No metric is reported per method: a method's
 cyclomatic complexity counts in its type's WMC and max CC and in the
-project's CC histogram. DIT follows the resolved project-internal extends
-chain only; NC is the number of direct internal subtypes, so summing NC
-over all types equals the number of types that have an internal supertype.
+project's CC histogram. DIT is the model's (``PseudoModel.dit``); NC is the
+number of direct internal subtypes, so summing NC over all types equals the
+number of types that have an internal supertype.
 LCOM is 1 minus the mean fraction of methods touching each own field,
 computed as (nom*nof - accesses) / (nom*nof) so that exact threshold
 boundaries like 0.8 compare cleanly.
@@ -58,12 +58,6 @@ class ProjectMetrics:
     dit_histogram: tuple  # counts for DIT_BUCKETS
 
 
-def dit(model: PseudoModel, qname: str) -> int:
-    """Length of the resolved internal extends chain; cycles yield the
-    acyclic prefix (plus a diagnostic left to the model builder)."""
-    return sum(1 for _ in model.ancestors(qname))
-
-
 def lcom(info: TypeInfo) -> float | None:
     methods = [m for m in info.methods if m.cc is not None]
     nom = len(methods)
@@ -99,7 +93,7 @@ def compute_type_metrics(model: PseudoModel) -> dict:
             nom=len(info.methods),
             nopm=sum(1 for m in info.methods if m.visibility == "public"),
             nc=len(model.subtypes.get(qname, ())),
-            dit=dit(model, qname),
+            dit=model.dit[qname],
             wmc=sum(ccs),
             max_cc=max(ccs, default=0),
             lcom=lcom(info),

@@ -10,10 +10,11 @@ The model keeps the declared types as parsed, the package/type index used
 for name resolution, and each file's code lines and top-level type count.
 What it resolves it keeps in maps of its own: each type's kept member types,
 the single-parent inheritance forest (class ``extends`` only, as supertype
-and subtype maps) and the type-dependency graph. A cycle of supertypes,
-which javac rejects, is reported once, at its first member by qname. A type
-declared twice keeps its first declaration, by path, and the later one is
-dropped together with every type nested in it.
+and subtype maps), each type's depth in it (DIT) and the type-dependency
+graph. A cycle of supertypes, which javac rejects, is reported once, at its
+first member by qname; a member's depth counts the cycle's other members. A
+type declared twice keeps its first declaration, by path, and the later one
+is dropped together with every type nested in it.
 
 A written type name resolves to a project type or to nothing. Precedence:
 types declared in the same file, then the same package's top-level types,
@@ -57,6 +58,7 @@ class PseudoModel:
     deps: dict = field(default_factory=dict)  # qname -> set of the project qnames it refers to
     supertype: dict = field(default_factory=dict)  # qname -> its resolved project supertype
     subtypes: dict = field(default_factory=dict)  # qname -> [qname]
+    dit: dict = field(default_factory=dict)  # qname -> how many project supertypes are above it
     nested: dict = field(default_factory=dict)  # qname -> [kept member type qnames]
     incoming: dict = field(default_factory=dict)  # qname -> set of sources
     file_top_level: dict = field(default_factory=dict)  # file -> count
@@ -68,18 +70,12 @@ class PseudoModel:
     def incoming_count(self, qname: str) -> int:
         return len(self.incoming.get(qname, ()))
 
-    def ancestors(self, qname: str):
-        """Resolved supertype chain, cycle-safe."""
-        seen = {qname}
-        cur = self.supertype.get(qname)
-        while cur is not None and cur not in seen:
-            seen.add(cur)
-            yield self.types[cur]
-            cur = self.supertype.get(cur)
-
     def find_ancestor_method(self, qname: str, name: str, arity: int):
-        """First non-private ancestor method matching name and arity."""
-        for anc in self.ancestors(qname):
+        """First non-private method matching name and arity among the
+        ``dit[qname]`` supertypes above *qname*, nearest first."""
+        for _ in range(self.dit[qname]):
+            qname = self.supertype[qname]
+            anc = self.types[qname]
             for m in anc.methods:
                 if m.name == name and m.arity == arity and m.visibility != "private":
                     return anc, m
@@ -179,7 +175,7 @@ def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
                 model.subtypes.setdefault(resolved, []).append(qname)
     for lst in model.subtypes.values():
         lst.sort()
-    _flag_extends_cycles(model)
+    _depths_and_cycles(model)
 
     # Pass 3: dependency edges, and the first line at which each file
     # names an ambiguous on-demand import.
@@ -208,20 +204,23 @@ def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
     return model
 
 
-def _flag_extends_cycles(model: PseudoModel):
-    """One extends-cycle diagnostic per cycle of the supertype map, at the
-    cycle's first member by qname."""
+def _depths_and_cycles(model: PseudoModel):
+    """Fill ``model.dit`` from the components of the supertype map, which
+    come supertypes first, and report each cycle once, at its first member."""
     sup = model.supertype
+    dit = model.dit = dict.fromkeys(model.types, 0)
     adjacency = {q: [s] if s in sup else [] for q, s in sup.items()}
-    for component in sorted(strongly_connected_components(adjacency)):
+    cycles = []
+    for component in strongly_connected_components(adjacency):
         first = component[0]
         if len(component) >= 2 or sup[first] == first:
-            info = model.types[first]
-            model.diagnostics.append(
-                ModelDiagnostic(
-                    "extends-cycle", "inheritance cycle: " + " -> ".join(component), info.file, info.line
-                )
-            )
+            cycles.append(component)
+            dit.update(dict.fromkeys(component, len(component) - 1))
+        else:
+            dit[first] = dit[sup[first]] + 1
+    for component in sorted(cycles):
+        info, message = model.types[component[0]], "inheritance cycle: " + " -> ".join(component)
+        model.diagnostics.append(ModelDiagnostic("extends-cycle", message, info.file, info.line))
 
 
 def strongly_connected_components(adjacency: dict) -> list[list]:

@@ -22,15 +22,17 @@ be declared after the methods. Expressions yield only what a fact
 reads of them: the text and last identifier of a switch selector, and
 whether an ``if`` condition is an instanceof test and of what.
 
-Recovery is panic-mode at the member and statement level: the parser always
-consumes at least one token per recovery step, so a parse is bounded by the
-token count. A construct that fails to parse is dropped with every fact it
-added, except the field declarators and case labels already complete before
-the error. The token list ends in an ``eof`` sentinel that is never
-consumed, so looking ahead needs no end-of-input test. The lexer's
-``ParseError`` is raised, at its first diagnostic, only when a file with
-syntax errors yields no declarations at all, and at 1:1 when the file
-nests too deep for the parser's recursion.
+A syntax error is the lexer's ``ParseError``. Recovery is panic-mode at the
+member and statement level: the parser always consumes at least one token
+per recovery step, so a parse is bounded by the token count. A construct
+that fails to parse is dropped with every fact it added, except the field
+declarators and case labels already complete before the error, and the
+error is recorded, without its traceback, in the file's ``diagnostics``.
+The token list ends in an ``eof`` sentinel that is never consumed, so
+looking ahead needs no end-of-input test. ``parse`` raises a
+``ParseError``, at the first diagnostic, only when a file with syntax
+errors yields no declarations at all, and at 1:1 when the file nests too
+deep for the parser's recursion.
 """
 
 from __future__ import annotations
@@ -155,17 +157,6 @@ class TypeInfo:
 
 
 @dataclass
-class Diagnostic:
-    message: str
-    file: str
-    line: int
-    col: int
-
-    def __str__(self):
-        return f"{self.file}:{self.line}:{self.col}: {self.message}"
-
-
-@dataclass
 class ParsedFile:
     """The facts of one parsed file; plain values, no syntax node."""
 
@@ -173,19 +164,8 @@ class ParsedFile:
     package: str
     imports: tuple  # (dotted name, on demand) per non-static import
     types: list[TypeInfo]  # every type declaration, in preorder
-    diagnostics: list  # the parser's recoverable errors
+    diagnostics: list  # the parser's recoverable errors, as ParseErrors with no traceback
     code_lines: tuple  # numbers of the lines that carry code, ascending
-
-
-class _Recover(Exception):
-    """Internal: recoverable syntax error, reported at *token*."""
-
-    kept = None  # the fact state to return to when not the one before the construct
-
-    def __init__(self, message: str, token: Token):
-        super().__init__(message)
-        self.message = message
-        self.token = token
 
 
 def _visibility(modifiers, owner_kind: str) -> str:
@@ -268,7 +248,7 @@ class _Parser:
         self.toks = tokens + [self.eof]
         self.src = source
         self.i = 0
-        self.diags: list[Diagnostic] = []
+        self.diags: list[ParseError] = []
         self.package = ""
         self.imports: list = []
         self.declared = False  # a top-level declaration was parsed
@@ -306,14 +286,14 @@ class _Parser:
     def expect(self, lexeme: str) -> Token:
         t = self.toks[self.i]
         if t.lexeme != lexeme:
-            raise _Recover(f"expected '{lexeme}', found '{t.lexeme}'", t)
+            raise ParseError(f"expected '{lexeme}', found '{t.lexeme}'", t.line, t.col)
         self.i += 1
         return t
 
     def expect_identifier(self) -> Token:
         t = self.toks[self.i]
         if t.kind != "identifier":
-            raise _Recover(f"expected identifier, found '{t.lexeme}'", t)
+            raise ParseError(f"expected identifier, found '{t.lexeme}'", t.line, t.col)
         self.i += 1
         return t
 
@@ -324,10 +304,12 @@ class _Parser:
 
     def diag(self, message: str, tok: Token | None = None):
         tok = tok or self.toks[self.i]
-        self.diags.append(Diagnostic(message, self.src.path, tok.line, tok.col))
+        self.diags.append(ParseError(message, tok.line, tok.col))
 
-    def diag_recover(self, err: _Recover):
-        self.diag(err.message, err.token)
+    def record(self, err: ParseError):
+        """Keep a caught *err* as a diagnostic, without its traceback: the
+        traceback's frames refer to this parser, so it would be a cycle."""
+        self.diags.append(err.with_traceback(None))
 
     # ------------------------------------------------------------------
     # the fact state a dropped construct returns to
@@ -382,12 +364,13 @@ class _Parser:
         while depth > 0:
             t = self.toks[self.i]
             if t is self.eof:
-                raise _Recover(message, anchor or t)
+                t = anchor or t
+                raise ParseError(message, t.line, t.col)
             self.i += 1
             if t.kind != "literal":
                 depth += t.lexeme.count(open_) - t.lexeme.count(close)
         if depth < 0:
-            raise _Recover(f"mismatched '{close}'", open_tok)
+            raise ParseError(f"mismatched '{close}'", open_tok.line, open_tok.col)
 
     def skip_generics(self):
         self.skip_balanced("<", ">", "unbalanced '<'", self.peek())
@@ -404,10 +387,10 @@ class _Parser:
     ) -> bool:
         """Call *parse_one* until '}' (left unconsumed) or end of input.
 
-        A syntax error is reported, the construct's facts are dropped, and
-        the input is skipped up to the next statement boundary; every step
-        consumes at least one token. Returns False at end of input, after
-        reporting *eof_message* at *anchor*.
+        A syntax error is recovered from (see ``recover``) at the state
+        before the construct; every step consumes at least one token.
+        Returns False at end of input, after reporting *eof_message* at
+        *anchor*.
         """
         while not self.at("}"):
             if self.peek() is self.eof:
@@ -418,13 +401,18 @@ class _Parser:
             mark = self.mark()
             try:
                 parse_one()
-            except _Recover as err:
-                self.rollback(err.kept or mark)
-                self.diag_recover(err)
-                self.skip_statement_like()
+            except ParseError as err:
+                self.recover(err, mark)
             if self.i == guard:
                 self.advance()
         return True
+
+    def recover(self, err: ParseError, mark: tuple):
+        """Drop the facts added since *mark*, record *err* and skip to the
+        next statement boundary."""
+        self.rollback(mark)
+        self.record(err)
+        self.skip_statement_like()
 
     def skip_annotation(self):
         self.expect("@")
@@ -484,9 +472,9 @@ class _Parser:
         elif t.kind == "identifier":
             name = self.parse_qualified_name()
         elif t is self.eof:
-            raise _Recover("expected type, found end of file", t)
+            raise ParseError("expected type, found end of file", t.line, t.col)
         else:
-            raise _Recover(f"expected type, found '{t.lexeme}'", t)
+            raise ParseError(f"expected type, found '{t.lexeme}'", t.line, t.col)
         if self.at("<"):
             self.skip_generics()
         self.skip_dims()
@@ -506,7 +494,8 @@ class _Parser:
         self.expect(open_)
         while not self.at(close):
             if self.peek() is self.eof:
-                raise _Recover(eof_message, anchor or self.eof)
+                t = anchor or self.eof
+                raise ParseError(eof_message, t.line, t.col)
             parse_item()
             if not self.accept(sep):
                 break
@@ -521,15 +510,15 @@ class _Parser:
         while self.at("@") and not self.at("interface", 1):
             try:
                 self.skip_annotation()
-            except _Recover as err:
-                self.diag_recover(err)
+            except ParseError as err:
+                self.record(err)
                 break
         if self.accept("package"):
             try:
                 self.package = self.parse_qualified_name()
                 self.expect(";")
-            except _Recover as err:
-                self.diag_recover(err)
+            except ParseError as err:
+                self.record(err)
                 self.skip_statement_like()
         while self.accept("import"):
             try:
@@ -542,8 +531,8 @@ class _Parser:
                 self.expect(";")
                 if not is_static:
                     self.imports.append((name, on_demand))
-            except _Recover as err:
-                self.diag_recover(err)
+            except ParseError as err:
+                self.record(err)
                 self.skip_statement_like()
 
         while self.recover_until_brace(self.parse_top_level, None):
@@ -556,7 +545,7 @@ class _Parser:
         self.parse_modifiers()
         if not self.parse_declaration():
             t = self.peek()
-            raise _Recover(f"expected type declaration, found '{t.lexeme}'", t)
+            raise ParseError(f"expected type declaration, found '{t.lexeme}'", t.line, t.col)
         self.declared = True
 
     def parse_declaration(self) -> bool:
@@ -668,7 +657,7 @@ class _Parser:
         mods = self.parse_modifiers()
         t = self.peek()
         if t is self.eof:
-            raise _Recover("unexpected end of file in type body", t)
+            raise ParseError("unexpected end of file in type body", t.line, t.col)
         if self.parse_declaration():
             return
         if t.lexeme == "{":
@@ -677,7 +666,7 @@ class _Parser:
             self.skip_generics()
             t = self.peek()
             if t is self.eof:
-                raise _Recover("unexpected end of file after type parameters", t)
+                raise ParseError("unexpected end of file after type parameters", t.line, t.col)
 
         # Constructor: bare name of the enclosing type followed by '('.
         if t.kind == "identifier" and t.lexeme == self.type.simple_name and self.at("(", 1):
@@ -765,9 +754,10 @@ class _Parser:
                     break
                 name_tok = self.expect_identifier()
             self.expect(";")
-        except _Recover as err:
-            err.kept = kept
-            raise
+        except ParseError as err:
+            if kept is None:
+                raise
+            self.recover(err, kept)
 
     def parse_variable_init(self):
         """An expression or an array initializer."""
@@ -854,14 +844,15 @@ class _Parser:
             self.parse_modifiers()
             if self.parse_declaration() or self.try_parse_local_var():
                 return
-            raise _Recover("expected declaration after modifiers", self.peek())
+            t = self.peek()
+            raise ParseError("expected declaration after modifiers", t.line, t.col)
         if t.kind == "identifier" and self.at(":", 1) and not self.at(":", 2):
             self.i += 2  # label and ':'
             return self.parse_statement()
         if self.parse_declaration():
             return
         if t is self.eof:
-            raise _Recover("expected statement, found end of file", t)
+            raise ParseError("expected statement, found end of file", t.line, t.col)
         if self.try_parse_local_var():
             return
         self.parse_expression()
@@ -877,7 +868,7 @@ class _Parser:
             type_text = self.parse_type_text()
             if self.at_kind("identifier") and self.peek(1).lexeme in follow:
                 return type_text
-        except _Recover:
+        except ParseError:
             pass
         self.i = save
         return None
@@ -987,9 +978,10 @@ class _Parser:
             else:
                 self.advance()
             self.parse_case_tail()
-        except _Recover as err:
-            err.kept = kept
-            raise
+        except ParseError as err:
+            if kept is None:
+                raise
+            self.recover(err, kept)
 
     def parse_case_tail(self):
         if self.accept("->"):
@@ -1111,7 +1103,7 @@ class _Parser:
                     self.skip_generics()
                 nt = self.peek()
                 if nt is self.eof:
-                    raise _Recover("expected member name after '.'", t)
+                    raise ParseError("expected member name after '.'", t.line, t.col)
                 if nt.lexeme in ("class", "this", "new", "super"):
                     self.advance()
                     if nt.lexeme == "new":
@@ -1145,7 +1137,7 @@ class _Parser:
                 if self.at("<"):
                     self.skip_generics()
                 if self.peek() is self.eof:
-                    raise _Recover("expected name after '::'", t)
+                    raise ParseError("expected name after '::'", t.line, t.col)
                 self.advance()
                 value, this = None, False
                 continue
@@ -1167,7 +1159,7 @@ class _Parser:
             while self.accept("&"):
                 types.append(self.parse_type_text())
             self.expect(")")
-        except _Recover:
+        except ParseError:
             self.i = save
             return None
         nxt = self.peek()
@@ -1276,16 +1268,17 @@ class _Parser:
                 self.expect("class")
             return None
         if t is self.eof:
-            raise _Recover("expected expression, found end of file", t)
-        raise _Recover(f"unexpected token '{t.lexeme}' in expression", t)
+            raise ParseError("expected expression, found end of file", t.line, t.col)
+        raise ParseError(f"unexpected token '{t.lexeme}' in expression", t.line, t.col)
 
 
 def parse(tokens: list[Token], source: SourceFile) -> ParsedFile:
     """Parse the code tokens of *source* into its facts and code lines.
 
-    Recoverable errors are listed in the result's ``diagnostics``;
-    ParseError is raised only when nothing could be salvaged from a file
-    that contains declarations.
+    Recovered errors are listed in the result's ``diagnostics``. When
+    none of the file's declarations could be salvaged, a ParseError is
+    raised instead, a fresh one with the first diagnostic's fields: a
+    raised diagnostic would keep a traceback that refers back to it.
     """
     p = _Parser(tokens, source)
     try:

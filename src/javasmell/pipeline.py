@@ -35,7 +35,7 @@ class AnalysisResult:
     project_metrics: object
     findings: list
     failures: list = field(default_factory=list)
-    parse_diagnostics: list = field(default_factory=list)
+    parse_diagnostics: list = field(default_factory=list)  # '<path>:<line>:<col>: <message>' lines
 
     @property
     def partial(self) -> bool:
@@ -105,7 +105,9 @@ def analyze_paths(root, paths, config: RuleConfig | None = None) -> AnalysisResu
             project_metrics=project_metrics(model, tm),
             findings=detect_all(model, tm, config),
             failures=failures,
-            parse_diagnostics=[d for pf in parsed for d in pf.diagnostics],
+            parse_diagnostics=[
+                f"{pf.path}:{d.line}:{d.col}: {d.message}" for pf in parsed for d in pf.diagnostics
+            ],
         )
     finally:
         if was_enabled:

@@ -80,30 +80,30 @@ def classify(meta: RepoMetadata) -> MaturityClass:
     return MaturityClass(Maturity.UNCLASSIFIED, rationale)
 
 
-def _parse_date(text: str, context: str):
+def _parse_date(values: dict, key: str):
+    text = values[key]
     try:
         return dt.date.fromisoformat(text[:10]) if "T" in text else dt.date.fromisoformat(text)
     except ValueError:
-        raise FatalError(f"{context}: bad ISO-8601 date {text!r}") from None
+        raise FatalError(f"{key}: bad ISO-8601 date {text!r}") from None
 
 
-def load_metadata(path, analysis_date: dt.date | None = None) -> RepoMetadata:
+def load_metadata(path) -> RepoMetadata:
     """Key/value metadata file: commits, contributors, releases,
-    last_commit_date, optional analysis_date (defaults to today)."""
+    last_commit_date, optional analysis_date (defaults to today). Every
+    error names the file."""
     values = {key: value for _, key, value in key_values(path)}
     try:
-        commits = int(values["commits"])
-        contributors = int(values["contributors"])
-        releases = int(values["releases"])
-        last = _parse_date(values["last_commit_date"], "last_commit_date")
+        return RepoMetadata(
+            int(values["commits"]),
+            int(values["contributors"]),
+            int(values["releases"]),
+            _parse_date(values, "last_commit_date"),
+            _parse_date(values, "analysis_date") if "analysis_date" in values else dt.date.today(),
+        )
     except KeyError as err:
         raise FatalError(f"missing key {err.args[0]!r} in {path}") from None
     except ValueError:
         raise FatalError(f"non-integer count in {path}") from None
-    if analysis_date is None:
-        if "analysis_date" in values:
-            analysis_date = _parse_date(values["analysis_date"], "analysis_date")
-        else:
-            analysis_date = dt.date.today()
-    return RepoMetadata(commits, contributors, releases, last, analysis_date)
-
+    except FatalError as err:
+        raise FatalError(f"{path}: {err}") from None

@@ -106,7 +106,7 @@ def _finding_line(f: SmellFinding) -> str:
 def write_provenance(findings, path, *, project, version, config_digest, timestamp):
     header = [
         f"# tool javasmell {version}",
-        f"# project {project}",
+        f"# project {project.translate(_ESCAPES)}",
         f"# config {config_digest}",
         f"# generated {timestamp}",
     ]

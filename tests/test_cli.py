@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from javasmell.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
+from javasmell.report import parse_provenance, report_from_json
 
 from conftest import CORPUS, CORPUS_TRUTH
 
@@ -156,6 +157,24 @@ def test_classify_malformed_metadata(tmp_path, capsys):
     assert "error" in stderr
 
 
+@pytest.mark.parametrize(
+    "counts, last, analysis, message",
+    [
+        ((-1, 1, 1), "2019-05-01", "2019-05-20", "counts must be non-negative"),
+        ((1, 1, 1), "2019-06-01", "2019-05-20", "last_commit_date is after analysis_date"),
+        ((1, 1, 1), "2019-13-01", "2019-05-20", "last_commit_date: bad ISO-8601 date '2019-13-01'"),
+        ((1, 1, 1), "2019-05-01", "2019-02-30", "analysis_date: bad ISO-8601 date '2019-02-30'"),
+    ],
+    ids=["negative-count", "future-commit", "bad-last-date", "bad-analysis-date"],
+)
+def test_classify_metadata_error_names_the_file(tmp_path, capsys, counts, last, analysis, message):
+    meta = tmp_path / "bad.meta"
+    write_meta(meta, *counts, last=last, analysis=analysis)
+    code, _, stderr = run(["classify", "--metadata", str(meta)], capsys)
+    assert code == EXIT_FATAL
+    assert stderr == f"error: {meta}: {message}\n"
+
+
 def analyze_corpus(tmp_path, capsys, out_name="out"):
     out = tmp_path / out_name
     run(
@@ -169,6 +188,21 @@ def analyze_corpus(tmp_path, capsys, out_name="out"):
         capsys,
     )
     return out
+
+
+def test_project_name_is_escaped_in_the_provenance_header(tmp_path, capsys):
+    out = tmp_path / "out"
+    project = "acme\nWideHierarchy\tx"
+    code, _, _ = run(
+        ["analyze", "--src", str(CORPUS), "--out", str(out), "--project", project,
+         "--timestamp", "2024-01-01T00:00:00"],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert "# project acme\\nWideHierarchy\\tx\n" in (out / "provenance.log").read_text(encoding="utf-8")
+    report = report_from_json(out / "report.json")
+    assert report.project_name == project
+    assert parse_provenance(out / "provenance.log") == report.findings
 
 
 def test_evaluate_fixture_corpus(tmp_path, capsys):

@@ -96,6 +96,15 @@ def test_catalog_mean_divides_by_ten():
     assert math.isclose(result.catalog_precision, 0.5 / 10)
 
 
+def test_default_universe_is_the_kinds_the_truth_or_findings_name():
+    findings, truth = synth({K.WIDE_HIERARCHY: (2, 1)})
+    truth.entries[("p.Gone", K.MISSING_HIERARCHY)] = "fp"  # a verdict with no finding
+    truth.missed.add(("p.Hidden", K.BROKEN_HIERARCHY))
+    result = evaluate(findings, truth)
+    assert list(result.per_kind) == [K.BROKEN_HIERARCHY, K.WIDE_HIERARCHY, K.MISSING_HIERARCHY]
+    assert math.isclose(result.catalog_precision, (1.0 + 0.5 + 1.0) / 10)
+
+
 # ----------------------------------------------------------------------
 # ground-truth file loading
 

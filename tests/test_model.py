@@ -178,6 +178,29 @@ def test_extends_cycle_reported_once_at_its_first_member():
     ]
 
 
+def ancestor_count(model, qname) -> int:
+    """The supertypes that a cycle-safe walk up the supertype map reaches."""
+    seen = {qname}
+    cur = model.supertype.get(qname)
+    while cur is not None and cur not in seen:
+        seen.add(cur)
+        cur = model.supertype.get(cur)
+    return len(seen) - 1
+
+
+def test_dit_counts_the_supertypes_a_cycle_safe_walk_reaches():
+    # Chains, self-extension, cycles with tails and foreign supertypes.
+    rng = random.Random(20241019)
+    for _ in range(1500):
+        n = rng.randint(1, 9)
+        decls = []
+        for i in range(n):
+            sup = rng.choice([None, None, "Foreign", *(f"T{j}" for j in range(n))])
+            decls.append(f"class T{i}" + (f" extends {sup}" if sup else "") + " { }")
+        m = build_from_sources({"T.java": "\n".join(decls)})
+        assert m.dit == {q: ancestor_count(m, q) for q in m.types}
+
+
 def test_self_reference_dropped():
     m = model_of(A="package p; class A { A next; }")
     assert m.deps["p.A"] == set()

@@ -594,3 +594,22 @@ def test_parsed_file_with_diagnostics_round_trips_through_pickle():
         ("unexpected token ';' in expression", 1, 63),
     ]
     assert dataclasses.replace(back, diagnostics=[]) == dataclasses.replace(parsed, diagnostics=[])
+
+
+def test_parse_error_round_trips_through_pickle():
+    err = pickle.loads(pickle.dumps(ParseError("expected ';', found '}'", 3, 14)))
+    assert (err.message, err.line, err.col) == ("expected ';', found '}'", 3, 14)
+    assert str(err) == "expected ';', found '}' at 3:14"
+
+
+def test_diagnostics_are_parse_errors_without_traceback():
+    text = "class A { int a = 1, b = f(; void m() { g(; } void n() { switch (1) { case 1, ) : } } }"
+    parsed = parse_text(text)
+    assert [(d.message, d.col) for d in parsed.diagnostics] == [
+        ("unexpected token ';' in expression", text.index("; void m") + 1),
+        ("unexpected token ';' in expression", text.index("; }") + 1),
+        ("unexpected token ')' in expression", text.index(") :") + 1),
+    ]
+    assert all(isinstance(d, ParseError) and d.__traceback__ is None for d in parsed.diagnostics)
+    assert [f.name for f in parsed.types[0].fields] == ["a"]
+    assert [(m.name, m.cc) for m in parsed.types[0].methods] == [("m", 1), ("n", 2)]  # case 1 kept

@@ -95,7 +95,14 @@ def test_analysis_leaves_no_garbage_on_malformed_files(gc_state, tmp_path):
     assert sorted(f.path for f in result.failures) == [
         "Illegal.java", "Latin1.java", "NoDecl.java", "OpenComment.java", "Unterminated.java",
     ]
-    assert len(result.parse_diagnostics) == 6
+    assert result.parse_diagnostics == [
+        "Diagnostics.java:2:5: record declaration skipped",
+        "Diagnostics.java:3:5: annotation type declaration skipped",
+        "Diagnostics.java:4:27: anonymous class body skipped",
+        "Diagnostics.java:4:53: switch expression consumed opaquely",
+        "Diagnostics.java:5:18: expected type, found '{'",
+        "Marker.java:1:1: annotation type declaration skipped",
+    ]
 
 
 def test_parsed_file_keeps_the_path_not_the_source_text():
