@@ -16,13 +16,14 @@ first member by qname; a member's depth counts the cycle's other members. A
 type declared twice keeps its first declaration, by path, and the later one
 is dropped together with every type nested in it.
 
-A written type name resolves to a project type or to nothing. Precedence:
-types declared in the same file, then the same package's top-level types,
-then single-type imports, then on-demand imports (two matching on-demand
-imports are ambiguous and resolve to no project type, with one diagnostic
-per file and name). A name that none of these finds, such as a library type
-or a variable at the head of a qualified call, resolves to no project type.
-The dependency graph holds edges between project types only.
+A written type name resolves once, to a project type or to nothing. Its head
+is looked up in javac's order (JLS 6.4.1, 7.5): types declared in the same
+file, single-type imports, the same package's top-level types, then
+on-demand imports (two matches are ambiguous and resolve to no project type,
+with one diagnostic per file and name); the rest walks member types. A fully
+qualified name comes last, when none of these finds the head. Anything else,
+such as a library type or a variable at the head of a qualified call,
+resolves to nothing; the dependency graph joins project types only.
 """
 
 from __future__ import annotations
@@ -87,26 +88,22 @@ class PseudoModel:
         name's head, the sorted tuple of their candidates instead."""
         if raw in NON_REF_TYPES:
             return None
-        if raw in self.types:
-            return raw
         head, *rest = raw.split(".")
-        scope = self._scopes.get(file)
-        if scope is None:
-            return None
-        q = scope.simple_names.get(head)
+        scope = self._scopes[file]
+        q = scope.simple_names.get(head) or scope.single_imports.get(head)
         if q is None:
             top = self.types.get(f"{scope.package}.{head}" if scope.package else head)
             if top is not None and top.outer is None:
                 q = top.qname
-        if q is None:
-            q = scope.single_imports.get(head)
         if q is None and scope.on_demand:
             candidates = tuple(sorted({pkg + "." + head for pkg in scope.on_demand} & self.types.keys()))
             if len(candidates) > 1:
                 return candidates
             q = candidates[0] if candidates else None
+        if q is None:  # no type in scope: a fully qualified name, or none
+            return raw if raw in self.types else None
         if q not in self.types:
-            return None  # a single-type import of no project type lands here too
+            return None  # a single-type import of no project type lands here
         for seg in rest:
             q += "." + seg
             if q not in self.types:
@@ -165,7 +162,10 @@ def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
             model.types[qname] = info
             scope.simple_names.setdefault(info.simple_name, qname)
 
-    # Pass 2: inheritance resolution and extends-cycle detection.
+    # Pass 2: every written type name, resolved once: the supertype link
+    # and the dependency edges, each edge counted incoming as it is found.
+    # Qnames come sorted, so every subtype list is built sorted.
+    ambiguous: dict = {}  # (file, head) -> (first line, candidates)
     for qname in sorted(model.types):
         info = model.types[qname]
         if info.supertype_raw:
@@ -173,15 +173,6 @@ def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
             if resolved in model.types:  # neither None nor an ambiguous name's candidates
                 model.supertype[qname] = resolved
                 model.subtypes.setdefault(resolved, []).append(qname)
-    for lst in model.subtypes.values():
-        lst.sort()
-    _depths_and_cycles(model)
-
-    # Pass 3: dependency edges, and the first line at which each file
-    # names an ambiguous on-demand import.
-    ambiguous: dict = {}  # (file, head) -> (line, candidates)
-    for qname in sorted(model.types):
-        info = model.types[qname]
         edges = model.deps[qname] = set()
         for raw, line in info.refs:
             resolved = model.resolve(raw, info.file)
@@ -191,16 +182,14 @@ def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
                     ambiguous[key] = (line, resolved)
             elif resolved is not None and resolved != qname:  # no self reference
                 edges.add(resolved)
+                model.incoming.setdefault(resolved, set()).add(qname)
+    _depths_and_cycles(model)
     for file, line, head, candidates in sorted(
         (file, line, head, c) for (file, head), (line, c) in ambiguous.items()
     ):
         model.diagnostics.append(
             ModelDiagnostic("ambiguous-import", f"'{head}' matches {', '.join(candidates)}", file, line)
         )
-
-    for src, targets in model.deps.items():
-        for tgt in targets:
-            model.incoming.setdefault(tgt, set()).add(src)
     return model
 
 

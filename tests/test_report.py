@@ -180,7 +180,7 @@ def test_report_json_roundtrip(tmp_path):
     ids=["not-json", "list", "no-name", "text-count", "bool-count", "text-percentage",
          "unknown-kind", "counts-list", "finding-not-object"],
 )
-def test_malformed_report_json_is_a_value_error_naming_the_path(tmp_path, text, detail):
+def test_malformed_report_json_is_a_fatal_error_naming_the_path(tmp_path, text, detail):
     path = tmp_path / "report.json"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(FatalError) as err:
