@@ -112,6 +112,18 @@ def test_letter_number_starts_an_identifier():
     assert [(t.kind, t.lexeme) for t in tokens[1::3]] == [("identifier", "Ⅻ"), ("identifier", "Ⅻx")]
 
 
+def test_long_runs_of_horizontal_space_lex_in_linear_time():
+    # Each input takes milliseconds when the regex is linear over blank
+    # runs, and minutes if a match backtracks over them quadratically.
+    _, tokens = toks(" " * 200_000 + "x")
+    assert [(t.kind, t.lexeme, t.line, t.col) for t in tokens] == [("identifier", "x", 1, 200_001)]
+    _, tokens = toks("class A { }" + " \t" * 100_000)
+    assert [t.lexeme for t in tokens] == ["class", "A", "{", "}"]
+    with pytest.raises(ParseError) as err:
+        toks('class A { String s = "abc' + " " * 200_000)
+    assert (err.value.message, err.value.line, err.value.col) == ("unterminated string literal", 1, 22)
+
+
 def test_string_may_contain_comment_markers():
     _, tokens = toks('String s = "// /* no comment */";')
     assert [t.lexeme for t in tokens] == ["String", "s", "=", '"// /* no comment */"', ";"]

@@ -151,6 +151,60 @@ def test_empty_override_of_abstract_parent_not_flagged():
     assert detect(K.BROKEN_HIERARCHY, m) == []
 
 
+def rejected_by_walk(model, qname):
+    """Names of *qname*'s rejected-body methods whose nearest non-private
+    namesake of the same arity, on a cycle-safe walk up the supertypes, has
+    a body."""
+    rejected = []
+    for m in model.types[qname].methods:
+        if not m.rejected_body:
+            continue
+        seen, cur = {qname}, model.supertype.get(qname)
+        while cur is not None and cur not in seen:
+            seen.add(cur)
+            hit = next((a for a in model.types[cur].methods
+                        if (a.name, a.arity) == (m.name, m.arity) and a.visibility != "private"), None)
+            if hit is not None:
+                if hit.cc is not None:
+                    rejected.append(m.name)
+                break
+            cur = model.supertype.get(cur)
+    return sorted(rejected)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-names", "own-names"])
+def test_broken_hierarchy_matches_a_walk_on_random_chains(shared):
+    # Chains and forests, with cycles now and then; method names drawn from
+    # a small shared pool, or unique to each type apart from a few.
+    rng = random.Random(20261020 + shared)
+    bodies = ["{ }", "{ throw new X(); }", "{ int x = 1; }", ";"]
+    for _ in range(150):
+        n = rng.randint(2, 12)
+        decls = []
+        for i in range(n):
+            sup = rng.choice([None, *(f"T{j}" for j in range(max(0, i - 3), i))] or [None])
+            if rng.random() < 0.05:
+                sup = f"T{rng.randrange(n)}"
+            methods = []
+            for k in range(rng.randint(0, 4)):
+                name = rng.choice("abc") if shared or rng.random() < 0.4 else f"m{i}_{k}"
+                private = "private " if rng.random() < 0.2 else ""
+                params = ", ".join(f"int p{a}" for a in range(rng.randint(0, 2)))
+                body = rng.choice(bodies)
+                prefix = "abstract " if body == ";" else ""
+                methods.append(f"{private}{prefix}void {name}({params}) {body}")
+            extends = f" extends {sup}" if sup else ""
+            decls.append(f"abstract class T{i}{extends} {{ {' '.join(methods)} }}")
+        model = model_of(T="\n".join(decls))
+        found = {f.subject: f.evidence["rejected_methods"] for f in detect(K.BROKEN_HIERARCHY, model)}
+        expected = {}
+        for q in model.types:
+            names = rejected_by_walk(model, q)
+            if names:
+                expected[q] = ";".join(names)
+        assert found == expected, decls
+
+
 # ----------------------------------------------------------------------
 # deficient encapsulation
 
