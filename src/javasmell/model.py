@@ -28,6 +28,7 @@ resolves to nothing; the dependency graph joins project types only.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -60,6 +61,7 @@ class PseudoModel:
     supertype: dict = field(default_factory=dict)  # qname -> its resolved project supertype
     subtypes: dict = field(default_factory=dict)  # qname -> [qname]
     dit: dict = field(default_factory=dict)  # qname -> how many project supertypes are above it
+    declared: Counter = field(default_factory=Counter)  # (name, arity) -> non-private methods so declared
     nested: dict = field(default_factory=dict)  # qname -> [kept member type qnames]
     incoming: dict = field(default_factory=dict)  # qname -> set of sources
     file_top_level: dict = field(default_factory=dict)  # file -> count
@@ -160,6 +162,7 @@ def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
             if info.outer is not None:
                 model.nested.setdefault(info.outer, []).append(qname)
             model.types[qname] = info
+            model.declared.update((m.name, m.arity) for m in info.methods if m.visibility != "private")
             scope.simple_names.setdefault(info.simple_name, qname)
 
     # Pass 2: every written type name, resolved once: the supertype link

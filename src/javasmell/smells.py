@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -253,8 +254,10 @@ def _broken_hierarchy(model, info, t, config):
     if supertype is None:
         return None
     rejected = []
+    own = Counter((m.name, m.arity) for m in info.methods if m.visibility != "private")
     for m in info.methods:
-        if not m.rejected_body:
+        # The walk visits ancestors only: skip it when no other type declares the method.
+        if not m.rejected_body or model.declared[m.name, m.arity] == own[m.name, m.arity]:
             continue
         hit = model.find_ancestor_method(info.qname, m.name, m.arity)
         if hit is not None and hit[1].cc is not None:
