@@ -1,20 +1,23 @@
 """Tokenizer for Java source files.
 
-Produces a flat stream of code tokens, each with its kind, lexeme, line and
-column. Comments make no token: one only advances the line count. Only
-comments span lines: a string or character literal ends on its line, so a
-backslash before a line break inside one is an unterminated literal, as
-javac rejects it.
+``tokenize`` returns a file's code tokens as one ``Tokens`` value, four
+parallel lists of kinds, lexemes, lines and columns (1-based); indexing or
+iterating it makes ``Token`` views, so none is built on the hot path.
+Comments make no token: one only advances the line count. Only comments
+span lines: a string or character literal ends on its line, so a backslash
+before a line break inside one is an unterminated literal, as javac rejects
+it.
 
-``tokenize`` is one pass of one compiled master regex, ``_TOKEN_RE``, whose
-alternatives are named groups: the name of the group that matched
-(``m.lastgroup``) is the token's kind, or says what to do. Whitespace runs,
-newlines and comments are matched as well but make no token; newlines, and
-those inside multi-line comments, advance the line number and the offset of
-the line's first character, from which each token's column follows.
-Longest-match rules live in the alternatives' order: comments come before
-the ``/`` operator, numbers (``.5``) before the ``.`` separator, ``...``
-and ``::`` before ``.`` and ``:``, and multi-character operators before
+``tokenize`` is one pass of one compiled master regex, ``_TOKEN_RE``. Each
+match takes the horizontal blanks before it. No alternative starts on a
+blank and trailing blanks match the final ``\\Z``, so the regex never
+backtracks into a run of blanks, which a long run would make quadratic. The
+name of the group that matched (``m.lastgroup``) is the token's kind, or
+says what to do: newlines, and those inside comments, advance the line
+number and the offset of the line's first character, from which columns
+follow. Longest-match rules live in the alternatives: a ``.`` before a digit
+starts a number and a ``/`` before ``/`` or ``*`` a comment, ``...`` and
+``::`` come before ``.`` and ``:``, and multi-character operators before
 their prefixes.
 
 A word starts with a letter, ``_`` or ``$``; a number with a decimal digit
@@ -38,6 +41,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 KEYWORDS = frozenset(
     """
@@ -66,22 +70,24 @@ _DECIMAL_TAIL = r"(?:[\w.]|(?<=[eE])[+-])*"
 
 _TOKEN_RE = re.compile(
     rf"""
-      (?P<space>[ \t\r\f]+)
-    | (?P<newline>\n[ \t\r\f]*)
-    | (?P<comment>//[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)
-    | (?P<word>[A-Za-z_$][A-Za-z0-9_$]*(?![\w$]))
+    [ \t\r\f]*(?:
+      (?P<word>[A-Za-z_$][A-Za-z0-9_$]*(?![\w$]))
+    | (?P<separator>\.\.\.|::|[(){{}}\[\];,@]|\.(?!\d))
+    | (?P<newline>\n)
+    | (?P<operator>{"|".join(map(re.escape, MULTI_OPERATORS))}|[=<>!~?:+\-*&|^%]|/(?![/*]))
     | (?P<literal>
           0[xX](?:[\w.]|(?<=[pP])[+-])*
         | (?:\d|\.\d){_DECIMAL_TAIL}
         | "(?:[^"\\\n]|\\[^\n])*"
         | '(?:[^'\\\n]|\\[^\n])*'
       )
+    | (?P<comment>//[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)
     | (?P<rare>/\*|(?:[^\W\d]|\$)[\w$]*)
-    | (?P<separator>\.\.\.|::|[(){{}}\[\];,.@])
-    | (?P<operator>{"|".join(map(re.escape, MULTI_OPERATORS))}|[=<>!~?:+\-*/&|^%])
-    | (?P<illegal>.)
+    | (?P<illegal>[^ \t\r\f])
+    | \Z
+    )
     """,
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE,
 )
 
 
@@ -114,50 +120,59 @@ class SourceFile:
         return cls(p.relative_to(root).as_posix(), p.read_text(encoding="utf-8"))
 
 
-class Token:
-    """One token of code, at its 1-based line and column."""
+class Token(NamedTuple):
+    """A view of one token of code, at its 1-based line and column."""
 
-    __slots__ = ("kind", "lexeme", "line", "col")
-
-    def __init__(self, kind: str, lexeme: str, line: int, col: int):
-        self.kind = kind  # keyword | identifier | literal | operator | separator
-        self.lexeme = lexeme
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"<{self.kind} {self.lexeme!r} {self.line}:{self.col}>"
+    kind: str  # keyword | identifier | literal | operator | separator
+    lexeme: str
+    line: int
+    col: int
 
 
-def tokenize(source: SourceFile) -> list[Token]:
+@dataclass
+class Tokens:
+    """The code tokens of one file, in source order, as parallel lists."""
+
+    kinds: list
+    lexemes: list
+    lines: list
+    cols: list
+
+    def __len__(self):
+        return len(self.kinds)
+
+    def __getitem__(self, k: int) -> Token:
+        return Token(self.kinds[k], self.lexemes[k], self.lines[k], self.cols[k])
+
+
+def tokenize(source: SourceFile) -> Tokens:
     """The code tokens of *source*, in source order."""
-    text = source.content
-    toks: list[Token] = []
-    append = toks.append
+    tokens = Tokens([], [], [], [])
+    kinds, lexemes, lines, cols = tokens.kinds, tokens.lexemes, tokens.lines, tokens.cols
     word_kind = _WORD_KINDS.get
     line, bol = 1, 0
-    for m in _TOKEN_RE.finditer(text):
+    for m in _TOKEN_RE.finditer(source.content):
         kind = m.lastgroup
-        if kind == "space":
-            continue
-        start = m.start()
         if kind == "newline":
             line += 1
-            bol = start + 1
-            continue
-        lexeme = m.group()
-        if kind == "word":
-            kind = word_kind(lexeme, "identifier")
+            bol = m.end()
         elif kind == "comment":
-            newlines = lexeme.count("\n")
-            if newlines:
-                line += newlines
-                bol = start + lexeme.rfind("\n") + 1
-            continue
-        elif kind == "rare" or kind == "illegal":
-            kind = _rare_kind(lexeme, line, start - bol + 1)
-        append(Token(kind, lexeme, line, start - bol + 1))
-    return toks
+            lexeme = m[kind]
+            if "\n" in lexeme:
+                line += lexeme.count("\n")
+                bol = m.start(kind) + lexeme.rfind("\n") + 1
+        elif kind:  # None for the blanks at the end
+            lexeme = m[kind]
+            col = m.end() - len(lexeme) - bol + 1
+            if kind == "word":
+                kind = word_kind(lexeme, "identifier")
+            elif kind == "rare" or kind == "illegal":
+                kind = _rare_kind(lexeme, line, col)
+            kinds.append(kind)
+            lexemes.append(lexeme)
+            lines.append(line)
+            cols.append(col)
+    return tokens
 
 
 def _rare_kind(lexeme: str, line: int, col: int) -> str:

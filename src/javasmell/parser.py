@@ -28,7 +28,7 @@ per recovery step, so a parse is bounded by the token count. A construct
 that fails to parse is dropped with every fact it added, except the field
 declarators and case labels already complete before the error, and the
 error is recorded, without its traceback, in the file's ``diagnostics``.
-The token list ends in an ``eof`` sentinel that is never consumed, so
+Each token array ends in an ``eof`` sentinel that is never consumed, so
 looking ahead needs no end-of-input test. ``parse`` raises a
 ``ParseError``, at the first diagnostic, only when a file with syntax
 errors yields no declarations at all, and at 1:1 when the file nests too
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
-from .lexer import ParseError, SourceFile, Token
+from .lexer import ParseError, SourceFile, Tokens
 
 PRIMITIVES = frozenset(
     {"boolean", "byte", "short", "char", "int", "long", "float", "double"}
@@ -81,6 +81,8 @@ _LEVEL = {
     )
     for op in ops
 }
+
+_PREFIX_OPERATORS = frozenset({"+", "-", "!", "~", "++", "--"})
 
 
 # ----------------------------------------------------------------------
@@ -196,9 +198,10 @@ class _Method:
         self.sites: list = []  # SwitchSite and LadderSite; None in a slot not filled
 
 
-# An expression yields what a fact may read of it: a Token for a name,
-# literal, this or super; a _Chain for a call, field access or array access;
-# a str for an instanceof test, holding its operand's text; None otherwise.
+# An expression yields what a fact may read of it: the index of its token
+# for a name, literal, this or super; a _Chain for a call, field access or
+# array access; a str for an instanceof test, holding its operand's text;
+# None otherwise.
 
 
 class _Chain:
@@ -212,40 +215,13 @@ class _Chain:
         self.terminal = terminal
 
 
-def _render(value) -> str:
-    """Canonical, whitespace-free text of a simple expression: parentheses
-    and casts are transparent, call arguments and indexes are dropped."""
-    if isinstance(value, Token):
-        return value.lexeme
-    if isinstance(value, _Chain):
-        return "".join(value.parts)
-    return "?"
-
-
-def _terminal(value) -> str:
-    """Last identifier of an expression: x.getKind() -> getKind."""
-    if isinstance(value, Token):
-        return value.lexeme if value.kind == "identifier" else ""
-    if isinstance(value, _Chain):
-        return value.terminal
-    return ""
-
-
-def _link(value, part: str, terminal: str) -> _Chain:
-    """*value* extended by one link ('.f', '.m()' or '[]'). An expression
-    has one reader, so a chain grows in place."""
-    if not isinstance(value, _Chain):
-        value = _Chain(_render(value))
-    value.parts.append(part)
-    value.terminal = terminal
-    return value
-
-
 class _Parser:
-    def __init__(self, tokens: list[Token], source: SourceFile):
-        line, col = (tokens[-1].line, tokens[-1].col) if tokens else (1, 1)
-        self.eof = Token("eof", "end of file", line, col)
-        self.toks = tokens + [self.eof]
+    def __init__(self, tokens: Tokens, source: SourceFile):
+        line, col = (tokens.lines[-1], tokens.cols[-1]) if len(tokens) else (1, 1)
+        self.kind = tokens.kinds + ["eof"]
+        self.lex = tokens.lexemes + ["end of file"]
+        self.line = tokens.lines + [line]
+        self.col = tokens.cols + [col]
         self.src = source
         self.i = 0
         self.diags: list[ParseError] = []
@@ -260,51 +236,41 @@ class _Parser:
         self.outside = self.acc = _Method()
 
     # ------------------------------------------------------------------
-    # token plumbing; self.i never moves past the eof sentinel
-
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[self.i + ahead]
+    # token plumbing; a token is named by its index, and self.i never moves
+    # past the eof sentinel
 
     def at(self, lexeme: str, ahead: int = 0) -> bool:
-        return self.toks[self.i + ahead].lexeme == lexeme
+        return self.lex[self.i + ahead] == lexeme
 
-    def at_kind(self, kind: str, ahead: int = 0) -> bool:
-        return self.toks[self.i + ahead].kind == kind
+    def at_eof(self) -> bool:
+        return self.kind[self.i] == "eof"
 
-    def advance(self) -> Token:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def accept(self, lexeme: str) -> Token | None:
-        t = self.toks[self.i]
-        if t.lexeme == lexeme:
+    def accept(self, lexeme: str) -> bool:
+        if self.lex[self.i] == lexeme:
             self.i += 1
-            return t
-        return None
+            return True
+        return False
 
-    def expect(self, lexeme: str) -> Token:
-        t = self.toks[self.i]
-        if t.lexeme != lexeme:
-            raise ParseError(f"expected '{lexeme}', found '{t.lexeme}'", t.line, t.col)
-        self.i += 1
-        return t
+    def expect(self, lexeme: str) -> int:
+        i = self.i
+        if self.lex[i] != lexeme:
+            raise self.error(f"expected '{lexeme}', found '{self.lex[i]}'")
+        self.i = i + 1
+        return i
 
-    def expect_identifier(self) -> Token:
-        t = self.toks[self.i]
-        if t.kind != "identifier":
-            raise ParseError(f"expected identifier, found '{t.lexeme}'", t.line, t.col)
-        self.i += 1
-        return t
+    def expect_identifier(self) -> str:
+        i = self.i
+        if self.kind[i] != "identifier":
+            raise self.error(f"expected identifier, found '{self.lex[i]}'")
+        self.i = i + 1
+        return self.lex[i]
 
-    def end_line(self) -> int:
-        """The line of the last consumed token; no token the parser sees
-        spans lines."""
-        return self.toks[self.i - 1].line
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        at = self.i if at is None else at
+        return ParseError(message, self.line[at], self.col[at])
 
-    def diag(self, message: str, tok: Token | None = None):
-        tok = tok or self.toks[self.i]
-        self.diags.append(ParseError(message, tok.line, tok.col))
+    def diag(self, message: str, at: int | None = None):
+        self.diags.append(self.error(message, at))
 
     def record(self, err: ParseError):
         """Keep a caught *err* as a diagnostic, without its traceback: the
@@ -338,8 +304,9 @@ class _Parser:
     def skip_statement_like(self):
         """Consume until ';' at depth 0 or a balanced '}' run ends."""
         depth = 0
-        while self.peek() is not self.eof:
-            lex = self.advance().lexeme
+        while not self.at_eof():
+            lex = self.lex[self.i]
+            self.i += 1
             if lex == "{":
                 depth += 1
             elif lex == "}":
@@ -352,38 +319,38 @@ class _Parser:
             elif lex == ";" and depth == 0:
                 return
 
-    def skip_balanced(self, open_: str, close: str, message: str, anchor: Token | None):
+    def skip_balanced(self, open_: str, close: str, message: str, anchor: int | None):
         """Consume a balanced *open_* ... *close* run starting at *open_*.
 
         Depth counts every occurrence in a non-literal token, so '>>' closes
         two '<'. Running into the end of input raises *message*, reported at
         *anchor* or, without one, at the end.
         """
-        open_tok = self.expect(open_)
+        start = self.expect(open_)
         depth = 1
         while depth > 0:
-            t = self.toks[self.i]
-            if t is self.eof:
-                t = anchor or t
-                raise ParseError(message, t.line, t.col)
+            kind, lex = self.kind[self.i], self.lex[self.i]
+            if kind == "eof":
+                raise self.error(message, anchor)
             self.i += 1
-            if t.kind != "literal":
-                depth += t.lexeme.count(open_) - t.lexeme.count(close)
+            if kind != "literal":
+                depth += lex.count(open_) - lex.count(close)
         if depth < 0:
-            raise ParseError(f"mismatched '{close}'", open_tok.line, open_tok.col)
+            raise self.error(f"mismatched '{close}'", start)
 
     def skip_generics(self):
-        self.skip_balanced("<", ">", "unbalanced '<'", self.peek())
+        self.skip_balanced("<", ">", "unbalanced '<'", self.i)
 
     def skip_braces(self):
-        self.skip_balanced("{", "}", "unbalanced '{'", self.peek())
+        self.skip_balanced("{", "}", "unbalanced '{'", self.i)
 
     def skip_dims(self):
-        while self.at("[") and self.at("]", 1):
+        lex = self.lex
+        while lex[self.i] == "[" and lex[self.i + 1] == "]":
             self.i += 2
 
     def recover_until_brace(
-        self, parse_one, eof_message: str | None, anchor: Token | None = None
+        self, parse_one, eof_message: str | None, anchor: int | None = None
     ) -> bool:
         """Call *parse_one* until '}' (left unconsumed) or end of input.
 
@@ -392,8 +359,9 @@ class _Parser:
         Returns False at end of input, after reporting *eof_message* at
         *anchor*.
         """
-        while not self.at("}"):
-            if self.peek() is self.eof:
+        lex = self.lex
+        while lex[self.i] != "}":
+            if self.kind[self.i] == "eof":
                 if eof_message:
                     self.diag(eof_message, anchor)
                 return False
@@ -404,7 +372,7 @@ class _Parser:
             except ParseError as err:
                 self.recover(err, mark)
             if self.i == guard:
-                self.advance()
+                self.i += 1
         return True
 
     def recover(self, err: ParseError, mark: tuple):
@@ -421,12 +389,12 @@ class _Parser:
             self.skip_balanced("(", ")", "unbalanced annotation arguments", None)
 
     def skip_record(self):
-        tok = self.advance()
-        self.diag("record declaration skipped", tok)
-        self.advance()  # name
+        start = self.i
+        self.diag("record declaration skipped", start)
+        self.i += 2  # 'record' and the name
         if self.at("<"):
             self.skip_generics()
-        self.skip_balanced("(", ")", "unterminated record header", tok)
+        self.skip_balanced("(", ")", "unterminated record header", start)
         if self.accept("implements"):
             self.parse_type_list()
         self.skip_braces()
@@ -436,46 +404,52 @@ class _Parser:
 
     def parse_modifiers(self) -> set[str]:
         mods: set[str] = set()
+        lex, kind = self.lex, self.kind
         while True:
-            t = self.peek()
-            if t.lexeme == "@" and not self.at("interface", 1):
+            i = self.i
+            t = lex[i]
+            sealed = t == "sealed" and (kind[i + 1] == "keyword" or lex[i + 1] == "@")
+            if t in MODIFIER_WORDS or sealed:
+                mods.add(t)
+                self.i = i + 1
+            elif t == "@" and lex[i + 1] != "interface":
                 self.skip_annotation()
-            elif t.kind == "keyword" and t.lexeme in MODIFIER_WORDS:
-                mods.add(self.advance().lexeme)
-            elif t.lexeme == "sealed" and (self.at_kind("keyword", 1) or self.at("@", 1)):
-                mods.add(self.advance().lexeme)
-            elif self.at_non_sealed():
-                self.i += 3
+            elif t == "non" and self.at_non_sealed():
+                self.i = i + 3
                 mods.add("non-sealed")
             else:
                 return mods
 
     def at_non_sealed(self) -> bool:
         """At 'non-sealed', which lexes as 'non', '-', 'sealed' with no gaps."""
-        if not (self.at("non") and self.at("-", 1) and self.at("sealed", 2)):
+        i = self.i
+        if self.lex[i : i + 3] != ["non", "-", "sealed"]:
             return False
-        non, minus, sealed = self.toks[self.i : self.i + 3]
-        return non.line == sealed.line and non.col + 3 == minus.col == sealed.col - 1
+        line, col = self.line, self.col
+        return line[i] == line[i + 2] and col[i] + 3 == col[i + 1] == col[i + 2] - 1
 
     def parse_qualified_name(self) -> str:
-        parts = [self.expect_identifier().lexeme]
-        while self.at(".") and self.at_kind("identifier", 1):
-            self.advance()
-            parts.append(self.advance().lexeme)
-        return ".".join(parts)
+        name = self.expect_identifier()
+        lex, kind = self.lex, self.kind
+        while lex[self.i] == "." and kind[self.i + 1] == "identifier":
+            name += "." + lex[self.i + 1]
+            self.i += 2
+        return name
 
     def parse_type_text(self) -> str:
         """Type reference as written, generics erased, array dims dropped."""
-        t = self.peek()
-        if t.kind == "keyword" and t.lexeme in NON_REF_TYPES:
-            name = self.advance().lexeme
-        elif t.kind == "identifier":
+        lex, i = self.lex, self.i
+        kind = self.kind[i]
+        if kind == "identifier":
             name = self.parse_qualified_name()
-        elif t is self.eof:
-            raise ParseError("expected type, found end of file", t.line, t.col)
+        elif kind == "keyword" and lex[i] in NON_REF_TYPES:
+            name = lex[i]
+            self.i = i + 1
+        elif kind == "eof":
+            raise self.error("expected type, found end of file")
         else:
-            raise ParseError(f"expected type, found '{t.lexeme}'", t.line, t.col)
-        if self.at("<"):
+            raise self.error(f"expected type, found '{lex[i]}'")
+        if lex[self.i] == "<":
             self.skip_generics()
         self.skip_dims()
         return name
@@ -487,15 +461,15 @@ class _Parser:
         return names
 
     def parse_list(self, open_: str, close: str, parse_item, eof_message: str,
-                   anchor: Token | None = None, sep: str = ","):
+                   anchor: int | None = None, sep: str = ","):
         """*open_*, items read by *parse_item* and separated by *sep* (one
         may trail), then *close*. Running into the end of input raises
         *eof_message*, reported at *anchor* or, without one, at the end."""
         self.expect(open_)
-        while not self.at(close):
-            if self.peek() is self.eof:
-                t = anchor or self.eof
-                raise ParseError(eof_message, t.line, t.col)
+        lex = self.lex
+        while lex[self.i] != close:
+            if self.kind[self.i] == "eof":
+                raise self.error(eof_message, anchor)
             parse_item()
             if not self.accept(sep):
                 break
@@ -505,7 +479,7 @@ class _Parser:
     # compilation unit
 
     def parse_unit(self):
-        if self.peek() is self.eof:
+        if self.at_eof():
             return
         while self.at("@") and not self.at("interface", 1):
             try:
@@ -522,7 +496,7 @@ class _Parser:
                 self.skip_statement_like()
         while self.accept("import"):
             try:
-                is_static = self.accept("static") is not None
+                is_static = self.accept("static")
                 name = self.parse_qualified_name()
                 on_demand = False
                 if self.at(".") and self.at("*", 1):
@@ -537,38 +511,37 @@ class _Parser:
 
         while self.recover_until_brace(self.parse_top_level, None):
             self.diag("expected type declaration, found '}'")
-            self.advance()
+            self.i += 1
 
     def parse_top_level(self):
         if self.accept(";"):
             return
         self.parse_modifiers()
         if not self.parse_declaration():
-            t = self.peek()
-            raise ParseError(f"expected type declaration, found '{t.lexeme}'", t.line, t.col)
+            raise self.error(f"expected type declaration, found '{self.lex[self.i]}'")
         self.declared = True
 
     def parse_declaration(self) -> bool:
         """A class, interface, enum, annotation type or record declaration,
         if one starts here; the last two are skipped. A type's modifiers
         are no fact, so they are read before and dropped."""
-        lex = self.toks[self.i].lexeme
-        if lex in ("class", "interface", "enum"):
+        lex, i = self.lex, self.i
+        if lex[i] in ("class", "interface", "enum"):
             self.parse_type_decl()
-        elif lex == "@" and self.at("interface", 1):
+        elif lex[i] == "@" and lex[i + 1] == "interface":
             self.skip_annotation_type_decl()
         # 'record' is contextual: only 'record Name (' or 'record Name <' is one.
-        elif lex == "record" and self.at_kind("identifier", 1) and self.peek(2).lexeme in ("(", "<"):
+        elif lex[i] == "record" and self.kind[i + 1] == "identifier" and lex[i + 2] in ("(", "<"):
             self.skip_record()
         else:
             return False
         return True
 
     def skip_annotation_type_decl(self):
-        tok = self.expect("@")
+        start = self.expect("@")
         self.expect("interface")
         self.expect_identifier()
-        self.diag("annotation type declaration skipped", tok)
+        self.diag("annotation type declaration skipped", start)
         if self.at("{"):
             self.skip_braces()
 
@@ -576,17 +549,18 @@ class _Parser:
     # type declarations and members
 
     def parse_type_decl(self):
-        kw = self.advance()  # class | interface | enum
-        name = self.expect_identifier().lexeme
+        kw, line = self.lex[self.i], self.line[self.i]  # class | interface | enum
+        self.i += 1
+        name = self.expect_identifier()
         supertype, interfaces = None, []
         if self.at("<"):
             self.skip_generics()
-        if kw.lexeme == "class":
+        if kw == "class":
             if self.accept("extends"):
                 supertype = self.parse_type_text()
             if self.accept("implements"):
                 interfaces = self.parse_type_list()
-        elif kw.lexeme == "interface":
+        elif kw == "interface":
             # All extended interfaces are superinterfaces; none is singled
             # out as "the" supertype.
             if self.accept("extends"):
@@ -594,7 +568,7 @@ class _Parser:
         else:  # enum
             if self.accept("implements"):
                 interfaces = self.parse_type_list()
-        if kw.lexeme != "enum" and self.accept("permits"):
+        if kw != "enum" and self.accept("permits"):
             self.parse_type_list()  # a sealed type's permitted subtypes
         outer, outer_refs, outer_uses, outer_acc = self.type, self.refs, self.uses, self.acc
         if outer is not None:
@@ -602,19 +576,19 @@ class _Parser:
         else:
             qname = f"{self.package}.{name}" if self.package else name
         info = TypeInfo(
-            qname, name, kw.lexeme, self.src.path, kw.line, kw.line,
+            qname, name, kw, self.src.path, line, line,
             None if outer is None else outer.qname, supertype,
         )
         self.types.append(info)
-        refs = [(raw, kw.line) for raw in [supertype, *interfaces] if raw]
+        refs = [(raw, line) for raw in [supertype, *interfaces] if raw]
         self.type, self.refs, self.uses = info, refs, []
         if self.acc is not self.outside:  # a local type: its initializers count in no method
             self.acc = _Method()
-        if kw.lexeme == "enum":
+        if kw == "enum":
             self.parse_enum_body()
         else:
             self.parse_class_body()
-        info.end_line = self.end_line()
+        info.end_line = self.line[self.i - 1]  # no token the parser sees spans lines
         fields = {f.name for f in info.fields}
         for method, names in self.uses:
             method.field_uses = len(names & fields)
@@ -625,21 +599,22 @@ class _Parser:
     def parse_class_body(self):
         self.expect("{")
         if self.recover_until_brace(self.parse_member, "unexpected end of file in type body"):
-            self.advance()
+            self.i += 1
 
     def parse_enum_body(self):
         self.expect("{")
         while not self.at("}") and not self.at(";"):
-            if self.peek() is self.eof:
+            if self.at_eof():
                 self.diag("unexpected end of file in enum body")
                 return
             while self.at("@"):
                 self.skip_annotation()
-            ctok = self.expect_identifier()
+            constant = self.i
+            self.expect_identifier()
             if self.at("("):
                 self.parse_list("(", ")", self.parse_expression, "unterminated argument list")
             if self.at("{"):
-                self.diag("enum constant body skipped", ctok)
+                self.diag("enum constant body skipped", constant)
                 self.skip_braces()
             if not self.accept(","):
                 break
@@ -653,35 +628,34 @@ class _Parser:
         """One member declaration of the open type."""
         if self.accept(";"):
             return
-        start_tok = self.peek()
+        line = self.line[self.i]
         mods = self.parse_modifiers()
-        t = self.peek()
-        if t is self.eof:
-            raise ParseError("unexpected end of file in type body", t.line, t.col)
+        if self.at_eof():
+            raise self.error("unexpected end of file in type body")
         if self.parse_declaration():
             return
-        if t.lexeme == "{":
+        if self.at("{"):
             return self.parse_block()  # an initializer
-        if t.lexeme == "<":
+        if self.at("<"):
             self.skip_generics()
-            t = self.peek()
-            if t is self.eof:
-                raise ParseError("unexpected end of file after type parameters", t.line, t.col)
+            if self.at_eof():
+                raise self.error("unexpected end of file after type parameters")
 
         # Constructor: bare name of the enclosing type followed by '('.
-        if t.kind == "identifier" and t.lexeme == self.type.simple_name and self.at("(", 1):
-            self.advance()
-            return self.parse_method(start_tok, mods, None, t.lexeme)
+        lex, i = self.lex, self.i
+        if lex[i] == self.type.simple_name and self.kind[i] == "identifier" and lex[i + 1] == "(":
+            self.i = i + 1
+            return self.parse_method(line, mods, None, lex[i])
 
         type_text = self.parse_type_text()
-        name_tok = self.expect_identifier()
-        if self.at("("):
-            return self.parse_method(start_tok, mods, type_text, name_tok.lexeme)
-        self.parse_field_declarators(start_tok, mods, type_text, name_tok)
+        name = self.expect_identifier()
+        if lex[self.i] == "(":
+            return self.parse_method(line, mods, type_text, name)
+        self.parse_field_declarators(line, mods, type_text, name)
 
-    def parse_method(self, start_tok, mods, return_type, name):
-        """A method, or a constructor when *return_type* is None. A
-        constructor leaves its references, names and sites, but no
+    def parse_method(self, line, mods, return_type, name):
+        """A method at *line*, or a constructor when *return_type* is None.
+        A constructor leaves its references, names and sites, but no
         MethodInfo."""
         outer, acc = self.acc, _Method()
         self.acc = acc
@@ -699,7 +673,7 @@ class _Parser:
         self.type.hierarchy_sites += [(name, s) for s in acc.sites if s is not None]
         if return_type is None:
             return
-        self.refs.append((return_type, start_tok.line))
+        self.refs.append((return_type, line))
         has_body = leads is not None
         method = MethodInfo(
             name, len(params), frozenset(mods), _visibility(mods, self.type.kind),
@@ -732,12 +706,12 @@ class _Parser:
         self.accept("...")
         # Receiver parameters ("this") and lambda-ish noise are not
         # expected here; a plain identifier is.
-        pname = self.expect_identifier().lexeme
+        pname = self.expect_identifier()
         self.skip_dims()
-        self.refs.append((ptype, self.end_line()))
+        self.refs.append((ptype, self.line[self.i - 1]))
         params.append(pname)
 
-    def parse_field_declarators(self, start_tok, mods, type_text, name_tok):
+    def parse_field_declarators(self, line, mods, type_text, name):
         owner = self.type
         visibility = _visibility(mods, owner.kind)
         constant = ("static" in mods and "final" in mods) or owner.kind == "interface"
@@ -747,12 +721,12 @@ class _Parser:
                 self.skip_dims()
                 if self.accept("="):
                     self.parse_variable_init()
-                owner.fields.append(FieldInfo(name_tok.lexeme, visibility, constant))
-                self.refs.append((type_text, start_tok.line))
+                owner.fields.append(FieldInfo(name, visibility, constant))
+                self.refs.append((type_text, line))
                 kept = self.mark()  # a later declarator's error keeps this one
                 if not self.accept(","):
                     break
-                name_tok = self.expect_identifier()
+                name = self.expect_identifier()
             self.expect(";")
         except ParseError as err:
             if kept is None:
@@ -763,7 +737,7 @@ class _Parser:
         """An expression or an array initializer."""
         if self.at("{"):
             init = self.parse_variable_init
-            self.parse_list("{", "}", init, "unterminated array initializer", self.peek())
+            self.parse_list("{", "}", init, "unterminated array initializer", self.i)
         else:
             self.parse_expression()
 
@@ -771,35 +745,35 @@ class _Parser:
     # statements
 
     def parse_block(self, parse_one=None):
-        open_tok = self.expect("{")
+        start = self.expect("{")
         if self.recover_until_brace(
-            parse_one or self.parse_statement, "unexpected end of file in block", open_tok
+            parse_one or self.parse_statement, "unexpected end of file in block", start
         ):
-            self.advance()
+            self.i += 1
 
     def parse_lead_statement(self, leads: list):
         """A statement of a method body; its first token goes to *leads*."""
-        lead = self.peek().lexeme
+        lead = self.lex[self.i]
         self.parse_statement()
         leads.append(lead)
 
     def parse_statement(self):
-        t = self.peek()
-        lex = t.lexeme
+        i = self.i
+        lex = self.lex[i]
         if lex == "{":
             return self.parse_block()
         if lex == ";":
-            self.advance()
+            self.i = i + 1
             return
         if lex == "if":
             return self.parse_if()
         if lex == "while":
-            self.advance()
+            self.i = i + 1
             self.acc.decisions += 1
             self.parse_parenthesized()
             return self.parse_statement()
         if lex == "do":
-            self.advance()
+            self.i = i + 1
             self.acc.decisions += 1
             self.parse_statement()
             self.expect("while")
@@ -813,28 +787,28 @@ class _Parser:
         if lex == "try":
             return self.parse_try()
         if lex == "return":
-            self.advance()
-            if not self.at(";"):
+            self.i = i + 1
+            if self.lex[i + 1] != ";":
                 self.parse_expression()
             self.expect(";")
             return
         if lex == "throw":
-            self.advance()
+            self.i = i + 1
             self.parse_expression()
             self.expect(";")
             return
         if lex in ("break", "continue"):
-            self.advance()
-            if self.at_kind("identifier"):
-                self.advance()  # label
+            self.i = i + 1
+            if self.kind[i + 1] == "identifier":
+                self.i += 1  # label
             self.expect(";")
             return
         if lex == "synchronized":
-            self.advance()
+            self.i = i + 1
             self.parse_parenthesized()
             return self.parse_block()
         if lex == "assert":
-            self.advance()
+            self.i = i + 1
             self.parse_expression()
             if self.accept(":"):
                 self.parse_expression()
@@ -844,15 +818,15 @@ class _Parser:
             self.parse_modifiers()
             if self.parse_declaration() or self.try_parse_local_var():
                 return
-            t = self.peek()
-            raise ParseError("expected declaration after modifiers", t.line, t.col)
-        if t.kind == "identifier" and self.at(":", 1) and not self.at(":", 2):
-            self.i += 2  # label and ':'
+            raise self.error("expected declaration after modifiers")
+        kind = self.kind[i]
+        if kind == "identifier" and self.lex[i + 1] == ":" and self.lex[i + 2] != ":":
+            self.i = i + 2  # label and ':'
             return self.parse_statement()
         if self.parse_declaration():
             return
-        if t is self.eof:
-            raise ParseError("expected statement, found end of file", t.line, t.col)
+        if kind == "eof":
+            raise self.error("expected statement, found end of file")
         if self.try_parse_local_var():
             return
         self.parse_expression()
@@ -866,7 +840,7 @@ class _Parser:
         try:
             self.parse_modifiers()
             type_text = self.parse_type_text()
-            if self.at_kind("identifier") and self.peek(1).lexeme in follow:
+            if self.kind[self.i] == "identifier" and self.lex[self.i + 1] in follow:
                 return type_text
         except ParseError:
             pass
@@ -874,13 +848,13 @@ class _Parser:
         return None
 
     def try_parse_local_var(self) -> bool:
-        start = self.peek()
+        line = self.line[self.i]
         type_text = self.try_head(("=", ";", ",", "["))
         if type_text is None:
             return False
-        self.refs.append((type_text, start.line))
+        self.refs.append((type_text, line))
         while True:
-            self.acc.locals.append(self.expect_identifier().lexeme)
+            self.acc.locals.append(self.expect_identifier())
             self.skip_dims()
             if self.accept("="):
                 self.parse_variable_init()
@@ -892,7 +866,7 @@ class _Parser:
         """An if statement and the else-if links chained to it. A chain whose
         every condition is an instanceof test leaves a LadderSite in the slot
         that its head reserved, so sites stay in preorder."""
-        tok = self.expect("if")
+        line = self.line[self.expect("if")]
         acc = self.acc
         slot = len(acc.sites)
         acc.sites.append(None)
@@ -909,17 +883,17 @@ class _Parser:
                 break
         if None not in operands:
             shared = operands[0] if len(set(operands)) == 1 else None
-            acc.sites[slot] = LadderSite(tok.line, len(operands), shared)
+            acc.sites[slot] = LadderSite(line, len(operands), shared)
 
     def parse_for(self):
-        tok = self.expect("for")
+        line = self.line[self.expect("for")]
         self.expect("(")
         self.acc.decisions += 1
         vtype = self.try_head((":",))  # enhanced for: [modifiers] Type name : expr
         if vtype is not None:
-            self.acc.locals.append(self.advance().lexeme)
-            self.advance()
-            self.refs.append((vtype, tok.line))
+            self.acc.locals.append(self.lex[self.i])
+            self.i += 2  # the name and ':'
+            self.refs.append((vtype, line))
             self.parse_expression()
             self.expect(")")
             return self.parse_statement()
@@ -941,18 +915,18 @@ class _Parser:
     def parse_switch(self):
         """A switch statement; it leaves a SwitchSite in the slot reserved
         at its head, so sites stay in preorder."""
-        tok = self.expect("switch")
+        start = self.expect("switch")
         acc = self.acc
         slot = len(acc.sites)
         acc.sites.append(None)
         selector = self.parse_parenthesized()
-        terminal, text = _terminal(selector), _render(selector)
+        terminal, text = self.terminal(selector), self.render(selector)
         self.expect("{")
         labels: list = []
         element = partial(self.parse_switch_element, labels)
-        self.recover_until_brace(element, "unexpected end of file in switch", tok)
+        self.recover_until_brace(element, "unexpected end of file in switch", start)
         self.accept("}")
-        acc.sites[slot] = SwitchSite(tok.line, len(labels), terminal, text)
+        acc.sites[slot] = SwitchSite(self.line[start], len(labels), terminal, text)
 
     def parse_switch_element(self, labels: list):
         """A statement, or case labels and their tail. Each case label's
@@ -964,19 +938,19 @@ class _Parser:
         try:
             if self.accept("case"):
                 while True:
-                    first = self.peek()
+                    first = self.i
                     # No ternary here (':' closes the label); pattern labels
                     # tolerate a trailing binding identifier.
                     self.parse_expression(0)
-                    if self.at_kind("identifier"):
-                        self.advance()
+                    if self.kind[self.i] == "identifier":
+                        self.i += 1
                     self.acc.decisions += 1
                     labels.append(first)
                     kept = self.mark()
                     if not self.accept(","):
                         break
             else:
-                self.advance()
+                self.i += 1
             self.parse_case_tail()
         except ParseError as err:
             if kept is None:
@@ -996,50 +970,76 @@ class _Parser:
             self.expect(":")
 
     def parse_try(self):
-        tok = self.expect("try")
+        start = self.expect("try")
         if self.at("("):
-            self.parse_list("(", ")", self.parse_resource, "unterminated resource list", tok, ";")
+            self.parse_list("(", ")", self.parse_resource, "unterminated resource list", start, ";")
         self.parse_block()
         while self.at("catch"):
-            ctok = self.advance()
+            line = self.line[self.expect("catch")]
             self.expect("(")
             self.parse_modifiers()
             types = [self.parse_type_text()]
             while self.accept("|"):
                 types.append(self.parse_type_text())
-            name = self.expect_identifier().lexeme
+            name = self.expect_identifier()
             self.expect(")")
             self.parse_block()
             self.acc.decisions += 1
             self.acc.locals.append(name)
-            self.refs += [(raw, ctok.line) for raw in types]
+            self.refs += [(raw, line) for raw in types]
         if self.accept("finally"):
             self.parse_block()
 
     def parse_resource(self):
         """A resource: a declaration 'Type name = expr' or an expression."""
-        start = self.peek()
+        line = self.line[self.i]
         rtype = self.try_head(("=",))
         if rtype is not None:
-            self.refs.append((rtype, start.line))
-            self.acc.locals.append(self.advance().lexeme)
-            self.advance()  # =
+            self.refs.append((rtype, line))
+            self.acc.locals.append(self.lex[self.i])
+            self.i += 2  # the name and '='
         self.parse_expression()
 
     # ------------------------------------------------------------------
     # expressions; each returns what a fact may read of it (see _Chain)
 
+    def render(self, value) -> str:
+        """Canonical, whitespace-free text of a simple expression: parentheses
+        and casts are transparent, call arguments and indexes are dropped."""
+        if type(value) is int:
+            return self.lex[value]
+        if isinstance(value, _Chain):
+            return "".join(value.parts)
+        return "?"
+
+    def terminal(self, value) -> str:
+        """Last identifier of an expression: x.getKind() -> getKind."""
+        if type(value) is int:
+            return self.lex[value] if self.kind[value] == "identifier" else ""
+        if isinstance(value, _Chain):
+            return value.terminal
+        return ""
+
+    def link(self, value, part: str, terminal: str) -> _Chain:
+        """*value* extended by one link ('.f', '.m()' or '[]'). An expression
+        has one reader, so a chain grows in place."""
+        if not isinstance(value, _Chain):
+            value = _Chain(self.render(value))
+        value.parts.append(part)
+        value.terminal = terminal
+        return value
+
     def parse_expression(self, min_level: int = -2):
         """Precedence climbing (Pratt 1973) over the operators of _LEVEL that
         bind at *min_level* or tighter; the default takes them all."""
-        lead = self.peek()
+        lead = self.i
         left = self.parse_operand()
         while True:
-            t = self.peek()
-            level = _LEVEL.get(t.lexeme, -3)
+            t = self.lex[self.i]
+            level = _LEVEL.get(t, -3)
             if level < min_level:
                 return left
-            self.advance()
+            self.i += 1
             if level == -2:  # assignment
                 self.parse_expression()
             elif level == -1:  # the conditional
@@ -1047,17 +1047,17 @@ class _Parser:
                 self.expect(":")
                 self.parse_expression(-1)
                 self.acc.decisions += 1
-            elif t.lexeme == "instanceof":
+            elif t == "instanceof":
                 self.parse_modifiers()  # of a pattern: final, annotations
                 ty = self.parse_type_text()
-                if self.at_kind("identifier"):  # pattern binding
-                    self.advance()
-                self.refs.append((ty, lead.line))
-                left = _render(left)
+                if self.kind[self.i] == "identifier":  # pattern binding
+                    self.i += 1
+                self.refs.append((ty, self.line[lead]))
+                left = self.render(left)
                 continue
             else:
                 self.parse_expression(level + 1)
-                if t.lexeme in ("&&", "||"):
+                if t == "&&" or t == "||":
                     self.acc.decisions += 1
             left = None
 
@@ -1072,77 +1072,81 @@ class _Parser:
         """Prefix operators and casts, read by a loop, then a primary and its
         postfix chain. A prefix operator leaves nothing a fact reads; a cast
         leaves its operand, unless that is an instanceof test."""
+        lex, kind = self.lex, self.kind
         prefixed = cast = False
         while True:
-            t = self.peek()
-            if t.kind == "operator" and t.lexeme in ("+", "-", "!", "~", "++", "--"):
-                self.advance()
+            i = self.i
+            t = lex[i]
+            if t in _PREFIX_OPERATORS:
+                self.i = i + 1
                 prefixed = True
                 continue
-            types = self.skip_cast() if t.lexeme == "(" else None
+            types = self.skip_cast() if t == "(" else None
             if types is None:
                 break
-            self.refs += [(ty, t.line) for ty in types]
+            self.refs += [(ty, self.line[i]) for ty in types]
             cast = True
-        lead = self.peek()
+        lead = self.i
         value = self.parse_primary()
         head = None  # an unparenthesized name: a bare call's name or a qualifier
-        if value is lead and lead.kind == "identifier":
-            if self.at("("):
+        if value == lead and kind[lead] == "identifier":
+            if lex[self.i] == "(":
                 self.parse_list("(", ")", self.parse_expression, "unterminated argument list")
-                value = _Chain(lead.lexeme + "()", lead.lexeme)
+                value = _Chain(lex[lead] + "()", lex[lead])
             else:
-                self.acc.names.append(lead.lexeme)
+                self.acc.names.append(lex[lead])
                 head = lead
-        this = value is lead and lead.lexeme == "this"  # this.f is a field use
+        this = value == lead and lex[lead] == "this"  # this.f is a field use
         while True:
-            t = self.peek()
-            if t.lexeme == ".":
-                self.advance()
-                if self.at("<"):
+            i = self.i
+            t = lex[i]
+            if t == ".":
+                self.i = i + 1
+                if lex[i + 1] == "<":
                     self.skip_generics()
-                nt = self.peek()
-                if nt is self.eof:
-                    raise ParseError("expected member name after '.'", t.line, t.col)
-                if nt.lexeme in ("class", "this", "new", "super"):
-                    self.advance()
-                    if nt.lexeme == "new":
-                        self.parse_creation(nt, lead.line)
+                n = self.i
+                member = lex[n]
+                if kind[n] == "eof":
+                    raise self.error("expected member name after '.'", i)
+                if member in ("class", "this", "new", "super"):
+                    self.i = n + 1
+                    if member == "new":
+                        self.parse_creation(n, self.line[lead])
                     # X.this and X.super read as this and super.
-                    value = None if nt.lexeme in ("class", "new") else nt
-                    this = nt.lexeme == "this"
+                    value = None if member in ("class", "new") else n
+                    this = member == "this"
                     continue
-                name = self.expect_identifier().lexeme
-                if head is not None and value is head:
-                    self.refs.append((head.lexeme, head.line))
-                if self.at("("):
+                name = self.expect_identifier()
+                if head is not None and value == head:
+                    self.refs.append((lex[head], self.line[head]))
+                if lex[self.i] == "(":
                     self.parse_list("(", ")", self.parse_expression, "unterminated argument list")
-                    value = _link(value, f".{name}()", name)
+                    value = self.link(value, f".{name}()", name)
                 else:
                     if this:
                         self.acc.this_fields.append(name)
-                    value = _link(value, "." + name, name)
+                    value = self.link(value, "." + name, name)
                 this = False
                 continue
-            if t.lexeme == "[":
-                self.advance()
-                if not self.at("]"):
+            if t == "[":
+                self.i = i + 1
+                if lex[i + 1] != "]":
                     self.parse_expression()
                 self.expect("]")
-                value = _link(value, "[]", _terminal(value))
+                value = self.link(value, "[]", self.terminal(value))
                 this = False
                 continue
-            if t.lexeme == "::":
-                self.advance()
-                if self.at("<"):
+            if t == "::":
+                self.i = i + 1
+                if lex[i + 1] == "<":
                     self.skip_generics()
-                if self.peek() is self.eof:
-                    raise ParseError("expected name after '::'", t.line, t.col)
-                self.advance()
+                if self.at_eof():
+                    raise self.error("expected name after '::'", i)
+                self.i += 1
                 value, this = None, False
                 continue
-            if t.kind == "operator" and t.lexeme in ("++", "--"):
-                self.advance()
+            if t == "++" or t == "--":
+                self.i = i + 1
                 value, this = None, False
                 continue
             if prefixed or (cast and isinstance(value, str)):
@@ -1153,7 +1157,7 @@ class _Parser:
         """At '(': consume a cast's '(Type)' or '(Type & Type ...)' and
         return its types, or consume nothing and return None."""
         save = self.i
-        self.advance()  # (
+        self.i += 1  # (
         try:
             types = [self.parse_type_text()]
             while self.accept("&"):
@@ -1162,11 +1166,11 @@ class _Parser:
         except ParseError:
             self.i = save
             return None
-        nxt = self.peek()
+        nxt = self.lex[self.i]
         starts_operand = (
-            nxt.kind in ("identifier", "literal")
-            or nxt.lexeme in ("(", "this", "super", "new", "!", "~")
-            or (types[0] in PRIMITIVES and nxt.lexeme in ("+", "-"))
+            self.kind[self.i] in ("identifier", "literal")
+            or nxt in ("(", "this", "super", "new", "!", "~")
+            or (types[0] in PRIMITIVES and nxt in ("+", "-"))
         )
         if not starts_operand:
             self.i = save
@@ -1175,17 +1179,18 @@ class _Parser:
 
     def lambda_ahead(self) -> bool:
         # At '(': matched close paren directly followed by '->'.
+        lex, kind = self.lex, self.kind
         depth = 0
         j = self.i
         while True:
-            t = self.toks[j]
-            if t.lexeme == "(":
+            t = lex[j]
+            if t == "(":
                 depth += 1
-            elif t.lexeme == ")":
+            elif t == ")":
                 depth -= 1
                 if depth == 0:
-                    return self.toks[j + 1].lexeme == "->"
-            elif t.lexeme in ("{", "}", ";") or t is self.eof:
+                    return lex[j + 1] == "->"
+            elif t in ("{", "}", ";") or kind[j] == "eof":
                 return False
             j += 1
 
@@ -1205,9 +1210,9 @@ class _Parser:
             del self.refs[refs:]
             self.acc.decisions = decisions
 
-    def parse_creation(self, new_tok, line: int):
-        """A creation at *new_tok*; its type is referred to at *line*, where
-        the expression starts ('x.new T()' starts at x)."""
+    def parse_creation(self, new: int, line: int):
+        """A creation at token *new*; its type is referred to at *line*,
+        where the expression starts ('x.new T()' starts at x)."""
         ty = self.parse_type_text()
         self.refs.append((ty, line))
         if self.at("["):
@@ -1223,56 +1228,57 @@ class _Parser:
         else:
             self.parse_list("(", ")", self.parse_expression, "unterminated argument list")
             if self.at("{"):
-                self.diag("anonymous class body skipped", new_tok)
+                self.diag("anonymous class body skipped", new)
                 self.skip_braces()
 
     def parse_primary(self):
-        t = self.peek()
-        if t.kind == "literal":
-            self.advance()
-            return t
-        if t.lexeme == "(":
+        i = self.i
+        kind, t = self.kind[i], self.lex[i]
+        if kind == "identifier":
+            if self.lex[i + 1] == "->":
+                return self.parse_lambda()
+            self.i = i + 1
+            return i
+        if kind == "literal":
+            self.i = i + 1
+            return i
+        if t == "(":
             if self.lambda_ahead():
                 return self.parse_lambda()
-            self.advance()
+            self.i = i + 1
             inner = self.parse_expression()
             self.expect(")")
             return inner
-        if t.lexeme == "new":
-            self.advance()
-            return self.parse_creation(t, t.line)
-        if t.lexeme in ("this", "super"):
-            self.advance()
-            if self.at("("):
+        if t == "new":
+            self.i = i + 1
+            return self.parse_creation(i, self.line[i])
+        if t == "this" or t == "super":
+            self.i = i + 1
+            if self.lex[i + 1] == "(":
                 self.parse_list("(", ")", self.parse_expression, "unterminated argument list")
-                return _Chain(t.lexeme + "()", t.lexeme)
-            return t
-        if t.lexeme == "switch":
+                return _Chain(t + "()", t)
+            return i
+        if t == "switch":
             # Switch expressions are outside the subset; consume opaquely.
-            self.diag("switch expression consumed opaquely", t)
-            self.advance()
-            self.skip_balanced("(", ")", "unterminated switch expression", t)
+            self.diag("switch expression consumed opaquely", i)
+            self.i = i + 1
+            self.skip_balanced("(", ")", "unterminated switch expression", i)
             if self.at("{"):
                 self.skip_braces()
             return None
-        if t.kind == "identifier":
-            if self.at("->", 1):
-                return self.parse_lambda()
-            self.advance()
-            return t
-        if t.kind == "keyword" and t.lexeme in NON_REF_TYPES:
-            self.advance()
+        if kind == "keyword" and t in NON_REF_TYPES:
+            self.i = i + 1
             self.skip_dims()
             if not self.at("::"):  # int[]::new is left to the postfix loop
                 self.expect(".")
                 self.expect("class")
             return None
-        if t is self.eof:
-            raise ParseError("expected expression, found end of file", t.line, t.col)
-        raise ParseError(f"unexpected token '{t.lexeme}' in expression", t.line, t.col)
+        if kind == "eof":
+            raise self.error("expected expression, found end of file")
+        raise self.error(f"unexpected token '{t}' in expression")
 
 
-def parse(tokens: list[Token], source: SourceFile) -> ParsedFile:
+def parse(tokens: Tokens, source: SourceFile) -> ParsedFile:
     """Parse the code tokens of *source* into its facts and code lines.
 
     Recovered errors are listed in the result's ``diagnostics``. When
@@ -1288,5 +1294,5 @@ def parse(tokens: list[Token], source: SourceFile) -> ParsedFile:
     if p.diags and not p.declared:
         first = p.diags[0]
         raise ParseError(first.message, first.line, first.col)
-    code_lines = tuple(dict.fromkeys(t.line for t in tokens))  # tokens come in line order
+    code_lines = tuple(dict.fromkeys(tokens.lines))  # tokens come in line order
     return ParsedFile(source.path, p.package, tuple(p.imports), p.types, p.diags, code_lines)

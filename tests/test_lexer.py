@@ -28,9 +28,21 @@ def test_minimal_class():
     ]
 
 
+def test_token_views_agree_with_the_arrays():
+    # bench/traced.py counts a file's tokens as len(tokenize(...)).
+    for path in sorted(FIXTURES.rglob("*.java")):
+        _, tokens = toks(path.read_text(encoding="utf-8"))
+        arrays = list(zip(tokens.kinds, tokens.lexemes, tokens.lines, tokens.cols))
+        assert [(t.kind, t.lexeme, t.line, t.col) for t in tokens] == arrays
+        assert [(tokens[k].kind, tokens[k].lexeme, tokens[k].line, tokens[k].col)
+                for k in range(len(tokens))] == arrays
+        assert len(tokens) == len(arrays) == sum(1 for _ in tokens) > 0
+        assert len(tokens.kinds) == len(tokens.lexemes) == len(tokens.lines) == len(tokens.cols)
+
+
 def test_empty_input():
     _, tokens = toks("")
-    assert tokens == []
+    assert len(tokens) == 0 and list(tokens) == []
     assert parse_source("").code_lines == ()
 
 
@@ -103,13 +115,13 @@ def test_word_holding_a_non_decimal_digit_is_illegal(word, col):
 def test_non_ascii_letters_and_decimal_digits_stay_in_identifiers():
     words = ["xñ", "x٣", "xⅫ", "名前", "é1", "a$b", "$é"]
     _, tokens = toks(" + ".join(words))
-    assert [(t.kind, t.lexeme) for t in tokens[::2]] == [("identifier", w) for w in words]
+    assert [(t.kind, t.lexeme) for t in list(tokens)[::2]] == [("identifier", w) for w in words]
 
 
 def test_letter_number_starts_an_identifier():
     # javac accepts 'int Ⅻ;': a letter number (category Nl) is a Java letter.
     _, tokens = toks("int Ⅻ; int Ⅻx;")
-    assert [(t.kind, t.lexeme) for t in tokens[1::3]] == [("identifier", "Ⅻ"), ("identifier", "Ⅻx")]
+    assert [(t.kind, t.lexeme) for t in list(tokens)[1::3]] == [("identifier", "Ⅻ"), ("identifier", "Ⅻx")]
 
 
 def test_long_runs_of_horizontal_space_lex_in_linear_time():
@@ -269,5 +281,5 @@ def test_code_lines_agree_with_classifier_on_corpus_variants(text):
         parsed = parse_source(text)
     except ParseError:
         assume(False)
-    assert all(a.line <= b.line for a, b in zip(tokens, tokens[1:]))
+    assert tokens.lines == sorted(tokens.lines)
     assert parsed.code_lines == tuple(sorted(classify_lines(text)[0]))

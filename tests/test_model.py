@@ -8,7 +8,7 @@ from types import FunctionType, ModuleType
 
 import pytest
 
-from javasmell.lexer import Token
+from javasmell.lexer import Token, Tokens
 from javasmell.model import build_model
 from javasmell.parser import LadderSite, SwitchSite
 from javasmell.pipeline import analyze_tree, build_from_sources, parse_source
@@ -342,14 +342,15 @@ def test_method_facts_recorded_on_method_info():
 
 
 def _reaches_a_token(root) -> bool:
-    """Whether a lexer ``Token`` is reachable from *root* by following
-    ``gc.get_referents``; classes, modules and functions are not followed."""
+    """Whether a lexer ``Token`` or ``Tokens`` is reachable from *root* by
+    following ``gc.get_referents``; classes, modules and functions are not
+    followed."""
     seen, stack = set(), [root]
     while stack:
         obj = stack.pop()
         if id(obj) in seen or isinstance(obj, (type, ModuleType, FunctionType)):
             continue
-        if isinstance(obj, Token):
+        if isinstance(obj, (Token, Tokens)):
             return True
         seen.add(id(obj))
         stack.extend(gc.get_referents(obj))

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import pickle
 import threading
@@ -6,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from javasmell.lexer import SourceFile, tokenize
+from javasmell.lexer import SourceFile, Tokens, tokenize
 from javasmell.pipeline import parse_source
 from javasmell.parser import LadderSite, ParseError, SwitchSite, parse
 
@@ -564,25 +563,30 @@ def test_parse_determinism():
     assert parse_text(text) == parse_text(text)
 
 
+def parse_leaves_input_unchanged(make_tokens, src):
+    """Parse a fresh stream from *make_tokens*; a ParseError is allowed.
+    Afterwards the stream must still equal a fresh one."""
+    tokens = make_tokens()
+    try:
+        parse(tokens, src)
+    except ParseError:
+        pass
+    assert tokens == make_tokens()
+
+
 def test_single_token_deletions_always_terminate():
     # Error resilience: parsing any stream with one token removed, or cut
     # off after any token, must finish (partial facts or ParseError), never
     # hang or fail with another exception.
     for path in sorted((FIXTURES / "corpus").glob("*.java")):
-        text = path.read_text(encoding="utf-8")
-        src = SourceFile(path.name, text)
+        src = SourceFile(path.name, path.read_text(encoding="utf-8"))
         tokens = tokenize(src)
+        arrays = (tokens.kinds, tokens.lexemes, tokens.lines, tokens.cols)
         for drop in range(len(tokens)):
-            mutated = tokens[:drop] + tokens[drop + 1 :]
-            try:
-                parse(copy.deepcopy(mutated), src)
-            except ParseError:
-                pass
+            parse_leaves_input_unchanged(lambda: Tokens(*(a[:drop] + a[drop + 1 :] for a in arrays)), src)
         for end in range(len(tokens) + 1):
-            try:
-                parse(tokens[:end], src)
-            except ParseError:
-                pass
+            parse_leaves_input_unchanged(lambda: Tokens(*(a[:end] for a in arrays)), src)
+        assert tokens == tokenize(src)
 
 
 def test_parsed_file_with_diagnostics_round_trips_through_pickle():
