@@ -28,11 +28,12 @@ per recovery step, so a parse is bounded by the token count. A construct
 that fails to parse is dropped with every fact it added, except the field
 declarators and case labels already complete before the error, and the
 error is recorded, without its traceback, in the file's ``diagnostics``.
-Each token array ends in an ``eof`` sentinel that is never consumed, so
-looking ahead needs no end-of-input test. ``parse`` raises a
-``ParseError``, at the first diagnostic, only when a file with syntax
-errors yields no declarations at all, and at 1:1 when the file nests too
-deep for the parser's recursion.
+The parser reads the arrays of ``Tokens`` by index. While it runs, each
+array ends in an ``eof`` sentinel that is never consumed, so looking ahead
+needs no end-of-input test; ``parse`` removes it before it returns or
+raises. ``parse`` raises a ``ParseError``, at the first diagnostic, only
+when a file with syntax errors yields no declarations at all, and at 1:1
+when the file nests too deep for the parser's recursion.
 """
 
 from __future__ import annotations
@@ -218,10 +219,10 @@ class _Chain:
 class _Parser:
     def __init__(self, tokens: Tokens, source: SourceFile):
         line, col = (tokens.lines[-1], tokens.cols[-1]) if len(tokens) else (1, 1)
-        self.kind = tokens.kinds + ["eof"]
-        self.lex = tokens.lexemes + ["end of file"]
-        self.line = tokens.lines + [line]
-        self.col = tokens.cols + [col]
+        self.arrays = (tokens.kinds, tokens.lexemes, tokens.lines, tokens.cols)
+        for array, end in zip(self.arrays, ("eof", "end of file", line, col)):
+            array.append(end)
+        self.kind, self.lex, self.line, self.col = self.arrays
         self.src = source
         self.i = 0
         self.diags: list[ParseError] = []
@@ -345,8 +346,7 @@ class _Parser:
         self.skip_balanced("{", "}", "unbalanced '{'", self.i)
 
     def skip_dims(self):
-        lex = self.lex
-        while lex[self.i] == "[" and lex[self.i + 1] == "]":
+        while self.lex[self.i] == "[" and self.lex[self.i + 1] == "]":
             self.i += 2
 
     def recover_until_brace(
@@ -430,9 +430,8 @@ class _Parser:
 
     def parse_qualified_name(self) -> str:
         name = self.expect_identifier()
-        lex, kind = self.lex, self.kind
-        while lex[self.i] == "." and kind[self.i + 1] == "identifier":
-            name += "." + lex[self.i + 1]
+        while self.lex[self.i] == "." and self.kind[self.i + 1] == "identifier":
+            name += "." + self.lex[self.i + 1]
             self.i += 2
         return name
 
@@ -1291,6 +1290,9 @@ def parse(tokens: Tokens, source: SourceFile) -> ParsedFile:
         p.parse_unit()
     except RecursionError:
         raise ParseError("nesting too deep to parse", 1, 1) from None
+    finally:
+        for array in p.arrays:
+            array.pop()
     if p.diags and not p.declared:
         first = p.diags[0]
         raise ParseError(first.message, first.line, first.col)
