@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from .parser import NON_REF_TYPES, ParsedFile
@@ -61,7 +62,6 @@ class PseudoModel:
     supertype: dict = field(default_factory=dict)  # qname -> its resolved project supertype
     subtypes: dict = field(default_factory=dict)  # qname -> [qname]
     dit: dict = field(default_factory=dict)  # qname -> how many project supertypes are above it
-    declared: Counter = field(default_factory=Counter)  # (name, arity) -> non-private methods so declared
     nested: dict = field(default_factory=dict)  # qname -> [kept member type qnames]
     incoming: dict = field(default_factory=dict)  # qname -> set of sources
     file_top_level: dict = field(default_factory=dict)  # file -> count
@@ -72,6 +72,12 @@ class PseudoModel:
     # --------------------------------------------------------------
     def incoming_count(self, qname: str) -> int:
         return len(self.incoming.get(qname, ()))
+
+    @cached_property
+    def declared(self) -> Counter:
+        """(name, arity) -> how many non-private methods of the kept types so declare."""
+        methods = (m for t in self.types.values() for m in t.methods if m.visibility != "private")
+        return Counter((m.name, m.arity) for m in methods)
 
     def find_ancestor_method(self, qname: str, name: str, arity: int):
         """First non-private method matching name and arity among the
@@ -162,7 +168,6 @@ def build_model(parsed: Iterable[ParsedFile]) -> PseudoModel:
             if info.outer is not None:
                 model.nested.setdefault(info.outer, []).append(qname)
             model.types[qname] = info
-            model.declared.update((m.name, m.arity) for m in info.methods if m.visibility != "private")
             scope.simple_names.setdefault(info.simple_name, qname)
 
     # Pass 2: every written type name, resolved once: the supertype link

@@ -29,11 +29,11 @@ that fails to parse is dropped with every fact it added, except the field
 declarators and case labels already complete before the error, and the
 error is recorded, without its traceback, in the file's ``diagnostics``.
 The parser reads the arrays of ``Tokens`` by index. While it runs, each
-array ends in an ``eof`` sentinel that is never consumed, so looking ahead
-needs no end-of-input test; ``parse`` removes it before it returns or
-raises. ``parse`` raises a ``ParseError``, at the first diagnostic, only
-when a file with syntax errors yields no declarations at all, and at 1:1
-when the file nests too deep for the parser's recursion.
+ends in an ``eof`` sentinel that is never consumed, so looking ahead needs
+no end-of-input test; ``parse`` removes it before it returns or raises, and
+raises a ``ParseError``, at the first diagnostic, only when a file with
+syntax errors yields no declarations at all, and at 1:1 when the file nests
+too deep for the parser's recursion.
 """
 
 from __future__ import annotations
@@ -199,10 +199,9 @@ class _Method:
         self.sites: list = []  # SwitchSite and LadderSite; None in a slot not filled
 
 
-# An expression yields what a fact may read of it: the index of its token
-# for a name, literal, this or super; a _Chain for a call, field access or
-# array access; a str for an instanceof test, holding its operand's text;
-# None otherwise.
+# An expression yields what a fact may read of it: its token's index for a
+# name, literal, this or super; a _Chain for a call, field or array access; a
+# str for an instanceof test, holding its operand's text; None otherwise.
 
 
 class _Chain:
@@ -237,14 +236,10 @@ class _Parser:
         self.outside = self.acc = _Method()
 
     # ------------------------------------------------------------------
-    # token plumbing; a token is named by its index, and self.i never moves
-    # past the eof sentinel
+    # token plumbing; a token is named by its index; self.i stays before eof
 
     def at(self, lexeme: str, ahead: int = 0) -> bool:
         return self.lex[self.i + ahead] == lexeme
-
-    def at_eof(self) -> bool:
-        return self.kind[self.i] == "eof"
 
     def accept(self, lexeme: str) -> bool:
         if self.lex[self.i] == lexeme:
@@ -305,7 +300,7 @@ class _Parser:
     def skip_statement_like(self):
         """Consume until ';' at depth 0 or a balanced '}' run ends."""
         depth = 0
-        while not self.at_eof():
+        while self.kind[self.i] != "eof":
             lex = self.lex[self.i]
             self.i += 1
             if lex == "{":
@@ -478,7 +473,7 @@ class _Parser:
     # compilation unit
 
     def parse_unit(self):
-        if self.at_eof():
+        if self.kind[self.i] == "eof":
             return
         while self.at("@") and not self.at("interface", 1):
             try:
@@ -603,7 +598,7 @@ class _Parser:
     def parse_enum_body(self):
         self.expect("{")
         while not self.at("}") and not self.at(";"):
-            if self.at_eof():
+            if self.kind[self.i] == "eof":
                 self.diag("unexpected end of file in enum body")
                 return
             while self.at("@"):
@@ -629,7 +624,7 @@ class _Parser:
             return
         line = self.line[self.i]
         mods = self.parse_modifiers()
-        if self.at_eof():
+        if self.kind[self.i] == "eof":
             raise self.error("unexpected end of file in type body")
         if self.parse_declaration():
             return
@@ -637,7 +632,7 @@ class _Parser:
             return self.parse_block()  # an initializer
         if self.at("<"):
             self.skip_generics()
-            if self.at_eof():
+            if self.kind[self.i] == "eof":
                 raise self.error("unexpected end of file after type parameters")
 
         # Constructor: bare name of the enclosing type followed by '('.
@@ -1139,7 +1134,7 @@ class _Parser:
                 self.i = i + 1
                 if lex[i + 1] == "<":
                     self.skip_generics()
-                if self.at_eof():
+                if self.kind[self.i] == "eof":
                     raise self.error("expected name after '::'", i)
                 self.i += 1
                 value, this = None, False
