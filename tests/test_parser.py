@@ -189,6 +189,33 @@ def test_instanceof_operand_text_and_switch_terminal():
     ]
 
 
+def one_token_per_line(text):
+    return "\n".join(text.split())
+
+
+@pytest.mark.parametrize(
+    "cond, site, refs",
+    [
+        ("a == b instanceof T", None, [("T", 2)] * 3),
+        ("a instanceof T && b", None, [("T", 2)] * 3),
+        ("a + b instanceof T", LadderSite(2, 3, "?"), [("T", 2)] * 3),
+        ("a < b instanceof T", LadderSite(2, 3, "?"), [("T", 2)] * 3),
+        (one_token_per_line("a && b instanceof T"), None, [("T", 4), ("T", 8), ("T", 12)]),
+        (one_token_per_line("a < b instanceof T"), LadderSite(2, 3, "?"), [("T", 2), ("T", 6), ("T", 10)]),
+        (one_token_per_line("a ? b : c instanceof T"), None, [("T", 6), ("T", 12), ("T", 18)]),
+    ],
+)
+def test_instanceof_test_and_its_line_follow_precedence(cond, site, refs):
+    # A condition is an instanceof test only when instanceof is its loosest
+    # operator; the type is referred to where instanceof's left operand starts.
+    ladder = "if (%s) { } else if (%s) { } else if (%s) { } else { }" % ((cond,) * 3)
+    parsed = parse_text("class A { void m() {\n%s\n} }" % ladder)
+    assert parsed.diagnostics == []
+    (a,) = parsed.types
+    assert a.hierarchy_sites == ([] if site is None else [("m", site)])
+    assert sorted(a.refs) == refs
+
+
 def test_long_call_chains_in_switch_and_instanceof_are_analyzed():
     # A selector or operand text is built link by link, so a chain far
     # longer than the recursion limit allows is read like any other.
@@ -350,6 +377,13 @@ def test_intersection_cast_refers_to_every_bound():
         ("Comparable", 2), ("Object", 2), ("Runnable", 1), ("Runnable", 1),
         ("java.io.Serializable", 1), ("java.io.Serializable", 2),
     ]
+
+
+def test_cast_type_argument_may_hold_braces():
+    # javac 17 compiles it: the braces sit in an annotation argument.
+    parsed = parse_text("class A { void m() { Object o = (java.util.List<@Ann({1}) String>) x; } }")
+    assert parsed.diagnostics == []
+    assert sorted(parsed.types[0].refs) == [("Object", 1), ("java.util.List", 1)]
 
 
 def test_primitive_array_constructor_reference():
