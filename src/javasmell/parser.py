@@ -11,6 +11,11 @@ expression body is parsed and only its names count (for field uses); a block
 body is skipped. Anything outside the subset is consumed as an opaque
 statement and reported as a diagnostic instead of aborting the file.
 
+Declarations and statements are read by recursive descent. One loop reads
+an expression's operands and infix operators and recurses only into
+brackets and lambda bodies; one scan to its matching ')' tells whether a
+'(' opens a lambda, a cast or a parenthesized expression.
+
 No syntax tree is built. As it parses, the parser fills the file's
 ``ParsedFile``: every type declaration in preorder (a local class is nested
 in its enclosing type) with its fields, its methods, the switches and
@@ -58,30 +63,13 @@ MODIFIER_WORDS = frozenset(
     }
 )
 
-# Infix operator -> precedence level, loosest first: assignment (-2), the
-# conditional's '?' (-1), then the binary operators from 0. instanceof sits
-# at the relational level; its right side is a type, not an operand.
-_LEVEL = {
-    op: level
-    for level, ops in enumerate(
-        (
-            ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="),
-            ("?",),
-            ("||",),
-            ("&&",),
-            ("|",),
-            ("^",),
-            ("&",),
-            ("==", "!="),
-            ("<", ">", "<=", ">=", "instanceof"),
-            ("<<", ">>", ">>>"),
-            ("+", "-"),
-            ("*", "/", "%"),
-        ),
-        start=-2,
-    )
-    for op in ops
-}
+# The infix operators besides '?', ':' and instanceof. An assignment ends a
+# case label; one looser than instanceof, as '?' and ':' are too, moves the
+# line of a later instanceof's type and makes the expression no instanceof
+# test; the rest bind at least as tight as instanceof.
+_ASSIGNMENTS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="})
+_LOOSER = frozenset({"||", "&&", "|", "^", "&", "==", "!="})
+_TIGHTER = frozenset({"<", ">", "<=", ">=", "<<", ">>", ">>>", "+", "-", "*", "/", "%"})
 
 _PREFIX_OPERATORS = frozenset({"+", "-", "!", "~", "++", "--"})
 
@@ -197,22 +185,6 @@ class _Method:
         self.this_fields: list = []  # f of every this.f
         self.locals: list = []  # local, loop variable and catch names
         self.sites: list = []  # SwitchSite and LadderSite; None in a slot not filled
-
-
-# An expression yields what a fact may read of it: its token's index for a
-# name, literal, this or super; a _Chain for a call, field or array access; a
-# str for an instanceof test, holding its operand's text; None otherwise.
-
-
-class _Chain:
-    """Text and last identifier of a postfix chain, built link by link, so a
-    long chain costs no recursion."""
-
-    __slots__ = ("parts", "terminal")
-
-    def __init__(self, text: str, terminal: str = ""):
-        self.parts = [text]
-        self.terminal = terminal
 
 
 class _Parser:
@@ -448,9 +420,9 @@ class _Parser:
         self.skip_dims()
         return name
 
-    def parse_type_list(self) -> list[str]:
+    def parse_type_list(self, sep: str = ",") -> list[str]:
         names = [self.parse_type_text()]
-        while self.accept(","):
+        while self.accept(sep):
             names.append(self.parse_type_text())
         return names
 
@@ -914,13 +886,13 @@ class _Parser:
         slot = len(acc.sites)
         acc.sites.append(None)
         selector = self.parse_parenthesized()
-        terminal, text = self.terminal(selector), self.render(selector)
+        parts, terminal = selector if type(selector) is tuple else (["?"], "")
         self.expect("{")
         labels: list = []
         element = partial(self.parse_switch_element, labels)
         self.recover_until_brace(element, "unexpected end of file in switch", start)
         self.accept("}")
-        acc.sites[slot] = SwitchSite(self.line[start], len(labels), terminal, text)
+        acc.sites[slot] = SwitchSite(self.line[start], len(labels), terminal, "".join(parts))
 
     def parse_switch_element(self, labels: list):
         """A statement, or case labels and their tail. Each case label's
@@ -935,7 +907,7 @@ class _Parser:
                     first = self.i
                     # No ternary here (':' closes the label); pattern labels
                     # tolerate a trailing binding identifier.
-                    self.parse_expression(0)
+                    self.parse_expression(case_label=True)
                     if self.kind[self.i] == "identifier":
                         self.i += 1
                     self.acc.decisions += 1
@@ -972,9 +944,7 @@ class _Parser:
             line = self.line[self.expect("catch")]
             self.expect("(")
             self.parse_modifiers()
-            types = [self.parse_type_text()]
-            while self.accept("|"):
-                types.append(self.parse_type_text())
+            types = self.parse_type_list("|")
             name = self.expect_identifier()
             self.expect(")")
             self.parse_block()
@@ -995,65 +965,58 @@ class _Parser:
         self.parse_expression()
 
     # ------------------------------------------------------------------
-    # expressions; each returns what a fact may read of it (see _Chain)
+    # expressions
 
-    def render(self, value) -> str:
-        """Canonical, whitespace-free text of a simple expression: parentheses
-        and casts are transparent, call arguments and indexes are dropped."""
-        if type(value) is int:
-            return self.lex[value]
-        if isinstance(value, _Chain):
-            return "".join(value.parts)
-        return "?"
+    def parse_expression(self, case_label: bool = False):
+        """Operands and infix operators, read by one loop that recurses only
+        into brackets and lambda bodies; a case label ends at '?' or an
+        assignment. It yields what a fact may read: an instanceof test's
+        text; the text parts and last identifier of a lone name, literal,
+        this, super, call, field or array access, as (['a', '.b()', '[]'],
+        'b') with '?' for any other part; None otherwise.
 
-    def terminal(self, value) -> str:
-        """Last identifier of an expression: x.getKind() -> getKind."""
-        if type(value) is int:
-            return self.lex[value] if self.kind[value] == "identifier" else ""
-        if isinstance(value, _Chain):
-            return value.terminal
-        return ""
-
-    def link(self, value, part: str, terminal: str) -> _Chain:
-        """*value* extended by one link ('.f', '.m()' or '[]'). An expression
-        has one reader, so a chain grows in place."""
-        if not isinstance(value, _Chain):
-            value = _Chain(self.render(value))
-        value.parts.append(part)
-        value.terminal = terminal
-        return value
-
-    def parse_expression(self, min_level: int = -2):
-        """Precedence climbing (Pratt 1973) over the operators of _LEVEL that
-        bind at *min_level* or tighter; the default takes them all."""
-        lead = self.i
-        left = self.parse_operand()
+        Precedence decides one thing, kept by two pieces of state: an
+        instanceof's type is referred to at the line where its left operand
+        starts, after the last looser operator; and the expression is an
+        instanceof test only when its last operator is instanceof and no
+        looser one precedes it. The test's text is '?' when any operator
+        precedes it, else its operand's text."""
+        lex = self.lex
+        lead = self.i  # where a later instanceof's left operand starts
+        value = self.parse_operand()
+        looser = False
+        conditionals = 0  # '?' read whose ':' is still to come
         while True:
-            t = self.lex[self.i]
-            level = _LEVEL.get(t, -3)
-            if level < min_level:
-                return left
-            self.i += 1
-            if level == -2:  # assignment
-                self.parse_expression()
-            elif level == -1:  # the conditional
-                self.parse_expression()
-                self.expect(":")
-                self.parse_expression(-1)
-                self.acc.decisions += 1
+            i = self.i
+            t = lex[i]
+            if t in _TIGHTER:
+                value = None
             elif t == "instanceof":
+                self.i = i + 1
                 self.parse_modifiers()  # of a pattern: final, annotations
                 ty = self.parse_type_text()
                 if self.kind[self.i] == "identifier":  # pattern binding
                     self.i += 1
                 self.refs.append((ty, self.line[lead]))
-                left = self.render(left)
+                if not looser:
+                    value = "".join(value[0]) if type(value) is tuple else "?"
                 continue
             else:
-                self.parse_expression(level + 1)
-                if t == "&&" or t == "||":
+                if t == "?" or t in _ASSIGNMENTS:
+                    if case_label:
+                        return value
+                    if t == "?":
+                        conditionals += 1
+                elif t not in _LOOSER:
+                    if not conditionals:
+                        return value
+                    self.expect(":")  # of the innermost '?'
+                    conditionals -= 1
+                if t == "?" or t == "&&" or t == "||":
                     self.acc.decisions += 1
-            left = None
+                looser, value, lead = True, None, i + 1
+            self.i = i + 1
+            self.parse_operand()
 
     def parse_parenthesized(self):
         """'(' expression ')'; returns what the expression yields."""
@@ -1069,28 +1032,69 @@ class _Parser:
         lex, kind = self.lex, self.kind
         prefixed = cast = False
         while True:
-            i = self.i
-            t = lex[i]
+            lead = self.i
+            t = lex[lead]
             if t in _PREFIX_OPERATORS:
-                self.i = i + 1
+                self.i = lead + 1
                 prefixed = True
                 continue
-            types = self.skip_cast() if t == "(" else None
-            if types is None:
+            paren = self.classify_parenthesis() if t == "(" else ""
+            if paren != "cast":
                 break
-            self.refs += [(ty, self.line[i]) for ty in types]
+            self.i = lead + 1
+            try:
+                types = self.parse_type_list("&")
+                self.expect(")")
+            except ParseError:  # no type list after all
+                self.i = lead
+                break
+            self.refs += [(ty, self.line[lead]) for ty in types]
             cast = True
-        lead = self.i
-        value = self.parse_primary()
-        head = None  # an unparenthesized name: a bare call's name or a qualifier
-        if value == lead and kind[lead] == "identifier":
-            if lex[self.i] == "(":
-                self.parse_list("(", ")", self.parse_expression, "unterminated argument list")
-                value = _Chain(lex[lead] + "()", lex[lead])
+        parts, last = ["?"], ""  # the text parts and the last identifier
+        test = None  # an instanceof test's text, while it is the whole operand
+        head = this = False  # an unparenthesized name or this, not yet extended
+        k = kind[lead]
+        if (k == "identifier" and lex[lead + 1] == "->") or paren == "lambda":
+            self.parse_lambda()
+        elif (k == "identifier" or t == "this" or t == "super") and lex[lead + 1] == "(":
+            self.i = lead + 1
+            self.parse_list("(", ")", self.parse_expression, "unterminated argument list")
+            parts, last = [t + "()"], t
+        elif k == "identifier":
+            self.i = lead + 1
+            self.acc.names.append(t)
+            parts, last, head = [t], t, True
+        elif k == "literal" or t == "this" or t == "super":
+            self.i = lead + 1
+            parts, this = [t], t == "this"
+        elif t == "(":
+            self.i = lead + 1
+            inner = self.parse_expression()  # not parse_parenthesized: a frame less per '('
+            self.expect(")")
+            if type(inner) is tuple:
+                parts, last = inner
             else:
-                self.acc.names.append(lex[lead])
-                head = lead
-        this = value == lead and lex[lead] == "this"  # this.f is a field use
+                test = inner
+        elif t == "new":
+            self.i = lead + 1
+            self.parse_creation(lead, self.line[lead])
+        elif t == "switch":
+            # Switch expressions are outside the subset; consume opaquely.
+            self.diag("switch expression consumed opaquely", lead)
+            self.i = lead + 1
+            self.skip_balanced("(", ")", "unterminated switch expression", lead)
+            if self.at("{"):
+                self.skip_braces()
+        elif k == "keyword" and t in NON_REF_TYPES:
+            self.i = lead + 1
+            self.skip_dims()
+            if not self.at("::"):  # int[]::new is left to the postfix loop
+                self.expect(".")
+                self.expect("class")
+        elif k == "eof":
+            raise self.error("expected expression, found end of file")
+        else:
+            raise self.error(f"unexpected token '{t}' in expression")
         while True:
             i = self.i
             t = lex[i]
@@ -1107,86 +1111,80 @@ class _Parser:
                     if member == "new":
                         self.parse_creation(n, self.line[lead])
                     # X.this and X.super read as this and super.
-                    value = None if member in ("class", "new") else n
+                    parts, last = (["?"] if member in ("class", "new") else [member]), ""
                     this = member == "this"
-                    continue
-                name = self.expect_identifier()
-                if head is not None and value == head:
-                    self.refs.append((lex[head], self.line[head]))
-                if lex[self.i] == "(":
-                    self.parse_list("(", ")", self.parse_expression, "unterminated argument list")
-                    value = self.link(value, f".{name}()", name)
                 else:
-                    if this:
-                        self.acc.this_fields.append(name)
-                    value = self.link(value, "." + name, name)
-                this = False
-                continue
-            if t == "[":
+                    name = self.expect_identifier()
+                    if head:
+                        self.refs.append((lex[lead], self.line[lead]))
+                    if lex[self.i] == "(":
+                        self.parse_list("(", ")", self.parse_expression, "unterminated argument list")
+                        parts.append(f".{name}()")
+                    else:
+                        if this:
+                            self.acc.this_fields.append(name)
+                        parts.append("." + name)
+                    last, this = name, False
+            elif t == "[":
                 self.i = i + 1
                 if lex[i + 1] != "]":
                     self.parse_expression()
                 self.expect("]")
-                value = self.link(value, "[]", self.terminal(value))
+                parts.append("[]")
                 this = False
-                continue
-            if t == "::":
+            elif t == "::":
                 self.i = i + 1
                 if lex[i + 1] == "<":
                     self.skip_generics()
-                if self.kind[self.i] == "eof":
+                if kind[self.i] == "eof":
                     raise self.error("expected name after '::'", i)
                 self.i += 1
-                value, this = None, False
-                continue
-            if t == "++" or t == "--":
+                parts, last, this = ["?"], "", False
+            elif t == "++" or t == "--":
                 self.i = i + 1
-                value, this = None, False
-                continue
-            if prefixed or (cast and isinstance(value, str)):
-                return None
-            return value
-
-    def skip_cast(self) -> list | None:
-        """At '(': consume a cast's '(Type)' or '(Type & Type ...)' and
-        return its types, or consume nothing and return None."""
-        save = self.i
-        self.i += 1  # (
-        try:
-            types = [self.parse_type_text()]
-            while self.accept("&"):
-                types.append(self.parse_type_text())
-            self.expect(")")
-        except ParseError:
-            self.i = save
+                parts, last, this = ["?"], "", False
+            else:
+                break
+            head, test = False, None
+        if prefixed or (cast and test is not None):
             return None
-        nxt = self.lex[self.i]
-        starts_operand = (
-            self.kind[self.i] in ("identifier", "literal")
-            or nxt in ("(", "this", "super", "new", "!", "~")
-            or (types[0] in PRIMITIVES and nxt in ("+", "-"))
-        )
-        if not starts_operand:
-            self.i = save
-            return None
-        return types
+        return (parts, last) if test is None else test
 
-    def lambda_ahead(self) -> bool:
-        # At '(': matched close paren directly followed by '->'.
+    def classify_parenthesis(self) -> str:
+        """Classify the '(' at the cursor by one scan to its matching ')':
+        'lambda' when '->' follows it and no brace sits inside; 'cast' when
+        the angle brackets inside balance and an operand follows; '' for
+        anything else. The scan stops at ';', at the end of input and at a
+        brace directly inside the parenthesis; a brace deeper in, as in an
+        annotation argument, does not stop it."""
         lex, kind = self.lex, self.kind
-        depth = 0
-        j = self.i
+        j = start = self.i
+        depth = angles = 0
+        braced = False
         while True:
-            t = lex[j]
-            if t == "(":
-                depth += 1
-            elif t == ")":
-                depth -= 1
-                if depth == 0:
-                    return lex[j + 1] == "->"
-            elif t in ("{", "}", ";") or kind[j] == "eof":
-                return False
             j += 1
+            t = lex[j]
+            if t == ")":
+                if depth == 0:
+                    break
+                depth -= 1
+            elif t == "(":
+                depth += 1
+            elif t == ";" or kind[j] == "eof" or (depth == 0 and (t == "{" or t == "}")):
+                return ""
+            elif t == "{" or t == "}":
+                braced = True
+            elif kind[j] != "literal" and ("<" in t or ">" in t):
+                angles += t.count("<") - t.count(">")
+        nxt = lex[j + 1]
+        if nxt == "->":
+            return "" if braced else "lambda"
+        starts_operand = (
+            kind[j + 1] in ("identifier", "literal")
+            or nxt in ("(", "this", "super", "new", "!", "~")
+            or (lex[start + 1] in PRIMITIVES and nxt in ("+", "-"))
+        )
+        return "cast" if angles == 0 and starts_operand else ""
 
     def parse_lambda(self):
         if self.at("("):
@@ -1209,67 +1207,18 @@ class _Parser:
         where the expression starts ('x.new T()' starts at x)."""
         ty = self.parse_type_text()
         self.refs.append((ty, line))
-        if self.at("["):
-            while self.accept("["):
-                if not self.at("]"):
-                    self.parse_expression()
-                self.expect("]")
-            if self.at("{"):
-                self.parse_variable_init()
-        elif self.at("{"):
-            # 'new T[] { ... }': the empty dims were consumed with the type.
+        dims = self.at("[")  # 'new T[] { ... }' leaves its empty dims to the type
+        while self.accept("["):
+            if not self.at("]"):
+                self.parse_expression()
+            self.expect("]")
+        if self.at("{"):
             self.parse_variable_init()
-        else:
+        elif not dims:
             self.parse_list("(", ")", self.parse_expression, "unterminated argument list")
             if self.at("{"):
                 self.diag("anonymous class body skipped", new)
                 self.skip_braces()
-
-    def parse_primary(self):
-        i = self.i
-        kind, t = self.kind[i], self.lex[i]
-        if kind == "identifier":
-            if self.lex[i + 1] == "->":
-                return self.parse_lambda()
-            self.i = i + 1
-            return i
-        if kind == "literal":
-            self.i = i + 1
-            return i
-        if t == "(":
-            if self.lambda_ahead():
-                return self.parse_lambda()
-            self.i = i + 1
-            inner = self.parse_expression()
-            self.expect(")")
-            return inner
-        if t == "new":
-            self.i = i + 1
-            return self.parse_creation(i, self.line[i])
-        if t == "this" or t == "super":
-            self.i = i + 1
-            if self.lex[i + 1] == "(":
-                self.parse_list("(", ")", self.parse_expression, "unterminated argument list")
-                return _Chain(t + "()", t)
-            return i
-        if t == "switch":
-            # Switch expressions are outside the subset; consume opaquely.
-            self.diag("switch expression consumed opaquely", i)
-            self.i = i + 1
-            self.skip_balanced("(", ")", "unterminated switch expression", i)
-            if self.at("{"):
-                self.skip_braces()
-            return None
-        if kind == "keyword" and t in NON_REF_TYPES:
-            self.i = i + 1
-            self.skip_dims()
-            if not self.at("::"):  # int[]::new is left to the postfix loop
-                self.expect(".")
-                self.expect("class")
-            return None
-        if kind == "eof":
-            raise self.error("expected expression, found end of file")
-        raise self.error(f"unexpected token '{t}' in expression")
 
 
 def parse(tokens: Tokens, source: SourceFile) -> ParsedFile:

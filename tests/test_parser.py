@@ -1,13 +1,14 @@
 import dataclasses
 import pickle
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from javasmell.lexer import SourceFile, Tokens, tokenize
 from javasmell.pipeline import parse_source
-from javasmell.parser import LadderSite, ParseError, SwitchSite, parse
+from javasmell.parser import LadderSite, ParseError, SwitchSite, _Parser, parse
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -386,6 +387,32 @@ def test_cast_type_argument_may_hold_braces():
     assert sorted(parsed.types[0].refs) == [("Object", 1), ("java.util.List", 1)]
 
 
+def test_parenthesized_comparisons_parse_in_linear_time():
+    # Each '(' in operand position is classified by one scan that ends at
+    # its matching ')', so this takes well under a second. A cast probe that
+    # reads '<' as the start of type arguments and looks for their '>' to
+    # the end of the file takes minutes.
+    body = "if ((i < n)) { i++; }\n" * 8000 + "return (a < b) ? a : b;"
+    start = time.perf_counter()
+    parsed = parse_text("class A { int m(int i, int n, int a, int b) {\n%s\n} }" % body)
+    assert time.perf_counter() - start < 20
+    assert parsed.diagnostics == []
+    assert parsed.types[0].methods[0].cc == 8002
+
+
+def test_parenthesized_expressions_build_no_discarded_error(monkeypatch):
+    # Telling a cast from a parenthesized expression builds no ParseError.
+    calls = []
+    error = _Parser.error
+    monkeypatch.setattr(_Parser, "error", lambda self, *args: calls.append(args) or error(self, *args))
+    parsed = parse_text(
+        "class A { void m(int x, int y, int[] a) { boolean b = (x > 0) == (y > 1);"
+        " int c = (x + y) * 2; c = (x < y) ? x : y; c = (a[0]) + (int) y + ((x)); } }"
+    )
+    assert parsed.diagnostics == []
+    assert calls == []
+
+
 def test_primitive_array_constructor_reference():
     parsed = parse_text("class A { void m() { IntFunction<int[]> a = int[]::new; } }")
     assert parsed.diagnostics == []
@@ -539,19 +566,20 @@ def test_pathological_nesting_is_parse_error_not_crash():
 
 
 def test_nesting_limits_hold():
-    # A nested parenthesis or call costs the parser three frames, a chained
-    # lambda four and a conditional nested in a true branch one; prefix
-    # operators and casts are read by a loop and cost none. Under the
-    # default recursion limit it takes 320 nested parentheses or calls, 240
-    # chained lambdas, 960 nested conditionals, 480 nested array
-    # initializers and 190 nested braced blocks. A new thread starts with an
-    # empty stack, so the frames of the caller (here pytest's) do not count.
+    # A nested parenthesis or array initializer costs the parser two frames,
+    # a nested call or chained lambda three; operators, including the
+    # conditional's, prefix operators and casts are read by loops and cost
+    # none. Under the default recursion limit it takes 480 nested
+    # parentheses, 320 nested calls, 320 chained lambdas, 480 nested array
+    # initializers and 190 nested braced blocks, and any number of nested
+    # conditionals. A new thread starts with an empty stack, so the frames
+    # of the caller (here pytest's) do not count.
     ret = "class A { int f(int x) { return %s; } }"
     texts = (
-        ret % ("(" * 320 + "x" + ")" * 320),
+        ret % ("(" * 480 + "x" + ")" * 480),
         ret % ("f(" * 320 + "x" + ")" * 320),
-        ret % ("x -> " * 240 + "x"),
-        ret % ("c ? " * 960 + "x" + " : y" * 960),
+        ret % ("x -> " * 320 + "x"),
+        ret % ("c ? " * 5000 + "x" + " : y" * 5000),
         ret % ("- " * 4000 + "x"),
         ret % ("(A) " * 4000 + "x"),
         "class A { void f() { int[] a = %s; } }" % ("{" * 480 + "1" + "}" * 480),
@@ -565,7 +593,7 @@ def test_nesting_limits_hold():
     thread.join(timeout=60)
     assert not thread.is_alive()
     assert [r.diagnostics for r in results] == [[]] * 8
-    assert [r.types[0].methods[0].cc for r in results] == [1, 1, 1, 961, 1, 1, 1, 191]
+    assert [r.types[0].methods[0].cc for r in results] == [1, 1, 1, 5001, 1, 1, 1, 191]
 
 
 def test_empty_file_is_fine():
