@@ -73,6 +73,44 @@ def test_package_imports_and_nesting():
     ]
 
 
+@pytest.mark.parametrize(
+    "text, package, imports, qnames, diags",
+    [
+        # A header item out of place is reported where a type declaration
+        # was expected, and skipped to its ';'.
+        ("package p; package q; class A { }", "p", (), ["p.A"],
+         [("expected type declaration, found 'package'", 1, 12)]),
+        ("import q.B; package p; class A { }", "", (("q.B", False),), ["A"],
+         [("expected type declaration, found 'package'", 1, 13)]),
+        ("package p; class A { } import q.B; class C { }", "p", (), ["p.A", "p.C"],
+         [("expected type declaration, found 'import'", 1, 24)]),
+        ("public import q.B; class A { }", "", (), ["A"],
+         [("expected type declaration, found 'import'", 1, 8)]),
+        ("package p; ; import q.B; class A { }", "p", (), ["p.A"],
+         [("expected type declaration, found 'import'", 1, 14)]),
+        ("@Deprecated package p; class A { }", "p", (), ["p.A"], []),
+        ("@ class A { }", "", (), ["A"], [("expected identifier, found 'class'", 1, 3)]),
+        ("@A;", "", (), [], []),
+        # A broken package or import keeps the name read before the error,
+        # and the header stays open after it.
+        ("package p.; class A { }", "p", (), ["p.A"], [("expected ';', found '.'", 1, 10)]),
+        ("package p import q.R; class A { }", "p", (), ["p.A"], [("expected ';', found 'import'", 1, 11)]),
+        ("import a.; import b.C; class A { }", "", (("b.C", False),), ["A"],
+         [("expected ';', found '.'", 1, 9)]),
+        # A stray '}' closes the header.
+        ("} import q.B; class A { }", "", (), ["A"], [
+            ("expected type declaration, found '}'", 1, 1),
+            ("expected type declaration, found 'import'", 1, 3),
+        ]),
+    ],
+)
+def test_file_header_shapes(text, package, imports, qnames, diags):
+    parsed = parse_text(text)
+    assert (parsed.package, parsed.imports) == (package, imports)
+    assert [t.qname for t in parsed.types] == qnames
+    assert [(d.message, d.line, d.col) for d in parsed.diagnostics] == diags
+
+
 def test_generics_erased_annotations_dropped():
     (a,) = parse_text(
         """
