@@ -27,12 +27,16 @@ be declared after the methods. Expressions yield only what a fact
 reads of them: the text and last identifier of a switch selector, and
 whether an ``if`` condition is an instanceof test and of what.
 
-A syntax error is the lexer's ``ParseError``. Recovery is panic-mode at the
-member and statement level: the parser always consumes at least one token
-per recovery step, so a parse is bounded by the token count. A construct
-that fails to parse is dropped with every fact it added, except the field
-declarators and case labels already complete before the error, and the
-error is recorded, without its traceback, in the file's ``diagnostics``.
+A syntax error is the lexer's ``ParseError``. One loop,
+``recover_until_brace``, reads the items of a file (its package and imports
+among them), of a type body, a block and a switch body, and it alone
+recovers, panic-mode: an item that fails to parse is dropped with every
+fact it added since the loop's mark, the error is recorded, without its
+traceback, in the file's ``diagnostics``, and the loop skips to the next
+statement boundary. Field declarators and case labels move the mark past
+each part they complete, so those parts stay. Each step consumes at least
+one token, so a parse is bounded by the token count.
+
 The parser reads the arrays of ``Tokens`` by index. While it runs, each
 ends in an ``eof`` sentinel that is never consumed, so looking ahead needs
 no end-of-input test; ``parse`` removes it before it returns or raises, and
@@ -63,12 +67,12 @@ MODIFIER_WORDS = frozenset(
     }
 )
 
-# The infix operators besides '?', ':' and instanceof. An assignment ends a
-# case label; one looser than instanceof, as '?' and ':' are too, moves the
-# line of a later instanceof's type and makes the expression no instanceof
-# test; the rest bind at least as tight as instanceof.
-_ASSIGNMENTS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="})
-_LOOSER = frozenset({"||", "&&", "|", "^", "&", "==", "!="})
+# The infix operators besides '?', ':' and instanceof. One looser than
+# instanceof, as '?' and ':' are too, moves the line of a later instanceof's
+# type and makes the expression no instanceof test; the rest bind at least
+# as tight as instanceof.
+_LOOSER = frozenset({"||", "&&", "|", "^", "&", "==", "!=", "=", "+=", "-=", "*=", "/=", "%=",
+                     "&=", "|=", "^=", "<<=", ">>=", ">>>="})
 _TIGHTER = frozenset({"<", ">", "<=", ">=", "<<", ">>", ">>>", "+", "-", "*", "/", "%"})
 
 _PREFIX_OPERATORS = frozenset({"+", "-", "!", "~", "++", "--"})
@@ -199,6 +203,7 @@ class _Parser:
         self.diags: list[ParseError] = []
         self.package = ""
         self.imports: list = []
+        self.header = "package"  # the header item that may come next: package, import or None
         self.declared = False  # a top-level declaration was parsed
         self.types: list[TypeInfo] = []
         self.type: TypeInfo | None = None  # the innermost open type
@@ -206,6 +211,7 @@ class _Parser:
         self.uses: list = []  # its (method, names that count as field uses if fields)
         # The innermost open method's facts; outside methods, a sink no fact reads.
         self.outside = self.acc = _Method()
+        self.kept = None  # the fact state the open recovery loop returns to on an error
 
     # ------------------------------------------------------------------
     # token plumbing; a token is named by its index; self.i stays before eof
@@ -291,14 +297,15 @@ class _Parser:
         """Consume a balanced *open_* ... *close* run starting at *open_*.
 
         Depth counts every occurrence in a non-literal token, so '>>' closes
-        two '<'. Running into the end of input raises *message*, reported at
-        *anchor* or, without one, at the end.
+        two '<'. Running into the end of input, or into ';' inside '<', which
+        no type argument holds, raises *message*, reported at *anchor* or,
+        without one, where the run stops.
         """
         start = self.expect(open_)
         depth = 1
         while depth > 0:
             kind, lex = self.kind[self.i], self.lex[self.i]
-            if kind == "eof":
+            if kind == "eof" or lex == ";" and open_ == "<":
                 raise self.error(message, anchor)
             self.i += 1
             if kind != "literal":
@@ -319,35 +326,34 @@ class _Parser:
     def recover_until_brace(
         self, parse_one, eof_message: str | None, anchor: int | None = None
     ) -> bool:
-        """Call *parse_one* until '}' (left unconsumed) or end of input.
+        """Call *parse_one* until '}', which it consumes, or end of input.
 
-        A syntax error is recovered from (see ``recover``) at the state
-        before the construct; every step consumes at least one token.
-        Returns False at end of input, after reporting *eof_message* at
-        *anchor*.
+        This is the one place that recovers from a syntax error: it drops
+        the facts added since ``self.kept``, records the error and skips to
+        the next statement boundary. ``self.kept`` is marked before each
+        construct, and a construct that completes a part it keeps (a field
+        declarator, a case label) marks it again. Every step consumes at
+        least one token. Returns False at end of input, after reporting
+        *eof_message* at *anchor*.
         """
-        lex = self.lex
+        lex, outer = self.lex, self.kept
         while lex[self.i] != "}":
             if self.kind[self.i] == "eof":
                 if eof_message:
                     self.diag(eof_message, anchor)
-                return False
+                break
             guard = self.i
-            mark = self.mark()
+            self.kept = self.mark()
             try:
                 parse_one()
             except ParseError as err:
-                self.recover(err, mark)
+                self.rollback(self.kept)
+                self.record(err)
+                self.skip_statement_like()
             if self.i == guard:
                 self.i += 1
-        return True
-
-    def recover(self, err: ParseError, mark: tuple):
-        """Drop the facts added since *mark*, record *err* and skip to the
-        next statement boundary."""
-        self.rollback(mark)
-        self.record(err)
-        self.skip_statement_like()
+        self.kept = outer
+        return self.accept("}")
 
     def skip_annotation(self):
         self.expect("@")
@@ -445,41 +451,37 @@ class _Parser:
     # compilation unit
 
     def parse_unit(self):
-        if self.kind[self.i] == "eof":
-            return
         while self.at("@") and not self.at("interface", 1):
             try:
                 self.skip_annotation()
             except ParseError as err:
                 self.record(err)
                 break
-        if self.accept("package"):
-            try:
-                self.package = self.parse_qualified_name()
-                self.expect(";")
-            except ParseError as err:
-                self.record(err)
-                self.skip_statement_like()
-        while self.accept("import"):
-            try:
-                is_static = self.accept("static")
-                name = self.parse_qualified_name()
-                on_demand = False
-                if self.at(".") and self.at("*", 1):
-                    self.i += 2
-                    on_demand = True
-                self.expect(";")
-                if not is_static:
-                    self.imports.append((name, on_demand))
-            except ParseError as err:
-                self.record(err)
-                self.skip_statement_like()
-
         while self.recover_until_brace(self.parse_top_level, None):
-            self.diag("expected type declaration, found '}'")
-            self.i += 1
+            self.diag("expected type declaration, found '}'", self.i - 1)
+            self.header = None
 
     def parse_top_level(self):
+        """The package declaration, first, then import declarations; after
+        anything else, a type declaration or ';'."""
+        t = self.lex[self.i]
+        if t == "import" and self.header or t == "package" and self.header == "package":
+            self.header = "import"
+            self.i += 1
+            if t == "package":
+                self.package = self.parse_qualified_name()  # kept when its ';' is missing
+                self.expect(";")
+                return
+            is_static = self.accept("static")
+            name = self.parse_qualified_name()
+            on_demand = self.at(".") and self.at("*", 1)
+            if on_demand:
+                self.i += 2
+            self.expect(";")
+            if not is_static:
+                self.imports.append((name, on_demand))
+            return
+        self.header = None
         if self.accept(";"):
             return
         self.parse_modifiers()
@@ -564,8 +566,7 @@ class _Parser:
 
     def parse_class_body(self):
         self.expect("{")
-        if self.recover_until_brace(self.parse_member, "unexpected end of file in type body"):
-            self.i += 1
+        self.recover_until_brace(self.parse_member, "unexpected end of file in type body")
 
     def parse_enum_body(self):
         self.expect("{")
@@ -584,11 +585,10 @@ class _Parser:
                 self.skip_braces()
             if not self.accept(","):
                 break
-        if self.accept(";") and not self.recover_until_brace(
-            self.parse_member, "unexpected end of file in enum body"
-        ):
-            return
-        self.expect("}")
+        if self.accept(";"):
+            self.recover_until_brace(self.parse_member, "unexpected end of file in enum body")
+        else:
+            self.expect("}")
 
     def parse_member(self):
         """One member declaration of the open type."""
@@ -681,23 +681,17 @@ class _Parser:
         owner = self.type
         visibility = _visibility(mods, owner.kind)
         constant = ("static" in mods and "final" in mods) or owner.kind == "interface"
-        kept = None
-        try:
-            while True:
-                self.skip_dims()
-                if self.accept("="):
-                    self.parse_variable_init()
-                owner.fields.append(FieldInfo(name, visibility, constant))
-                self.refs.append((type_text, line))
-                kept = self.mark()  # a later declarator's error keeps this one
-                if not self.accept(","):
-                    break
-                name = self.expect_identifier()
-            self.expect(";")
-        except ParseError as err:
-            if kept is None:
-                raise
-            self.recover(err, kept)
+        while True:
+            self.skip_dims()
+            if self.accept("="):
+                self.parse_variable_init()
+            owner.fields.append(FieldInfo(name, visibility, constant))
+            self.refs.append((type_text, line))
+            self.kept = self.mark()  # a later declarator's error keeps this one
+            if not self.accept(","):
+                break
+            name = self.expect_identifier()
+        self.expect(";")
 
     def parse_variable_init(self):
         """An expression or an array initializer."""
@@ -712,10 +706,9 @@ class _Parser:
 
     def parse_block(self, parse_one=None):
         start = self.expect("{")
-        if self.recover_until_brace(
+        self.recover_until_brace(
             parse_one or self.parse_statement, "unexpected end of file in block", start
-        ):
-            self.i += 1
+        )
 
     def parse_lead_statement(self, leads: list):
         """A statement of a method body; its first token goes to *leads*."""
@@ -805,9 +798,10 @@ class _Parser:
         save = self.i
         try:
             self.parse_modifiers()
-            type_text = self.parse_type_text()
-            if self.kind[self.i] == "identifier" and self.lex[self.i + 1] in follow:
-                return type_text
+            if self.kind[self.i] == "identifier" or self.lex[self.i] in NON_REF_TYPES:
+                type_text = self.parse_type_text()
+                if self.kind[self.i] == "identifier" and self.lex[self.i + 1] in follow:
+                    return type_text
         except ParseError:
             pass
         self.i = save
@@ -891,37 +885,30 @@ class _Parser:
         labels: list = []
         element = partial(self.parse_switch_element, labels)
         self.recover_until_brace(element, "unexpected end of file in switch", start)
-        self.accept("}")
         acc.sites[slot] = SwitchSite(self.line[start], len(labels), terminal, "".join(parts))
 
     def parse_switch_element(self, labels: list):
         """A statement, or case labels and their tail. Each case label's
         first token goes to *labels*, and the label stays counted when its
         tail fails."""
-        if not (self.at("case") or self.at("default")):
+        if self.accept("default"):
+            return self.parse_case_tail()
+        if not self.accept("case"):
             return self.parse_statement()
-        kept = None
-        try:
-            if self.accept("case"):
-                while True:
-                    first = self.i
-                    # No ternary here (':' closes the label); pattern labels
-                    # tolerate a trailing binding identifier.
-                    self.parse_expression(case_label=True)
-                    if self.kind[self.i] == "identifier":
-                        self.i += 1
-                    self.acc.decisions += 1
-                    labels.append(first)
-                    kept = self.mark()
-                    if not self.accept(","):
-                        break
+        while True:
+            first = self.i
+            if self.kind[first] == "identifier" and self.lex[first + 1] == "->":
+                self.acc.names.append(self.expect_identifier())  # a name, not a lambda
             else:
+                self.parse_expression()
+            if self.kind[self.i] == "identifier":  # a pattern's binding
                 self.i += 1
-            self.parse_case_tail()
-        except ParseError as err:
-            if kept is None:
-                raise
-            self.recover(err, kept)
+            self.acc.decisions += 1
+            labels.append(first)
+            self.kept = self.mark()
+            if not self.accept(","):
+                break
+        self.parse_case_tail()
 
     def parse_case_tail(self):
         if self.accept("->"):
@@ -967,13 +954,12 @@ class _Parser:
     # ------------------------------------------------------------------
     # expressions
 
-    def parse_expression(self, case_label: bool = False):
+    def parse_expression(self):
         """Operands and infix operators, read by one loop that recurses only
-        into brackets and lambda bodies; a case label ends at '?' or an
-        assignment. It yields what a fact may read: an instanceof test's
-        text; the text parts and last identifier of a lone name, literal,
-        this, super, call, field or array access, as (['a', '.b()', '[]'],
-        'b') with '?' for any other part; None otherwise.
+        into brackets and lambda bodies. It yields what a fact may read: an
+        instanceof test's text; the text parts and last identifier of a lone
+        name, literal, this, super, call, field or array access, as (['a',
+        '.b()', '[]'], 'b') with '?' for any other part; None otherwise.
 
         Precedence decides one thing, kept by two pieces of state: an
         instanceof's type is referred to at the line where its left operand
@@ -1002,11 +988,8 @@ class _Parser:
                     value = "".join(value[0]) if type(value) is tuple else "?"
                 continue
             else:
-                if t == "?" or t in _ASSIGNMENTS:
-                    if case_label:
-                        return value
-                    if t == "?":
-                        conditionals += 1
+                if t == "?":
+                    conditionals += 1
                 elif t not in _LOOSER:
                     if not conditionals:
                         return value
@@ -1042,12 +1025,8 @@ class _Parser:
             if paren != "cast":
                 break
             self.i = lead + 1
-            try:
-                types = self.parse_type_list("&")
-                self.expect(")")
-            except ParseError:  # no type list after all
-                self.i = lead
-                break
+            types = self.parse_type_list("&")
+            self.expect(")")
             self.refs += [(ty, self.line[lead]) for ty in types]
             cast = True
         parts, last = ["?"], ""  # the text parts and the last identifier
@@ -1182,7 +1161,7 @@ class _Parser:
         starts_operand = (
             kind[j + 1] in ("identifier", "literal")
             or nxt in ("(", "this", "super", "new", "!", "~")
-            or (lex[start + 1] in PRIMITIVES and nxt in ("+", "-"))
+            or (lex[start + 1] in PRIMITIVES and nxt in ("+", "-", "++", "--"))
         )
         return "cast" if angles == 0 and starts_operand else ""
 

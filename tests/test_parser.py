@@ -211,6 +211,21 @@ def test_statement_forms_parse():
     ]
 
 
+def test_case_labels_end_where_an_expression_ends():
+    # javac 17 compiles both switches once FOO, BAR and BAZ are int
+    # constants. A label may be a conditional, and an arrow label that is a
+    # bare name is that name, not a lambda.
+    parsed = parse_text(
+        "class A { int x; int m(int k) { switch (k) { case true ? 2 : 3: return 1; } return 0; }\n"
+        " void n(int k) { switch (k) { case FOO -> foo(x); case BAR, BAZ -> bar(); default -> baz(); } } }"
+    )
+    assert parsed.diagnostics == []
+    assert [(m.name, m.cc, m.field_uses) for m in parsed.types[0].methods] == [("m", 3, 0), ("n", 4, 1)]
+    assert parsed.types[0].hierarchy_sites == [
+        ("m", SwitchSite(1, 1, "k", "k")), ("n", SwitchSite(2, 3, "k", "k")),
+    ]
+
+
 def test_instanceof_operand_text_and_switch_terminal():
     (a,) = parse_text(
         """
@@ -418,6 +433,13 @@ def test_intersection_cast_refers_to_every_bound():
     ]
 
 
+def test_primitive_cast_of_an_increment():
+    # javac 17 compiles both: a primitive cast's operand is any unary expression.
+    parsed = parse_text("class A { int x; void m() { int y = (int) ++x; long z = (long) --x; } }")
+    assert parsed.diagnostics == []
+    assert [(m.name, m.field_uses) for m in parsed.types[0].methods] == [("m", 1)]
+
+
 def test_cast_type_argument_may_hold_braces():
     # javac 17 compiles it: the braces sit in an annotation argument.
     parsed = parse_text("class A { void m() { Object o = (java.util.List<@Ann({1}) String>) x; } }")
@@ -438,14 +460,34 @@ def test_parenthesized_comparisons_parse_in_linear_time():
     assert parsed.types[0].methods[0].cc == 8002
 
 
+def test_comparison_statements_parse_in_linear_time():
+    # javac rejects 'i < n;', but the parser reads it as an expression
+    # statement. Each one is first tried as the head of a local variable
+    # 'i<...> name', and the skip of the type arguments stops at the ';'.
+    # A skip that looks for their '>' to the end of the file takes minutes.
+    start = time.perf_counter()
+    parsed = parse_text("class A { void m(int i, int n) {\n%s} }" % ("i < n;\n" * 8000))
+    assert time.perf_counter() - start < 20
+    assert parsed.diagnostics == []
+    assert parsed.types[0].methods[0].cc == 1
+
+
+def test_unbalanced_angle_stops_at_semicolon():
+    parsed = parse_text("class A { List<String x; int y; }")
+    assert [(d.message, d.col) for d in parsed.diagnostics] == [("unbalanced '<'", 15)]
+    assert [f.name for f in parsed.types[0].fields] == ["y"]
+
+
 def test_parenthesized_expressions_build_no_discarded_error(monkeypatch):
-    # Telling a cast from a parenthesized expression builds no ParseError.
+    # Telling a cast from a parenthesized expression, or a local variable's
+    # head from a statement that starts with no type, builds no ParseError.
     calls = []
     error = _Parser.error
     monkeypatch.setattr(_Parser, "error", lambda self, *args: calls.append(args) or error(self, *args))
     parsed = parse_text(
-        "class A { void m(int x, int y, int[] a) { boolean b = (x > 0) == (y > 1);"
-        " int c = (x + y) * 2; c = (x < y) ? x : y; c = (a[0]) + (int) y + ((x)); } }"
+        "class A { int x; A(int x) { this.x = x; super.toString(); } void m(int x, int y, int[] a) {"
+        " boolean b = (x > 0) == (y > 1); int c = (x + y) * 2; c = (x < y) ? x : y;"
+        " c = (a[0]) + (int) y + ((x)); new Object(); \"s\".length(); (a)[0] = 1; ++x; --y; } }"
     )
     assert parsed.diagnostics == []
     assert calls == []
