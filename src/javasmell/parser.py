@@ -328,13 +328,12 @@ class _Parser:
     ) -> bool:
         """Call *parse_one* until '}', which it consumes, or end of input.
 
-        This is the one place that recovers from a syntax error: it drops
-        the facts added since ``self.kept``, records the error and skips to
-        the next statement boundary. ``self.kept`` is marked before each
-        construct, and a construct that completes a part it keeps (a field
-        declarator, a case label) marks it again. Every step consumes at
-        least one token. Returns False at end of input, after reporting
-        *eof_message* at *anchor*.
+        The one place that recovers from a syntax error: it drops the facts
+        added since ``self.kept``, marked before each item and again by an
+        item after each part it keeps, records the error and skips to the
+        next statement boundary. Every step consumes at least one token.
+        Returns False at end of input, after reporting *eof_message* at
+        *anchor*.
         """
         lex, outer = self.lex, self.kept
         while lex[self.i] != "}":
