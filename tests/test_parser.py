@@ -536,6 +536,39 @@ def test_annotated_resource_is_a_declaration():
     assert ref_names(parsed.types[0]) == ["java.io.Reader", "java.io.Reader"]
 
 
+@pytest.mark.parametrize(
+    "text, refs, field_uses",
+    [
+        # An enhanced-for's variable type is referred to at the line of 'for'.
+        (
+            "class A { int v, w; void m(java.util.List<String> xs) { for (\n final\n"
+            " String v : xs) { w = v; } } }",
+            [("String", 1), ("java.util.List", 1)], 1,
+        ),
+        # A resource's type is referred to at the line where it starts.
+        (
+            "class A { java.io.Reader r; void m() throws Exception { try (\n"
+            " java.io.Reader r = open()) { r.read(); } } }",
+            [("java.io.Reader", 1), ("java.io.Reader", 2), ("r", 2)], 0,
+        ),
+        # A local's type after statement modifiers is referred to at its own line.
+        (
+            "class A { int xs; void m() {\n final @A\n List<String> xs = null; xs.clear(); } }",
+            [("List", 3), ("xs", 3)], 0,
+        ),
+        # javac rejects a 'public' local; the parser reads it as a local whose
+        # type is referred to at the line of 'public'.
+        ("class A { int x, y; void m() {\n public\n Integer x = y; x++; } }", [("Integer", 2)], 1),
+    ],
+)
+def test_local_heads_refer_to_their_type_and_shadow_fields(text, refs, field_uses):
+    parsed = parse_text(text)
+    assert parsed.diagnostics == []
+    (a,) = parsed.types
+    assert sorted(a.refs) == refs
+    assert [m.field_uses for m in a.methods] == [field_uses]
+
+
 def test_top_level_record_is_skipped_not_fatal():
     parsed = parse_text("record P(int x) {\n    int twice() { return 2 * x; }\n}\nclass A { }\n")
     assert [t.qname for t in parsed.types] == ["A"]
