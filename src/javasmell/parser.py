@@ -630,8 +630,9 @@ class _Parser:
             self.parse_type_list()
         leads = None  # the first token of each statement of the body
         if self.at("{"):
-            leads = []
-            self.parse_block(partial(self.parse_lead_statement, leads))
+            leads, start = [], self.expect("{")
+            lead_statement = partial(self.parse_lead_statement, leads)
+            self.recover_until_brace(lead_statement, "unexpected end of file in block", start)
         else:
             self.expect(";")
         self.restore_acc(outer)
@@ -703,11 +704,9 @@ class _Parser:
     # ------------------------------------------------------------------
     # statements
 
-    def parse_block(self, parse_one=None):
+    def parse_block(self):
         start = self.expect("{")
-        self.recover_until_brace(
-            parse_one or self.parse_statement, "unexpected end of file in block", start
-        )
+        self.recover_until_brace(self.parse_statement, "unexpected end of file in block", start)
 
     def parse_lead_statement(self, leads: list):
         """A statement of a method body; its first token goes to *leads*."""
@@ -772,54 +771,53 @@ class _Parser:
                 self.parse_expression()
             self.expect(";")
             return
-        if lex in ("final", "abstract", "static", "strictfp", "@"):
-            self.parse_modifiers()
-            if self.parse_declaration() or self.try_parse_local_var():
-                return
-            raise self.error("expected declaration after modifiers")
         kind = self.kind[i]
         if kind == "identifier" and self.lex[i + 1] == ":" and self.lex[i + 2] != ":":
             self.i = i + 2  # label and ':'
             return self.parse_statement()
-        if self.parse_declaration():
-            return
         if kind == "eof":
             raise self.error("expected statement, found end of file")
-        if self.try_parse_local_var():
+        if lex in ("final", "abstract", "static", "strictfp", "@"):
+            self.parse_modifiers()
+        if self.parse_declaration() or self.try_parse_local_var():
             return
+        if self.i != i:
+            raise self.error("expected declaration after modifiers")
         self.parse_expression()
         self.expect(";")
 
-    def try_head(self, follow: tuple) -> str | None:
+    def try_head(self, follow: tuple, line: int) -> bool:
         """At '[modifiers] Type name' with a token in *follow* after the
-        name: consume what comes before the name and return the type.
-        Otherwise consume nothing and return None."""
+        name: record the local, its type referred to at *line*, step past
+        the name and return True. Otherwise consume nothing and return
+        False."""
         save = self.i
         try:
             self.parse_modifiers()
             if self.kind[self.i] == "identifier" or self.lex[self.i] in NON_REF_TYPES:
                 type_text = self.parse_type_text()
-                if self.kind[self.i] == "identifier" and self.lex[self.i + 1] in follow:
-                    return type_text
+                i = self.i
+                if self.kind[i] == "identifier" and self.lex[i + 1] in follow:
+                    self.refs.append((type_text, line))
+                    self.acc.locals.append(self.lex[i])
+                    self.i = i + 1
+                    return True
         except ParseError:
             pass
         self.i = save
-        return None
+        return False
 
     def try_parse_local_var(self) -> bool:
-        line = self.line[self.i]
-        type_text = self.try_head(("=", ";", ",", "["))
-        if type_text is None:
+        if not self.try_head(("=", ";", ",", "["), self.line[self.i]):
             return False
-        self.refs.append((type_text, line))
         while True:
-            self.acc.locals.append(self.expect_identifier())
             self.skip_dims()
             if self.accept("="):
                 self.parse_variable_init()
             if not self.accept(","):
                 self.expect(";")
                 return True
+            self.acc.locals.append(self.expect_identifier())
 
     def parse_if(self):
         """An if statement and the else-if links chained to it. A chain whose
@@ -848,11 +846,8 @@ class _Parser:
         line = self.line[self.expect("for")]
         self.expect("(")
         self.acc.decisions += 1
-        vtype = self.try_head((":",))  # enhanced for: [modifiers] Type name : expr
-        if vtype is not None:
-            self.acc.locals.append(self.lex[self.i])
-            self.i += 2  # the name and ':'
-            self.refs.append((vtype, line))
+        if self.try_head((":",), line):  # enhanced for: [modifiers] Type name : expr
+            self.i += 1  # ':'
             self.parse_expression()
             self.expect(")")
             return self.parse_statement()
@@ -910,16 +905,13 @@ class _Parser:
         self.parse_case_tail()
 
     def parse_case_tail(self):
-        if self.accept("->"):
-            if self.at("{"):
-                self.parse_block()
-            elif self.at("throw"):
-                self.parse_statement()
-            else:
-                self.parse_expression()
-                self.expect(";")
-        else:
+        if not self.accept("->"):
             self.expect(":")
+        elif self.lex[self.i] in ("{", "throw"):
+            self.parse_statement()
+        else:
+            self.parse_expression()
+            self.expect(";")
 
     def parse_try(self):
         start = self.expect("try")
@@ -942,12 +934,8 @@ class _Parser:
 
     def parse_resource(self):
         """A resource: a declaration 'Type name = expr' or an expression."""
-        line = self.line[self.i]
-        rtype = self.try_head(("=",))
-        if rtype is not None:
-            self.refs.append((rtype, line))
-            self.acc.locals.append(self.lex[self.i])
-            self.i += 2  # the name and '='
+        if self.try_head(("=",), self.line[self.i]):
+            self.i += 1  # '='
         self.parse_expression()
 
     # ------------------------------------------------------------------
