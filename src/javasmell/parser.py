@@ -709,10 +709,9 @@ class _Parser:
         self.recover_until_brace(self.parse_statement, "unexpected end of file in block", start)
 
     def parse_lead_statement(self, leads: list):
-        """A statement of a method body; its first token goes to *leads*."""
-        lead = self.lex[self.i]
+        """A statement of a method body; its first token goes to *leads*, even if it fails."""
+        leads.append(self.lex[self.i])
         self.parse_statement()
-        leads.append(lead)
 
     def parse_statement(self):
         i = self.i

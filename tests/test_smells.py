@@ -483,6 +483,17 @@ def test_switch_in_a_constructor_is_a_missing_hierarchy():
     ]
 
 
+def test_body_with_a_statement_that_fails_to_parse_is_not_rejected():
+    # 'return 1 +;' is a statement of f's body although it fails to parse,
+    # so f neither is empty nor only throws; h's 'throw x' lacks only its ';'.
+    m = model_of(
+        A="package p; class A { int f() { return 0; } void h() { int x = 1; } }",
+        B="package p; class B extends A { int f() { return 1 +; } void h() { throw x } }",
+    )
+    found = detect(K.BROKEN_HIERARCHY, m)
+    assert [(f.subject, f.evidence["rejected_methods"]) for f in found] == [("p.B", "h")]
+
+
 @pytest.mark.parametrize(
     "base, sub",
     [
