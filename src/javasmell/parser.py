@@ -420,8 +420,12 @@ class _Parser:
             raise self.error("expected type, found end of file")
         else:
             raise self.error(f"expected type, found '{lex[i]}'")
-        if lex[self.i] == "<":
+        while lex[self.i] == "<":
             self.skip_generics()
+            if lex[self.i] != "." or self.kind[self.i + 1] != "identifier":
+                break
+            self.i += 1  # Outer<T>.Inner erases to Outer.Inner
+            name += "." + self.parse_qualified_name()
         self.skip_dims()
         return name
 
@@ -670,12 +674,12 @@ class _Parser:
         self.parse_modifiers()
         ptype = self.parse_type_text()
         self.accept("...")
-        # Receiver parameters ("this") and lambda-ish noise are not
-        # expected here; a plain identifier is.
-        pname = self.expect_identifier()
-        self.skip_dims()
+        if self.kind[self.i] == "identifier" and self.at(".", 1) and self.at("this", 2):
+            self.i += 2  # the qualifier of a receiver parameter
+        if not self.accept("this"):  # a receiver parameter is no parameter (JLS 8.4)
+            params.append(self.expect_identifier())
+            self.skip_dims()
         self.refs.append((ptype, self.line[self.i - 1]))
-        params.append(pname)
 
     def parse_field_declarators(self, line, mods, type_text, name):
         owner = self.type
@@ -1075,6 +1079,8 @@ class _Parser:
                     self.i = n + 1
                     if member == "new":
                         self.parse_creation(n, self.line[lead])
+                    elif member == "super" and lex[n + 1] == "(":  # outer.super(args)
+                        self.parse_list("(", ")", self.parse_expression, "unterminated argument list")
                     # X.this and X.super read as this and super.
                     parts, last = (["?"] if member in ("class", "new") else [member]), ""
                     this = member == "this"

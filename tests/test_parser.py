@@ -1,5 +1,7 @@
 import dataclasses
 import pickle
+import shutil
+import subprocess
 import threading
 import time
 from pathlib import Path
@@ -567,6 +569,51 @@ def test_local_heads_refer_to_their_type_and_shadow_fields(text, refs, field_use
     (a,) = parsed.types
     assert sorted(a.refs) == refs
     assert [m.field_uses for m in a.methods] == [field_uses]
+
+
+# Constructs javac 17 compiles that the parser once dropped: receiver
+# parameters, a qualified superclass constructor call, a member type of a
+# parameterized type, and a body whose one statement fails to parse (a type
+# annotation on array dims, outside the subset), which is then not empty.
+JAVAC_PROBE = {
+    "T.java": "package p; import java.lang.annotation.*; @Target(ElementType.TYPE_USE) @interface T { }",
+    "O.java": "package p; public class O { public class I { public I(O O.this, int k) { }"
+    " int g(I this) { return k(); } int k() { return 1; } } }",
+    "B.java": "package p; class B extends O.I { B(O o) { o.super(1); } int g() { return new int @T [0].length; } }",
+    "Outer.java": "package p; class Outer<V> { class Inner { } }",
+    "A.java": "package p; class A { Outer<String>.Inner f;"
+    " Object m(Object o) { Outer<String>.Inner x = (Outer<String>.Inner) o; return x; } }",
+}
+
+
+@pytest.mark.skipif(not shutil.which("javac"), reason="javac (JDK 17) tells valid Java")
+def test_javac_compiles_the_probe(tmp_path):
+    for name, text in JAVAC_PROBE.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    sources = sorted(str(tmp_path / name) for name in JAVAC_PROBE)
+    result = subprocess.run(["javac", "-d", str(tmp_path / "classes"), *sources], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize(
+    "name, qname, diags, fields, methods, refs",
+    [
+        # A receiver parameter is no parameter; its type is a reference.
+        ("O.java", "p.O.I", [], [], [("g", 0, False), ("k", 0, False)], [("I", 1), ("O", 1)]),
+        ("B.java", "p.B", [(1, "expected '(', found '@'")], [], [("g", 0, False)], [("O", 1), ("O.I", 1)]),
+        (
+            "A.java", "p.A", [], ["f"], [("m", 1, False)],
+            [("Object", 1), ("Object", 1), ("Outer.Inner", 1), ("Outer.Inner", 1), ("Outer.Inner", 1)],
+        ),
+    ],
+)
+def test_javac_probe_facts(name, qname, diags, fields, methods, refs):
+    parsed = parse_text(JAVAC_PROBE[name], name)
+    assert diagnostics(parsed) == diags
+    (info,) = [t for t in parsed.types if t.qname == qname]
+    assert [f.name for f in info.fields] == fields
+    assert [(m.name, m.arity, m.rejected_body) for m in info.methods] == methods
+    assert sorted(info.refs) == refs
 
 
 def test_top_level_record_is_skipped_not_fatal():
