@@ -29,13 +29,14 @@ whether an ``if`` condition is an instanceof test and of what.
 
 A syntax error is the lexer's ``ParseError``. One loop,
 ``recover_until_brace``, reads the items of a file (its package and imports
-among them), of a type body, a block and a switch body, and it alone
-recovers, panic-mode: an item that fails to parse is dropped with every
-fact it added since the loop's mark, the error is recorded, without its
-traceback, in the file's ``diagnostics``, and the loop skips to the next
-statement boundary. Field declarators and case labels move the mark past
-each part they complete, so those parts stay. Each step consumes at least
-one token, so a parse is bounded by the token count.
+among them), of a type body, a method body (where a statement that fails
+still counts), a block and a switch body, and it alone recovers,
+panic-mode: an item that fails to parse is dropped with every fact it added
+since the loop's mark, the error is recorded, without its traceback, in the
+file's ``diagnostics``, and the loop skips to the next statement boundary.
+Field declarators and case labels move the mark past each part they
+complete, so those parts stay. Each step consumes at least one token, so a
+parse is bounded by the token count.
 
 The parser reads the arrays of ``Tokens`` by index. While it runs, each
 ends in an ``eof`` sentinel that is never consumed, so looking ahead needs
@@ -709,6 +710,7 @@ class _Parser:
     # statements
 
     def parse_block(self):
+        """A braced block of statements; ``parse_method`` runs a method body's loop itself."""
         start = self.expect("{")
         self.recover_until_brace(self.parse_statement, "unexpected end of file in block", start)
 
@@ -784,7 +786,7 @@ class _Parser:
             self.parse_modifiers()
         if self.parse_declaration() or self.try_parse_local_var():
             return
-        if self.i != i:
+        if self.i != i:  # modifiers were read
             raise self.error("expected declaration after modifiers")
         self.parse_expression()
         self.expect(";")

@@ -571,10 +571,10 @@ def test_local_heads_refer_to_their_type_and_shadow_fields(text, refs, field_use
     assert [m.field_uses for m in a.methods] == [field_uses]
 
 
-# Constructs javac 17 compiles that the parser once dropped: receiver
-# parameters, a qualified superclass constructor call, a member type of a
-# parameterized type, and a body whose one statement fails to parse (a type
-# annotation on array dims, outside the subset), which is then not empty.
+# Constructs javac 17 compiles: receiver parameters, a qualified superclass
+# constructor call, a member type of a parameterized type, and a body whose
+# one statement the parser does not read (a type annotation on array dims,
+# outside the subset), which still makes the body not empty.
 JAVAC_PROBE = {
     "T.java": "package p; import java.lang.annotation.*; @Target(ElementType.TYPE_USE) @interface T { }",
     "O.java": "package p; public class O { public class I { public I(O O.this, int k) { }"
