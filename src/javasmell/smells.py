@@ -43,7 +43,6 @@ Rule summary (defaults in parentheses):
 
 from __future__ import annotations
 
-import hashlib
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -53,6 +52,16 @@ from typing import Callable, NamedTuple
 from .files import FatalError, key_values
 from .model import PseudoModel, strongly_connected_components
 from .parser import SwitchSite
+
+# CPython's built-in SHA-256; ``hashlib`` would also load OpenSSL through
+# ``_hashlib``, several MiB of a run's peak memory for one 12-digit digest.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 class SmellKind(Enum):
@@ -191,7 +200,9 @@ class RuleConfig:
         ]
 
     def digest(self) -> str:
-        return hashlib.sha256("\n".join(self.echo_lines()).encode("utf-8")).hexdigest()[:12]
+        """The first 12 hex digits of the SHA-256 of the echo lines joined
+        by newlines."""
+        return sha256("\n".join(self.echo_lines()).encode("utf-8")).hexdigest()[:12]
 
 
 # ----------------------------------------------------------------------

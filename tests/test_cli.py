@@ -1,6 +1,11 @@
+import importlib.util
 import json
+import os
 import shutil
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -391,6 +396,24 @@ def test_analyze_starts_no_thread_at_any_worker_count(tmp_path, capsys, monkeypa
     )
     assert code == EXIT_OK
     assert "findings: 11" in stdout
+
+
+@pytest.mark.skipif(
+    not (importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256")),
+    reason="no built-in SHA-256 module: the config digest falls back to hashlib",
+)
+def test_analyze_does_not_load_openssl(tmp_path):
+    # -S: no site module, which may import hashlib on its own.
+    code = (
+        "import sys; from javasmell.cli import main; "
+        "code = main(sys.argv[1:]); print(code, '_hashlib' in sys.modules)"
+    )
+    argv = ["analyze", "--src", str(CORPUS), "--out", str(tmp_path / "out"), "--timestamp", "2024-01-01T00:00:00"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} False", done.stderr
 
 
 def test_analyze_rejects_workers_below_one(tmp_path, capsys):
