@@ -40,7 +40,6 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 KEYWORDS = frozenset(
@@ -115,9 +114,11 @@ class SourceFile:
             self.content = self.content[1:]
 
     @classmethod
-    def from_path(cls, path, root) -> "SourceFile":
-        p = Path(path)
-        return cls(p.relative_to(root).as_posix(), p.read_text(encoding="utf-8"))
+    def from_path(cls, path, name: str) -> "SourceFile":
+        """The file at *path*, read as UTF-8 with newlines as ``\\n``,
+        named *name*."""
+        with open(path, encoding="utf-8") as fh:
+            return cls(name, fh.read())
 
 
 class Token(NamedTuple):

@@ -11,7 +11,9 @@ failure with the error's text, and the rest of the corpus is still analyzed.
 from __future__ import annotations
 
 import gc
+import os
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 from .lexer import ParseError, SourceFile, tokenize
@@ -43,19 +45,36 @@ class AnalysisResult:
 
 
 def find_java_files(root) -> list:
-    """All non-symlink ``.java`` files under *root*, canonically sorted."""
+    """All ``.java`` files under *root*, sorted by path relative to *root*
+    with ``/`` separators.
+
+    No symbolic link is followed or listed, a directory that cannot be
+    listed for lack of permission is skipped, and a missing *root* gives
+    ``[]``.
+    """
     root = Path(root)
     found = []
-    for path in root.rglob("*"):
-        if path.is_symlink():
+    pending = [(root, "")]
+    while pending:
+        directory, prefix = pending.pop()
+        try:
+            with os.scandir(directory) as entries:
+                for entry in entries:
+                    if entry.is_symlink():
+                        continue
+                    rel = prefix + entry.name
+                    if entry.is_dir():
+                        pending.append((entry.path, rel + "/"))
+                    elif entry.name.endswith(".java") and entry.name != ".java" and entry.is_file():
+                        found.append(rel)
+        except (FileNotFoundError, NotADirectoryError, PermissionError):
             continue
-        if path.is_file() and path.suffix == ".java":
-            found.append(path)
-    return sorted(found, key=lambda p: p.relative_to(root).as_posix())
+    return [root / rel for rel in sorted(found)]
 
 
-def parse_one(path: Path, root: Path) -> ParsedFile:
-    return parse_file(SourceFile.from_path(path, root))
+def parse_one(path, name: str) -> ParsedFile:
+    """Read, lex and parse the file at *path*, naming it *name*."""
+    return parse_file(SourceFile.from_path(path, name))
 
 
 def parse_file(src: SourceFile) -> ParsedFile:
@@ -91,11 +110,12 @@ def analyze_paths(root, paths, config: RuleConfig | None = None) -> AnalysisResu
     gc.disable()
     try:
         parsed, failures = [], []
-        for path in sorted(map(Path, paths), key=lambda p: p.relative_to(root).as_posix()):
+        named = sorted(((Path(p).relative_to(root).as_posix(), p) for p in paths), key=itemgetter(0))
+        for name, path in named:
             try:
-                parsed.append(parse_one(path, root))
+                parsed.append(parse_one(path, name))
             except (ParseError, UnicodeDecodeError, OSError) as err:
-                failures.append(FileFailure(path.relative_to(root).as_posix(), str(err)))
+                failures.append(FileFailure(name, str(err)))
 
         model = build_model(parsed)
         tm = compute_type_metrics(model)

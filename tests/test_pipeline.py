@@ -1,4 +1,8 @@
-"""The garbage-collector pause around ``analyze_paths``.
+"""File discovery, and the garbage-collector pause around ``analyze_paths``.
+
+``find_java_files`` follows no symbolic link, matches ``.java`` case-
+sensitively, skips a directory it may not list and orders files by relative
+POSIX path.
 
 ``analyze_paths`` disables the cyclic collector for its run. These tests
 check that it leaves the collector as it found it, also when the analysis
@@ -7,6 +11,7 @@ cycles, so a collection right after it finds nothing unreachable.
 """
 
 import gc
+import os
 import shutil
 
 import pytest
@@ -15,6 +20,47 @@ from javasmell import pipeline
 from javasmell.pipeline import analyze_paths, analyze_tree, find_java_files
 
 from conftest import CORPUS
+
+
+def java_tree(root):
+    """A tree whose ``.java`` files are found in the order returned, next to
+    entries discovery must skip."""
+    outside = root.parent / "outside"
+    outside.mkdir()
+    (outside / "O.java").write_text("class O { }", encoding="utf-8")
+    for rel in ("a/B.java", "a.b/C.java", "X.java/Y.java", "A.JAVA", ".java", "locked/L.java"):
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text("class Z { }", encoding="utf-8")
+    (root / "Link.java").symlink_to(outside / "O.java")
+    (root / "linked").symlink_to(outside, target_is_directory=True)
+    return ["X.java/Y.java", "a.b/C.java", "a/B.java", "locked/L.java"]
+
+
+def test_discovery_follows_no_link_and_orders_by_relative_path(tmp_path):
+    root = tmp_path / "src"
+    expected = java_tree(root)
+    for given in (root, str(root)):
+        found = find_java_files(given)
+        assert [p.relative_to(root).as_posix() for p in found] == expected
+        assert all(p.is_file() for p in found)
+
+
+def test_discovery_skips_a_directory_it_may_not_list(tmp_path, monkeypatch):
+    root = tmp_path / "src"
+    expected = java_tree(root)
+    scandir = os.scandir
+
+    def refuse_locked(path="."):
+        if os.path.basename(os.fspath(path)) == "locked":
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", refuse_locked)
+    assert [p.relative_to(root).as_posix() for p in find_java_files(root)] == expected[:-1]
+
+
+def test_discovery_of_a_missing_root_is_empty(tmp_path):
+    assert find_java_files(tmp_path / "missing") == []
 
 
 def set_collector(enabled: bool):
