@@ -321,7 +321,19 @@ class _Parser:
         self.skip_balanced("{", "}", "unbalanced '{'", self.i)
 
     def skip_dims(self):
-        while self.lex[self.i] == "[" and self.lex[self.i + 1] == "]":
+        """Skip '[]' pairs, each after any type-use annotations
+        (``String @T []``). Annotations before a '[' that opens a dimension
+        expression (``new int @T [n]``) are read too; others are left."""
+        lex = self.lex
+        while True:
+            i = self.i
+            while lex[self.i] == "@" and self.kind[self.i + 1] == "identifier":
+                self.skip_annotation()
+            if lex[self.i] != "[":
+                self.i = i
+                return
+            if lex[self.i + 1] != "]":
+                return
             self.i += 2
 
     def recover_until_brace(
@@ -1064,6 +1076,11 @@ class _Parser:
                 self.expect("class")
         elif k == "eof":
             raise self.error("expected expression, found end of file")
+        elif t == "<" and self.skip_constructor_type_arguments():
+            t = lex[self.i]  # this or super
+            self.i += 1
+            self.parse_list("(", ")", self.parse_expression, "unterminated argument list")
+            parts, last = [t + "()"], t
         else:
             raise self.error(f"unexpected token '{t}' in expression")
         while True:
@@ -1122,6 +1139,20 @@ class _Parser:
         if prefixed or (cast and test is not None):
             return None
         return (parts, last) if test is None else test
+
+    def skip_constructor_type_arguments(self) -> bool:
+        """At the type arguments of an explicit constructor invocation,
+        ``<T>this(args)`` or ``<T>super(args)``: step past them and return
+        True. Otherwise consume nothing and return False."""
+        start = self.i
+        try:
+            self.skip_generics()
+            if self.lex[self.i] in ("this", "super") and self.lex[self.i + 1] == "(":
+                return True
+        except ParseError:
+            pass
+        self.i = start
+        return False
 
     def classify_parenthesis(self) -> str:
         """Classify the '(' at the cursor by one scan to its matching ')':
@@ -1185,6 +1216,7 @@ class _Parser:
             if not self.at("]"):
                 self.parse_expression()
             self.expect("]")
+            self.skip_dims()
         if self.at("{"):
             self.parse_variable_init()
         elif not dims:

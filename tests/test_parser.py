@@ -572,9 +572,8 @@ def test_local_heads_refer_to_their_type_and_shadow_fields(text, refs, field_use
 
 
 # Constructs javac 17 compiles: receiver parameters, a qualified superclass
-# constructor call, a member type of a parameterized type, and a body whose
-# one statement the parser does not read (a type annotation on array dims,
-# outside the subset), which still makes the body not empty.
+# constructor call, a member type of a parameterized type, type-use
+# annotations on array dims and explicit generic constructor invocations.
 JAVAC_PROBE = {
     "T.java": "package p; import java.lang.annotation.*; @Target(ElementType.TYPE_USE) @interface T { }",
     "O.java": "package p; public class O { public class I { public I(O O.this, int k) { }"
@@ -583,6 +582,10 @@ JAVAC_PROBE = {
     "Outer.java": "package p; class Outer<V> { class Inner { } }",
     "A.java": "package p; class A { Outer<String>.Inner f;"
     " Object m(Object o) { Outer<String>.Inner x = (Outer<String>.Inner) o; return x; } }",
+    "D.java": "package p; class D { String @T [] f;"
+    " int g() { String @T [] xs = null; return new int @T [0].length; } }",
+    "G.java": "package p; class G { G() { <Integer>this(1); } <V> G(V v) { } int k() { return 1; } }"
+    " class H<T> extends G { H(T t) { <T>super(t); } }",
 }
 
 
@@ -600,11 +603,16 @@ def test_javac_compiles_the_probe(tmp_path):
     [
         # A receiver parameter is no parameter; its type is a reference.
         ("O.java", "p.O.I", [], [], [("g", 0, False), ("k", 0, False)], [("I", 1), ("O", 1)]),
-        ("B.java", "p.B", [(1, "expected '(', found '@'")], [], [("g", 0, False)], [("O", 1), ("O.I", 1)]),
+        ("B.java", "p.B", [], [], [("g", 0, False)], [("O", 1), ("O.I", 1)]),
         (
             "A.java", "p.A", [], ["f"], [("m", 1, False)],
             [("Object", 1), ("Object", 1), ("Outer.Inner", 1), ("Outer.Inner", 1), ("Outer.Inner", 1)],
         ),
+        # Type-use annotations before '[' keep the field, the local and the return.
+        ("D.java", "p.D", [], ["f"], [("g", 0, False)], [("String", 1), ("String", 1)]),
+        # An explicit generic constructor invocation is a statement.
+        ("G.java", "p.G", [], [], [("k", 0, False)], [("V", 1)]),
+        ("G.java", "p.H", [], [], [], [("G", 1), ("T", 1)]),
     ],
 )
 def test_javac_probe_facts(name, qname, diags, fields, methods, refs):
