@@ -647,9 +647,7 @@ def test_config_validation():
 def test_config_digest_stable():
     assert RuleConfig().digest() == RuleConfig().digest()
     assert RuleConfig().digest() != RuleConfig(wh_min_children=4).digest()
-
-
-@pytest.mark.parametrize("config", [RuleConfig(), RuleConfig(wh_min_children=4, entry_points=("p.Main",))])
-def test_config_digest_is_sha256_of_the_echo_lines(config):
-    echo = "\n".join(config.echo_lines()).encode("utf-8")
-    assert config.digest() == hashlib.sha256(echo).hexdigest()[:12]
+    # The SHA-256 of the echo lines, whichever module computes it.
+    for config in (RuleConfig(), RuleConfig(wh_min_children=4, entry_points=("p.Main",))):
+        echo = "\n".join(config.echo_lines()).encode("utf-8")
+        assert config.digest() == hashlib.sha256(echo).hexdigest()[:12]
