@@ -700,6 +700,32 @@ def test_sealed_and_non_stay_names_outside_modifier_position():
     assert parsed.diagnostics == []
 
 
+@pytest.mark.parametrize("text,col", [
+    ("class A { non /**/-sealed class B {} }", 19),
+    ("class A { non-\nsealed class B {} }", 14),
+    ("class A { non - sealed class B {} }", 15),
+])
+def test_non_sealed_with_a_gap_is_no_modifier(text, col):
+    assert [t.qname for t in parse_text("class A { non-sealed class B {} }").types] == ["A", "A.B"]
+    parsed = parse_text(text)
+    assert [t.qname for t in parsed.types] == ["A"]
+    assert [(d.message, d.line, d.col) for d in parsed.diagnostics] == [
+        ("expected identifier, found '-'", 1, col)
+    ]
+
+
+def test_end_of_file_is_reported_at_the_last_token():
+    with pytest.raises(ParseError) as err:
+        parse_text("/* x */ @")
+    assert (err.value.message, err.value.line, err.value.col) == (
+        "expected identifier, found 'end of file'", 1, 9
+    )
+    parsed = parse_text("class F {")
+    assert [(d.message, d.line, d.col) for d in parsed.diagnostics] == [
+        ("unexpected end of file in type body", 1, 9)
+    ]
+
+
 def test_recoverable_error_keeps_partial_tree():
     parsed = parse_text(
         """
