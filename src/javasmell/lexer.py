@@ -1,12 +1,13 @@
 """Tokenizer for Java source files.
 
-``tokenize`` returns a file's code tokens as one ``Tokens`` value, four
-parallel lists of kinds, lexemes, lines and columns (1-based); indexing or
-iterating it makes ``Token`` views, so none is built on the hot path.
-Comments make no token: one only advances the line count. Only comments
-span lines: a string or character literal ends on its line, so a backslash
-before a line break inside one is an unterminated literal, as javac rejects
-it.
+``tokenize`` returns a file's code tokens as one ``Tokens`` value, three
+parallel lists of kinds, lexemes and 1-based lines. A token keeps no column:
+``token_starts`` finds each token's offset by the same regex pass, and
+``column`` turns an offset into its 1-based column, so only a reported
+position costs one. Comments make no token: one only advances the line
+count. Only comments span lines: a string or character literal ends on its
+line, so a backslash before a line break inside one is an unterminated
+literal, as javac rejects it.
 
 ``tokenize`` is one pass of one compiled master regex, ``_TOKEN_RE``. Each
 match takes the horizontal blanks before it. No alternative starts on a
@@ -14,8 +15,7 @@ blank and trailing blanks match the final ``\\Z``, so the regex never
 backtracks into a run of blanks, which a long run would make quadratic. The
 name of the group that matched (``m.lastgroup``) is the token's kind, or
 says what to do: newlines, and those inside comments, advance the line
-number and the offset of the line's first character, from which columns
-follow. Longest-match rules live in the alternatives: a ``.`` before a digit
+number. Longest-match rules live in the alternatives: a ``.`` before a digit
 starts a number and a ``/`` before ``/`` or ``*`` a comment, ``...`` and
 ``::`` come before ``.`` and ``:``, and multi-character operators before
 their prefixes.
@@ -40,7 +40,6 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
-from typing import NamedTuple
 
 KEYWORDS = frozenset(
     """
@@ -121,15 +120,6 @@ class SourceFile:
             return cls(name, fh.read())
 
 
-class Token(NamedTuple):
-    """A view of one token of code, at its 1-based line and column."""
-
-    kind: str  # keyword | identifier | literal | operator | separator
-    lexeme: str
-    line: int
-    col: int
-
-
 @dataclass
 class Tokens:
     """The code tokens of one file, in source order, as parallel lists."""
@@ -137,57 +127,60 @@ class Tokens:
     kinds: list
     lexemes: list
     lines: list
-    cols: list
 
     def __len__(self):
         return len(self.kinds)
 
-    def __getitem__(self, k: int) -> Token:
-        return Token(self.kinds[k], self.lexemes[k], self.lines[k], self.cols[k])
-
 
 def tokenize(source: SourceFile) -> Tokens:
     """The code tokens of *source*, in source order."""
-    tokens = Tokens([], [], [], [])
-    kinds, lexemes, lines, cols = tokens.kinds, tokens.lexemes, tokens.lines, tokens.cols
+    tokens = Tokens([], [], [])
+    kinds, lexemes, lines = tokens.kinds, tokens.lexemes, tokens.lines
     word_kind = _WORD_KINDS.get
-    line, bol = 1, 0
+    line = 1
     for m in _TOKEN_RE.finditer(source.content):
         kind = m.lastgroup
         if kind == "newline":
             line += 1
-            bol = m.end()
         elif kind == "comment":
-            lexeme = m[kind]
-            if "\n" in lexeme:
-                line += lexeme.count("\n")
-                bol = m.start(kind) + lexeme.rfind("\n") + 1
+            line += m[kind].count("\n")
         elif kind:  # None for the blanks at the end
             lexeme = m[kind]
-            col = m.end() - len(lexeme) - bol + 1
             if kind == "word":
                 kind = word_kind(lexeme, "identifier")
             elif kind == "rare" or kind == "illegal":
-                kind = _rare_kind(lexeme, line, col)
+                kind = _rare_kind(source.content, m.start(kind), lexeme, line)
             kinds.append(kind)
             lexemes.append(lexeme)
             lines.append(line)
-            cols.append(col)
     return tokens
 
 
-def _rare_kind(lexeme: str, line: int, col: int) -> str:
-    """Kind of the token *lexeme* that the ``rare`` or ``illegal``
-    alternative matched, or the ``ParseError`` it stands for."""
+def token_starts(text: str) -> list:
+    """The offset in *text* of each code token that ``tokenize`` finds in
+    it, from the same pass."""
+    return [m.start(m.lastgroup) for m in _TOKEN_RE.finditer(text)
+            if m.lastgroup not in (None, "newline", "comment")]
+
+
+def column(text: str, offset: int) -> int:
+    """The 1-based column of *offset* in *text*."""
+    return offset - text.rfind("\n", 0, offset)
+
+
+def _rare_kind(text: str, start: int, lexeme: str, line: int) -> str:
+    """Kind of the token *lexeme*, at offset *start* of *text* on *line*,
+    that the ``rare`` or ``illegal`` alternative matched, or the
+    ``ParseError`` it stands for."""
     ch = lexeme[0]
     if lexeme == "/*":
-        raise ParseError("unterminated block comment", line, col)
+        raise ParseError("unterminated block comment", line, column(text, start))
     if ch in "\"'":
         what = "string" if ch == '"' else "character"
-        raise ParseError(f"unterminated {what} literal", line, col)
+        raise ParseError(f"unterminated {what} literal", line, column(text, start))
     if ch.isalpha() or ch in "_$" or unicodedata.category(ch) == "Nl":
         for k, c in enumerate(lexeme):
             if unicodedata.category(c) == "No":
-                raise ParseError(f"illegal character {c!r}", line, col + k)
+                raise ParseError(f"illegal character {c!r}", line, column(text, start + k))
         return "identifier"
-    raise ParseError(f"illegal character {ch!r}", line, col)
+    raise ParseError(f"illegal character {ch!r}", line, column(text, start))

@@ -43,7 +43,9 @@ ends in an ``eof`` sentinel that is never consumed, so looking ahead needs
 no end-of-input test; ``parse`` removes it before it returns or raises, and
 raises a ``ParseError``, at the first diagnostic, only when a file with
 syntax errors yields no declarations at all, and at 1:1 when the file nests
-too deep for the parser's recursion.
+too deep for the parser's recursion. A column is found only where an error
+reports one: the file's first error finds and keeps every token's offset
+(``lexer.token_starts``). End of file is reported at the last token.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
-from .lexer import ParseError, SourceFile, Tokens
+from .lexer import ParseError, SourceFile, Tokens, column, token_starts
 
 PRIMITIVES = frozenset(
     {"boolean", "byte", "short", "char", "int", "long", "float", "double"}
@@ -194,12 +196,13 @@ class _Method:
 
 class _Parser:
     def __init__(self, tokens: Tokens, source: SourceFile):
-        line, col = (tokens.lines[-1], tokens.cols[-1]) if len(tokens) else (1, 1)
-        self.arrays = (tokens.kinds, tokens.lexemes, tokens.lines, tokens.cols)
-        for array, end in zip(self.arrays, ("eof", "end of file", line, col)):
+        self.arrays = (tokens.kinds, tokens.lexemes, tokens.lines)
+        end_line = tokens.lines[-1] if len(tokens) else 1
+        for array, end in zip(self.arrays, ("eof", "end of file", end_line)):
             array.append(end)
-        self.kind, self.lex, self.line, self.col = self.arrays
+        self.kind, self.lex, self.line = self.arrays
         self.src = source
+        self.starts = None  # each token's offset in the file, found when first asked for
         self.i = 0
         self.diags: list[ParseError] = []
         self.package = ""
@@ -240,9 +243,17 @@ class _Parser:
         self.i = i + 1
         return self.lex[i]
 
+    def start(self, at: int) -> int:
+        """Offset of token *at*; end of file's is the last token's. Only a
+        file with a token has an error or a modifier to ask for one."""
+        if self.starts is None:
+            self.starts = token_starts(self.src.content)
+            self.starts.append(self.starts[-1])
+        return self.starts[at]
+
     def error(self, message: str, at: int | None = None) -> ParseError:
         at = self.i if at is None else at
-        return ParseError(message, self.line[at], self.col[at])
+        return ParseError(message, self.line[at], column(self.src.content, self.start(at)))
 
     def diag(self, message: str, at: int | None = None):
         self.diags.append(self.error(message, at))
@@ -399,19 +410,13 @@ class _Parser:
                 self.i = i + 1
             elif t == "@" and lex[i + 1] != "interface":
                 self.skip_annotation()
-            elif t == "non" and self.at_non_sealed():
+            elif t == "non" and lex[i + 1 : i + 3] == ["-", "sealed"] and (
+                self.src.content.startswith("non-sealed", self.start(i))  # no gaps
+            ):
                 self.i = i + 3
                 mods.add("non-sealed")
             else:
                 return mods
-
-    def at_non_sealed(self) -> bool:
-        """At 'non-sealed', which lexes as 'non', '-', 'sealed' with no gaps."""
-        i = self.i
-        if self.lex[i : i + 3] != ["non", "-", "sealed"]:
-            return False
-        line, col = self.line, self.col
-        return line[i] == line[i + 2] and col[i] + 3 == col[i + 1] == col[i + 2] - 1
 
     def parse_qualified_name(self) -> str:
         name = self.expect_identifier()
@@ -1227,7 +1232,8 @@ class _Parser:
 
 
 def parse(tokens: Tokens, source: SourceFile) -> ParsedFile:
-    """Parse the code tokens of *source* into its facts and code lines.
+    """Parse the code tokens of *source*, ``tokenize(source)``, into its
+    facts and code lines.
 
     Recovered errors are listed in the result's ``diagnostics``. When
     none of the file's declarations could be salvaged, a ParseError is

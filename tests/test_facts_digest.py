@@ -16,7 +16,7 @@ of each (cut before evenly spaced tokens, so most end mid-construct) and
 hand-written cases below, 200 seeded ``random_java`` methods placed in a
 class whose fields share names with their parameters, locals and loop
 variables, and, one line per corpus file, every copy of the file with one
-token blanked out. A token's offset follows from its line and column.
+token blanked out. A token's offset is its ``lexer.token_starts`` entry.
 
 The digests in ``fixtures/facts_digests.txt`` and
 ``fixtures/diagnostic_digests.txt`` were written by
@@ -34,12 +34,11 @@ import random
 import sys
 from pathlib import Path
 
-from javasmell.lexer import ParseError, SourceFile, tokenize
+from javasmell.lexer import ParseError, SourceFile, token_starts, tokenize
 from javasmell.pipeline import parse_source
 
 sys.path.insert(0, str(Path(__file__).parent))
 from random_java import random_method  # noqa: E402
-from conftest import token_offsets  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FACTS = FIXTURES / "facts_digests.txt"
@@ -203,10 +202,9 @@ def inputs():
         name = path.relative_to(FIXTURES).as_posix()
         text = path.read_text(encoding="utf-8")
         yield name, text
-        tokens = tokenize(SourceFile(name, text))
-        offsets = token_offsets(text, tokens)
-        step = max(1, len(tokens) // PREFIXES_PER_FILE)
-        for k in range(0, len(tokens), step):
+        offsets = token_starts(text)
+        step = max(1, len(offsets) // PREFIXES_PER_FILE)
+        for k in range(0, len(offsets), step):
             yield f"{name}@{k}", text[: offsets[k]]
     rng = random.Random(RANDOM_SEED)
     for k in range(RANDOM_METHODS):
@@ -226,10 +224,10 @@ def fact_inputs():
         yield f"in_class/{k}", [text[: -len("}\n")] + FIELDS_AFTER + "}\n"]
     for path in sorted((FIXTURES / "corpus").glob("*.java")):
         text = path.read_text(encoding="utf-8")
-        tokens = tokenize(SourceFile(path.name, text))
+        lexemes = tokenize(SourceFile(path.name, text)).lexemes
         yield f"corpus/{path.name}/each-token-blanked", [
-            text[:at] + " " * len(t.lexeme) + text[at + len(t.lexeme) :]
-            for t, at in zip(tokens, token_offsets(text, tokens))
+            text[:at] + " " * len(lexeme) + text[at + len(lexeme) :]
+            for lexeme, at in zip(lexemes, token_starts(text))
         ]
 
 

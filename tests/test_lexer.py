@@ -1,3 +1,4 @@
+import random
 import re
 from pathlib import Path
 
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from javasmell.lexer import ParseError, SourceFile, tokenize
+from javasmell.lexer import ParseError, SourceFile, column, token_starts, tokenize
 from javasmell.pipeline import parse_source
 
-from conftest import token_offsets
+from random_java import random_method
+from test_token_digest import EDGE_CASES, RANDOM_SEED
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -18,9 +20,19 @@ def toks(text):
     return src, tokenize(src)
 
 
+def pairs(tokens):
+    """(kind, lexeme) of each token."""
+    return list(zip(tokens.kinds, tokens.lexemes))
+
+
+def columns(src):
+    """The column of each token of *src*."""
+    return [column(src.content, start) for start in token_starts(src.content)]
+
+
 def test_minimal_class():
     _, tokens = toks("class A {}")
-    assert [(t.kind, t.lexeme) for t in tokens] == [
+    assert pairs(tokens) == [
         ("keyword", "class"),
         ("identifier", "A"),
         ("separator", "{"),
@@ -28,50 +40,64 @@ def test_minimal_class():
     ]
 
 
-def test_token_views_agree_with_the_arrays():
+def assert_starts_agree(src, tokens):
+    """Each token's start holds its lexeme, on its line."""
+    text, starts = src.content, token_starts(src.content)
+    assert len(tokens) == len(starts) == len(tokens.kinds) == len(tokens.lexemes) == len(tokens.lines)
+    for lexeme, line, start in zip(tokens.lexemes, tokens.lines, starts):
+        assert text.startswith(lexeme, start)
+        assert text.count("\n", 0, start) + 1 == line
+
+
+def test_token_starts_agree_with_tokenize():
     # bench/traced.py counts a file's tokens as len(tokenize(...)).
-    for path in sorted(FIXTURES.rglob("*.java")):
-        _, tokens = toks(path.read_text(encoding="utf-8"))
-        arrays = list(zip(tokens.kinds, tokens.lexemes, tokens.lines, tokens.cols))
-        assert [(t.kind, t.lexeme, t.line, t.col) for t in tokens] == arrays
-        assert [(tokens[k].kind, tokens[k].lexeme, tokens[k].line, tokens[k].col)
-                for k in range(len(tokens))] == arrays
-        assert len(tokens) == len(arrays) == sum(1 for _ in tokens) > 0
-        assert len(tokens.kinds) == len(tokens.lexemes) == len(tokens.lines) == len(tokens.cols)
+    rng = random.Random(RANDOM_SEED)
+    texts = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.rglob("*.java"))]
+    texts += [random_method(rng)[0] for _ in range(400)]
+    for text in texts:
+        assert_starts_agree(*toks(text))
+    lexed = 0
+    for _, text in EDGE_CASES:
+        try:
+            src, tokens = toks(text)
+        except ParseError:
+            continue
+        assert_starts_agree(src, tokens)
+        lexed += 1
+    assert lexed > 20
 
 
 def test_empty_input():
-    _, tokens = toks("")
-    assert len(tokens) == 0 and list(tokens) == []
+    src, tokens = toks("")
+    assert len(tokens) == 0 and tokens.kinds == [] and token_starts(src.content) == []
     assert parse_source("").code_lines == ()
 
 
 def test_token_spans_and_kinds():
-    _, tokens = toks('int x = 12; String s = "a\\"b"; // done')
-    kinds = [t.kind for t in tokens]
-    assert kinds == [
+    src, tokens = toks('int x = 12; String s = "a\\"b"; // done')
+    assert tokens.kinds == [
         "keyword", "identifier", "operator", "literal", "separator",
         "identifier", "identifier", "operator", "literal", "separator",
     ]
-    assert tokens[8].lexeme == '"a\\"b"'
-    assert (tokens[0].line, tokens[0].col, len(tokens[0].lexeme)) == (1, 1, 3)
+    assert tokens.lexemes[8] == '"a\\"b"'
+    assert (tokens.lines[0], columns(src)[0], len(tokens.lexemes[0])) == (1, 1, 3)
 
 
 def test_operators_longest_match():
     _, tokens = toks("a >>>= b >>> c >= d -> e :: f ... g")
-    ops = [t.lexeme for t in tokens if t.kind in ("operator", "separator") ]
+    ops = [lexeme for kind, lexeme in pairs(tokens) if kind in ("operator", "separator")]
     assert ops == [">>>=", ">>>", ">=", "->", "::", "..."]
 
 
 def test_word_literals_and_dollar_identifiers():
     _, tokens = toks("boolean b = true; Foo$Bar x = null;")
-    assert ("literal", "true") in [(t.kind, t.lexeme) for t in tokens]
-    assert ("identifier", "Foo$Bar") in [(t.kind, t.lexeme) for t in tokens]
+    assert ("literal", "true") in pairs(tokens)
+    assert ("identifier", "Foo$Bar") in pairs(tokens)
 
 
 def test_numeric_literals_stay_single_tokens():
     _, tokens = toks("a = 1e-4 + 0x1F + 3_000L + .5f + 0xFFe; b = 1+2;")
-    lits = [t.lexeme for t in tokens if t.kind == "literal"]
+    lits = [lexeme for kind, lexeme in pairs(tokens) if kind == "literal"]
     assert "1e-4" in lits and "0x1F" in lits and "3_000L" in lits and ".5f" in lits
     # hex 'e' digit must not swallow the following '+'
     assert "0xFFe" in lits and "1" in lits and "2" in lits
@@ -79,8 +105,8 @@ def test_numeric_literals_stay_single_tokens():
 
 def test_bom_is_stripped():
     src, tokens = toks("\ufeffclass A {}")
-    assert tokens[0].lexeme == "class"
-    assert (tokens[0].line, tokens[0].col) == (1, 1)
+    assert tokens.lexemes[0] == "class"
+    assert (tokens.lines[0], columns(src)[0]) == (1, 1)
 
 
 @pytest.mark.parametrize(
@@ -115,22 +141,22 @@ def test_word_holding_a_non_decimal_digit_is_illegal(word, col):
 def test_non_ascii_letters_and_decimal_digits_stay_in_identifiers():
     words = ["xñ", "x٣", "xⅫ", "名前", "é1", "a$b", "$é"]
     _, tokens = toks(" + ".join(words))
-    assert [(t.kind, t.lexeme) for t in list(tokens)[::2]] == [("identifier", w) for w in words]
+    assert pairs(tokens)[::2] == [("identifier", w) for w in words]
 
 
 def test_letter_number_starts_an_identifier():
     # javac accepts 'int Ⅻ;': a letter number (category Nl) is a Java letter.
     _, tokens = toks("int Ⅻ; int Ⅻx;")
-    assert [(t.kind, t.lexeme) for t in list(tokens)[1::3]] == [("identifier", "Ⅻ"), ("identifier", "Ⅻx")]
+    assert pairs(tokens)[1::3] == [("identifier", "Ⅻ"), ("identifier", "Ⅻx")]
 
 
 def test_long_runs_of_horizontal_space_lex_in_linear_time():
     # Each input takes milliseconds when the regex is linear over blank
     # runs, and minutes if a match backtracks over them quadratically.
-    _, tokens = toks(" " * 200_000 + "x")
-    assert [(t.kind, t.lexeme, t.line, t.col) for t in tokens] == [("identifier", "x", 1, 200_001)]
+    src, tokens = toks(" " * 200_000 + "x")
+    assert (pairs(tokens), tokens.lines, columns(src)) == ([("identifier", "x")], [1], [200_001])
     _, tokens = toks("class A { }" + " \t" * 100_000)
-    assert [t.lexeme for t in tokens] == ["class", "A", "{", "}"]
+    assert tokens.lexemes == ["class", "A", "{", "}"]
     with pytest.raises(ParseError) as err:
         toks('class A { String s = "abc' + " " * 200_000)
     assert (err.value.message, err.value.line, err.value.col) == ("unterminated string literal", 1, 22)
@@ -138,12 +164,12 @@ def test_long_runs_of_horizontal_space_lex_in_linear_time():
 
 def test_string_may_contain_comment_markers():
     _, tokens = toks('String s = "// /* no comment */";')
-    assert [t.lexeme for t in tokens] == ["String", "s", "=", '"// /* no comment */"', ";"]
+    assert tokens.lexemes == ["String", "s", "=", '"// /* no comment */"', ";"]
 
 
 # ----------------------------------------------------------------------
-# reconstruction invariant: each token's lexeme stands at its line and
-# column, and the gaps between consecutive tokens hold only whitespace and
+# reconstruction invariant: each token's lexeme stands at its start, and
+# the gaps between consecutive tokens hold only whitespace and
 # comments, so lexemes, whitespace and comments reproduce the file
 
 _COMMENT = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
@@ -154,12 +180,12 @@ def assert_reconstructs(text):
     tokens = tokenize(src)
     rebuilt = []
     pos = 0
-    for t, at in zip(tokens, token_offsets(src.content, tokens)):
+    for lexeme, at in zip(tokens.lexemes, token_starts(src.content)):
         gap = src.content[pos:at]
         assert _COMMENT.sub("", gap).strip() == "", f"code between tokens: {gap!r}"
-        assert src.content.startswith(t.lexeme, at)
-        rebuilt += [gap, t.lexeme]
-        pos = at + len(t.lexeme)
+        assert src.content.startswith(lexeme, at)
+        rebuilt += [gap, lexeme]
+        pos = at + len(lexeme)
     rebuilt.append(src.content[pos:])
     assert "".join(rebuilt) == src.content
 
@@ -240,8 +266,8 @@ def test_loc_fixture_57_lines():
 
 def test_line_count_closes_the_last_line_at_a_trailing_newline():
     for text, lines in (("class A {}", 1), ("a\nb\nc", 3), ("\n\n", 2), ("x\n", 1)):
-        for t in tokenize(SourceFile("T.java", text)):
-            assert 1 <= t.line <= lines
+        for line in tokenize(SourceFile("T.java", text)).lines:
+            assert 1 <= line <= lines
 
 
 def test_line_stats_agree_with_classifier_across_fixtures():
@@ -267,10 +293,10 @@ def corpus_variants(draw):
     text = draw(st.sampled_from(CORPUS_TEXTS))
     if draw(st.booleans()):
         return text[: draw(st.integers(0, len(text)))]
-    tokens = tokenize(SourceFile("T.java", text))
-    k = draw(st.integers(0, len(tokens) - 1))
-    at = token_offsets(text, tokens)[k]
-    return text[:at] + text[at + len(tokens[k].lexeme) :]
+    lexemes = tokenize(SourceFile("T.java", text)).lexemes
+    k = draw(st.integers(0, len(lexemes) - 1))
+    at = token_starts(text)[k]
+    return text[:at] + text[at + len(lexemes[k]) :]
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
@@ -283,3 +309,4 @@ def test_code_lines_agree_with_classifier_on_corpus_variants(text):
         assume(False)
     assert tokens.lines == sorted(tokens.lines)
     assert parsed.code_lines == tuple(sorted(classify_lines(text)[0]))
+

@@ -8,7 +8,7 @@ from types import FunctionType, ModuleType
 
 import pytest
 
-from javasmell.lexer import Token, Tokens
+from javasmell.lexer import Tokens
 from javasmell.model import build_model
 from javasmell.parser import LadderSite, SwitchSite
 from javasmell.pipeline import analyze_tree, build_from_sources, parse_source
@@ -342,7 +342,7 @@ def test_method_facts_recorded_on_method_info():
 
 
 def _reaches_a_token(root) -> bool:
-    """Whether a lexer ``Token`` or ``Tokens`` is reachable from *root* by
+    """Whether a lexer ``Tokens`` is reachable from *root* by
     following ``gc.get_referents``; classes, modules and functions are not
     followed."""
     seen, stack = set(), [root]
@@ -350,7 +350,7 @@ def _reaches_a_token(root) -> bool:
         obj = stack.pop()
         if id(obj) in seen or isinstance(obj, (type, ModuleType, FunctionType)):
             continue
-        if isinstance(obj, (Token, Tokens)):
+        if isinstance(obj, Tokens):
             return True
         seen.add(id(obj))
         stack.extend(gc.get_referents(obj))

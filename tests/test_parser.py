@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from javasmell.lexer import SourceFile, Tokens, tokenize
-from javasmell.pipeline import parse_source
+from javasmell import parser as parser_module
+from javasmell.lexer import SourceFile, Tokens, token_starts, tokenize
+from javasmell.pipeline import analyze_tree, parse_source
 from javasmell.parser import LadderSite, ParseError, SwitchSite, _Parser, parse
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -837,7 +838,7 @@ def test_single_token_deletions_always_terminate():
     for path in sorted((FIXTURES / "corpus").glob("*.java")):
         src = SourceFile(path.name, path.read_text(encoding="utf-8"))
         tokens = tokenize(src)
-        arrays = (tokens.kinds, tokens.lexemes, tokens.lines, tokens.cols)
+        arrays = (tokens.kinds, tokens.lexemes, tokens.lines)
         for drop in range(len(tokens)):
             parse_leaves_input_unchanged(lambda: Tokens(*(a[:drop] + a[drop + 1 :] for a in arrays)), src)
         for end in range(len(tokens) + 1):
@@ -873,3 +874,20 @@ def test_diagnostics_are_parse_errors_without_traceback():
     assert all(isinstance(d, ParseError) and d.__traceback__ is None for d in parsed.diagnostics)
     assert [f.name for f in parsed.types[0].fields] == ["a"]
     assert [(m.name, m.cc) for m in parsed.types[0].methods] == [("m", 1), ("n", 2)]  # case 1 kept
+
+
+def test_token_starts_are_found_only_for_an_error(monkeypatch):
+    # A file without diagnostics never finds its tokens' offsets; a file
+    # with several finds them once.
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return token_starts(text)
+
+    monkeypatch.setattr(parser_module, "token_starts", counted)
+    result = analyze_tree(FIXTURES / "corpus")
+    assert result.parse_diagnostics == [] and calls == []
+    text = "class A { int a = 1, b = f(; void m() { g(; } void n() { switch (1) { case 1, ) : } } }"
+    assert len(parse_text(text).diagnostics) == 3
+    assert calls == [text]

@@ -5,8 +5,8 @@ lexeme, line and column, or over the ``ParseError``'s message, line and
 column. The inputs are every ``.java`` fixture, about 40 prefixes of each
 (cut before evenly spaced tokens, and cut again inside the same tokens,
 so strings end unterminated), 400 seeded ``random_java`` methods and the
-hand-written edge cases below. A cut's offset follows from the token's line
-and column.
+hand-written edge cases below. A cut's offset is the token's start, and a
+token's column follows from its start.
 
 The digests in ``fixtures/token_digests.txt`` were written by
 
@@ -21,11 +21,10 @@ import random
 import sys
 from pathlib import Path
 
-from javasmell.lexer import ParseError, SourceFile, tokenize
+from javasmell.lexer import ParseError, SourceFile, column, token_starts, tokenize
 
 sys.path.insert(0, str(Path(__file__).parent))
 from random_java import random_method  # noqa: E402
-from conftest import token_offsets  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DIGESTS = FIXTURES / "token_digests.txt"
@@ -97,12 +96,12 @@ def inputs():
         name = path.relative_to(FIXTURES).as_posix()
         text = path.read_text(encoding="utf-8")
         yield name, text
-        tokens = tokenize(SourceFile(name, text))
-        offsets = token_offsets(text, tokens)
-        step = max(1, len(tokens) // PREFIXES_PER_FILE)
-        for k in range(0, len(tokens), step):
+        lexemes = tokenize(SourceFile(name, text)).lexemes
+        offsets = token_starts(text)
+        step = max(1, len(lexemes) // PREFIXES_PER_FILE)
+        for k in range(0, len(lexemes), step):
             yield f"{name}@{k}", text[: offsets[k]]
-            yield f"{name}@{k}+", text[: offsets[k] + max(1, len(tokens[k].lexeme) // 2)]
+            yield f"{name}@{k}+", text[: offsets[k] + max(1, len(lexemes[k]) // 2)]
     rng = random.Random(RANDOM_SEED)
     for k in range(RANDOM_METHODS):
         yield f"random_java/{k}", random_method(rng)[0]
@@ -111,13 +110,18 @@ def inputs():
 
 
 def dump(name: str, text: str) -> str:
+    source = SourceFile(name, text)
     try:
-        tokens = tokenize(SourceFile(name, text))
+        tokens = tokenize(source)
     except ParseError as err:
         # The label is the lexer error's old class name, kept so that the
         # pinned digests stay valid.
         return f"LexError {err.message!r} {err.line} {err.col}\n"
-    return "".join(f"{t.kind} {t.lexeme!r} {t.line} {t.col}\n" for t in tokens)
+    cols = (column(source.content, start) for start in token_starts(source.content))
+    return "".join(
+        f"{kind} {lexeme!r} {line} {col}\n"
+        for kind, lexeme, line, col in zip(tokens.kinds, tokens.lexemes, tokens.lines, cols)
+    )
 
 
 def digest(name: str, text: str) -> str:
