@@ -1,5 +1,7 @@
 import random
 import re
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -310,3 +312,73 @@ def test_code_lines_agree_with_classifier_on_corpus_variants(text):
     assert tokens.lines == sorted(tokens.lines)
     assert parsed.code_lines == tuple(sorted(classify_lines(text)[0]))
 
+
+# ----------------------------------------------------------------------
+# javac's scanner as the lexer's oracle: every input lexes to the same
+# lexemes on the same lines, except the inputs listed below
+
+SCAN = [
+    "java",
+    "--add-exports", "jdk.compiler/com.sun.tools.javac.parser=ALL-UNNAMED",
+    "--add-exports", "jdk.compiler/com.sun.tools.javac.util=ALL-UNNAMED",
+    str(Path(__file__).parent / "javac" / "Scan.java"),
+]
+
+# Inputs the lexer and javac's scanner read differently (ROADMAP items 2
+# and 10), each with its reason. Each must still differ: one that agrees
+# has been mended and leaves this list.
+KNOWN_DIFFERENCES = {
+    # The lexer has no text blocks: it reads '""' and then an unterminated
+    # string, and fails the file.
+    "text-block": 'class A { String s = """\n    hi\n    """; }\n',
+    # javac translates Unicode escapes before it lexes; the lexer fails the
+    # file at the backslash.
+    "unicode-escape": "class \\u0041 { int x = 1; }\n",
+    # A combining mark is a Java identifier part; the lexer fails the file.
+    "combining-mark": "class A { int cafe\u0301; }\n",
+    # A letter new in Unicode 14: Python's tables have it, JDK 17's do not.
+    "unicode-14-letter": "class A { int x\u0870; }\n",
+}
+
+
+def javac_tokens(paths) -> dict:
+    """{path: [(line, lexeme)]} as javac's scanner reads each file; a token
+    it cannot read has the lexeme ``!error``."""
+    out = subprocess.run([*SCAN, *map(str, paths)], capture_output=True, check=True).stdout
+    unescape = {"\\": "\\", "t": "\t", "r": "\r", "n": "\n"}
+    tokens = {}
+    for row in out.decode("utf-8").split("\n")[:-1]:
+        if row.startswith("= "):
+            current = tokens[row[2:]] = []
+        else:
+            line, lexeme = row.split("\t", 1)
+            current.append((int(line), re.sub(r"\\(.)", lambda m: unescape[m[1]], lexeme)))
+    return tokens
+
+
+def lexer_tokens(path):
+    """[(line, lexeme)] as the lexer reads the file at *path*, or its error."""
+    try:
+        tokens = tokenize(SourceFile.from_path(path, path.name))
+    except ParseError as err:
+        return str(err)
+    return list(zip(tokens.lines, tokens.lexemes))
+
+
+@pytest.mark.skipif(not shutil.which("java"), reason="javac's scanner (JDK 17) is the lexer's oracle")
+def test_lexemes_and_lines_match_javacs_scanner(tmp_path):
+    rng = random.Random(RANDOM_SEED)
+    paths = sorted(FIXTURES.rglob("*.java"))
+    for k in range(200):
+        paths.append(tmp_path / f"Random{k}.java")
+        paths[-1].write_text(random_method(rng)[0], encoding="utf-8")
+    known = []
+    for name, text in KNOWN_DIFFERENCES.items():
+        known.append(tmp_path / f"{name}.java")
+        known[-1].write_text(text, encoding="utf-8")
+    javac = javac_tokens(paths + known)
+    assert len(javac[str(FIXTURES / "corpus" / "GodModule.java")]) == 339
+    for path in paths:
+        assert lexer_tokens(path) == javac[str(path)], path.name
+    for path in known:
+        assert lexer_tokens(path) != javac[str(path)], path.name
