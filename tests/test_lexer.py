@@ -2,6 +2,7 @@ import random
 import re
 import shutil
 import subprocess
+import time
 from pathlib import Path
 
 import pytest
@@ -382,3 +383,108 @@ def test_lexemes_and_lines_match_javacs_scanner(tmp_path):
         assert lexer_tokens(path) == javac[str(path)], path.name
     for path in known:
         assert lexer_tokens(path) != javac[str(path)], path.name
+
+
+# ----------------------------------------------------------------------
+# block comments across 4 KB boundaries, long inputs, and ASCII anomalies,
+# each with the lexemes, lines or error that the construction fixes
+
+
+def straddling_file(seed, size=60_000, step=4096):
+    """(text, [(line, lexeme)]): one-line statements, with a block comment
+    or a Javadoc across each multiple of *step*, and more comments at
+    random. Comments hold quotes, '#', '`', '//' and '/*'; strings hold
+    comment markers."""
+    rng = random.Random(seed)
+    text, expected, line, boundary = [], [], 1, step
+    length = 0
+
+    def add(piece, tokens=()):
+        nonlocal line, length
+        expected.extend((line, lexeme) for lexeme in tokens)
+        text.append(piece)
+        length += len(piece)
+        line += piece.count("\n")
+
+    def comment():
+        body = "\n".join(
+            rng.choice([" * don't", " # x `y`", " a // b /* c", ' say "hi', " ** /", ""])
+            for _ in range(rng.randint(2, 6))
+        )
+        return rng.choice(["/*", "/**"]) + body + rng.choice(["*/", "\n */", "**/"])
+
+    while length < size:
+        if length + 130 >= boundary:
+            # A comment of at least 130 characters starts before the boundary.
+            pad = "x" * 130
+            add(comment()[:2] + pad + "\n" + comment()[2:] + rng.choice([" ", "\n"]))
+            boundary += step
+            continue
+        k = len(expected)
+        roll = rng.random()
+        if roll < 0.2:
+            add(comment() + "\n")
+        elif roll < 0.3:
+            add(f"int a{k} = 1; /* c */ int b{k}; // d /* e\n",
+                ["int", f"a{k}", "=", "1", ";", "int", f"b{k}", ";"])
+        elif roll < 0.4:
+            add(f's = "/* {k} //" + \'*\';\n', ["s", "=", f'"/* {k} //"', "+", "'*'", ";"])
+        else:
+            add(f"int v{k} = {k} / 2;\n", ["int", f"v{k}", "=", str(k), "/", "2", ";"])
+    return "".join(text), expected
+
+
+def test_comments_across_4096_character_boundaries_keep_lexemes_and_lines():
+    for seed in range(3):
+        text, expected = straddling_file(seed)
+        for k in range(1, len(text) // 4096 + 1):
+            head = text[: k * 4096]
+            assert head.rfind("/*") > head.rfind("*/"), (seed, k)  # inside a comment
+        tokens = tokenize(SourceFile("T.java", text))
+        assert list(zip(tokens.lines, tokens.lexemes)) == expected, seed
+
+
+def test_a_2_mb_block_comment_and_200_000_lines_lex_in_seconds():
+    comment = "/**\n" + " * text, 'quoted' and \"more\" /* // #\n" * 55_000 + " */"
+    assert len(comment) > 2_000_000
+    for text, lexemes, lines in (
+        ("class A {" + comment + "}", ["class", "A", "{", "}"], [1, 1, 1, 55_002]),
+        ("int x; " + comment.replace("\n", " ") + " int y;", ["int", "x", ";", "int", "y", ";"], [1] * 6),
+        ("int a = 1;\n" * 200_000, ["int", "a", "=", "1", ";"] * 200_000,
+         [k // 5 + 1 for k in range(1_000_000)]),
+    ):
+        start = time.perf_counter()
+        tokens = tokenize(SourceFile("T.java", text))
+        assert time.perf_counter() - start < 10
+        assert (tokens.lexemes, tokens.lines) == (lexemes, lines)
+
+
+@pytest.mark.parametrize(
+    "text,message,line,col",
+    [
+        ('class A { }\n"', "unterminated string literal", 2, 1),
+        ("class A { }\n'", "unterminated character literal", 2, 1),
+        ("int x;\n" * 10_000 + "int y; /* open\n end", "unterminated block comment", 10_001, 8),
+        ("class A {\n  int \\u0041 = 1; }", "illegal character '\\\\'", 2, 7),
+        ("class A {\n int x = `; }", "illegal character '`'", 2, 10),
+        ("class A {\n#define X\n}", "illegal character '#'", 2, 1),
+        ("class A {\n int x;\x00 }", "illegal character '\\x00'", 2, 8),
+        ("class A {\n int x;\x0b }", "illegal character '\\x0b'", 2, 8),
+        ("int x;\n" * 1199 + 'String s = """\n hi\n """;', "unterminated string literal", 1200, 14),
+    ],
+    ids=["quote", "apostrophe", "open-comment", "unicode-escape", "backtick", "hash", "nul",
+         "vertical-tab", "text-block"],
+)
+def test_ascii_anomalies_keep_message_line_and_column(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        tokenize(SourceFile("T.java", text))
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+
+def test_triple_quote_inside_a_line_comment_lexes_as_code_around_it():
+    _, tokens = toks('// a """ b\nint x; /* """ */ String s = "\\"\\"\\"";')
+    assert list(zip(tokens.kinds, tokens.lexemes, tokens.lines)) == [
+        ("keyword", "int", 2), ("identifier", "x", 2), ("separator", ";", 2),
+        ("identifier", "String", 2), ("identifier", "s", 2), ("operator", "=", 2),
+        ("literal", '"\\"\\"\\""', 2), ("separator", ";", 2),
+    ]

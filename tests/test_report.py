@@ -1,7 +1,9 @@
 import csv
+import json
 import math
 import random
 import string
+from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
 
@@ -49,6 +51,30 @@ def test_format_pct_half_up():
     assert format_pct(56.165) == "56.17"
     assert format_pct(2.5e-2 * 100) == "2.50"
     assert format_pct(72.905) == "72.91"
+
+
+def decimal_pct(value):
+    """The half-up rounding of *value*'s repr that ``format_pct`` keeps."""
+    return str(Decimal(repr(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+
+
+def test_format_pct_rounds_as_decimal_half_up(fixtures_dir):
+    values = [0.0, -0.0, 0.005, -0.005, 0.015, 2.675, -2.675, 99.995, 100.0, 1e-05, -1e-05,
+              5e-324, 123456.785, 1e16, 2.5e-2 * 100]
+    for total in range(1, 401):
+        for n in range(total + 1):
+            values += [100.0 * n / total, 100.0 * (n / total)]
+    for pct in comparison(reference_reports()).mean_pct.values():
+        values += [v for v in pct.values() if v is not None]
+    for project in ref.PROJECTS:
+        values += percentages(ref.project_counts(project)).values()
+    values += [v for row in ref.FIGURE_PCT.values() for v in row.values()]
+    report = json.loads((fixtures_dir / "expected" / "report.json").read_text(encoding="utf-8"))
+    values += report["smell_percentages"].values()
+    values += [v for v in report["project_metrics"].values() if isinstance(v, float)]
+    assert [format_pct(v) for v in values] == [decimal_pct(v) for v in values]
+    assert format_pct(-0.0) == "-0.00" and format_pct(-0.004) == "-0.00"
+    assert format_pct(-2.675) == "-2.68"
 
 
 def make_finding(kind=K.WIDE_HIERARCHY, subject="p.A", file="A.java", line=3, **ev):
