@@ -2,23 +2,33 @@
 
 ``tokenize`` returns a file's code tokens as one ``Tokens`` value, three
 parallel lists of kinds, lexemes and 1-based lines. A token keeps no column:
-``token_starts`` finds each token's offset by the same regex pass, and
+``token_starts`` finds each token's offset by the full pass's regex, and
 ``column`` turns an offset into its 1-based column, so only a reported
 position costs one. Comments make no token: one only advances the line
 count. Only comments span lines: a string or character literal ends on its
 line, so a backslash before a line break inside one is an unterminated
 literal, as javac rejects it.
 
-``tokenize`` is one pass of one compiled master regex, ``_TOKEN_RE``. Each
-match takes the horizontal blanks before it. No alternative starts on a
-blank and trailing blanks match the final ``\\Z``, so the regex never
-backtracks into a run of blanks, which a long run would make quadratic. The
-name of the group that matched (``m.lastgroup``) is the token's kind, or
-says what to do: newlines, and those inside comments, advance the line
-number. Longest-match rules live in the alternatives: a ``.`` before a digit
-starts a number and a ``/`` before ``/`` or ``*`` a comment, ``...`` and
-``::`` come before ``.`` and ``:``, and multi-character operators before
-their prefixes.
+Two passes match the same ``_ALTERNATIVES``, tried in order. Each match
+takes the horizontal blanks before it. No alternative starts on a blank and
+trailing blanks match the final ``\\Z``, so a match never backtracks into a
+run of blanks, which a long run would make quadratic. Longest-match rules
+live in the alternatives: a ``.`` before a digit starts a number and a ``/``
+before ``/`` or ``*`` a comment, ``...`` and ``::`` come before ``.`` and
+``:``, and multi-character operators before their prefixes.
+
+The fast pass takes a file that is all ASCII and holds no ``\"\"\"``. One
+``findall`` of ``_FAST_RE``, whose one group spans all the alternatives,
+lists the lexemes of each slice of the file, with no ``Match`` objects. A
+slice ends just after the first newline ``_SLICE`` characters on, so no list
+holds a whole file. A lexeme's kind is a dict lookup on the lexeme (keywords,
+word literals, operators, separators, the newline), else on its first
+character. A block comment that a slice cuts, which ``rare`` matches to the
+slice's end, is lexed again from its start in a slice that ends past its
+first ``*/``. The fast pass hands the file back at a character with no kind,
+a lone quote or a comment that never closes. A file it hands back, and every
+other file, takes the full pass: ``_TOKEN_RE.finditer``, whose group name
+(``m.lastgroup``) is the kind. So every ``ParseError`` is the full pass's.
 
 A word starts with a letter, ``_`` or ``$``; a number with a decimal digit
 or with ``.`` and a decimal digit. The regex's word class cannot tell a
@@ -38,6 +48,7 @@ the parser raises it too, and keeps those it recovers from as diagnostics.
 from __future__ import annotations
 
 import re
+import string
 import unicodedata
 from dataclasses import dataclass
 
@@ -66,27 +77,28 @@ MULTI_OPERATORS = (
 # sign right after an exponent letter (e/E; p/P in hexadecimal numbers).
 _DECIMAL_TAIL = r"(?:[\w.]|(?<=[eE])[+-])*"
 
-_TOKEN_RE = re.compile(
-    rf"""
-    [ \t\r\f]*(?:
-      (?P<word>[A-Za-z_$][A-Za-z0-9_$]*(?![\w$]))
-    | (?P<separator>\.\.\.|::|[(){{}}\[\];,@]|\.(?!\d))
-    | (?P<newline>\n)
-    | (?P<operator>{"|".join(map(re.escape, MULTI_OPERATORS))}|[=<>!~?:+\-*&|^%]|/(?![/*]))
-    | (?P<literal>
-          0[xX](?:[\w.]|(?<=[pP])[+-])*
-        | (?:\d|\.\d){_DECIMAL_TAIL}
-        | "(?:[^"\\\n]|\\[^\n])*"
-        | '(?:[^'\\\n]|\\[^\n])*'
-      )
-    | (?P<comment>//[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)
-    | (?P<rare>/\*|(?:[^\W\d]|\$)[\w$]*)
-    | (?P<illegal>[^ \t\r\f])
-    | \Z
-    )
-    """,
-    re.VERBOSE,
+_ALTERNATIVES = (
+    ("word", r"[A-Za-z_$][A-Za-z0-9_$]*(?![\w$])"),
+    ("separator", r"\.\.\.|::|[(){}\[\];,@]|\.(?!\d)"),
+    ("newline", r"\n"),
+    ("operator", "|".join(map(re.escape, MULTI_OPERATORS)) + r"|[=<>!~?:+\-*&|^%]|/(?![/*])"),
+    ("literal", r"0[xX](?:[\w.]|(?<=[pP])[+-])*|(?:\d|\.\d)" + _DECIMAL_TAIL
+     + r"""|"(?:[^"\\\n]|\\[^\n])*"|'(?:[^'\\\n]|\\[^\n])*'"""),
+    ("comment", r"//[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/"),
+    ("rare", r"/\*[\s\S]*|(?:[^\W\d]|\$)[\w$]*"),
+    ("illegal", r"[^ \t\r\f]"),
 )
+_TOKEN_RE = re.compile(
+    "[ \t\r\f]*(?:" + "".join(f"(?P<{kind}>{alt})|" for kind, alt in _ALTERNATIVES) + r"\Z)")
+_FAST_RE = re.compile("[ \t\r\f]*(" + "".join(f"{alt}|" for _, alt in _ALTERNATIVES) + r"\Z)")
+_SLICE = 4096
+
+_FIXED_KINDS = {**_WORD_KINDS, **dict.fromkeys((*MULTI_OPERATORS, *"=<>!~?:+-*&|^%/"), "operator"),
+                **dict.fromkeys(("...", "::", *"(){}[];,@."), "separator"),
+                "\n": "newline", "": "end", '"': "illegal", "'": "illegal"}
+_FIRST_KINDS = {**dict.fromkeys(string.ascii_letters + "_$", "identifier"), "/": "comment",
+                **dict.fromkeys(string.digits + ".\"'", "literal")}
+_CODE_KINDS = frozenset(("identifier", "separator", "operator", "keyword", "literal"))
 
 
 class ParseError(Exception):
@@ -134,11 +146,52 @@ class Tokens:
 
 def tokenize(source: SourceFile) -> Tokens:
     """The code tokens of *source*, in source order."""
+    text = source.content
+    tokens = _fast_pass(text) if text.isascii() and '"""' not in text else None
+    return _full_pass(text) if tokens is None else tokens
+
+
+def _fast_pass(text: str) -> Tokens | None:
+    """The code tokens of the ASCII *text*, or None if it holds an illegal
+    character, a lone quote or an unterminated comment."""
+    tokens = Tokens([], [], [])
+    kinds, lexemes, lines = tokens.kinds, tokens.lexemes, tokens.lines
+    fixed, first, code, findall = _FIXED_KINDS.get, _FIRST_KINDS.get, _CODE_KINDS, _FAST_RE.findall
+    line, pos, reach, end = 1, 0, 0, len(text)
+    while pos < end:
+        stop = text.find("\n", max(pos + _SLICE, reach)) + 1 or end
+        for lexeme in findall(text, pos, stop):
+            kind = fixed(lexeme) or first(lexeme[0], "illegal")
+            if kind in code:
+                kinds.append(kind)
+                lexemes.append(lexeme)
+                lines.append(line)
+            elif kind == "newline":
+                line += 1
+            elif kind == "comment":
+                if lexeme[1] == "*" and not lexeme.endswith("*/", 2):
+                    # A block comment open at stop, matched to it by
+                    # ``rare``: lex on from its start to past its '*/'.
+                    reach = text.find("*/", stop)
+                    if reach < 0:
+                        return None
+                    pos = stop - len(lexeme)
+                    break
+                line += lexeme.count("\n")
+            elif kind == "illegal":
+                return None
+        else:
+            pos = stop
+    return tokens
+
+
+def _full_pass(text: str) -> Tokens:
+    """The code tokens of *text*, or the ``ParseError`` it holds."""
     tokens = Tokens([], [], [])
     kinds, lexemes, lines = tokens.kinds, tokens.lexemes, tokens.lines
     word_kind = _WORD_KINDS.get
     line = 1
-    for m in _TOKEN_RE.finditer(source.content):
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "newline":
             line += 1
@@ -149,7 +202,7 @@ def tokenize(source: SourceFile) -> Tokens:
             if kind == "word":
                 kind = word_kind(lexeme, "identifier")
             elif kind == "rare" or kind == "illegal":
-                kind = _rare_kind(source.content, m.start(kind), lexeme, line)
+                kind = _rare_kind(text, m.start(kind), lexeme, line)
             kinds.append(kind)
             lexemes.append(lexeme)
             lines.append(line)
@@ -173,7 +226,7 @@ def _rare_kind(text: str, start: int, lexeme: str, line: int) -> str:
     that the ``rare`` or ``illegal`` alternative matched, or the
     ``ParseError`` it stands for."""
     ch = lexeme[0]
-    if lexeme == "/*":
+    if lexeme.startswith("/*"):
         raise ParseError("unterminated block comment", line, column(text, start))
     if ch in "\"'":
         what = "string" if ch == '"' else "character"

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from javasmell import lexer
 from javasmell.lexer import ParseError, SourceFile, column, token_starts, tokenize
-from javasmell.pipeline import parse_source
+from javasmell.pipeline import analyze_paths, find_java_files, parse_source
 
 from random_java import random_method
 from test_token_digest import EDGE_CASES, RANDOM_SEED
@@ -488,3 +489,73 @@ def test_triple_quote_inside_a_line_comment_lexes_as_code_around_it():
         ("identifier", "String", 2), ("identifier", "s", 2), ("operator", "=", 2),
         ("literal", '"\\"\\"\\""', 2), ("separator", ";", 2),
     ]
+
+
+# ----------------------------------------------------------------------
+# the fast pass against the full pass: tokenize gives the full pass's
+# arrays or error on every input, at any slice size, and the fast pass
+# lexes every input that it does not hand back
+
+HOSTILE = ['"', "'", "/*", "*/", "/**/", "`", "#", "\\", "\x00", "\x0b", '"""', "//", "\n",
+           "\\u0041", "é", "\r", "\f", "'\\'", '"\\', "/*/", "*", "/"]
+
+
+def outcome(lex, text):
+    """(arrays, None) for the arrays *lex* gives for *text*, or (None, the
+    fields of its error)."""
+    try:
+        tokens = lex(text)
+    except ParseError as err:
+        return None, (err.message, err.line, err.col)
+    return (tokens.kinds, tokens.lexemes, tokens.lines), None
+
+
+def fast_lexed(text):
+    """Whether ``tokenize`` lexes *text* in the fast pass, after checking
+    that it gives the full pass's arrays or error, and that the fast pass
+    hands back only what the full pass rejects."""
+    arrays, error = outcome(lexer._full_pass, text)
+    assert outcome(lambda t: tokenize(SourceFile("T.java", t)), text) == (arrays, error)
+    if not text.isascii() or '"""' in text:
+        return False
+    fast = lexer._fast_pass(text)
+    assert (fast.kinds, fast.lexemes, fast.lines) == arrays if fast is not None else error
+    return fast is not None
+
+
+def mutants(rng, texts, count):
+    """*count* texts of *texts*, each with one to three hostile strings
+    spliced in at random offsets."""
+    for _ in range(count):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randint(0, len(text))
+            text = text[:at] + rng.choice(HOSTILE) + text[at:]
+        yield text
+
+
+def test_fast_pass_agrees_with_the_full_pass(monkeypatch):
+    rng = random.Random(RANDOM_SEED)
+    files = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.rglob("*.java"))]
+    files += [random_method(rng)[0] for _ in range(400)]
+    files += [straddling_file(seed, size=20_000)[0] for seed in range(3)]
+    edges = [SourceFile("T.java", text).content for _, text in EDGE_CASES]
+    edges += [text[:k] for text in edges for k in range(len(text))]
+    hostile = list(mutants(rng, files, 1500))
+    taken = []
+    for size in (1, 64, 4096):
+        monkeypatch.setattr(lexer, "_SLICE", size)
+        assert all(map(fast_lexed, files))
+        taken.append([text for text in edges + hostile if fast_lexed(text)])
+    assert taken[0] == taken[1] == taken[2]
+    assert len(taken[0]) > 800
+
+
+def test_fixture_corpus_never_takes_the_full_pass(monkeypatch):
+    full_texts = []
+    full_pass = lexer._full_pass
+    monkeypatch.setattr(lexer, "_full_pass", lambda text: full_texts.append(text) or full_pass(text))
+    result = analyze_paths(FIXTURES / "corpus", find_java_files(FIXTURES / "corpus"))
+    assert len(result.findings) == 11 and result.failures == [] and full_texts == []
+    tokenize(SourceFile("T.java", "int é;"))
+    assert full_texts == ["int é;"]
