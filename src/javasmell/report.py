@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, fields
-from decimal import ROUND_HALF_UP, Decimal
 
 from .evaluation import EvaluationResult
 from .files import FatalError, lines, read_text, write_csv, write_text
@@ -45,7 +44,16 @@ from .smells import SmellFinding, SmellKind, kind_from_name
 
 
 def format_pct(value: float) -> str:
-    return str(Decimal(repr(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    """*value* with two decimals: its repr rounded half away from zero, in
+    integer arithmetic, so ``-0.0`` gives ``-0.00``."""
+    text = repr(value)
+    digits, _, exponent = text.lstrip("-").partition("e")
+    whole, _, fraction = digits.partition(".")
+    # In hundredths, value is int(whole + fraction) * 10 ** shift.
+    shift = int(exponent or 0) - len(fraction) + 2
+    scale = 10 ** max(0, -shift)
+    hundredths = (2 * int(whole + fraction) * 10 ** max(0, shift) + scale) // (2 * scale)
+    return f"{'-' if text[0] == '-' else ''}{hundredths // 100}.{hundredths % 100:02d}"
 
 
 def percentages(counts: dict) -> dict:
