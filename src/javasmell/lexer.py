@@ -211,7 +211,7 @@ def _full_pass(text: str) -> Tokens:
 
 def token_starts(text: str) -> list:
     """The offset in *text* of each code token that ``tokenize`` finds in
-    it, from the same pass."""
+    it, from the full pass's regex."""
     return [m.start(m.lastgroup) for m in _TOKEN_RE.finditer(text)
             if m.lastgroup not in (None, "newline", "comment")]
 
