@@ -482,6 +482,36 @@ def test_ascii_anomalies_keep_message_line_and_column(text, message, line, col):
     assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
 
 
+@pytest.mark.parametrize(
+    "text,message,line,col",
+    [
+        ("int x²;", "illegal character '²'", 1, 6),
+        ("int €x;", "illegal character '€'", 1, 5),
+        ("int ‿y;", "illegal character '‿'", 1, 5),
+        ("int cafe\u0301;", "illegal character '\u0301'", 1, 9),
+        ("int\u00a0x;", "illegal character '\\xa0'", 1, 4),
+        ("int x\u200b;", "illegal character '\\u200b'", 1, 6),
+        ("int x\u00ady;", "illegal character '\\xad'", 1, 6),
+        ("// é\n" * 10_000 + "int y = ²;", "illegal character '²'", 10_001, 9),
+        ('// x²\nString s = "x²";\nint x²;', "illegal character '²'", 3, 6),
+    ],
+    ids=["superscript", "euro", "tie", "combining-mark", "nbsp", "zwsp", "soft-hyphen",
+         "later-slice", "after-comment-and-string"],
+)
+def test_non_ascii_anomalies_keep_message_line_and_column(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        tokenize(SourceFile("T.java", text))
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+
+def test_non_ascii_decimal_digits_and_letters_keep_their_kinds():
+    words = ["٣", ".٣", "1٣", "x٣", "Ⅻ", "café", "𝒳", "ǅ"]
+    _, tokens = toks(" + ".join(words))
+    assert pairs(tokens)[::2] == [("literal", "٣"), ("literal", ".٣"), ("literal", "1٣"),
+                                  ("identifier", "x٣"), ("identifier", "Ⅻ"),
+                                  ("identifier", "café"), ("identifier", "𝒳"), ("identifier", "ǅ")]
+
+
 def test_triple_quote_inside_a_line_comment_lexes_as_code_around_it():
     _, tokens = toks('// a """ b\nint x; /* """ */ String s = "\\"\\"\\"";')
     assert list(zip(tokens.kinds, tokens.lexemes, tokens.lines)) == [
