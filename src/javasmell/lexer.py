@@ -2,44 +2,43 @@
 
 ``tokenize`` returns a file's code tokens as one ``Tokens`` value, three
 parallel lists of kinds, lexemes and 1-based lines. A token keeps no column:
-``token_starts`` finds each token's offset by the full pass's regex, and
-``column`` turns an offset into its 1-based column, so only a reported
-position costs one. Comments make no token: one only advances the line
-count. Only comments span lines: a string or character literal ends on its
-line, so a backslash before a line break inside one is an unterminated
-literal, as javac rejects it.
+``token_starts`` finds each token's offset by the same regex, and ``column``
+turns an offset into its 1-based column, so only a reported position costs
+one. Comments make no token: one only advances the line count. Only comments
+span lines: a string or character literal ends on its line, so a backslash
+before a line break inside one is an unterminated literal, as javac rejects
+it.
 
-Two passes match the same ``_ALTERNATIVES``, tried in order. Each match
-takes the horizontal blanks before it. No alternative starts on a blank and
-trailing blanks match the final ``\\Z``, so a match never backtracks into a
-run of blanks, which a long run would make quadratic. Longest-match rules
-live in the alternatives: a ``.`` before a digit starts a number and a ``/``
-before ``/`` or ``*`` a comment, ``...`` and ``::`` come before ``.`` and
-``:``, and multi-character operators before their prefixes.
+One regex, ``_TOKEN_RE``, holds ``_ALTERNATIVES`` in one group, tried in
+order. Each match takes the horizontal blanks before it. No alternative
+starts on a blank and trailing blanks match the final ``\\Z``, so a match
+never backtracks into a run of blanks, which a long run would make
+quadratic. Longest-match rules live in the alternatives: a ``.`` before a
+digit starts a number and a ``/`` before ``/`` or ``*`` a comment, ``...``
+and ``::`` come before ``.`` and ``:``, and multi-character operators
+before their prefixes.
 
-The fast pass takes a file that is all ASCII and holds no ``\"\"\"``. One
-``findall`` of ``_FAST_RE``, whose one group spans all the alternatives,
-lists the lexemes of each slice of the file, with no ``Match`` objects. A
-slice ends just after the first newline ``_SLICE`` characters on, so no list
-holds a whole file. A lexeme's kind is a dict lookup on the lexeme (keywords,
-word literals, operators, separators, the newline), else on its first
-character. A block comment that a slice cuts, which ``rare`` matches to the
-slice's end, is lexed again from its start in a slice that ends past its
-first ``*/``. The fast pass hands the file back at a character with no kind,
-a lone quote or a comment that never closes. A file it hands back, and every
-other file, takes the full pass: ``_TOKEN_RE.finditer``, whose group name
-(``m.lastgroup``) is the kind. So every ``ParseError`` is the full pass's.
+Every file takes one pass. One ``findall`` lists the lexemes of each slice
+of the file, with no ``Match`` objects. A slice ends just after the first
+newline ``_SLICE`` characters on, so no list holds a whole file. A block
+comment that a slice cuts, which ``rare`` matches to the slice's end, is
+lexed again from its start in a slice that ends past its first ``*/``; one
+that never closes raises at its start. A lexeme's kind is a dict lookup on
+the lexeme (keywords, word literals, operators, separators, the newline),
+else on its first character. In a file that is not all ASCII the second
+table sends a word that starts with an ASCII letter, ``_`` or ``$`` to
+``_rare_kind``, since it may hold a non-ASCII character; in an ASCII file
+no token takes an extra test.
 
-A word starts with a letter, ``_`` or ``$``; a number with a decimal digit
-or with ``.`` and a decimal digit. The regex's word class cannot tell a
-letter from a non-decimal digit such as ``²``, so the ``word`` alternative
-takes only ASCII words, and a word holding any other character goes to
-``_rare_kind``. That keeps it when it starts with a letter (``str.isalpha``),
-a letter number such as ``Ⅻ`` (category ``Nl``), ``_`` or ``$`` and holds no
-non-decimal digit (category ``No``), and otherwise raises ``ParseError`` at
-the offending character, as javac reports an illegal character.
-Unterminated literals and comments and illegal characters go there too, and
-raise ``ParseError``.
+``_rare_kind`` takes every lexeme that neither table names. A number may
+start with any decimal digit (``\\d``, such as ``٣``). A word starts with
+a letter (``str.isalpha``), a letter number such as ``Ⅻ`` (category
+``Nl``), ``_`` or ``$`` and holds no non-decimal digit (category ``No``,
+such as ``²``), which the regex's word class cannot tell from a letter.
+Anything else, a lone quote or an illegal character, raises ``ParseError``
+as javac reports it. Only then is the token's offset found: the first match
+in its slice with its lexeme, since an earlier equal lexeme would have
+raised already.
 
 ``ParseError`` is the one syntax error, text ``<message> at <line>:<col>``:
 the parser raises it too, and keeps those it recovers from as diagnostics.
@@ -49,8 +48,8 @@ from __future__ import annotations
 
 import re
 import string
-import unicodedata
 from dataclasses import dataclass
+from unicodedata import category
 
 KEYWORDS = frozenset(
     """
@@ -64,8 +63,6 @@ KEYWORDS = frozenset(
 
 # true/false/null are literals, not keywords.
 WORD_LITERALS = frozenset({"true", "false", "null"})
-
-_WORD_KINDS = {**dict.fromkeys(KEYWORDS, "keyword"), **dict.fromkeys(WORD_LITERALS, "literal")}
 
 # Longest match first; '->' and '::' must win over '-' and ':'.
 MULTI_OPERATORS = (
@@ -88,16 +85,18 @@ _ALTERNATIVES = (
     ("rare", r"/\*[\s\S]*|(?:[^\W\d]|\$)[\w$]*"),
     ("illegal", r"[^ \t\r\f]"),
 )
-_TOKEN_RE = re.compile(
-    "[ \t\r\f]*(?:" + "".join(f"(?P<{kind}>{alt})|" for kind, alt in _ALTERNATIVES) + r"\Z)")
-_FAST_RE = re.compile("[ \t\r\f]*(" + "".join(f"{alt}|" for _, alt in _ALTERNATIVES) + r"\Z)")
+_TOKEN_RE = re.compile("[ \t\r\f]*(" + "".join(f"{alt}|" for _, alt in _ALTERNATIVES) + r"\Z)")
 _SLICE = 4096
 
-_FIXED_KINDS = {**_WORD_KINDS, **dict.fromkeys((*MULTI_OPERATORS, *"=<>!~?:+-*&|^%/"), "operator"),
+# A lexeme's kind: by the lexeme, else by its first character, else _rare_kind's.
+_FIXED_KINDS = {**dict.fromkeys(KEYWORDS, "keyword"), **dict.fromkeys(WORD_LITERALS, "literal"),
+                **dict.fromkeys((*MULTI_OPERATORS, *"=<>!~?:+-*&|^%/"), "operator"),
                 **dict.fromkeys(("...", "::", *"(){}[];,@."), "separator"),
-                "\n": "newline", "": "end", '"': "illegal", "'": "illegal"}
+                "\n": "newline", "": "end", '"': "rare", "'": "rare"}
 _FIRST_KINDS = {**dict.fromkeys(string.ascii_letters + "_$", "identifier"), "/": "comment",
                 **dict.fromkeys(string.digits + ".\"'", "literal")}
+# In a file that is not all ASCII, a word may hold a non-ASCII character.
+_WIDE_FIRST_KINDS = {**_FIRST_KINDS, **dict.fromkeys(string.ascii_letters + "_$", "rare")}
 _CODE_KINDS = frozenset(("identifier", "separator", "operator", "keyword", "literal"))
 
 
@@ -145,23 +144,18 @@ class Tokens:
 
 
 def tokenize(source: SourceFile) -> Tokens:
-    """The code tokens of *source*, in source order."""
+    """The code tokens of *source*, in source order, or the ``ParseError``
+    it holds."""
     text = source.content
-    tokens = _fast_pass(text) if text.isascii() and '"""' not in text else None
-    return _full_pass(text) if tokens is None else tokens
-
-
-def _fast_pass(text: str) -> Tokens | None:
-    """The code tokens of the ASCII *text*, or None if it holds an illegal
-    character, a lone quote or an unterminated comment."""
     tokens = Tokens([], [], [])
     kinds, lexemes, lines = tokens.kinds, tokens.lexemes, tokens.lines
-    fixed, first, code, findall = _FIXED_KINDS.get, _FIRST_KINDS.get, _CODE_KINDS, _FAST_RE.findall
+    fixed, code, findall = _FIXED_KINDS.get, _CODE_KINDS, _TOKEN_RE.findall
+    first = (_FIRST_KINDS if text.isascii() else _WIDE_FIRST_KINDS).get
     line, pos, reach, end = 1, 0, 0, len(text)
     while pos < end:
         stop = text.find("\n", max(pos + _SLICE, reach)) + 1 or end
         for lexeme in findall(text, pos, stop):
-            kind = fixed(lexeme) or first(lexeme[0], "illegal")
+            kind = fixed(lexeme) or first(lexeme[0], "rare")
             if kind in code:
                 kinds.append(kind)
                 lexemes.append(lexeme)
@@ -172,48 +166,24 @@ def _fast_pass(text: str) -> Tokens | None:
                 if lexeme[1] == "*" and not lexeme.endswith("*/", 2):
                     # A block comment open at stop, matched to it by
                     # ``rare``: lex on from its start to past its '*/'.
-                    reach = text.find("*/", stop)
+                    reach, pos = text.find("*/", stop), stop - len(lexeme)
                     if reach < 0:
-                        return None
-                    pos = stop - len(lexeme)
+                        raise ParseError("unterminated block comment", line, column(text, pos))
                     break
                 line += lexeme.count("\n")
-            elif kind == "illegal":
-                return None
+            elif kind != "end":
+                kinds.append(_rare_kind(text, pos, stop, lexeme, line))
+                lexemes.append(lexeme)
+                lines.append(line)
         else:
             pos = stop
     return tokens
 
 
-def _full_pass(text: str) -> Tokens:
-    """The code tokens of *text*, or the ``ParseError`` it holds."""
-    tokens = Tokens([], [], [])
-    kinds, lexemes, lines = tokens.kinds, tokens.lexemes, tokens.lines
-    word_kind = _WORD_KINDS.get
-    line = 1
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "newline":
-            line += 1
-        elif kind == "comment":
-            line += m[kind].count("\n")
-        elif kind:  # None for the blanks at the end
-            lexeme = m[kind]
-            if kind == "word":
-                kind = word_kind(lexeme, "identifier")
-            elif kind == "rare" or kind == "illegal":
-                kind = _rare_kind(text, m.start(kind), lexeme, line)
-            kinds.append(kind)
-            lexemes.append(lexeme)
-            lines.append(line)
-    return tokens
-
-
 def token_starts(text: str) -> list:
-    """The offset in *text* of each code token that ``tokenize`` finds in
-    it, from the full pass's regex."""
-    return [m.start(m.lastgroup) for m in _TOKEN_RE.finditer(text)
-            if m.lastgroup not in (None, "newline", "comment")]
+    """The offset in *text* of each code token that ``tokenize`` finds."""
+    return [m.start(1) for m in _TOKEN_RE.finditer(text)
+            if m[1] not in ("", "\n") and not m[1].startswith(("//", "/*"))]
 
 
 def column(text: str, offset: int) -> int:
@@ -221,19 +191,23 @@ def column(text: str, offset: int) -> int:
     return offset - text.rfind("\n", 0, offset)
 
 
-def _rare_kind(text: str, start: int, lexeme: str, line: int) -> str:
-    """Kind of the token *lexeme*, at offset *start* of *text* on *line*,
-    that the ``rare`` or ``illegal`` alternative matched, or the
+def _rare_kind(text: str, pos: int, stop: int, lexeme: str, line: int) -> str:
+    """Kind of the token *lexeme*, lexed on *line* from the slice
+    *pos*:*stop* of *text*, that neither kind table names, or the
     ``ParseError`` it stands for."""
-    ch = lexeme[0]
-    if lexeme.startswith("/*"):
-        raise ParseError("unterminated block comment", line, column(text, start))
-    if ch in "\"'":
-        what = "string" if ch == '"' else "character"
-        raise ParseError(f"unterminated {what} literal", line, column(text, start))
-    if ch.isalpha() or ch in "_$" or unicodedata.category(ch) == "Nl":
-        for k, c in enumerate(lexeme):
-            if unicodedata.category(c) == "No":
-                raise ParseError(f"illegal character {c!r}", line, column(text, start + k))
-        return "identifier"
-    raise ParseError(f"illegal character {ch!r}", line, column(text, start))
+    ch, at = lexeme[0], 0
+    if ch.isdecimal():
+        return "literal"
+    if ch.isalpha() or ch in "_$" or category(ch) == "Nl":
+        # The first non-decimal digit, if any, is not the first character.
+        at = 0 if lexeme.isascii() else next((k for k, c in enumerate(lexeme) if category(c) == "No"), 0)
+        if not at:
+            return "identifier"
+        message = f"illegal character {lexeme[at]!r}"
+    elif ch in "\"'":
+        message = "unterminated string literal" if ch == '"' else "unterminated character literal"
+    else:
+        message = f"illegal character {ch!r}"
+    # An earlier token with this lexeme would have raised: this is the first.
+    start = next(m.start(1) for m in _TOKEN_RE.finditer(text, pos, stop) if m[1] == lexeme)
+    raise ParseError(message, line, column(text, start + at))

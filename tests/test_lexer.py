@@ -3,6 +3,7 @@ import re
 import shutil
 import subprocess
 import time
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from javasmell import lexer
-from javasmell.lexer import ParseError, SourceFile, column, token_starts, tokenize
-from javasmell.pipeline import analyze_paths, find_java_files, parse_source
+from javasmell.lexer import ParseError, SourceFile, Tokens, column, token_starts, tokenize
+from javasmell.pipeline import parse_source
 
 from random_java import random_method
 from test_token_digest import EDGE_CASES, RANDOM_SEED
@@ -58,6 +59,8 @@ def test_token_starts_agree_with_tokenize():
     rng = random.Random(RANDOM_SEED)
     texts = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.rglob("*.java"))]
     texts += [random_method(rng)[0] for _ in range(400)]
+    # Not all ASCII: a comment, and words, literals and strings holding 'é'.
+    texts += [variant for text in texts for variant in ("// é\n" + text, text.replace("e", "é"))]
     for text in texts:
         assert_starts_agree(*toks(text))
     lexed = 0
@@ -522,12 +525,67 @@ def test_triple_quote_inside_a_line_comment_lexes_as_code_around_it():
 
 
 # ----------------------------------------------------------------------
-# the fast pass against the full pass: tokenize gives the full pass's
-# arrays or error on every input, at any slice size, and the fast pass
-# lexes every input that it does not hand back
+# the lexer's former full pass, frozen as a reference: one finditer over
+# the whole file, whose group name is the kind. tokenize gives its arrays
+# or its error, and token_starts its offsets, on every input at any slice
+# size
+
+_TOKEN_RE = re.compile(
+    "[ \t\r\f]*(?:" + "".join(f"(?P<{kind}>{alt})|" for kind, alt in lexer._ALTERNATIVES) + r"\Z)")
+_WORD_KINDS = {**dict.fromkeys(lexer.KEYWORDS, "keyword"), **dict.fromkeys(lexer.WORD_LITERALS, "literal")}
+
+
+def _full_pass(text: str) -> Tokens:
+    """The code tokens of *text*, or the ``ParseError`` it holds."""
+    tokens = Tokens([], [], [])
+    kinds, lexemes, lines = tokens.kinds, tokens.lexemes, tokens.lines
+    word_kind = _WORD_KINDS.get
+    line = 1
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line += 1
+        elif kind == "comment":
+            line += m[kind].count("\n")
+        elif kind:  # None for the blanks at the end
+            lexeme = m[kind]
+            if kind == "word":
+                kind = word_kind(lexeme, "identifier")
+            elif kind == "rare" or kind == "illegal":
+                kind = _rare_kind(text, m.start(kind), lexeme, line)
+            kinds.append(kind)
+            lexemes.append(lexeme)
+            lines.append(line)
+    return tokens
+
+
+def _rare_kind(text: str, start: int, lexeme: str, line: int) -> str:
+    """Kind of the token *lexeme*, at offset *start* of *text* on *line*,
+    that the ``rare`` or ``illegal`` alternative matched, or the
+    ``ParseError`` it stands for."""
+    ch = lexeme[0]
+    if lexeme.startswith("/*"):
+        raise ParseError("unterminated block comment", line, column(text, start))
+    if ch in "\"'":
+        what = "string" if ch == '"' else "character"
+        raise ParseError(f"unterminated {what} literal", line, column(text, start))
+    if ch.isalpha() or ch in "_$" or unicodedata.category(ch) == "Nl":
+        for k, c in enumerate(lexeme):
+            if unicodedata.category(c) == "No":
+                raise ParseError(f"illegal character {c!r}", line, column(text, start + k))
+        return "identifier"
+    raise ParseError(f"illegal character {ch!r}", line, column(text, start))
+
+
+def reference_starts(text):
+    return [m.start(m.lastgroup) for m in _TOKEN_RE.finditer(text)
+            if m.lastgroup not in (None, "newline", "comment")]
+
 
 HOSTILE = ['"', "'", "/*", "*/", "/**/", "`", "#", "\\", "\x00", "\x0b", '"""', "//", "\n",
-           "\\u0041", "é", "\r", "\f", "'\\'", '"\\', "/*/", "*", "/"]
+           "\\u0041", "é", "\r", "\f", "'\\'", '"\\', "/*/", "*", "/",
+           "café", "x²", "Ⅻ", "€x", "‿y", "e\u0301", "٣", ".٣", "1٣", "x٣", "\u00a0", "\u0085",
+           "\u00ad", "\u200b", "\ufeff", "𝒳", "ǅ", "\U0001f600"]
 
 
 def outcome(lex, text):
@@ -540,17 +598,14 @@ def outcome(lex, text):
     return (tokens.kinds, tokens.lexemes, tokens.lines), None
 
 
-def fast_lexed(text):
-    """Whether ``tokenize`` lexes *text* in the fast pass, after checking
-    that it gives the full pass's arrays or error, and that the fast pass
-    hands back only what the full pass rejects."""
-    arrays, error = outcome(lexer._full_pass, text)
-    assert outcome(lambda t: tokenize(SourceFile("T.java", t)), text) == (arrays, error)
-    if not text.isascii() or '"""' in text:
-        return False
-    fast = lexer._fast_pass(text)
-    assert (fast.kinds, fast.lexemes, fast.lines) == arrays if fast is not None else error
-    return fast is not None
+def agrees(text):
+    """Whether ``tokenize`` lexes *text*, after checking that it gives the
+    reference's arrays or error, and ``token_starts`` its offsets."""
+    src = SourceFile("T.java", text)
+    arrays, error = outcome(_full_pass, src.content)
+    assert outcome(tokenize, src) == (arrays, error)
+    assert error is not None or token_starts(src.content) == reference_starts(src.content)
+    return error is None
 
 
 def mutants(rng, texts, count):
@@ -564,7 +619,7 @@ def mutants(rng, texts, count):
         yield text
 
 
-def test_fast_pass_agrees_with_the_full_pass(monkeypatch):
+def test_tokenize_agrees_with_the_former_full_pass(monkeypatch):
     rng = random.Random(RANDOM_SEED)
     files = [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.rglob("*.java"))]
     files += [random_method(rng)[0] for _ in range(400)]
@@ -572,20 +627,11 @@ def test_fast_pass_agrees_with_the_full_pass(monkeypatch):
     edges = [SourceFile("T.java", text).content for _, text in EDGE_CASES]
     edges += [text[:k] for text in edges for k in range(len(text))]
     hostile = list(mutants(rng, files, 1500))
-    taken = []
+    lexed = []
     for size in (1, 64, 4096):
         monkeypatch.setattr(lexer, "_SLICE", size)
-        assert all(map(fast_lexed, files))
-        taken.append([text for text in edges + hostile if fast_lexed(text)])
-    assert taken[0] == taken[1] == taken[2]
-    assert len(taken[0]) > 800
-
-
-def test_fixture_corpus_never_takes_the_full_pass(monkeypatch):
-    full_texts = []
-    full_pass = lexer._full_pass
-    monkeypatch.setattr(lexer, "_full_pass", lambda text: full_texts.append(text) or full_pass(text))
-    result = analyze_paths(FIXTURES / "corpus", find_java_files(FIXTURES / "corpus"))
-    assert len(result.findings) == 11 and result.failures == [] and full_texts == []
-    tokenize(SourceFile("T.java", "int é;"))
-    assert full_texts == ["int é;"]
+        assert all(map(agrees, files))
+        lexed.append([text for text in edges + hostile if agrees(text)])
+    assert lexed[0] == lexed[1] == lexed[2]
+    assert 800 < len(lexed[0]) < len(edges + hostile) - 800
+    assert sum(not text.isascii() for text in lexed[0]) > 200
