@@ -47,7 +47,9 @@ KINDS = ("delete", "insert", "swap", "cut", "hostile")
 DUMP = """
 import json, sys
 from test_facts_digest import dump_facts
-for name, text in json.load(open(sys.argv[1], encoding="utf-8")):
+with open(sys.argv[1], encoding="utf-8") as fh:
+    made = json.load(fh)
+for name, text in made:
     try:
         dump = dump_facts(name, text)
     except Exception as err:
@@ -57,7 +59,8 @@ for name, text in json.load(open(sys.argv[1], encoding="utf-8")):
 
 
 def pool(seed: int) -> list:
-    """(name, text, [(offset, lexeme)]) for each source that lexes."""
+    """(name, text, [(offset, lexeme)]) for each source that lexes into
+    two tokens or more."""
     rng = random.Random(seed)
     named = [(p.relative_to(TESTS).as_posix(), p.read_text(encoding="utf-8"))
              for p in sorted((TESTS / "fixtures").rglob("*.java"))]
@@ -65,13 +68,13 @@ def pool(seed: int) -> list:
     named += [(f"hand/{name}.java", text) for name, text in HAND_WRITTEN]
     sources = []
     for name, text in named:
-        text = SourceFile(name, text).content
+        source = SourceFile(name, text)
         try:
-            lexemes = tokenize(SourceFile(name, text)).lexemes
+            lexemes = tokenize(source).lexemes
         except ParseError:
             continue
         if len(lexemes) > 1:
-            sources.append((name, text, list(zip(token_starts(text), lexemes))))
+            sources.append((name, source.content, list(zip(token_starts(source.content), lexemes))))
     return sources
 
 
@@ -126,17 +129,20 @@ def compare(here: Path, there: Path, made: list, out: Path) -> Counter:
                        PYTHONDONTWRITEBYTECODE="1", PYTHONIOENCODING="utf-8")
             procs.append(subprocess.Popen([sys.executable, "-c", DUMP, str(inputs)], cwd=tmp,
                                           env=env, stdout=subprocess.PIPE, encoding="utf-8"))
-        for n, ((kind, _, text), a, b) in enumerate(zip(made, procs[0].stdout, procs[1].stdout)):
-            if a != b:
-                differ[kind] += 1
-                differ["total"] += 1
-                out.mkdir(parents=True, exist_ok=True)
-                (out / f"{n}-{kind}.java").write_text(text, encoding="utf-8")
-                (out / f"{n}.here.txt").write_text(json.loads(a), encoding="utf-8")
-                (out / f"{n}.rev.txt").write_text(json.loads(b), encoding="utf-8")
-        for proc in procs:
-            proc.stdout.close()  # a writer left alone then stops, and does not block
-        if any([proc.wait() for proc in procs]):
+        try:
+            for n, ((kind, _, text), a, b) in enumerate(zip(made, procs[0].stdout, procs[1].stdout)):
+                if a != b:
+                    differ[kind] += 1
+                    differ["total"] += 1
+                    out.mkdir(parents=True, exist_ok=True)
+                    (out / f"{n}-{kind}.java").write_text(text, encoding="utf-8")
+                    (out / f"{n}.here.txt").write_text(json.loads(a), encoding="utf-8")
+                    (out / f"{n}.rev.txt").write_text(json.loads(b), encoding="utf-8")
+        finally:
+            for proc in procs:
+                proc.stdout.close()  # a writer left alone gets a broken pipe, not a full one
+            failed = [proc.wait() for proc in procs]
+        if any(failed):
             raise RuntimeError("a dump subprocess failed")
     return differ
 

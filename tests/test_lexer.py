@@ -578,6 +578,7 @@ def _rare_kind(text: str, start: int, lexeme: str, line: int) -> str:
 
 
 def reference_starts(text):
+    """The offsets the reference's regex gives *text*'s code tokens."""
     return [m.start(m.lastgroup) for m in _TOKEN_RE.finditer(text)
             if m.lastgroup not in (None, "newline", "comment")]
 
